@@ -74,19 +74,18 @@ def _progress(enabled: bool, msg: str) -> None:
         print(msg, file=sys.stderr, flush=True)
 
 
-def _classify_all(keys_or_specs, caps, cache_dir, trust, verbose):
+def _classify_all(keys_or_specs, caps, cache_dir, verbose):
     reports = []
     for item in keys_or_specs:
         label = item if isinstance(item, str) else item.name
         t0 = time.time()
-        rep = classify(item, caps=caps, cache_dir=cache_dir, trust_literature=trust)
+        rep = classify(item, caps=caps, cache_dir=cache_dir)
         _progress(
             verbose,
             f"{label}: ekr={rep.ekr} strict={rep.strict} ({time.time() - t0:.1f}s)",
         )
         reports.append(rep)
-    reports.sort(key=lambda r: (r.degree, -r.order, r.key))
-    return reports
+    return sorted(reports, key=pipeline.table_order)
 
 
 def _cmd_classify(args) -> int:
@@ -107,9 +106,7 @@ def _cmd_classify(args) -> int:
             if not specs:
                 raise SystemExit(f"ekr: error: no group entries in {name!r}")
             targets.extend(specs.values())
-    reports = _classify_all(
-        targets, caps, args.cache, args.trust_literature, args.verbose
-    )
+    reports = _classify_all(targets, caps, args.cache, args.verbose)
     _emit(reports, args.format, args.out)
     return _exit_code(reports)
 
@@ -121,7 +118,7 @@ def _cmd_table(args) -> int:
     ]
     if not keys:
         raise SystemExit(f"ekr: error: no catalog groups with degree <= {args.degree_max}")
-    reports = _classify_all(keys, caps, args.cache, args.trust_literature, args.verbose)
+    reports = _classify_all(keys, caps, args.cache, args.verbose)
     _emit(reports, args.format, args.out)
     return _exit_code(reports)
 
@@ -235,11 +232,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
-    p.add_argument(
-        "--trust-literature",
-        action="store_true",
-        help="annotate reports with known published verdicts (never changes them)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         choices=(24,),
         default=[],
-        help="enable the degree-24 case (heavy; needs an imported table)",
+        help="enable the degree-24 case (its 20401920-element streamed class "
+        "needs --caps class_orbit=20401920)",
     )
     p.add_argument("--tables", metavar="DIR", help="directory of imported character tables")
     _add_output(p)

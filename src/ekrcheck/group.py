@@ -14,7 +14,9 @@ from .errors import CapExceeded
 from .perm import Permutation
 
 ENUMERATION_CAP = 2_000_000
-CLASS_ORBIT_CAP = 2_000_000
+# memory-safe default for streaming a conjugacy class on a small host; the
+# M24 double-12-cycle class (about 2*10^7 elements) needs a larger value
+CLASS_ORBIT_SOFT_CAP = 8_000_000
 
 
 class _Level:
@@ -233,12 +235,8 @@ class PermutationGroup:
             yield Permutation(tuple(int(x) for x in row))
 
 
-def build_group(generators, degree: int | None = None) -> PermutationGroup:
-    return PermutationGroup(generators, degree)
-
-
 def conjugation_orbit(group: PermutationGroup, rep: Permutation,
-                      cap: int = CLASS_ORBIT_CAP) -> np.ndarray:
+                      cap: int = CLASS_ORBIT_SOFT_CAP) -> np.ndarray:
     """Conjugacy class of rep as a (size, degree) int8 image array, without
     enumerating the group.  Row 0 is rep; the rest follow BFS discovery order
     under conjugation by the generators."""

@@ -110,19 +110,6 @@ class Permutation:
         return Permutation(tuple(result))
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Composition with q acting first: compose(p, q)(i) = p(q(i))."""
-    return p * q
-
-
-def invert(p: Permutation) -> Permutation:
-    return p.inverse()
-
-
-def fixed_points(p: Permutation):
-    return p.fixed_points()
-
-
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse 1-indexed cycle notation like "(1,2,3)(4,5)" into a Permutation.
 

@@ -6,6 +6,8 @@ EKR property), otherwise an n-clique and the clique-coclique bound; then
 condition (b) by a weighted ratio certificate, or failing that by clique
 projections onto the remaining character modules; an exact rank
 certificate for the pair-incidence matrix, and finally the strict verdict.
+A group over the enumeration cap gets only the columns that a streamed
+conjugacy class and a supplied character table decide.
 
 Strict = yes is only emitted when all three module-method conditions are
 certified here.  Strict = no is only emitted constructively: either the
@@ -22,7 +24,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .dergraph import (
 )
 from .errors import CapExceeded
 from .group import (
+    CLASS_ORBIT_SOFT_CAP,
     ENUMERATION_CAP,
     EnumeratedGroup,
     PermutationGroup,
@@ -89,6 +92,7 @@ class Caps:
     clique_attempts: int = DEFAULT_CLIQUE_ATTEMPTS
     oracle: int = ORACLE_CAP
     count: int = COUNT_CAP
+    class_orbit: int = CLASS_ORBIT_SOFT_CAP
 
 
 @dataclass
@@ -423,6 +427,39 @@ def brute_alpha(
 # ---- classification ----
 
 
+def _spectral_columns(report: EkrReport, table: CharacterTable) -> DerangementSpectrum:
+    """Fill d, least, unique, and EKR when the ratio bound settles it."""
+    spc = spectrum(table)
+    report.d = spc.d
+    _, least_std, least_unique = least_analysis(spc, table)
+    report.least_standard = "yes" if least_std else "no"
+    if least_std:
+        report.ekr, report.ekr_reason = "yes", "ratio"
+        report.unique = "yes" if least_unique else "no"
+    else:
+        report.unique = "not-applicable"
+    return spc
+
+
+def _class_gram_rank(report: EkrReport, rows: np.ndarray, order: int) -> bool:
+    """Certify full rank through the Gram matrix of one derangement class
+    of element order `order`, when its positive-definite pattern holds."""
+    cg = class_gram(rows, report.degree)
+    if cg.psd_certified:
+        report.rank_full = "yes"
+        report.rank_mode = f"class gram, order-{order} class of {len(rows)}"
+        report.certificates.append(
+            {
+                "kind": "class-gram",
+                "class_size": int(len(rows)),
+                "lam": int(cg.lam),
+                "mu": int(cg.mu),
+                "least_bound": int(cg.least_bound),
+            }
+        )
+    return cg.psd_certified
+
+
 def _class_mode_rank(eg: EnumeratedGroup, report: EkrReport) -> None:
     """Rank through the Gram matrix of one derangement class, used when the
     full derangement set is too large to multiply out.  Prefers classes of
@@ -436,19 +473,7 @@ def _class_mode_rank(eg: EnumeratedGroup, report: EkrReport) -> None:
     cands.sort(key=lambda c: (-eg.class_orders[c], eg.class_sizes[c]))
     for c in cands:
         rows = eg.E[np.nonzero(eg.class_of == c)[0]]
-        cg = class_gram(rows, eg.group.degree)
-        if cg.psd_certified:
-            report.rank_full = "yes"
-            report.rank_mode = f"class gram, order-{eg.class_orders[c]} class"
-            report.certificates.append(
-                {
-                    "kind": "class-gram",
-                    "class_size": int(len(rows)),
-                    "lam": int(cg.lam),
-                    "mu": int(cg.mu),
-                    "least_bound": int(cg.least_bound),
-                }
-            )
+        if _class_gram_rank(report, rows, eg.class_orders[c]):
             return
     report.notes.append("rank: no single class certified positive-definiteness")
 
@@ -483,44 +508,119 @@ def _decide_strict(
         report.strict, report.strict_reason = "unknown", "external-unproven"
 
 
+# ---- groups over the enumeration cap ----
+
+_CLASS_SHAPE = {
+    # degree: (element order, cycle type) of the certifying class; each
+    # class is self-centralizing, so it has |G|/order elements
+    23: (23, (23,)),
+    24: (12, (12, 12)),
+}
+
+
+def _find_class_rep(group: PermutationGroup, order: int, shape: tuple, seed: int = 11):
+    rng = random.Random(seed)
+    for _ in range(20000):
+        g = group.random_element(rng)
+        if g.order() == order and g.cycle_type() == shape:
+            return g
+    raise RuntimeError(f"no element of order {order} with cycle type {shape} found")
+
+
+def imported_table_report(
+    report: EkrReport, group: PermutationGroup, table_path
+) -> DerangementSpectrum:
+    """Fill the spectral columns of a partial report from a supplied table.
+
+    The file is re-verified on parse (orthogonality, degree sums); the
+    eigenvalue computations on it are exact.  Columns that rest on the
+    supplied data are flagged in the notes, and the strict verdict is
+    never assembled from them.
+    """
+    table = parse_table(table_path.read_text())
+    if table.order != group.order() or table.degree != group.degree:
+        raise ValueError(f"{report.key}: supplied table order/degree mismatch")
+    spc = _spectral_columns(report, table)
+    report.notes.append(
+        "least/EKR/unique columns rest on a supplied character table "
+        "(re-verified internally, externally sourced)"
+    )
+    return spc
+
+
+def mathieu_class_rank(
+    report: EkrReport, group: PermutationGroup, class_cap: int = CLASS_ORBIT_SOFT_CAP
+) -> None:
+    """Rank certification for a group too large to enumerate: stream one
+    derangement class and certify the positive-definite Gram pattern.
+    A class larger than `class_cap` fails before it is streamed."""
+    order, shape = _CLASS_SHAPE[group.degree]
+    size = group.order() // order
+    if size > class_cap:
+        raise CapExceeded("conjugacy class orbit", size, class_cap)
+    rep = _find_class_rep(group, order, shape)
+    rows = conjugation_orbit(group, rep, cap=class_cap)
+    if len(rows) != size:
+        raise AssertionError(f"{report.key}: streamed {len(rows)} class elements, not {size}")
+    if not _class_gram_rank(report, rows, order):
+        report.notes.append("class Gram pattern did not certify positive-definiteness")
+
+
+def _streamed_route(
+    report: EkrReport, group: PermutationGroup, caps: Caps, tables_dir
+) -> None:
+    """Spectral columns from `<tables_dir>/<key>.ct` when that file exists,
+    and rank from a streamed class when one is registered for the degree.
+    Strict stays unknown: it is never assembled from a supplied table."""
+    path = Path(tables_dir, f"{report.key}.ct") if tables_dir is not None else None
+    if path is not None and path.exists():
+        t = time.perf_counter()
+        imported_table_report(report, group, path)
+        report.timings["table"] = time.perf_counter() - t
+    if group.degree not in _CLASS_SHAPE:
+        report.notes.append("no streamed-class route registered for this degree")
+        return
+    t = time.perf_counter()
+    try:
+        mathieu_class_rank(report, group, caps.class_orbit)
+    except CapExceeded as exc:
+        report.notes.append(f"class orbit cap: {exc}")
+    report.timings["rank"] = time.perf_counter() - t
+
+
 def classify(
     key_or_spec,
     caps: Caps | None = None,
     cache_dir=None,
-    trust_literature: bool = False,
+    tables_dir=None,
 ) -> EkrReport:
     """Full decision sequence for one catalogued group.
 
-    Resource caps produce partial reports with unknown columns; no column
-    is ever filled with an unverified value.
+    A group over the enumeration cap takes the streamed route instead
+    (`tables_dir` holds the tables it may read).  Resource caps produce
+    partial reports with unknown columns; no column is ever filled with
+    an unverified value.
     """
     caps = caps or Caps()
     spec = get_spec(key_or_spec) if isinstance(key_or_spec, str) else key_or_spec
     group = build_group(spec)
-    if group.transitivity_degree() < 2:
-        raise ValueError(f"{spec.name}: not 2-transitive")
     report = EkrReport(key=spec.name, degree=spec.degree, order=group.order())
     t0 = time.perf_counter()
 
-    eg: EnumeratedGroup | None = None
-    spc: DerangementSpectrum | None = None
     try:
         t = time.perf_counter()
         eg = conjugacy_classes(group, caps.enumeration)
         report.timings["enumerate"] = time.perf_counter() - t
     except CapExceeded as exc:
         report.notes.append(f"enumeration cap: {exc}")
-
-    if eg is not None:
+        _streamed_route(report, group, caps, tables_dir)
+    else:
         t = time.perf_counter()
         table = character_table_for(group, cache_dir=cache_dir, eg=eg)
         report.timings["table"] = time.perf_counter() - t
 
         t = time.perf_counter()
-        spc = spectrum(table)
-        report.d = spc.d
-        tau, least_std, least_unique = least_analysis(spc, table)
-        report.least_standard = "yes" if least_std else "no"
+        spc = _spectral_columns(report, table)
         report.timings["spectrum"] = time.perf_counter() - t
 
         t = time.perf_counter()
@@ -532,11 +632,7 @@ def classify(
             )
         report.timings["clique"] = time.perf_counter() - t
 
-        if least_std:
-            report.ekr, report.ekr_reason = "yes", "ratio"
-            report.unique = "yes" if least_unique else "no"
-        else:
-            report.unique = "not-applicable"
+        if report.least_standard == "no":
             if clique is not None:
                 report.ekr, report.ekr_reason = "yes", "clique-coclique"
             else:
@@ -587,8 +683,7 @@ def classify(
             _class_mode_rank(eg, report)
         report.timings["rank"] = time.perf_counter() - t
 
-    witness_ok = False
-    if eg is not None:
+        witness_ok = False
         built = hyperplane_witness(spec, eg)
         if built is not None:
             t = time.perf_counter()
@@ -612,24 +707,25 @@ def classify(
                 )
             report.timings["witness"] = time.perf_counter() - t
 
-    _decide_strict(report, spc, witness_ok)
-    if trust_literature and report.strict == "unknown":
-        report.notes.append("literature may settle this entry; not asserted here")
+        _decide_strict(report, spc, witness_ok)
     report.timings["total"] = time.perf_counter() - t0
     report.validate()
     return report
+
+
+def table_order(report: EkrReport) -> tuple:
+    """Sort key of a report table: degree, then order descending, then key."""
+    return (report.degree, -report.order, report.key)
 
 
 def classify_many(
     keys,
     caps: Caps | None = None,
     cache_dir=None,
-    trust_literature: bool = False,
+    tables_dir=None,
 ) -> list[EkrReport]:
-    """Classify each key; reports ordered by (degree, order descending)."""
-    reports = [classify(k, caps, cache_dir, trust_literature) for k in keys]
-    reports.sort(key=lambda r: (r.degree, -r.order, r.key))
-    return reports
+    """Classify each key; reports in `table_order`."""
+    return sorted((classify(k, caps, cache_dir, tables_dir) for k in keys), key=table_order)
 
 
 # ---- report emission ----
@@ -658,80 +754,6 @@ def strip_timings(json_text: str):
 
 MATHIEU_BASE = ["M10", "M11", "M12", "M21"]
 
-# memory-safe default for streaming a conjugacy class on a small host; the
-# M24 double-12-cycle class (about 2*10^7 elements) needs a larger value
-CLASS_ORBIT_SOFT_CAP = 8_000_000
-
-_CLASS_SHAPE = {
-    # degree: (element order, cycle type) of the certifying class
-    23: (23, (23,)),
-    24: (12, (12, 12)),
-}
-
-
-def _find_class_rep(group: PermutationGroup, order: int, shape: tuple, seed: int = 11):
-    rng = random.Random(seed)
-    for _ in range(20000):
-        g = group.random_element(rng)
-        if g.order() == order and g.cycle_type() == shape:
-            return g
-    raise RuntimeError(f"no element of order {order} with cycle type {shape} found")
-
-
-def imported_table_report(
-    report: EkrReport, group: PermutationGroup, table_path
-) -> DerangementSpectrum | None:
-    """Fill the spectral columns of a partial report from a supplied table.
-
-    The file is re-verified on parse (orthogonality, degree sums); the
-    eigenvalue computations on it are exact.  Columns that rest on the
-    supplied data are flagged in the notes, and the strict verdict is
-    never assembled from them.
-    """
-    table = parse_table(table_path.read_text())
-    if table.order != group.order() or table.degree != group.degree:
-        raise ValueError(f"{report.key}: supplied table order/degree mismatch")
-    spc = spectrum(table)
-    report.d = spc.d
-    _, least_std, least_unique = least_analysis(spc, table)
-    report.least_standard = "yes" if least_std else "no"
-    if least_std:
-        report.ekr, report.ekr_reason = "yes", "ratio"
-        report.unique = "yes" if least_unique else "no"
-    else:
-        report.unique = "not-applicable"
-    report.notes.append(
-        "least/EKR/unique columns rest on a supplied character table "
-        "(re-verified internally, externally sourced)"
-    )
-    return spc
-
-
-def mathieu_class_rank(
-    report: EkrReport, group: PermutationGroup, class_cap: int = CLASS_ORBIT_SOFT_CAP
-) -> None:
-    """Rank certification for a group too large to enumerate: stream one
-    derangement class and certify the positive-definite Gram pattern."""
-    n = group.degree
-    order, shape = _CLASS_SHAPE[n]
-    rep = _find_class_rep(group, order, shape)
-    rows = conjugation_orbit(group, rep, cap=class_cap)
-    cg = class_gram(rows, n)
-    if cg.psd_certified:
-        report.rank_full = "yes"
-        report.rank_mode = f"class gram, order-{order} class of {len(rows)}"
-        report.certificates.append(
-            {
-                "kind": "class-gram",
-                "class_size": int(len(rows)),
-                "lam": int(cg.lam),
-                "mu": int(cg.mu),
-                "least_bound": int(cg.least_bound),
-            }
-        )
-    else:
-        report.notes.append("class Gram pattern did not certify positive-definiteness")
-
 
 def mathieu_reports(
     include: tuple[int, ...] = (),
@@ -739,56 +761,11 @@ def mathieu_reports(
     tables_dir=None,
     caps: Caps | None = None,
     cache_dir=None,
-    class_cap: int = CLASS_ORBIT_SOFT_CAP,
 ) -> list[EkrReport]:
-    """Reports for the Mathieu family.
-
-    M10, M11, M12 and M21 (and M22 with include=22) run the full decision
-    sequence.  M23 (include=23) and M24 (opt-in) exceed the enumeration
-    cap: they get a streamed class-Gram rank certificate plus, when a
-    tables directory holds <key>.ct, spectral columns from that file.
-    """
-    from pathlib import Path
-
-    caps = caps or Caps()
-    keys = list(MATHIEU_BASE)
-    if 22 in include:
-        keys.append("M22")
-    if 23 in include:
-        keys.append("M23")
+    """Reports for M10, M11, M12 and M21, plus M22 and M23 with
+    include=22/23 and M24 with opt_in_24.  M23 and M24 are over the
+    default enumeration cap, so `classify` takes its streamed route."""
+    keys = MATHIEU_BASE + [f"M{d}" for d in (22, 23) if d in include]
     if opt_in_24:
         keys.append("M24")
-    reports = []
-    for key in keys:
-        spec = get_spec(key)
-        if spec.expected_order <= caps.enumeration:
-            reports.append(classify(key, caps, cache_dir))
-            continue
-        group = build_group(spec)
-        report = EkrReport(key=key, degree=spec.degree, order=group.order())
-        t0 = time.perf_counter()
-        report.notes.append(
-            f"order {group.order()} exceeds the enumeration cap {caps.enumeration}; "
-            "columns below come from streamed-class and supplied-table routes only"
-        )
-        if tables_dir is not None:
-            path = Path(tables_dir) / f"{key}.ct"
-            if path.exists():
-                t = time.perf_counter()
-                imported_table_report(report, group, path)
-                report.timings["table"] = time.perf_counter() - t
-        if spec.degree in _CLASS_SHAPE:
-            try:
-                t = time.perf_counter()
-                mathieu_class_rank(report, group, class_cap)
-                report.timings["rank"] = time.perf_counter() - t
-            except CapExceeded as exc:
-                report.notes.append(f"class orbit cap: {exc}")
-        else:
-            report.notes.append("no streamed-class route registered for this degree")
-        report.strict, report.strict_reason = "unknown", "external-unproven"
-        report.timings["total"] = time.perf_counter() - t0
-        report.validate()
-        reports.append(report)
-    reports.sort(key=lambda r: (r.degree, -r.order, r.key))
-    return reports
+    return classify_many(keys, caps, cache_dir, tables_dir)

@@ -1,0 +1,37 @@
+"""The traced benchmark wraps ekrcheck entry points by name and calls the
+streamed rank route directly.  A refactor that renames or removes one of
+them fails here, in the unit suite, instead of breaking the benchmark."""
+
+import importlib.util
+import inspect
+import pathlib
+
+import pytest
+
+from ekrcheck import pipeline as pl
+
+TRACING = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load_tracing()
+ENTRY_POINTS = [(owner, attr) for owner, attr, _ in tracing.SPANS] + [
+    (owner, attr) for owner, attr, _, _ in tracing.COUNTED
+]
+
+
+@pytest.mark.parametrize("owner, attr", ENTRY_POINTS)
+def test_traced_entry_point_exists(owner, attr):
+    # install() replaces vars(owner)[attr], so the name must live there
+    assert attr in vars(tracing._owner(owner))
+
+
+def test_streamed_route_keeps_its_two_argument_form():
+    report = pl.EkrReport(key="M23", degree=23, order=10200960)
+    inspect.signature(pl.mathieu_class_rank).bind(report, object())

@@ -5,7 +5,6 @@ from ekrcheck.errors import CapExceeded
 from ekrcheck.group import (
     EnumeratedGroup,
     PermutationGroup,
-    build_group,
     conjugacy_classes,
     conjugation_orbit,
 )
@@ -71,17 +70,17 @@ M11 = gens_of("(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)", degree=11)
     [(S3, 6), (A4, 12), (S4, 24), (F20, 20), (A5_6, 60), (M11, 7920)],
 )
 def test_order(gens, order):
-    assert build_group(gens).order() == order
+    assert PermutationGroup(gens).order() == order
 
 
 @pytest.mark.parametrize("gens", [S3, A4, S4, F20])
 def test_order_matches_naive_closure(gens):
-    g = build_group(gens)
+    g = PermutationGroup(gens)
     assert g.order() == len(naive_closure([p.images for p in gens]))
 
 
 def test_membership():
-    g = build_group(A4)
+    g = PermutationGroup(A4)
     assert parse_cycles("(1,2)(3,4)", 4) in g
     assert parse_cycles("(1,2)", 4) not in g
     assert Permutation((0, 1, 2, 3)) in g
@@ -92,17 +91,17 @@ def test_membership():
     [(S3, 3), (A4, 2), (S4, 4), (F20, 2), (A5_6, 2), (M11, 4)],
 )
 def test_transitivity_degree(gens, tdeg):
-    assert build_group(gens).transitivity_degree() == tdeg
+    assert PermutationGroup(gens).transitivity_degree() == tdeg
 
 
 def test_transitivity_degree_intransitive():
-    g = build_group(gens_of("(1,2)", degree=4))
+    g = PermutationGroup(gens_of("(1,2)", degree=4))
     assert not g.is_transitive()
     assert g.transitivity_degree() == 0
 
 
 def test_point_stabilizer():
-    g = build_group(M11)
+    g = PermutationGroup(M11)
     h = g.point_stabilizer(0)
     assert h.order() == 720
     for p in h.generators:
@@ -113,7 +112,7 @@ def test_point_stabilizer():
 
 
 def test_elements_array_shape_and_rows():
-    g = build_group(F20)
+    g = PermutationGroup(F20)
     E = g.elements_array()
     assert E.shape == (20, 5)
     assert (E[0] == np.arange(5)).all()          # identity first
@@ -128,18 +127,18 @@ def test_elements_array_shape_and_rows():
 
 
 def test_elements_array_deterministic():
-    a = build_group(A4).elements_array()
-    b = build_group(A4).elements_array()
+    a = PermutationGroup(A4).elements_array()
+    b = PermutationGroup(A4).elements_array()
     assert (a == b).all()
 
 
 def test_elements_cap():
     with pytest.raises(CapExceeded):
-        build_group(M11).elements_array(cap=100)
+        PermutationGroup(M11).elements_array(cap=100)
 
 
 def test_enumerated_indexing():
-    eg = EnumeratedGroup(build_group(A4))
+    eg = EnumeratedGroup(PermutationGroup(A4))
     E = eg.E
     for i in range(len(E)):
         assert eg.index[E[i].tobytes()] == i
@@ -158,7 +157,7 @@ def test_enumerated_indexing():
     ],
 )
 def test_class_sizes(gens, sizes):
-    eg = conjugacy_classes(build_group(gens))
+    eg = conjugacy_classes(PermutationGroup(gens))
     assert sorted(eg.class_sizes) == sorted(sizes)
     assert eg.class_sizes[0] == 1 and eg.class_of[0] == 0
     assert sum(eg.class_sizes) == eg.group.order()
@@ -166,7 +165,7 @@ def test_class_sizes(gens, sizes):
 
 @pytest.mark.parametrize("gens", [S3, A4, S4, F20])
 def test_classes_match_naive_partition(gens):
-    eg = conjugacy_classes(build_group(gens))
+    eg = conjugacy_classes(PermutationGroup(gens))
     elems = naive_closure([p.images for p in gens])
     want = {frozenset(c) for c in naive_classes(elems)}
     got = {}
@@ -176,14 +175,14 @@ def test_classes_match_naive_partition(gens):
 
 
 def test_inverse_class_consistent():
-    eg = conjugacy_classes(build_group(S4))
+    eg = conjugacy_classes(PermutationGroup(S4))
     for c in range(eg.n_classes):
         rep = eg.class_rep(c)
         assert eg.class_of[eg.index[np.array(rep.inverse().images, dtype=eg.E.dtype).tobytes()]] == eg.inverse_class[c]
 
 
 def test_conjugation_orbit_covers_whole_class():
-    g = build_group(S4)
+    g = PermutationGroup(S4)
     rep = parse_cycles("(1,2,3,4)", 4)
     cls = conjugation_orbit(g, rep)
     assert cls.shape == (6, 4)
@@ -196,15 +195,15 @@ def test_conjugation_orbit_covers_whole_class():
 
 def test_conjugation_orbit_cap():
     with pytest.raises(CapExceeded):
-        conjugation_orbit(build_group(S4), parse_cycles("(1,2,3,4)", 4), cap=3)
+        conjugation_orbit(PermutationGroup(S4), parse_cycles("(1,2,3,4)", 4), cap=3)
 
 
 def test_rejects_nonmember_conjugation_seed():
     with pytest.raises(ValueError):
-        conjugation_orbit(build_group(A4), parse_cycles("(1,2)", 4))
+        conjugation_orbit(PermutationGroup(A4), parse_cycles("(1,2)", 4))
 
 
 def test_orbit():
-    g = build_group(gens_of("(1,2)", "(3,4,5)", degree=5))
+    g = PermutationGroup(gens_of("(1,2)", "(3,4,5)", degree=5))
     assert sorted(g.orbit(0)) == [0, 1]
     assert sorted(g.orbit(2)) == [2, 3, 4]

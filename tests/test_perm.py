@@ -4,9 +4,7 @@ from hypothesis import given, strategies as st
 from ekrcheck.perm import (
     CycleNotationError,
     Permutation,
-    compose,
     format_cycles,
-    invert,
     parse_cycles,
 )
 
@@ -75,8 +73,8 @@ perms = st.integers(3, 8).flatmap(
 
 @given(perms)
 def test_inverse(p):
-    assert (p * invert(p)).is_identity()
-    assert (invert(p) * p).is_identity()
+    assert (p * p.inverse()).is_identity()
+    assert (p.inverse() * p).is_identity()
 
 
 @given(st.integers(3, 7).flatmap(

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -305,3 +306,56 @@ def test_mathieu_base_order(table_cache):
     reports = pl.mathieu_reports(cache_dir=table_cache, caps=pl.Caps(enumeration=100))
     assert [r.key for r in reports] == ["M10", "M11", "M12", "M21"]
     assert all(r.partial for r in reports)
+
+
+# ---- groups over the enumeration cap ----
+
+
+def test_m23_rank_by_streamed_class_gram():
+    r = pl.classify("M23")
+    assert r.rank_full == "yes"
+    (cert,) = [c for c in r.certificates if c["kind"] == "class-gram"]
+    assert cert["class_size"] == 443520 == r.order // 23
+    assert r.least_standard == "unknown" and r.strict == "unknown"
+    assert r.strict_reason == "external-unproven"
+
+
+def test_m24_stops_at_the_class_orbit_cap_before_streaming():
+    t0 = time.perf_counter()
+    r = pl.classify("M24")
+    assert time.perf_counter() - t0 < 2
+    assert r.rank_full == "unknown"
+    assert any(n.startswith("class orbit cap") and "20401920" in n for n in r.notes)
+
+
+def test_class_rank_checks_the_cap_before_the_orbit(monkeypatch):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("streamed a class over the cap")
+
+    monkeypatch.setattr(pl, "conjugation_orbit", no_stream)
+    spec, g = get_group("M23")
+    r = pl.EkrReport(key="M23", degree=spec.degree, order=spec.expected_order)
+    with pytest.raises(CapExceeded, match="443520"):
+        pl.mathieu_class_rank(r, g, 443519)
+    assert r.rank_full == "unknown"
+
+
+def test_over_cap_group_reads_a_supplied_table(tmp_path, table_cache):
+    _, g = get_group("PGL(2,5)")
+    table = pl.character_table_for(g, cache_dir=table_cache)
+    (tmp_path / "PGL(2,5).ct").write_text(export_table(table))
+    r = pl.classify("PGL(2,5)", pl.Caps(enumeration=10), tables_dir=tmp_path)
+    assert r.csv_row()[3:] == ["Y", "--", "Y", "N", "--", "?", "?"]
+    assert r.ekr_reason == "ratio"
+    assert any("supplied character table" in note for note in r.notes)
+    assert any("no streamed-class route" in note for note in r.notes)
+    assert r.strict_reason == "external-unproven"
+
+
+def test_mathieu_reports_are_classify_many_reports(table_cache):
+    caps = pl.Caps(enumeration=100)
+    got = pl.mathieu_reports(include=(23,), caps=caps, cache_dir=table_cache)
+    want = pl.classify_many(pl.MATHIEU_BASE + ["M23"], caps, table_cache)
+    assert [r.csv_row() for r in got] == [r.csv_row() for r in want]
+    assert pl.strip_timings(pl.emit_json(got)) == pl.strip_timings(pl.emit_json(want))
+    assert got[-1].rank_full == "yes"
