@@ -271,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         choices=(24,),
         default=[],
-        help="enable the degree-24 case (its 20401920-element streamed class "
-        "needs --caps class_orbit=20401920)",
+        help="enable the degree-24 case (its 20401920-element class is over "
+        "the class-orbit cap, so its rank stays unknown)",
     )
     p.add_argument("--tables", metavar="DIR", help="directory of imported character tables")
     _add_output(p)

@@ -92,7 +92,6 @@ class Caps:
     clique_attempts: int = DEFAULT_CLIQUE_ATTEMPTS
     oracle: int = ORACLE_CAP
     count: int = COUNT_CAP
-    class_orbit: int = CLASS_ORBIT_SOFT_CAP
 
 
 @dataclass
@@ -511,10 +510,10 @@ def _decide_strict(
 # ---- groups over the enumeration cap ----
 
 _CLASS_SHAPE = {
-    # degree: (element order, cycle type) of the certifying class; each
-    # class is self-centralizing, so it has |G|/order elements
-    23: (23, (23,)),
-    24: (12, (12, 12)),
+    # catalog key: (element order, cycle type) of the certifying class;
+    # each class is self-centralizing, so it has |G|/order elements
+    "M23": (23, (23,)),
+    "M24": (12, (12, 12)),
 }
 
 
@@ -554,7 +553,7 @@ def mathieu_class_rank(
     """Rank certification for a group too large to enumerate: stream one
     derangement class and certify the positive-definite Gram pattern.
     A class larger than `class_cap` fails before it is streamed."""
-    order, shape = _CLASS_SHAPE[group.degree]
+    order, shape = _CLASS_SHAPE[report.key]
     size = group.order() // order
     if size > class_cap:
         raise CapExceeded("conjugacy class orbit", size, class_cap)
@@ -566,23 +565,21 @@ def mathieu_class_rank(
         report.notes.append("class Gram pattern did not certify positive-definiteness")
 
 
-def _streamed_route(
-    report: EkrReport, group: PermutationGroup, caps: Caps, tables_dir
-) -> None:
+def _streamed_route(report: EkrReport, group: PermutationGroup, tables_dir) -> None:
     """Spectral columns from `<tables_dir>/<key>.ct` when that file exists,
-    and rank from a streamed class when one is registered for the degree.
+    and rank from a streamed class when one is registered for the group.
     Strict stays unknown: it is never assembled from a supplied table."""
     path = Path(tables_dir, f"{report.key}.ct") if tables_dir is not None else None
     if path is not None and path.exists():
         t = time.perf_counter()
         imported_table_report(report, group, path)
         report.timings["table"] = time.perf_counter() - t
-    if group.degree not in _CLASS_SHAPE:
-        report.notes.append("no streamed-class route registered for this degree")
+    if report.key not in _CLASS_SHAPE:
+        report.notes.append("no streamed-class route registered for this group")
         return
     t = time.perf_counter()
     try:
-        mathieu_class_rank(report, group, caps.class_orbit)
+        mathieu_class_rank(report, group)
     except CapExceeded as exc:
         report.notes.append(f"class orbit cap: {exc}")
     report.timings["rank"] = time.perf_counter() - t
@@ -613,7 +610,7 @@ def classify(
         report.timings["enumerate"] = time.perf_counter() - t
     except CapExceeded as exc:
         report.notes.append(f"enumeration cap: {exc}")
-        _streamed_route(report, group, caps, tables_dir)
+        _streamed_route(report, group, tables_dir)
     else:
         t = time.perf_counter()
         table = character_table_for(group, cache_dir=cache_dir, eg=eg)

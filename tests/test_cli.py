@@ -5,7 +5,7 @@ import json
 import pytest
 
 from ekrcheck.cli import main
-from ekrcheck.library import format_catalog, get_spec
+from ekrcheck.library import GroupSpec, format_catalog, get_spec
 
 CSV_HEADER = "n,Group,size,least,n-clique,EKR,unique,module-by-clique,rank,strict"
 
@@ -53,6 +53,25 @@ def test_classify_group_file(capsys, tmp_path, table_cache):
     )
     assert code == 0
     assert out.strip().split("\n")[1].startswith("4,A4,12,")
+
+
+def test_classify_over_cap_group_without_streamed_class_is_partial(capsys, tmp_path):
+    # PGL(2,23) on the projective line, points 0..22 and infinity as 1..24;
+    # it has (12,12) elements but no streamed class is registered for it
+    gens = (
+        "(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23)",
+        "(2,6,3,11,5,21,9,18,17,12,10,23,19,22,14,20,4,16,7,8,13,15)",
+        "(1,24)(2,23)(3,12)(4,16)(5,18)(6,10)(7,20)(8,14)(9,21)(11,17)(13,22)(15,19)",
+    )
+    path = tmp_path / "pgl223.cat"
+    path.write_text(format_catalog([GroupSpec("PGL(2,23)", 24, 12144, gens)]))
+    code, out, _ = run(
+        capsys, "classify", "--group", str(path), "--caps", "enumeration=100"
+    )
+    assert code == 2
+    (obj,) = json.loads(out)
+    assert obj["rank"]["full"] == "unknown"
+    assert "no streamed-class route registered for this group" in obj["notes"]
 
 
 def test_classify_unknown_group_exits_1(capsys):
