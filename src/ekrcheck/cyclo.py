@@ -2,12 +2,19 @@
 
 A value is a sparse integer combination of e-th roots of unity over a common
 positive denominator.  The representation is deliberately not canonical
-(exponents range over all of Z/e rather than a power basis); equality reduces
-the difference modulo the e-th cyclotomic polynomial, behind a float prefilter
-that settles the common visibly-nonzero case.  Real values are ordered by
-certified interval evaluation at escalating precision, falling back to the
-exact zero test whenever an interval straddles zero.  Operands of different
-conductors are embedded into their lcm, so mixing is always exact.
+(exponents range over all of Z/e rather than a power basis).  Equality is a
+zero test of the difference, behind a float prefilter that can only certify
+"nonzero".  The exact test uses the norm bound.  Let x = sum c_k zeta^k with
+integer c_k and B = sum |c_k|.  For a prime p = 1 (mod e), x vanishes at
+omega^u mod p for every unit u, where omega is a primitive e-th root mod p,
+exactly when x lies in p Z[zeta] (p splits completely).  So if that holds
+for primes whose product P exceeds B, then either x = 0 or
+P^phi(e) <= |N(x)| <= B^phi(e), which is impossible.  Reduction modulo the
+e-th cyclotomic polynomial is kept for the coordinate form (`canonical`).
+Real values are ordered by certified interval evaluation at escalating
+precision, falling back to the exact zero test whenever an interval
+straddles zero.  Operands of different conductors are embedded into their
+lcm, so mixing is always exact.
 """
 
 from __future__ import annotations
@@ -18,6 +25,9 @@ from math import gcd, lcm
 
 import numpy as np
 from mpmath import iv
+
+from .fields import factorize
+from .modmath import element_of_order, prime_one_mod
 
 
 def divisors(n: int) -> list[int]:
@@ -90,6 +100,65 @@ def _reduce_mod_cyclo(dense: list[int], e: int) -> tuple[int, ...]:
             for j in range(k):
                 c[i - k + j] -= t * phi[j]
     return tuple(c[:k])
+
+
+# split primes lie in (2^30, 2^31), so a product of two residues fits int64
+_SPLIT_PRIME_FLOOR = 1 << 30
+_SPLIT_PRIME_CEIL = 1 << 31
+# entries of one (units x exponents) evaluation block: 1 MB of int64
+_EVAL_BLOCK = 1 << 17
+
+
+@lru_cache(maxsize=None)
+def _units(e: int) -> np.ndarray:
+    units = np.array([u for u in range(e) if gcd(u, e) == 1], dtype=np.int64)
+    units.flags.writeable = False  # shared by every caller through the cache
+    return units
+
+
+@lru_cache(maxsize=None)
+def _split_prime(e: int, i: int) -> tuple[int, np.ndarray]:
+    """The i-th prime p = 1 (mod e) above 2^30, with powers[j] = omega^j mod p
+    for a primitive e-th root of unity omega mod p."""
+    p = prime_one_mod(e, _split_prime(e, i - 1)[0] if i else _SPLIT_PRIME_FLOOR)
+    if p >= _SPLIT_PRIME_CEIL:
+        raise OverflowError(f"no split prime below 2^31 left for conductor {e}")
+    w = element_of_order(p, e, list(factorize(e)))
+    powers = np.empty(e, dtype=np.int64)
+    acc = 1
+    for j in range(e):
+        powers[j] = acc
+        acc = acc * w % p
+    powers.flags.writeable = False
+    return p, powers
+
+
+def _vanishes(e: int, num: dict[int, int], bound: int) -> bool:
+    """Exactly whether sum_k num[k] zeta_e^k is zero, given bound >= sum |num[k]|.
+
+    Evaluates at omega^u for every unit u modulo split primes until their
+    product exceeds the bound (the norm argument of the module docstring)."""
+    # all exponents in g*Z means the value lies in Q(zeta_(e/g)): test there
+    g = e
+    for k in num:
+        g = gcd(g, k)
+    e //= g
+    if e == 1:
+        return not sum(num.values())
+    units = _units(e)
+    keys = np.fromiter((k // g for k in num), dtype=np.int64, count=len(num))
+    step = max(1, _EVAL_BLOCK // len(keys))
+    modulus, i = 1, 0
+    while modulus <= bound:
+        p, powers = _split_prime(e, i)
+        coeffs = np.array([c % p for c in num.values()], dtype=np.int64)
+        for s in range(0, len(units), step):
+            exponents = np.outer(units[s:s + step], keys) % e
+            if ((powers[exponents] * coeffs % p).sum(axis=1) % p).any():
+                return False
+        modulus *= p
+        i += 1
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -263,7 +332,7 @@ class Cyc:
         scale = self._abs_coeff_sum()
         if abs(self.approx()) * self.den > scale * 1e-9:
             return False
-        return not any(_reduce_mod_cyclo(self._dense(), self.e))
+        return _vanishes(self.e, self.num, scale)
 
     def _dense(self) -> list[int]:
         out = [0] * self.e

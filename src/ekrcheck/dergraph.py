@@ -62,19 +62,23 @@ def spectrum(table: CharacterTable) -> DerangementSpectrum:
         eta = acc / table.degrees[r]
         if not eta.is_real():
             raise AssertionError("non-real eigenvalue from an inverse-closed class set")
-        # embed at the table conductor so canonical forms are comparable
-        # (every value conductor divides e, hence so does eta's)
+        # every value conductor divides e, hence so does eta's
         etas.append(eta.embed(table.e))
-    groups: dict[tuple, list[int]] = {}
+    # merge equal eigenvalues by exact zero tests of their differences
+    groups: list[list[int]] = []
     for r, eta in enumerate(etas):
-        groups.setdefault(eta.canonical(), []).append(r)
+        rows = next((g for g in groups if (eta - etas[g[0]]).is_zero()), None)
+        if rows is None:
+            groups.append([r])
+        else:
+            rows.append(r)
     entries = [
         SpectrumEntry(
             value=etas[rows[0]],
             multiplicity=sum(table.degrees[r] ** 2 for r in rows),
             rows=tuple(rows),
         )
-        for rows in groups.values()
+        for rows in groups
     ]
     entries.sort(key=functools.cmp_to_key(lambda x, y: _cmp_exact(x.value, y.value)), reverse=True)
 

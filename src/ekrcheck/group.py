@@ -277,23 +277,22 @@ class EnumeratedGroup:
         n = group.degree
         self.E = group.elements_array(cap)
         N = len(self.E)
-        self.index = {self.E[i].tobytes(): i for i in range(N)}
         # inverse of every element, vectorized: inv[i, E[i, j]] = j
         inv = np.empty_like(self.E)
         rows = np.arange(N)[:, None]
         inv[rows, self.E.astype(np.intp)] = np.arange(n, dtype=np.int8)[None, :]
-        self.inv_index = np.fromiter(
-            (self.index[inv[i].tobytes()] for i in range(N)), dtype=np.int64, count=N
-        )
+        self.inv_index = self.row_indices(inv)
         self.fix_counts_all = (self.E == np.arange(n, dtype=np.int8)[None, :]).sum(axis=1)
         self._classes_done = False
 
     def index_of(self, p: Permutation) -> int:
-        key = np.array(p.images, dtype=np.int8).tobytes()
-        try:
-            return self.index[key]
-        except KeyError:
-            raise ValueError("element not in group") from None
+        row = np.array(p.images, dtype=np.int8)
+        if row.shape != self.E.shape[1:]:
+            raise ValueError("element not in group")
+        i = int(self.row_indices(row[None, :])[0])
+        if not np.array_equal(self.E[i], row):
+            raise ValueError("element not in group")
+        return i
 
     def element(self, i: int) -> Permutation:
         return Permutation(tuple(int(x) for x in self.E[i]))
@@ -302,32 +301,33 @@ class EnumeratedGroup:
         if self._classes_done:
             return
         N = len(self.E)
-        gen_pairs = [(np.array(g.images, dtype=np.int8),
-                      np.array(g.inverse().images, dtype=np.int8))
-                     for g in self.group.generators]
-        class_of = np.full(N, -1, dtype=np.int64)
-        seeds = []
-        sizes = []
-        for i in range(N):
-            if class_of[i] >= 0:
-                continue
-            label = len(seeds)
-            seeds.append(i)
-            class_of[i] = label
-            frontier = [self.E[i]]
-            size = 1
-            while frontier:
-                nxt = []
-                for row in frontier:
-                    for g, ginv in gen_pairs:
-                        conj = ginv[row[g]]
-                        j = self.index[conj.tobytes()]
-                        if class_of[j] < 0:
-                            class_of[j] = label
-                            size += 1
-                            nxt.append(conj)
-                frontier = nxt
-            sizes.append(size)
+        # conj[i] = index of g^-1 E[i] g, one permutation of the indices per
+        # generator; (g^-1 x g)(pt) = g^-1(x(g(pt)))
+        conj = []
+        for g in self.group.generators:
+            gi = np.array(g.images, dtype=np.intp)
+            ginv = np.array(g.inverse().images, dtype=np.int8)
+            conj.append(self.row_indices(ginv[self.E[:, gi]]))
+        # min-label propagation with pointer jumping: label[i] is always an
+        # element of i's class, and at the fixed point it is the class's
+        # smallest index, which is the seed a first-found BFS would pick
+        label = np.arange(N)
+        while True:
+            nxt = label
+            for c in conj:
+                nxt = np.minimum(nxt, label[c])
+                nxt[c] = np.minimum(nxt[c], label)
+            while True:
+                jumped = nxt[nxt]
+                if np.array_equal(jumped, nxt):
+                    break
+                nxt = jumped
+            if np.array_equal(nxt, label):
+                break
+            label = nxt
+        seeds_arr, class_of, sizes_arr = np.unique(label, return_inverse=True, return_counts=True)
+        seeds = [int(s) for s in seeds_arr]
+        sizes = [int(s) for s in sizes_arr]
         # canonical relabeling: identity first, then (rep order, size, seed)
         orders = [self.element(s).order() for s in seeds]
         perm_labels = sorted(
@@ -364,7 +364,9 @@ class EnumeratedGroup:
         q = np.ascontiguousarray(rows.astype(np.int8, copy=False))
         q = q.view(np.dtype((np.void, n))).ravel()
         pos = np.searchsorted(self._sorted_voids, q)
-        return self._void_order[pos]
+        # a row past the last element is not in the group; clip so the
+        # lookup still returns an index (index_of checks the row)
+        return self._void_order[np.minimum(pos, len(self.E) - 1)]
 
 
 def conjugacy_classes(group: PermutationGroup, cap: int = ENUMERATION_CAP) -> EnumeratedGroup:

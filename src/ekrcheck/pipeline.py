@@ -581,7 +581,10 @@ def _streamed_route(report: EkrReport, group: PermutationGroup, tables_dir) -> N
     try:
         mathieu_class_rank(report, group)
     except CapExceeded as exc:
-        report.notes.append(f"class orbit cap: {exc}")
+        report.notes.append(
+            f"class orbit cap: the class has {exc.needed} elements, over the "
+            f"fixed cap {exc.cap} that no option raises"
+        )
     report.timings["rank"] = time.perf_counter() - t
 
 

@@ -1,0 +1,59 @@
+"""Reference conjugacy class labelling by breadth-first search.
+
+A per-element BFS under conjugation by the generators, seeded at the
+smallest unlabelled index: the straightforward labelling that
+`EnumeratedGroup.compute_classes` must reproduce exactly.
+"""
+
+import numpy as np
+
+
+def bfs_class_labels(eg):
+    """(class_of, class_seeds, class_sizes, class_orders, inverse_class)
+    for an EnumeratedGroup, labelled in the same canonical order."""
+    E = eg.E
+    N = len(E)
+    index = {E[i].tobytes(): i for i in range(N)}
+    gen_pairs = [(np.array(g.images, dtype=np.int8),
+                  np.array(g.inverse().images, dtype=np.int8))
+                 for g in eg.group.generators]
+    class_of = np.full(N, -1, dtype=np.int64)
+    seeds, sizes = [], []
+    for i in range(N):
+        if class_of[i] >= 0:
+            continue
+        label = len(seeds)
+        seeds.append(i)
+        class_of[i] = label
+        frontier = [E[i]]
+        size = 1
+        while frontier:
+            nxt = []
+            for row in frontier:
+                for g, ginv in gen_pairs:
+                    conj = ginv[row[g]]
+                    j = index[conj.tobytes()]
+                    if class_of[j] < 0:
+                        class_of[j] = label
+                        size += 1
+                        nxt.append(conj)
+            frontier = nxt
+        sizes.append(size)
+    orders = [eg.element(s).order() for s in seeds]
+    perm_labels = sorted(
+        range(len(seeds)),
+        key=lambda l: (l != 0, orders[l], sizes[l], seeds[l]),
+    )
+    relabel = np.empty(len(seeds), dtype=np.int64)
+    for new, old in enumerate(perm_labels):
+        relabel[old] = new
+    class_of = relabel[class_of]
+    class_seeds = [seeds[old] for old in perm_labels]
+    inv = {i: index[np.argsort(E[i]).astype(np.int8).tobytes()] for i in class_seeds}
+    return (
+        class_of,
+        class_seeds,
+        [sizes[old] for old in perm_labels],
+        [orders[old] for old in perm_labels],
+        [int(class_of[inv[s]]) for s in class_seeds],
+    )

@@ -1,10 +1,13 @@
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ekrcheck.cyclo import Cyc, cyclotomic_poly, divisors, euler_phi
+from ekrcheck import cyclo
+from ekrcheck.cyclo import Cyc, _reduce_mod_cyclo, cyclotomic_poly, divisors, euler_phi
+from ekrcheck.fields import factorize
 
 
 def test_divisors_and_phi():
@@ -186,3 +189,74 @@ def test_real_part_sign(a):
         assert abs(ap) < 1e-7
     else:
         assert s == (1 if ap > 0 else -1)
+
+
+# ---- the exact zero test against reduction modulo Phi_e ----
+
+_SPLIT_FLOOR = 1 << 30
+
+
+def _reduces_to_zero(x: Cyc) -> bool:
+    return not any(_reduce_mod_cyclo(x._dense(), x.e))
+
+
+@st.composite
+def zero_test_cases(draw):
+    """A zero sum_j zeta^(j*e/q) over a prime q | e times a random element,
+    sometimes with one root of unity added (a near miss)."""
+    e = draw(st.sampled_from([2040, 3420]))
+    q = draw(st.sampled_from(sorted(factorize(e))))
+    zero = Cyc.root_sum(e, [(j * (e // q), 1) for j in range(q)])
+    # coefficients up to 2^70 give coefficient sums beyond several split primes
+    size = draw(st.sampled_from([9, 1 << 40, 1 << 70]))
+    terms = draw(st.lists(st.tuples(st.integers(0, e - 1), st.integers(-size, size)),
+                          min_size=1, max_size=5))
+    x = zero * Cyc.root_sum(e, terms)
+    if draw(st.booleans()):
+        x = x + Cyc.zeta(e, draw(st.integers(0, e - 1)))
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_test_cases())
+def test_norm_bound_zero_test_agrees_with_reduction(x):
+    want = _reduces_to_zero(x)
+    assert x.is_zero() == want
+    # the exact test alone, without the float prefilter in front of it
+    if x.num:
+        assert cyclo._vanishes(x.e, x.num, x._abs_coeff_sum()) == want
+
+
+@pytest.mark.parametrize("e", [2040, 3420])
+def test_zero_with_a_large_coefficient_sum_needs_several_primes(e, monkeypatch):
+    big = (1 << 80) + 7
+    fifth_roots = Cyc.root_sum(e, [(j * (e // 5), big) for j in range(5)])
+    zero = fifth_roots * (1 + Cyc.zeta(e))
+    bound = zero._abs_coeff_sum()
+    assert bound > _SPLIT_FLOOR**2
+    used = set()
+    split_prime = cyclo._split_prime
+
+    def recorded(conductor, i):
+        used.add((conductor, i))
+        return split_prime(conductor, i)
+
+    monkeypatch.setattr(cyclo, "_split_prime", recorded)
+    assert zero.is_zero() and _reduces_to_zero(zero)
+    # three primes above 2^30 are needed to pass the coefficient sum 10 * big
+    assert sorted(used) == [(e, i) for i in range(len(used))] and len(used) >= 3
+    primes = [split_prime(e, i)[0] for i in range(len(used))]
+    assert all(_SPLIT_FLOOR < p < 2 * _SPLIT_FLOOR and (p - 1) % e == 0 for p in primes)
+    assert math.prod(primes[:-1]) <= bound < math.prod(primes)
+    miss = zero + Cyc.zeta(e, 1)
+    assert not miss.is_zero() and not _reduces_to_zero(miss)
+
+
+@pytest.mark.parametrize("e", [12, 2040])
+def test_a_root_modulo_one_prime_ideal_is_not_a_zero(e):
+    # zeta - omega lies in the prime ideal (p, zeta - omega) only: it vanishes
+    # at omega itself but not at the other conjugates omega^u
+    _, powers = cyclo._split_prime(e, 0)
+    x = Cyc.root_sum(e, [(1, 1), (0, -int(powers[1]))])
+    assert not cyclo._vanishes(e, x.num, x._abs_coeff_sum())
+    assert not x.is_zero() and not _reduces_to_zero(x)

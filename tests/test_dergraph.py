@@ -6,11 +6,13 @@ explicitly built adjacency matrix, multiplicities included.  The oracle
 path shares no code with the character machinery.
 """
 
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ekrcheck import cyclo
 from ekrcheck.chartab import character_table
 from ekrcheck.cyclo import Cyc
 from ekrcheck.dergraph import (
@@ -149,3 +151,23 @@ def test_brute_adjacency_s3(ctx):
 def test_oracle_spectrum(ctx, key):
     eg, _, sp = ctx(key)
     assert brute_spectrum_matches(eg.E, sp)
+
+
+def test_psl219_table_and_spectrum_never_reduce_modulo_phi(monkeypatch):
+    """Zero tests and eigenvalue merging use the norm-bound test; reduction
+    modulo Phi_e stays with the coordinate form."""
+    callers = []
+    reduce = cyclo._reduce_mod_cyclo
+
+    def counted(dense, e):
+        frame, chain = sys._getframe(1), []
+        while frame is not None:
+            chain.append(frame.f_code.co_name)
+            frame = frame.f_back
+        callers.append(chain)
+        return reduce(dense, e)
+
+    monkeypatch.setattr(cyclo, "_reduce_mod_cyclo", counted)
+    table = character_table(conjugacy_classes(get_group("PSL(2,19)")[1]))
+    spectrum(table)
+    assert not [c for c in callers if "is_zero" in c or "spectrum" in c]

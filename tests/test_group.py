@@ -8,7 +8,10 @@ from ekrcheck.group import (
     conjugacy_classes,
     conjugation_orbit,
 )
+from ekrcheck.library import get_group
 from ekrcheck.perm import Permutation, parse_cycles
+
+from class_reference import bfs_class_labels
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +144,22 @@ def test_enumerated_indexing():
     eg = EnumeratedGroup(PermutationGroup(A4))
     E = eg.E
     for i in range(len(E)):
-        assert eg.index[E[i].tobytes()] == i
+        assert eg.index_of(eg.element(i)) == i
         # inv_index really is the inverse row
         assert (E[eg.inv_index[i]][E[i]] == np.arange(4)).all()
     assert (eg.fix_counts_all == (E == np.arange(4)).sum(axis=1)).all()
+
+
+def test_index_of_rejects_nonmembers():
+    eg = EnumeratedGroup(PermutationGroup(A4))
+    with pytest.raises(ValueError):
+        eg.index_of(parse_cycles("(1,2)", 4))
+    # a row past the last element of the sorted lookup, and a wrong degree
+    c3 = EnumeratedGroup(PermutationGroup(gens_of("(1,2,3)", degree=4)))
+    with pytest.raises(ValueError):
+        c3.index_of(parse_cycles("(1,4)", 4))
+    with pytest.raises(ValueError):
+        eg.index_of(parse_cycles("(1,2,3)", 5))
 
 
 @pytest.mark.parametrize(
@@ -174,11 +189,22 @@ def test_classes_match_naive_partition(gens):
     assert {frozenset(c) for c in got.values()} == want
 
 
+@pytest.mark.parametrize("key", ["2^4:A7", "M11", "PGammaL(2,16)", "PSL(2,19)"])
+def test_class_labels_match_the_bfs_reference(key):
+    eg = conjugacy_classes(get_group(key)[1])
+    class_of, seeds, sizes, orders, inverse = bfs_class_labels(eg)
+    assert np.array_equal(eg.class_of, class_of)
+    assert eg.class_seeds == seeds
+    assert eg.class_sizes == sizes
+    assert eg.class_orders == orders
+    assert eg.inverse_class == inverse
+
+
 def test_inverse_class_consistent():
     eg = conjugacy_classes(PermutationGroup(S4))
     for c in range(eg.n_classes):
         rep = eg.class_rep(c)
-        assert eg.class_of[eg.index[np.array(rep.inverse().images, dtype=eg.E.dtype).tobytes()]] == eg.inverse_class[c]
+        assert eg.class_of[eg.index_of(rep.inverse())] == eg.inverse_class[c]
 
 
 def test_conjugation_orbit_covers_whole_class():
@@ -188,7 +214,7 @@ def test_conjugation_orbit_covers_whole_class():
     assert cls.shape == (6, 4)
     assert tuple(int(v) for v in cls[0]) == rep.images
     eg = conjugacy_classes(g)
-    c = eg.class_of[eg.index[np.array(rep.images, dtype=eg.E.dtype).tobytes()]]
+    c = eg.class_of[eg.index_of(rep)]
     want = {tuple(int(v) for v in eg.E[i]) for i in range(len(eg.E)) if eg.class_of[i] == c}
     assert {tuple(int(v) for v in row) for row in cls} == want
 

@@ -328,7 +328,10 @@ def test_m24_stops_at_the_class_orbit_cap_before_streaming():
     r = pl.classify("M24")
     assert time.perf_counter() - t0 < 2
     assert r.rank_full == "unknown"
-    assert any(n.startswith("class orbit cap") and "20401920" in n for n in r.notes)
+    note = next(n for n in r.notes if n.startswith("class orbit cap"))
+    assert "20401920" in note and "8000000" in note
+    assert "fixed cap" in note and "no option raises" in note
+    assert "raise the cap" not in note
 
 
 def test_class_rank_checks_the_cap_before_the_orbit(monkeypatch):
