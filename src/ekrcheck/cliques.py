@@ -6,11 +6,16 @@ clique-coclique inequality, and their projections onto character modules
 certify that maximum independent sets live in the trivial plus standard
 module (condition (b) of the module method).
 
+The search is an exact cover with symmetry breaking by conjugacy class
+(`iter_n_cliques`).  It either finds a clique, runs its tree to the end
+(a proof that no n-clique exists), or stops at its node budget, and
+`SearchStats` tells the last two apart.
+
 Projection norms are invariant under translating a clique by a group
 element on either side (the module projector commutes with both regular
-representations), so distinct witnesses must come from genuinely
-different sharply transitive sets; the enumerator below yields them in
-deterministic backtracking order.
+representations), and so under conjugation: one clique of each
+conjugacy class of cliques loses no witness, and distinct witnesses must
+come from genuinely different sharply transitive sets.
 """
 
 from __future__ import annotations
@@ -72,51 +77,116 @@ def _cyclic_shortcut(eg: EnumeratedGroup) -> list[int] | None:
     return None
 
 
-def iter_n_cliques(eg: EnumeratedGroup, budget: int = DEFAULT_NODE_BUDGET):
-    """Yield n-cliques through the identity as index lists, id first.
+@dataclass
+class SearchStats:
+    """Filled in by `iter_n_cliques`: the nodes it placed, and whether it
+    ran its search tree to the end.  An exhausted search that yielded
+    nothing proves that the group has no n-clique."""
 
-    Backtracking over sharply transitive sets: every non-identity member
-    must be a derangement, and each point can take each image only once.
-    Candidates are bucketed by the image of point 0 and tried in element
-    enumeration order; the generator stops silently when the node budget
-    is exhausted (absence of further yields is not a nonexistence proof).
+    nodes: int = 0
+    exhausted: bool = False
+
+
+class _BudgetSpent(Exception):
+    pass
+
+
+def _bitsets(member: np.ndarray) -> list[int]:
+    """Column k of a boolean (m, K) array as a Python-int bitset of rows."""
+    packed = np.packbits(member, axis=0, bitorder="little")
+    return [int.from_bytes(packed[:, k].tobytes(), "little") for k in range(member.shape[1])]
+
+
+def iter_n_cliques(
+    eg: EnumeratedGroup,
+    budget: int = DEFAULT_NODE_BUDGET,
+    stats: SearchStats | None = None,
+):
+    """Yield n-cliques through the identity as sorted index lists, id first.
+
+    An n-clique through the identity is an exact cover of the n(n-1)
+    off-diagonal cells (i, v) by derangements, d covering the cells
+    (i, d(i)) (Knuth's Algorithm X).  The search branches on the
+    uncovered cell with the fewest live candidates and backtracks as
+    soon as that count is 0; candidate sets are Python-int bitsets over
+    the derangements, one per cell.
+
+    Conjugation maps cliques through the identity to cliques through the
+    identity, so for each derangement class K in label order the search
+    forces the class seed into the clique and excludes every earlier
+    class.  If K is the first class a clique meets, some conjugate of it
+    contains the seed of K and meets the same classes, so every clique
+    through the identity is conjugate to one that is yielded.
+
+    `stats` records the nodes placed (budget included) and whether the
+    tree was exhausted; a search stopped at the budget is not.
     """
+    stats = stats if stats is not None else SearchStats()
+    stats.nodes, stats.exhausted = 0, False
     n = eg.group.degree
-    E = eg.E
-    der = np.nonzero(eg.fix_counts_all == 0)[0]
-    buckets = [der[E[der, 0] == v] for v in range(n)]
-    used = np.zeros((n, n), dtype=bool)
-    used[np.arange(n), np.arange(n)] = True  # the identity row
-    chosen = [0]
-    cols = np.arange(n)
-    nodes = 0
+    der = np.flatnonzero(eg.fix_counts_all == 0)
+    D = eg.E[der]
+    points = np.arange(n)
+    # cells[i * n + v]: the derangements d with d(i) = v
+    cells = [b for i in points for b in _bitsets(D[:, i][:, None] == points[None, :])]
+    labels = eg.class_of[der]
+    classes = np.unique(labels)
+    class_bits = _bitsets(labels[:, None] == classes[None, :])
+    chosen: list[int] = []
 
-    def dfs():
-        nonlocal nodes
-        if len(chosen) == n:
-            yield list(chosen)
+    def place(j: int, live: int, uncovered: list[int]):
+        if stats.nodes >= budget:
+            raise _BudgetSpent
+        stats.nodes += 1
+        own = (points * n + D[j]).tolist()
+        conflict = 0
+        for c in own:
+            conflict |= cells[c]
+        chosen.append(j)
+        covered = set(own)
+        yield from cover(live & ~conflict, [c for c in uncovered if c not in covered])
+        chosen.pop()
+
+    def cover(live: int, uncovered: list[int]):
+        if not uncovered:
+            yield [0, *sorted(int(der[j]) for j in chosen)]
             return
-        v = int(np.nonzero(~used[0])[0][0])
-        for cand in buckets[v]:
-            nodes += 1
-            if nodes > budget:
-                return
-            row = E[cand]
-            if used[cols, row].any():
-                continue
-            used[cols, row] = True
-            chosen.append(int(cand))
-            yield from dfs()
-            chosen.pop()
-            used[cols, row] = False
+        best, fewest = -1, len(der) + 1
+        for c in uncovered:
+            k = (cells[c] & live).bit_count()
+            if k < fewest:
+                if k == 0:
+                    return
+                best, fewest = c, k
+        cands = cells[best] & live
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            yield from place(low.bit_length() - 1, live, uncovered)
 
-    yield from dfs()
+    live = (1 << len(der)) - 1
+    off_diagonal = [i * n + v for i in range(n) for v in range(n) if i != v]
+    try:
+        for K, bits in zip(classes, class_bits):
+            seed = int(np.searchsorted(der, eg.class_seeds[K]))
+            yield from place(seed, live, off_diagonal)
+            live &= ~bits
+    except _BudgetSpent:
+        return
+    stats.exhausted = True
 
 
-def find_n_clique(eg: EnumeratedGroup, budget: int = DEFAULT_NODE_BUDGET) -> Clique | None:
+def find_n_clique(
+    eg: EnumeratedGroup,
+    budget: int = DEFAULT_NODE_BUDGET,
+    stats: SearchStats | None = None,
+) -> Clique | None:
+    """An n-clique through the identity, or None.  With None, `stats`
+    tells a proof of absence (exhausted) from a search the budget
+    stopped; a clique from the cyclic shortcut leaves `stats` untouched."""
     idx = _cyclic_shortcut(eg)
     if idx is None:
-        idx = next(iter_n_cliques(eg, budget), None)
+        idx = next(iter_n_cliques(eg, budget, stats), None)
     if idx is None:
         return None
     clique = Clique(elements=tuple(eg.element(i) for i in idx))

@@ -33,6 +33,7 @@ from .cliques import (
     DEFAULT_CLIQUE_ATTEMPTS,
     DEFAULT_NODE_BUDGET,
     Clique,
+    SearchStats,
     find_n_clique,
     module_by_clique,
 )
@@ -101,7 +102,7 @@ class EkrReport:
     order: int
     d: int | None = None
     least_standard: str = "unknown"  # yes | no | unknown
-    n_clique: str = "not-tried"  # yes | unknown | not-tried
+    n_clique: str = "not-tried"  # yes | no | unknown | not-tried
     ekr: str = "unknown"  # yes | unknown
     ekr_reason: str | None = None  # ratio | clique-coclique
     unique: str = "unknown"  # yes | no | not-applicable | unknown
@@ -138,6 +139,11 @@ class EkrReport:
             raise AssertionError(f"{self.key}: strict=no without a constructive reason")
         if self.ekr == "yes" and self.ekr_reason not in ("ratio", "clique-coclique"):
             raise AssertionError(f"{self.key}: ekr=yes without a reason")
+        kinds = {c["kind"] for c in self.certificates}
+        if self.n_clique == "yes" and "n-clique" not in kinds:
+            raise AssertionError(f"{self.key}: n-clique=yes without a clique")
+        if self.n_clique == "no" and "n-clique-exhausted" not in kinds:
+            raise AssertionError(f"{self.key}: n-clique=no without an exhausted search")
         if self.least_standard == "yes" and self.ekr != "yes":
             raise AssertionError(f"{self.key}: standard least eigenvalue forces EKR")
         if (self.unique in ("yes", "no")) != (self.least_standard == "yes"):
@@ -624,11 +630,21 @@ def classify(
         report.timings["spectrum"] = time.perf_counter() - t
 
         t = time.perf_counter()
-        clique = find_n_clique(eg, caps.clique_budget)
-        report.n_clique = "yes" if clique is not None else "unknown"
+        search = SearchStats()
+        clique = find_n_clique(eg, caps.clique_budget, search)
         if clique is not None:
+            report.n_clique = "yes"
             report.certificates.append(
                 {"kind": "n-clique", "elements": [list(p.images) for p in clique.elements]}
+            )
+        elif search.exhausted:
+            report.n_clique = "no"
+            report.certificates.append({"kind": "n-clique-exhausted", "nodes": search.nodes})
+        else:
+            report.n_clique = "unknown"
+            report.notes.append(
+                f"n-clique search stopped at the node budget: {search.nodes} of "
+                f"{caps.clique_budget} nodes"
             )
         report.timings["clique"] = time.perf_counter() - t
 
@@ -636,7 +652,7 @@ def classify(
             if clique is not None:
                 report.ekr, report.ekr_reason = "yes", "clique-coclique"
             else:
-                report.notes.append("no n-clique within budget; EKR undecided")
+                report.notes.append("no n-clique for the clique-coclique bound; EKR undecided")
 
         if report.ekr == "yes" and report.unique != "yes":
             t = time.perf_counter()

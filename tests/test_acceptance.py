@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 
 from ekrcheck.chartab import character_table_for
+from ekrcheck.cliques import verify_clique
 from ekrcheck.cyclo import Cyc
 from ekrcheck.dergraph import (
     brute_adjacency,
@@ -260,6 +261,22 @@ def test_mathieu_core_strict_yes(key, mathieu_core, table_cache, request):
 
 def test_mathieu_core_runtime(mathieu_core):
     assert sum(t for _, t in mathieu_core.values()) < 900
+
+
+def test_n_clique_decided_up_to_degree_21(survey, mathieu_core):
+    """Under default caps the clique search ends on every group of degree
+    <= 21 and order <= 100,000: a checked clique or an exhausted tree."""
+    reports = {k: rep for k, (rep, _) in {**survey, **mathieu_core}.items()}
+    keys = [k for k in reports if get_spec(k).expected_order <= 100_000]
+    assert len(keys) == 57
+    undecided = [k for k in keys if reports[k].n_clique not in ("yes", "no")]
+    assert undecided == []
+    (cert,) = [c for c in reports["M12"].certificates if c["kind"] == "n-clique"]
+    elements = [Permutation(row) for row in cert["elements"]]
+    assert len(elements) == 12 and verify_clique(build_group(get_spec("M12")), elements)
+    for key in ("M21", "PSL(2,17)"):
+        assert reports[key].n_clique == "no"
+        assert any(c["kind"] == "n-clique-exhausted" for c in reports[key].certificates)
 
 
 # ---- criterion 3: the degree-22 double-11-cycle class Gram identity ----

@@ -1,12 +1,16 @@
 """Clique search and module projection tests."""
 
+import importlib.util
+import pathlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ekrcheck.chartab import character_table
 from ekrcheck.cliques import (
     Clique,
+    SearchStats,
     canonical_clique,
     clique_char_sum,
     find_n_clique,
@@ -19,16 +23,44 @@ from ekrcheck.cyclo import Cyc
 from ekrcheck.group import conjugacy_classes
 from ekrcheck.library import get_group
 from ekrcheck.perm import Permutation, parse_cycles
+from clique_reference import bucketed_n_cliques, reference_has_n_clique
+
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
+
+
+def _survey_keys() -> list[str]:
+    """The groups of the benchmark's survey workload (read, not imported
+    as a package, so the benchmark stays a directory of scripts)."""
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return list(module.SURVEY)
+
+
+# the groups of the survey and PSL(2,13) that have no n-clique
+ABSENT = {"A5@6", "M10", "A6@10", "PSL(2,13)"}
 
 
 @pytest.fixture(scope="module")
-def ctx():
+def enumerated():
     cache = {}
 
     def get(key):
         if key not in cache:
             _, g = get_group(key)
-            eg = conjugacy_classes(g)
+            cache[key] = conjugacy_classes(g)
+        return cache[key]
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def ctx(enumerated):
+    cache = {}
+
+    def get(key):
+        if key not in cache:
+            eg = enumerated(key)
             cache[key] = (eg, character_table(eg))
         return cache[key]
 
@@ -74,6 +106,49 @@ def test_agammal18_clique_without_n_cycles(ctx):
 def test_budget_exhaustion_returns_none(ctx):
     eg, _ = ctx("AGammaL(1,8)")
     assert find_n_clique(eg, budget=0) is None
+
+
+def test_budget_stop_is_not_exhaustion(enumerated):
+    eg = enumerated("M10")
+    stats = SearchStats()
+    assert find_n_clique(eg, budget=1, stats=stats) is None
+    assert stats == SearchStats(nodes=1, exhausted=False)
+    assert find_n_clique(eg, stats=stats) is None
+    assert stats.exhausted and 1 < stats.nodes < 1000
+
+
+@pytest.mark.parametrize("key", _survey_keys() + ["PSL(2,13)"])
+def test_exact_cover_agrees_with_the_bucketed_reference(key, enumerated):
+    eg = enumerated(key)
+    stats = SearchStats()
+    clique = find_n_clique(eg, stats=stats)
+    # the reference runs with no budget: its answer is a proof either way
+    assert reference_has_n_clique(eg) == (clique is not None) == (key not in ABSENT)
+    if clique is None:
+        assert stats.exhausted
+
+
+def _conjugation_closure(eg, cliques) -> set[frozenset]:
+    """Every conjugate g^-1 C g of the given index lists, as index sets."""
+    closure = set()
+    for idx in cliques:
+        rows = eg.E[np.array(idx)]
+        for g in eg.E:
+            ginv = np.argsort(g).astype(np.int8)
+            # (g^-1 x g)(t) = g^-1(x(g(t)))
+            closure.add(frozenset(eg.row_indices(ginv[rows[:, g]]).tolist()))
+    return closure
+
+
+@pytest.mark.parametrize("key", ["S3", "F20", "PGL(2,5)", "AGammaL(1,8)", "PGL(3,2)"])
+def test_yields_are_every_clique_up_to_conjugation(key, enumerated):
+    eg = enumerated(key)
+    stats = SearchStats()
+    new = list(iter_n_cliques(eg, stats=stats))
+    assert stats.exhausted
+    assert all(idx[0] == 0 and idx[1:] == sorted(idx[1:]) for idx in new)
+    old = {frozenset(idx) for idx in bucketed_n_cliques(eg)}
+    assert _conjugation_closure(eg, new) == old
 
 
 def test_verify_clique_basics(ctx):

@@ -1,5 +1,6 @@
 """End-to-end classification: verdicts, reports, witnesses, oracles."""
 
+import copy
 import json
 import os
 import pathlib
@@ -93,6 +94,27 @@ def test_caps_give_partial_report_not_wrong_verdict(table_cache):
     assert r.least_standard == "unknown" and r.ekr == "unknown"
     assert r.strict == "unknown"
     r.validate()
+
+
+def test_m10_n_clique_no_by_exhaustion_and_unknown_at_the_budget(reports, table_cache):
+    r = reports("M10")
+    assert r.n_clique == "no" and r.csv_row()[4] == "N"
+    (cert,) = [c for c in r.certificates if c["kind"] == "n-clique-exhausted"]
+    assert cert["nodes"] > 1
+    short = pl.classify("M10", caps=pl.Caps(clique_budget=1), cache_dir=table_cache)
+    assert short.n_clique == "unknown" and short.csv_row()[4] == "?"
+    assert "n-clique search stopped at the node budget: 1 of 1 nodes" in short.notes
+    assert not any(c["kind"].startswith("n-clique") for c in short.certificates)
+    short.validate()
+
+
+@pytest.mark.parametrize("key, kind", [("S3", "n-clique"), ("M10", "n-clique-exhausted")])
+def test_validate_rejects_n_clique_verdict_without_certificate(reports, key, kind):
+    r = copy.deepcopy(reports(key))
+    r.validate()
+    r.certificates = [c for c in r.certificates if c["kind"] != kind]
+    with pytest.raises(AssertionError, match="n-clique"):
+        r.validate()
 
 
 def test_every_report_validates(reports):
