@@ -45,7 +45,7 @@ def class_constants(eg: EnumeratedGroup) -> np.ndarray:
         for l in range(k):
             # (x^-1 * z)(t) = x^-1(z(t)): index each inverse row by z's images
             prod = Xinv[:, reps[l]]
-            labels = class_of[eg.row_indices(prod)]
+            labels = class_of[eg.group.element_index(prod)]
             mats[i, :, l] = np.bincount(labels, minlength=k)
     sizes = np.array(eg.class_sizes, dtype=np.int64)
     # each product x^-1 * z_l lands in exactly one class

@@ -203,7 +203,7 @@ def _quotient_class_counts(eg: EnumeratedGroup, idx: list[int]) -> np.ndarray:
     for i in idx:
         inv_row = E[eg.inv_index[i]].astype(np.intp)
         prod = inv_row[rows]  # (x^-1 y)(t) = x^-1(y(t))
-        labels = eg.class_of[eg.row_indices(prod)]
+        labels = eg.class_of[eg.group.element_index(prod)]
         counts += np.bincount(labels, minlength=eg.n_classes)
     return counts
 

@@ -14,8 +14,9 @@ from .errors import CapExceeded
 from .perm import Permutation
 
 ENUMERATION_CAP = 2_000_000
-# memory-safe default for streaming a conjugacy class on a small host; the
-# M24 double-12-cycle class (about 2*10^7 elements) needs a larger value
+# streaming a class and counting its Gram matrix peaks at about 125 bytes
+# per class element (measured on M23's 443,520-element class), so this cap
+# bounds a stream near 1 GB; M24's 20,401,920-element class stays over it
 CLASS_ORBIT_SOFT_CAP = 8_000_000
 
 
@@ -234,34 +235,73 @@ class PermutationGroup:
         for row in self.elements_array(cap):
             yield Permutation(tuple(int(x) for x in row))
 
+    def element_index(self, rows: np.ndarray) -> np.ndarray:
+        """Index in `elements_array` order of each image row (m, degree).
+
+        A vectorised sift through the chain on the base columns only: at
+        each level the row's base-point image gives its orbit position,
+        and stripping that transversal element maps the remaining base
+        images on.  An element is fixed by its base images, so the index
+        is exact for members; a row whose base images leave an orbit gets
+        -1, and other non-members are not detected (check the row)."""
+        if self._order >= 2**63:
+            raise ValueError(f"group order {self._order} does not fit an int64 index")
+        if not hasattr(self, "_sift_tables"):
+            self._sift_tables = []
+            for lv in self.levels:
+                pos_of = np.full(self.degree, -1, dtype=np.intp)
+                pos_of[lv.orbit_list] = np.arange(len(lv.orbit_list))
+                uinv = np.array([lv.transversal[p].inverse().images
+                                 for p in lv.orbit_list], dtype=np.intp)
+                self._sift_tables.append((pos_of, uinv))
+        B = np.asarray(rows)[:, self.base()].astype(np.intp)
+        idx = np.zeros(len(B), dtype=np.int64)
+        ok = np.ones(len(B), dtype=bool)
+        for pos_of, uinv in self._sift_tables:
+            pos = pos_of[B[:, 0]]
+            ok &= pos >= 0
+            pos[~ok] = 0
+            idx = idx * len(uinv) + pos
+            # element = u_pos * rest: the rest maps base images through u_pos^-1
+            B = uinv[pos[:, None], B[:, 1:]]
+        idx[~ok] = -1
+        return idx
+
 
 def conjugation_orbit(group: PermutationGroup, rep: Permutation,
                       cap: int = CLASS_ORBIT_SOFT_CAP) -> np.ndarray:
     """Conjugacy class of rep as a (size, degree) int8 image array, without
     enumerating the group.  Row 0 is rep; the rest follow BFS discovery order
-    under conjugation by the generators."""
+    under conjugation by the generators.
+
+    The BFS runs one level at a time: the candidates of a level are the
+    conjugates of its rows interleaved as (row, generator), and each new
+    element, keyed by `element_index`, is kept at its first occurrence, so
+    the order is the one a row-by-row BFS discovers."""
     if rep not in group:
         raise ValueError("representative not in group")
-    pairs = [(np.array(g.images, dtype=np.int8),
-              np.array(g.inverse().images, dtype=np.int8))
-             for g in group.generators]
-    seed = np.array(rep.images, dtype=np.int8)
-    rows = [seed]
-    seen = {seed.tobytes()}
-    head = 0
-    while head < len(rows):
-        row = rows[head]
-        head += 1
-        for g, ginv in pairs:
-            # (g^-1 x g)(pt) = g^-1(x(g(pt)))
-            conj = ginv[row[g]]
-            key = conj.tobytes()
-            if key not in seen:
-                if len(rows) >= cap:
-                    raise CapExceeded("conjugacy class orbit", len(rows) + 1, cap)
-                seen.add(key)
-                rows.append(conj)
-    return np.array(rows, dtype=np.int8)
+    n = group.degree
+    gens = np.array([g.images for g in group.generators], dtype=np.intp).reshape(-1, n)
+    ginvs = np.array([g.inverse().images for g in group.generators],
+                     dtype=np.int8).reshape(-1, n)
+    frontier = np.array([rep.images], dtype=np.int8)
+    seen = group.element_index(frontier)
+    found = [frontier]
+    total = 1
+    while len(frontier):
+        # (g^-1 x g)(pt) = g^-1(x(g(pt))), candidate row r * len(gens) + s
+        cand = ginvs[np.arange(len(gens))[:, None], frontier[:, gens]]
+        cand = cand.reshape(-1, n)
+        keys, first = np.unique(group.element_index(cand), return_index=True)
+        pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
+        new = seen[pos] != keys
+        if total + int(new.sum()) > cap:
+            raise CapExceeded("conjugacy class orbit", total + int(new.sum()), cap)
+        frontier = cand[np.sort(first[new])]
+        found.append(frontier)
+        total += len(frontier)
+        seen = np.sort(np.concatenate((seen, keys[new])))
+    return np.concatenate(found)
 
 
 class EnumeratedGroup:
@@ -281,7 +321,7 @@ class EnumeratedGroup:
         inv = np.empty_like(self.E)
         rows = np.arange(N)[:, None]
         inv[rows, self.E.astype(np.intp)] = np.arange(n, dtype=np.int8)[None, :]
-        self.inv_index = self.row_indices(inv)
+        self.inv_index = group.element_index(inv)
         self.fix_counts_all = (self.E == np.arange(n, dtype=np.int8)[None, :]).sum(axis=1)
         self._classes_done = False
 
@@ -289,8 +329,8 @@ class EnumeratedGroup:
         row = np.array(p.images, dtype=np.int8)
         if row.shape != self.E.shape[1:]:
             raise ValueError("element not in group")
-        i = int(self.row_indices(row[None, :])[0])
-        if not np.array_equal(self.E[i], row):
+        i = int(self.group.element_index(row[None, :])[0])
+        if i < 0 or not np.array_equal(self.E[i], row):
             raise ValueError("element not in group")
         return i
 
@@ -307,7 +347,7 @@ class EnumeratedGroup:
         for g in self.group.generators:
             gi = np.array(g.images, dtype=np.intp)
             ginv = np.array(g.inverse().images, dtype=np.int8)
-            conj.append(self.row_indices(ginv[self.E[:, gi]]))
+            conj.append(self.group.element_index(ginv[self.E[:, gi]]))
         # min-label propagation with pointer jumping: label[i] is always an
         # element of i's class, and at the fixed point it is the class's
         # smallest index, which is the seed a first-found BFS would pick
@@ -350,23 +390,6 @@ class EnumeratedGroup:
 
     def class_rep(self, c: int) -> Permutation:
         return self.element(self.class_seeds[c])
-
-    def row_indices(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized lookup: image rows (m, degree) int8 -> element indices.
-
-        Rows must all belong to the group; membership is not rechecked."""
-        if not hasattr(self, "_void_order"):
-            n = self.E.shape[1]
-            voids = np.ascontiguousarray(self.E).view(np.dtype((np.void, n))).ravel()
-            self._void_order = np.argsort(voids)
-            self._sorted_voids = voids[self._void_order]
-        n = self.E.shape[1]
-        q = np.ascontiguousarray(rows.astype(np.int8, copy=False))
-        q = q.view(np.dtype((np.void, n))).ravel()
-        pos = np.searchsorted(self._sorted_voids, q)
-        # a row past the last element is not in the group; clip so the
-        # lookup still returns an index (index_of checks the row)
-        return self._void_order[np.minimum(pos, len(self.E) - 1)]
 
 
 def conjugacy_classes(group: PermutationGroup, cap: int = ENUMERATION_CAP) -> EnumeratedGroup:

@@ -12,8 +12,7 @@ full column rank over the rationals.
 Rank is certified on the Gram matrix N = M^T M: over Q, ker M = ker N
 (w^T N w = |Mw|^2), so a full-rank verdict mod p certifies full column
 rank of M, and an exact integer kernel vector of N certifies deficiency.
-N itself is accumulated exactly in float64 (counts stay far below 2^53)
-and cast back to int64.
+N itself is counted exactly in int64, one point pair at a time.
 
 The positive-definiteness shortcut for class Gram matrices uses the pairs
 graph X_n; its least eigenvalue is bounded below by -(n-3) exactly, via
@@ -41,7 +40,6 @@ HBAR_CAP = 250_000
 GRAM_ROW_CAP = 1_000_000
 PROJECTION_CAP = 2_000
 GRAM_L_CAP = 50_000
-_GRAM_CHUNK = 16_384
 _KERNEL_MULTIPLIERS = 64
 
 
@@ -59,41 +57,32 @@ def pair_col_index(n: int, i: int, j: int) -> int:
     return i * (m - 1) + (j if j < i else j - 1)
 
 
-def derangement_block(rows: np.ndarray, n: int) -> np.ndarray:
-    """Dense 0/1 block of M for the given derangement image rows.
+def gram_offdiag(rows: np.ndarray, n: int) -> np.ndarray:
+    """Exact N = M^T M for the derangement rows, counted by point pairs.
 
-    Each row has exactly n-2 ones: the first n-1 points all move, and
-    exactly one of them lands on the last point (whose column is cut)."""
+    N[(i,j),(k,l)] = #{x : x(i) = j, x(k) = l}: for i < k one bincount of
+    x(i)*n + x(k) fills block (i,k) and its transpose, and a diagonal
+    block (i,i) is diagonal with the counts of x(i) = j."""
     rows = np.asarray(rows)
-    m = rows.shape[0]
-    cols = (n - 1) * (n - 2)
     if (rows == np.arange(n, dtype=rows.dtype)).any():
-        raise ValueError("non-derangement row passed to derangement_block")
-    # index arithmetic overflows int8 past degree 12; widen first
-    pts = np.arange(n - 1, dtype=np.int64)
-    J = rows[:, : n - 1].astype(np.int64)
-    valid = J <= n - 2
-    col = pts[None, :] * (n - 2) + J - (J > pts[None, :])
-    block = np.zeros((m, cols), dtype=np.int8)
-    r_idx = np.broadcast_to(np.arange(m)[:, None], J.shape)[valid]
-    block[r_idx, col[valid]] = 1
-    assert (block.sum(axis=1) == n - 2).all()
-    return block
-
-
-def gram_offdiag(rows: np.ndarray, n: int, chunk: int = _GRAM_CHUNK) -> np.ndarray:
-    """Exact N = M^T M for the derangement rows, accumulated in chunks.
-
-    float64 matmul is exact here: every partial sum is an integer bounded
-    by the row count, far below 2^53."""
-    cols = (n - 1) * (n - 2)
-    acc = np.zeros((cols, cols), dtype=np.float64)
-    for lo in range(0, rows.shape[0], chunk):
-        blk = derangement_block(rows[lo : lo + chunk], n).astype(np.float64)
-        acc += blk.T @ blk
-    N = np.rint(acc).astype(np.int64)
-    assert np.array_equal(acc, N) and acc.max(initial=0) < 2**52
-    assert np.array_equal(N, N.T)
+        raise ValueError("non-derangement row passed to gram_offdiag")
+    # each row has n-2 ones in M: one of the first n-1 points lands on the
+    # last point, whose column is cut
+    assert ((rows[:, : n - 1] == n - 1).sum(axis=1) == 1).all()
+    m = n - 1
+    X = np.ascontiguousarray(rows[:, :m].T, dtype=np.int16)
+    Xn = X * np.int16(n)
+    # keep[i]: the images j != i among the first n-1 points, in column order
+    keep = [np.array([j for j in range(m) if j != i]) for i in range(m)]
+    N = np.zeros((m * (m - 1), m * (m - 1)), dtype=np.int64)
+    for i in range(m):
+        bi = slice(i * (m - 1), (i + 1) * (m - 1))
+        N[bi, bi] = np.diag(np.bincount(X[i], minlength=n)[keep[i]])
+        for k in range(i + 1, m):
+            bk = slice(k * (m - 1), (k + 1) * (m - 1))
+            C = np.bincount(Xn[i] + X[k], minlength=n * n).reshape(n, n)
+            N[bi, bk] = C[keep[i][:, None], keep[k]]
+            N[bk, bi] = N[bi, bk].T
     return N
 
 
@@ -407,7 +396,8 @@ def pairs_graph(n: int) -> PairsGraph:
         # regular representation of the 7-class orbital algebra; its
         # characteristic polynomial has the same root set as A's
         mats = [(T == t).astype(np.float64) for t in range(7)]
-        reps = [tuple(np.argwhere(T == t)[0]) for t in range(7)]
+        where = [np.argwhere(T == t) for t in range(7)]
+        reps = [tuple(pos[0]) for pos in where]
         Afl = A.astype(np.float64)
         L = [[0] * 7 for _ in range(7)]
         rng = np.random.default_rng(7)
@@ -417,7 +407,7 @@ def pairs_graph(n: int) -> PairsGraph:
                 val = P[reps[s]]
                 assert val == np.rint(val)
                 L[s][t] = int(val)
-                pos = np.argwhere(T == s)
+                pos = where[s]
                 for u, w in pos[rng.choice(len(pos), size=min(20, len(pos)), replace=False)]:
                     assert P[u, w] == val
         cp = _charpoly_exact(L)

@@ -1,8 +1,11 @@
-"""Reference conjugacy class labelling by breadth-first search.
+"""Reference conjugacy class labelling and class streaming by
+breadth-first search.
 
 A per-element BFS under conjugation by the generators, seeded at the
 smallest unlabelled index: the straightforward labelling that
-`EnumeratedGroup.compute_classes` must reproduce exactly.
+`EnumeratedGroup.compute_classes` must reproduce exactly.  A per-row BFS
+from one representative, keyed by row bytes: the class stream that
+`group.conjugation_orbit` must reproduce row for row.
 """
 
 import numpy as np
@@ -57,3 +60,27 @@ def bfs_class_labels(eg):
         [orders[old] for old in perm_labels],
         [int(class_of[inv[s]]) for s in class_seeds],
     )
+
+
+def bfs_conjugation_orbit(group, rep):
+    """Conjugacy class of rep as an int8 image array: row 0 is rep, the
+    rest in the order a first-in first-out BFS under conjugation by the
+    generators discovers them."""
+    pairs = [(np.array(g.images, dtype=np.int8),
+              np.array(g.inverse().images, dtype=np.int8))
+             for g in group.generators]
+    seed = np.array(rep.images, dtype=np.int8)
+    rows = [seed]
+    seen = {seed.tobytes()}
+    head = 0
+    while head < len(rows):
+        row = rows[head]
+        head += 1
+        for g, ginv in pairs:
+            # (g^-1 x g)(pt) = g^-1(x(g(pt)))
+            conj = ginv[row[g]]
+            key = conj.tobytes()
+            if key not in seen:
+                seen.add(key)
+                rows.append(conj)
+    return np.array(rows, dtype=np.int8)

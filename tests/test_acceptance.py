@@ -27,7 +27,6 @@ The Mathieu core tests carry per-key expectations for the same reason:
   certificate finds rank 360 of 380 with 20 integer kernel vectors.
 """
 
-import os
 import random
 import time
 
@@ -305,11 +304,10 @@ def test_double_11_cycle_class_gram_identity():
     assert time.perf_counter() - t0 < 1200
 
 
-# ---- criterion 4: the degree-23 class pattern (opt-in) ----
+# ---- criterion 4: the degree-23 class pattern ----
 
 
 @pytest.mark.m23
-@pytest.mark.skipif(not os.environ.get("EKR_M23"), reason="set EKR_M23=1 to run")
 def test_degree_23_class_gram_pattern():
     spec = get_spec("M23")
     g = build_group(spec)

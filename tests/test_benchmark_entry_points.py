@@ -35,3 +35,9 @@ def test_traced_entry_point_exists(owner, attr):
 def test_streamed_route_keeps_its_two_argument_form():
     report = pl.EkrReport(key="M23", degree=23, order=10200960)
     inspect.signature(pl.mathieu_class_rank).bind(report, object())
+
+
+def test_streamed_class_entry_points_keep_their_call_forms():
+    # the traced wrappers forward (group, rep, cap=...) and (rows, n)
+    inspect.signature(pl.conjugation_orbit).bind(object(), object(), cap=1)
+    inspect.signature(pl.class_gram).bind(object(), 23)

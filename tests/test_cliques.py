@@ -136,7 +136,7 @@ def _conjugation_closure(eg, cliques) -> set[frozenset]:
         for g in eg.E:
             ginv = np.argsort(g).astype(np.int8)
             # (g^-1 x g)(t) = g^-1(x(g(t)))
-            closure.add(frozenset(eg.row_indices(ginv[rows[:, g]]).tolist()))
+            closure.add(frozenset(eg.group.element_index(ginv[rows[:, g]]).tolist()))
     return closure
 
 

@@ -10,8 +10,9 @@ from ekrcheck.group import (
 )
 from ekrcheck.library import get_group
 from ekrcheck.perm import Permutation, parse_cycles
+from ekrcheck.pipeline import _find_class_rep
 
-from class_reference import bfs_class_labels
+from class_reference import bfs_class_labels, bfs_conjugation_orbit
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,7 @@ def test_index_of_rejects_nonmembers():
     eg = EnumeratedGroup(PermutationGroup(A4))
     with pytest.raises(ValueError):
         eg.index_of(parse_cycles("(1,2)", 4))
-    # a row past the last element of the sorted lookup, and a wrong degree
+    # a row whose base image leaves the first orbit, and a wrong degree
     c3 = EnumeratedGroup(PermutationGroup(gens_of("(1,2,3)", degree=4)))
     with pytest.raises(ValueError):
         c3.index_of(parse_cycles("(1,4)", 4))
@@ -220,8 +221,51 @@ def test_conjugation_orbit_covers_whole_class():
 
 
 def test_conjugation_orbit_cap():
+    g = PermutationGroup(S4)
+    rep = parse_cycles("(1,2,3,4)", 4)
     with pytest.raises(CapExceeded):
-        conjugation_orbit(PermutationGroup(S4), parse_cycles("(1,2,3,4)", 4), cap=3)
+        conjugation_orbit(g, rep, cap=3)
+    # the class has 6 elements: a cap of 6 holds it, one of 5 does not
+    assert conjugation_orbit(g, rep, cap=6).shape == (6, 4)
+    with pytest.raises(CapExceeded) as exc:
+        conjugation_orbit(g, rep, cap=5)
+    assert exc.value.needed > exc.value.cap == 5
+
+
+@pytest.mark.parametrize(
+    "key, order, cycle_type",
+    [("M11", 11, (11,)), ("PSL(2,19)", 19, (19, 1)), ("M22", 11, (11, 11))],
+    ids=["M11", "PSL(2,19)", "M22"],
+)
+def test_conjugation_orbit_matches_the_bfs_reference(key, order, cycle_type):
+    _, g = get_group(key)
+    rep = _find_class_rep(g, order, cycle_type)
+    rows = conjugation_orbit(g, rep)
+    want = bfs_conjugation_orbit(g, rep)
+    assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
+
+
+def test_conjugation_orbit_matches_the_bfs_reference_on_s4():
+    g = PermutationGroup(S4)
+    rep = parse_cycles("(1,2,3,4)", 4)
+    assert conjugation_orbit(g, rep).tobytes() == bfs_conjugation_orbit(g, rep).tobytes()
+
+
+@pytest.mark.parametrize("key", ["S3", "M11", "2^4:A7", "AGL(4,2)"])
+def test_element_index_is_the_enumeration_order(key):
+    _, g = get_group(key)
+    E = g.elements_array()
+    assert np.array_equal(g.element_index(E), np.arange(len(E)))
+
+
+def test_element_index_refuses_orders_past_int64():
+    cycle = "(" + ",".join(str(i) for i in range(1, 22)) + ")"
+    s21 = PermutationGroup(gens_of(cycle, "(1,2)", degree=21))
+    assert s21.order() >= 2**63
+    with pytest.raises(ValueError, match="int64"):
+        s21.element_index(np.arange(21, dtype=np.int8)[None, :])
+    with pytest.raises(ValueError, match="int64"):
+        conjugation_orbit(s21, parse_cycles(cycle, 21), cap=1)
 
 
 def test_rejects_nonmember_conjugation_seed():

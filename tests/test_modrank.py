@@ -9,6 +9,8 @@ from ekrcheck import modrank as mr
 from ekrcheck.group import EnumeratedGroup
 from ekrcheck.library import get_group
 
+from gram_reference import dense_gram, derangement_block
+
 
 @pytest.fixture(scope="module")
 def groups():
@@ -70,7 +72,19 @@ def test_hbar_blocks_f20(groups):
 def test_derangement_block_rejects_fixed_points(groups):
     eg = groups("S3")
     with pytest.raises(ValueError):
-        mr.derangement_block(eg.E[:1], 3)
+        derangement_block(eg.E[:1], 3)
+    with pytest.raises(ValueError):
+        mr.gram_offdiag(eg.E[:1], 3)
+
+
+@pytest.mark.parametrize("key", ["S3", "F20", "M11", "2^4:A7", "M22"])
+def test_gram_offdiag_matches_the_dense_reference(key):
+    _, g = get_group(key)
+    E = g.elements_array()
+    der = E[(E != np.arange(g.degree, dtype=E.dtype)).all(axis=1)]
+    N = mr.gram_offdiag(der, g.degree)
+    assert N.dtype == np.int64
+    assert np.array_equal(N, dense_gram(der, g.degree))
 
 
 def test_build_M_cap(groups):
@@ -206,7 +220,7 @@ def test_class_gram_f20_matches_brute(groups):
     eg = groups("F20")
     der = eg.E[eg.fix_counts_all == 0]
     cg = mr.class_gram(der, 5)
-    blk = mr.derangement_block(der, 5).astype(np.int64)
+    blk = derangement_block(der, 5).astype(np.int64)
     assert np.array_equal(cg.N, blk.T @ blk)
     # sharply 2-transitive: 0/1 entries, no lambda*I + mu*A structure
     assert not cg.pattern and not cg.psd_certified

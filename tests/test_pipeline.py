@@ -2,7 +2,6 @@
 
 import copy
 import json
-import os
 import pathlib
 import time
 
@@ -335,7 +334,6 @@ def test_mathieu_base_order(table_cache):
 
 
 @pytest.mark.m23
-@pytest.mark.skipif(not os.environ.get("EKR_M23"), reason="set EKR_M23=1 to run")
 def test_m23_rank_by_streamed_class_gram():
     r = pl.classify("M23")
     assert r.rank_full == "yes"
