@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import Cyc
+from .cyclo import _EVAL_BLOCK, Cyc, _split_prime, _units
 from .errors import TableFormatError
 from .fields import factorize
 from .group import EnumeratedGroup, PermutationGroup, conjugacy_classes
@@ -91,18 +91,69 @@ class CharacterTable:
         return [Cyc.integer(1, f) for f in self.class_fix]
 
 
-def inner_product(table: CharacterTable, u, v) -> Cyc:
-    """Exact <u, v> = (1/|G|) * sum |C_l| u_l conj(v_l) over the classes.
+def _orthogonality_failures(t: CharacterTable) -> np.ndarray:
+    """Boolean k x k mask of the row pairs (a, b) with <chi_a, chi_b> != delta_ab.
 
-    u and v are class functions given as sequences of Cyc (table rows work
-    directly); plain ints are accepted and coerced.
-    """
-    total = Cyc.zero(1)
-    for size, a, b in zip(table.class_sizes, u, v):
-        a = a if isinstance(a, Cyc) else Cyc.rational(1, a)
-        b = b if isinstance(b, Cyc) else Cyc.rational(1, b)
-        total = total + (a * b.conj()) * size
-    return total / table.order
+    With D the common denominator of the values, every relation scaled by
+    D^2|G| reads x_ab = sum_l |C_l| D chi_a(l) conj(D chi_b(l)) - D^2|G| delta_ab
+    = 0 in Z[zeta_e].  Every conjugate of x_ab is at most
+    B = max_ab sum_l |C_l| |D chi_a(l)|_1 |D chi_b(l)|_1 + D^2|G| in absolute
+    value (|.|_1 the sum of |coefficients|), so by the norm argument of
+    `cyclo` x_ab = 0 exactly when it vanishes at omega^u for every unit u
+    modulo split primes whose product exceeds B.  At one prime and unit all
+    k^2 values x_ab(omega^u) + D^2|G| delta_ab are the entries of
+    X_u diag(|C|) Y_u^T, with X_u the table evaluated at omega^u and Y_u at
+    omega^-u.  Since X_-u = Y_u that product at -u is the transpose of the
+    one at u, so one unit of each pair {u, -u} is evaluated."""
+    e, k = t.e, t.k
+    entries = [v for row in t.values for v in row]
+    D = math.lcm(*(v.den for v in entries))
+    # the terms of the k^2 scaled entries, entry by entry; a zero entry
+    # keeps one zero term so that every entry owns a segment
+    exps: list[int] = []
+    coefs: list[int] = []
+    starts: list[int] = []
+    norms = np.empty(k * k, dtype=object)
+    for idx, v in enumerate(entries):
+        v, scale = v.embed(e), D // v.den
+        starts.append(len(exps))
+        for x, c in v.num.items() or [(0, 0)]:
+            exps.append(x)
+            coefs.append(c * scale)
+        norms[idx] = scale * sum(abs(c) for c in v.num.values())
+    norms = norms.reshape(k, k)
+    target = D * D * t.order
+    bound = int(((norms * np.array(t.class_sizes, dtype=object)) @ norms.T).max()) + target
+    exps_arr = np.array(exps, dtype=np.int64)
+    starts_arr = np.array(starts, dtype=np.intp)
+    units = _units(e)
+    half = units[units <= (-units) % e]
+    block = max(1, _EVAL_BLOCK // max(len(exps), k * k))
+    fail = np.zeros((k, k), dtype=bool)
+    modulus, i = 1, 0
+    while modulus <= bound:
+        p, powers = _split_prime(e, i)
+        coef = np.array([c % p for c in coefs], dtype=np.int64)
+        sizes = np.array(t.class_sizes, dtype=np.int64) % p
+        want = target % p * np.eye(k, dtype=np.int64)
+
+        def evaluate(us):
+            terms = powers[np.outer(us, exps_arr) % e] * coef % p
+            return (np.add.reduceat(terms, starts_arr, axis=1) % p).reshape(-1, k, k)
+
+        for s in range(0, len(half), block):
+            us = half[s : s + block]
+            X = evaluate(us) * sizes % p
+            Y = evaluate(-us % e)
+            acc = np.zeros((len(us), k, k), dtype=np.int64)
+            for l in range(k):
+                acc += X[:, :, l, None] * Y[:, None, :, l]
+                acc %= p
+            bad = (acc != want).any(axis=0)
+            fail |= bad | bad.T
+        modulus *= p
+        i += 1
+    return fail
 
 
 def _verify_table(t: CharacterTable) -> None:
@@ -127,12 +178,10 @@ def _verify_table(t: CharacterTable) -> None:
             raise TableFormatError("degree does not divide the group order")
     if sum(d * d for d in t.degrees) != t.order:
         raise TableFormatError("degree squares do not sum to the group order")
-    for a in range(t.k):
-        for b in range(a, t.k):
-            ip = inner_product(t, t.values[a], t.values[b])
-            want = 1 if a == b else 0
-            if not (ip - want).is_zero():
-                raise TableFormatError(f"rows {a},{b} violate orthogonality")
+    failing = np.argwhere(np.triu(_orthogonality_failures(t)))
+    if failing.size:
+        a, b = (int(x) for x in failing[0])
+        raise TableFormatError(f"rows {a},{b} violate orthogonality")
     one = Cyc.integer(1, 1)
     if any(not (v - one).is_zero() for v in t.values[t.trivial]):
         raise TableFormatError("trivial row is not all ones")
@@ -182,12 +231,21 @@ def character_table(eg: EnumeratedGroup, seed: int = 1) -> CharacterTable:
     p = prime_one_mod(e, max(2 * math.isqrt(order) + 1, k))
     mats = class_constants(eg) % p
 
-    # power map on classes: pc[l][t] = class of rep(C_l)^t
-    powmap = []
+    # power map on classes: powmap[l][t] = class of rep(C_l)^t, from one
+    # sift of the stacked power rows of every representative
+    power_rows = []
     for l in range(k):
-        rep = eg.class_rep(l)
-        o = eg.class_orders[l]
-        powmap.append([int(eg.class_of[eg.index_of(rep.power(t))]) for t in range(o)])
+        rep = eg.E[eg.class_seeds[l]].astype(np.intp)
+        row = np.arange(len(rep), dtype=np.intp)
+        for _ in range(eg.class_orders[l]):
+            power_rows.append(row)
+            row = rep[row]
+    stacked = np.array(power_rows, dtype=eg.E.dtype)
+    idx = eg.group.element_index(stacked)
+    if not np.array_equal(eg.E[idx], stacked):
+        raise AssertionError("a class representative's power left the group")
+    cuts = np.cumsum(eg.class_orders)[:-1]
+    powmap = np.split(eg.class_of[idx].astype(np.intp), cuts)
 
     rng = random.Random(seed * 1000003 + p)
     eye = np.eye(k, dtype=np.int64)
@@ -224,6 +282,19 @@ def character_table(eg: EnumeratedGroup, seed: int = 1) -> CharacterTable:
 
     z = element_of_order(p, e, list(factorize(e)))
     inv_sizes = [pow(s, -1, p) for s in sizes]
+    # fourier(o)[s, t] = w^(-s*t) for w = z^(e/o) of order o, one table per
+    # class order; the Dixon prime is small enough that o*p^2 < 2^63 keeps
+    # its product with a residue vector exact
+    tables: dict[int, np.ndarray] = {}
+
+    def fourier(o: int) -> np.ndarray:
+        if o not in tables:
+            w_inv = pow(z, -(e // o), p)
+            powers = np.array([pow(w_inv, j, p) for j in range(o)], dtype=np.int64)
+            grid = np.arange(o, dtype=np.int64)
+            tables[o] = powers[np.outer(grid, grid) % o]
+        return tables[o]
+
     values: list[list[Cyc]] = []
     degrees: list[int] = []
     for v in vecs:
@@ -236,25 +307,17 @@ def character_table(eg: EnumeratedGroup, seed: int = 1) -> CharacterTable:
         )
         if deg is None:
             raise AssertionError("no admissible degree for a split row")
-        f = [int(v[l]) * deg * inv_sizes[l] % p for l in range(k)]
+        f = np.array([int(v[l]) * deg * inv_sizes[l] % p for l in range(k)], dtype=np.int64)
         row = []
         for l in range(k):
             o = len(powmap[l])
-            w = pow(z, e // o, p)
-            inv_o = pow(o, -1, p)
-            terms = []
-            for scur in range(o):
-                m = 0
-                for t in range(o):
-                    m = (m + f[powmap[l][t]] * pow(w, -scur * t, p)) % p
-                m = m * inv_o % p
-                if m > deg:
-                    raise AssertionError("eigenvalue multiplicity exceeds the degree")
-                if m:
-                    terms.append((scur, m))
-            if sum(c for _, c in terms) != deg:
+            # multiplicity of the eigenvalue zeta_o^s: (1/o) sum_t f(rep^t) w^(-s*t)
+            mult = [int(m) for m in fourier(o) @ f[powmap[l]] % p * pow(o, -1, p) % p]
+            if max(mult) > deg:
+                raise AssertionError("eigenvalue multiplicity exceeds the degree")
+            if sum(mult) != deg:
                 raise AssertionError("eigenvalue multiplicities do not sum to the degree")
-            row.append(Cyc.root_sum(o, terms))
+            row.append(Cyc.root_sum(o, [(s, m) for s, m in enumerate(mult) if m]))
         values.append(row)
         degrees.append(deg)
 

@@ -3,6 +3,12 @@
 Everything works on int64 numpy matrices with a prime modulus small enough
 that a*b never overflows (p < 2^31), which covers both the Dixon primes
 (p slightly above 2*sqrt|G|) and the 29-bit rank certification primes.
+
+A rank needs only forward elimination (`echelon_mod`), which touches the
+rows below each pivot and the columns from the pivot on.  The reduced row
+echelon form, and with it a kernel basis, is needed only where a kernel is
+wanted: `finish_rref` clears the entries above each pivot of a forward
+echelon form, so a caller that already holds one pays no second pass.
 """
 
 from __future__ import annotations
@@ -59,46 +65,98 @@ def element_of_order(p: int, e: int, prime_divisors: list[int]) -> int:
     raise AssertionError("no element of the requested order")
 
 
-def rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p; returns (R, pivot_columns)."""
+def echelon_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form mod p by forward elimination; returns (R, pivots).
+
+    Each pivot row is scaled to a leading 1 and cleared below; nothing
+    above a pivot is touched, so R is the RREF only once `finish_rref` has
+    run.  The rows past len(pivots) are zero, and every entry of R is
+    reduced to [0, p).
+
+    The trailing block is reduced mod p only every `slack` steps: a step
+    subtracts less than p^2 from an entry, so `slack` unreduced steps stay
+    inside int64.  The column about to give a pivot, and the pivot row,
+    are reduced before they are used."""
     R = np.array(A, dtype=np.int64) % p
     rows, cols = R.shape
+    slack = (2**63 - 1 - p) // (p - 1) ** 2
+    pending = 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(R[r:, c])[0]
+        col = R[r:, c] % p
+        R[r:, c] = col
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            R[[r, i]] = R[[i, r]]
-        R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
-        others = np.nonzero(R[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            R[others] = (R[others] - np.outer(R[others, c], R[r])) % p
+            # row r is zero in column c, so it lands among the cleared rows
+            R[[r, i], c:] = R[[i, r], c:]
+        piv = R[r, c:] % p * pow(int(R[r, c]), -1, p) % p
+        R[r, c:] = piv
+        if nz.size > 1:
+            if pending == slack:
+                R[r + 1 :, c + 1 :] %= p
+                pending = 0
+            if nz.size == rows - r:
+                below = R[r + 1 :, c:]
+                below -= np.outer(below[:, 0], piv)
+            else:
+                rest = r + nz[1:]
+                R[rest, c:] -= np.outer(R[rest, c], piv)
+            pending += 1
         pivots.append(c)
         r += 1
     return R, pivots
 
 
+def finish_rref(R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """Turn a forward echelon form from `echelon_mod` into the reduced row
+    echelon form in place, and return it.
+
+    The pivot columns become the identity.  The free columns F of the pivot
+    rows become U^-1 F for the unit upper triangle U of the pivot columns,
+    by back substitution from the last pivot row: clearing column
+    pivots[i] above row i leaves the earlier pivot columns unchanged."""
+    rank = len(pivots)
+    free = np.setdiff1d(np.arange(R.shape[1]), pivots)
+    if free.size:
+        U = R[:rank, pivots]
+        F = R[:rank, free]
+        for i in range(rank - 1, 0, -1):
+            F[:i] = (F[:i] - np.outer(U[:i, i], F[i])) % p
+        R[:rank, free] = F
+    R[:rank, pivots] = np.eye(rank, dtype=np.int64)
+    return R
+
+
+def rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p; returns (R, pivot_columns)."""
+    R, pivots = echelon_mod(A, p)
+    return finish_rref(R, pivots, p), pivots
+
+
 def rank_mod(A: np.ndarray, p: int) -> int:
-    return len(rref_mod(A, p)[1])
+    return len(echelon_mod(A, p)[1])
+
+
+def kernel_from_rref(R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """Basis of the right kernel mod p from a reduced row echelon form, one
+    vector per free column, with a 1 in that column."""
+    cols = R.shape[1]
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-R[: len(pivots)][:, free].T) % p
+    return basis
 
 
 def nullspace_mod(A: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right kernel mod p, one vector per row."""
-    R, pivots = rref_mod(A, p)
-    cols = R.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[bi, pc] = (-int(R[r, fc])) % p
-    return basis
+    return kernel_from_rref(*rref_mod(A, p), p)
 
 
 def charpoly_mod(A: np.ndarray, p: int) -> np.ndarray:

@@ -30,8 +30,10 @@ import numpy as np
 from .group import EnumeratedGroup, PermutationGroup
 from .modmath import (
     count_roots_strictly_below,
+    echelon_mod,
+    finish_rref,
     is_prime,
-    nullspace_mod,
+    kernel_from_rref,
     rank_mod,
 )
 from .perm import Permutation
@@ -225,11 +227,37 @@ def _rank_primes() -> tuple[int, int]:
     return _rank_prime_cache[0], _rank_prime_cache[1]
 
 
-def _verify_integer_kernel(N: np.ndarray, w: np.ndarray) -> bool:
-    bound = N.shape[0] * int(np.abs(N).max()) * int(np.abs(w).max(initial=1))
+def _killed(N: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Whether N w = 0 exactly, for each integer row w of W.  The product
+    runs in int64 when the entry bound fits, in Python ints otherwise."""
+    bound = N.shape[0] * int(np.abs(N).max()) * int(np.abs(W).max(initial=1))
     if bound < 2**62:
-        return not (N @ w.astype(np.int64)).any()
-    return not (np.asarray(N, dtype=object) @ w.astype(object)).any()
+        return ~(N @ W.T.astype(np.int64)).any(axis=0)
+    return ~(np.asarray(N, dtype=object) @ W.T.astype(object)).any(axis=0)
+
+
+def _lift_kernel(N: np.ndarray, basis: np.ndarray, p: int):
+    """Integer kernel vectors of N from a kernel basis mod p, or None.
+
+    Vector i becomes the centred residues of k*basis[i] for the least k in
+    1..64 that N kills; all vectors are tried at k = 1 in one product, and
+    only the ones that fail are retried one at a time."""
+
+    def centred(W):
+        return np.where(W > p // 2, W - p, W)
+
+    W = centred(basis % p)
+    for i in np.flatnonzero(~_killed(N, W)):
+        for k in range(2, _KERNEL_MULTIPLIERS + 1):
+            w = centred(basis[i] * k % p)
+            if _killed(N, w[None, :])[0]:
+                W[i] = w
+                break
+        else:
+            return None
+    # one Fraction per distinct entry, shared by every vector
+    frac = {x: Fraction(x) for x in np.unique(W).tolist()}
+    return tuple(tuple(frac[x] for x in w) for w in W.tolist())
 
 
 def _fraction_kernel(N: np.ndarray) -> tuple[int, list[list[Fraction]]]:
@@ -270,34 +298,25 @@ def rank_certificate(N: np.ndarray) -> RankCertificate:
 
     Full-rank mode is sound because rank mod p never exceeds the rational
     rank; the deficient mode exhibits kernel vectors re-verified by exact
-    multiplication, and N w = 0 already forces M w = 0 over Q."""
+    multiplication, and N w = 0 already forces M w = 0 over Q.  One forward
+    elimination at p1 gives the rank, and when it is deficient the same
+    echelon form is finished to the RREF that yields the kernel basis."""
     N = np.asarray(N, dtype=np.int64)
     cols = N.shape[1]
     p1, p2 = _rank_primes()
-    r1 = rank_mod(N % p1, p1)
-    if r1 == cols:
+    R, pivots = echelon_mod(N % p1, p1)
+    if len(pivots) == cols:
         return RankCertificate(cols, cols, True, f"full-rank via prime {p1}", (p1,), ())
     r2 = rank_mod(N % p2, p2)
     if r2 == cols:
         return RankCertificate(cols, cols, True, f"full-rank via prime {p2}", (p2,), ())
 
-    lower = max(r1, r2)
-    basis = nullspace_mod(N % p1, p1)
-    verified: list[tuple[Fraction, ...]] = []
-    for b in basis:
-        b = np.asarray(b, dtype=np.int64) % p1
-        for k in range(1, _KERNEL_MULTIPLIERS + 1):
-            w = (b * k) % p1
-            w = np.where(w > p1 // 2, w - p1, w)
-            if _verify_integer_kernel(N, w):
-                verified.append(tuple(Fraction(int(x)) for x in w))
-                break
-        else:
-            break
-    if len(verified) == len(basis) and lower == cols - len(basis):
+    lower = max(len(pivots), r2)
+    basis = kernel_from_rref(finish_rref(R, pivots, p1), pivots, p1)
+    kernel = _lift_kernel(N, basis, p1)
+    if kernel is not None and lower == cols - len(basis):
         return RankCertificate(
-            cols, lower, False, "deficient via exact kernel", (p1, p2),
-            tuple(verified),
+            cols, lower, False, "deficient via exact kernel", (p1, p2), kernel
         )
 
     # small-integer reconstruction failed somewhere; fall back to exact

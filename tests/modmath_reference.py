@@ -1,0 +1,99 @@
+"""Gauss-Jordan elimination mod p and the three-pass rank certificate built
+on it: the oracles for `modmath`'s forward elimination and for
+`modrank.rank_certificate`, which finishes one echelon form to the RREF.
+
+`rref_mod` clears above and below each pivot in one sweep; `rank_certificate`
+eliminates afresh for the rank at each prime and again for the kernel, and
+lifts one kernel vector at a time.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from ekrcheck.modrank import _KERNEL_MULTIPLIERS, RankCertificate, _fraction_kernel, _rank_primes
+
+
+def rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p; returns (R, pivot_columns)."""
+    R = np.array(A, dtype=np.int64) % p
+    rows, cols = R.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
+        others = np.nonzero(R[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            R[others] = (R[others] - np.outer(R[others, c], R[r])) % p
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def rank_mod(A: np.ndarray, p: int) -> int:
+    return len(rref_mod(A, p)[1])
+
+
+def nullspace_mod(A: np.ndarray, p: int) -> np.ndarray:
+    """Basis of the right kernel mod p, one vector per row."""
+    R, pivots = rref_mod(A, p)
+    cols = R.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for bi, fc in enumerate(free):
+        basis[bi, fc] = 1
+        for r, pc in enumerate(pivots):
+            basis[bi, pc] = (-int(R[r, fc])) % p
+    return basis
+
+
+def _verify_integer_kernel(N: np.ndarray, w: np.ndarray) -> bool:
+    bound = N.shape[0] * int(np.abs(N).max()) * int(np.abs(w).max(initial=1))
+    if bound < 2**62:
+        return not (N @ w.astype(np.int64)).any()
+    return not (np.asarray(N, dtype=object) @ w.astype(object)).any()
+
+
+def rank_certificate(N: np.ndarray) -> RankCertificate:
+    """The rank certificate as three separate eliminations produce it."""
+    N = np.asarray(N, dtype=np.int64)
+    cols = N.shape[1]
+    p1, p2 = _rank_primes()
+    r1 = rank_mod(N % p1, p1)
+    if r1 == cols:
+        return RankCertificate(cols, cols, True, f"full-rank via prime {p1}", (p1,), ())
+    r2 = rank_mod(N % p2, p2)
+    if r2 == cols:
+        return RankCertificate(cols, cols, True, f"full-rank via prime {p2}", (p2,), ())
+
+    lower = max(r1, r2)
+    basis = nullspace_mod(N % p1, p1)
+    verified: list[tuple[Fraction, ...]] = []
+    for b in basis:
+        b = np.asarray(b, dtype=np.int64) % p1
+        for k in range(1, _KERNEL_MULTIPLIERS + 1):
+            w = (b * k) % p1
+            w = np.where(w > p1 // 2, w - p1, w)
+            if _verify_integer_kernel(N, w):
+                verified.append(tuple(Fraction(int(x)) for x in w))
+                break
+        else:
+            break
+    if len(verified) == len(basis) and lower == cols - len(basis):
+        return RankCertificate(
+            cols, lower, False, "deficient via exact kernel", (p1, p2),
+            tuple(verified),
+        )
+
+    rank, fr_basis = _fraction_kernel(N)
+    kernel = tuple(tuple(w) for w in fr_basis)
+    return RankCertificate(cols, rank, rank == cols, "exact elimination", (p1, p2), kernel)

@@ -8,6 +8,7 @@ import pathlib
 
 import pytest
 
+from ekrcheck import chartab
 from ekrcheck import pipeline as pl
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
@@ -41,3 +42,11 @@ def test_streamed_class_entry_points_keep_their_call_forms():
     # the traced wrappers forward (group, rep, cap=...) and (rows, n)
     inspect.signature(pl.conjugation_orbit).bind(object(), object(), cap=1)
     inspect.signature(pl.class_gram).bind(object(), 23)
+
+
+def test_certificate_layer_entry_points_keep_their_call_forms():
+    # the traced wrappers forward rank_certificate(N), and character_table
+    # is called as (eg) and as (eg, seed=...) by character_table_for
+    inspect.signature(pl.rank_certificate).bind(object())
+    inspect.signature(chartab.character_table).bind(object())
+    inspect.signature(chartab.character_table).bind(object(), seed=1)

@@ -16,13 +16,14 @@ from ekrcheck.chartab import (
     class_constants,
     export_table,
     group_key,
-    inner_product,
     parse_table,
 )
 from ekrcheck.cyclo import Cyc
 from ekrcheck.errors import TableFormatError
 from ekrcheck.group import PermutationGroup, conjugacy_classes
 from ekrcheck.library import get_group
+
+from chartab_reference import inner_product
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,83 @@
+"""Forward elimination mod p against the Gauss-Jordan oracle in
+`modmath_reference`, and the one-elimination rank certificate against the
+three-elimination one, on random matrices and on survey Gram matrices."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ekrcheck import modrank as mr
+from ekrcheck.group import EnumeratedGroup
+from ekrcheck.library import get_group
+from ekrcheck.modmath import echelon_mod, nullspace_mod, rank_mod, rref_mod
+
+import modmath_reference as ref
+
+P1 = mr._rank_primes()[0]
+
+
+@st.composite
+def planted(draw):
+    """A matrix mod p of up to 40 x 40 whose rows and columns include
+    planted combinations of others, and sometimes a zero column.  Besides
+    the rank prime and 101, p = 2 and p = 2^31 - 1 bound how many steps the
+    forward pass may leave unreduced."""
+    p = draw(st.sampled_from([P1, 101, 2, 2**31 - 1]))
+    rows = draw(st.integers(1, 40))
+    cols = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+    coef = lambda: int(rng.integers(0, p))  # noqa: E731
+    for _ in range(draw(st.integers(0, rows - 1))):
+        i, j, t = rng.integers(0, rows, size=3)
+        A[i] = (coef() * A[j] % p + coef() * A[t] % p) % p
+    for _ in range(draw(st.integers(0, cols - 1))):
+        i, j, t = rng.integers(0, cols, size=3)
+        A[:, i] = (coef() * A[:, j] % p + coef() * A[:, t] % p) % p
+    if draw(st.booleans()):
+        A[:, rng.integers(0, cols)] = 0
+    return A, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted())
+def test_elimination_matches_gauss_jordan(case):
+    A, p = case
+    R_ref, piv_ref = ref.rref_mod(A, p)
+    assert rank_mod(A, p) == len(piv_ref)
+    R, piv = rref_mod(A, p)
+    assert piv == piv_ref
+    assert np.array_equal(R, R_ref)
+    assert np.array_equal(nullspace_mod(A, p), ref.nullspace_mod(A, p))
+    E, piv_fwd = echelon_mod(A, p)
+    # forward elimination leaves zero rows past the rank and leading ones
+    assert piv_fwd == piv_ref and not E[len(piv_ref) :].any()
+    assert all(E[r, c] == 1 and not E[r, :c].any() for r, c in enumerate(piv_fwd))
+
+
+def test_echelon_does_not_modify_its_input():
+    A = np.array([[0, 2, 4], [3, 1, 0], [3, 3, 4]], dtype=np.int64)
+    before = A.copy()
+    rref_mod(A, 7)
+    assert np.array_equal(A, before)
+
+
+@pytest.mark.parametrize(
+    "key", ["F20", "M11", "PSL(3,3)", "ASL(2,4)", "AGL(1,19)", "PSL(2,19)"]
+)
+def test_rank_certificate_matches_reference_on_grams(key):
+    _, g = get_group(key)
+    eg = EnumeratedGroup(g)
+    eg.compute_classes()
+    N = mr.gram_M(eg)
+    assert mr.rank_certificate(N) == ref.rank_certificate(N)
+
+
+def test_rank_certificate_matches_reference_on_fallback():
+    # the kernel vector (1, 299998, -199999) has no small residue multiple
+    # at the rank prime, so both certificates fall back to exact elimination
+    B = np.array([[1, 2, 3], [100003, 7, 11]], dtype=np.int64)
+    N = B.T @ B
+    cert = mr.rank_certificate(N)
+    assert cert == ref.rank_certificate(N)
+    assert cert.mode == "exact elimination" and cert.claimed_rank == 2
