@@ -6,6 +6,17 @@ cyclotomic values via discrete Fourier inversion of the power map.  Every
 table, computed or imported, is verified against the orthogonality
 relations before it is returned, so downstream spectral reasoning can rely
 on the values being exactly right.
+
+The split is a few batched F_p operations per group.  The class constants
+come from sifting every product x * rep(C_l) in fixed row blocks.  A random
+combination `combo` of the class matrices whose characteristic polynomial
+has k distinct roots gives all k eigenvectors at once: V = K Q, with K the
+Krylov matrix of combo on e_0 and column j of Q the coefficients of
+charpoly(x)/(x - lambda_j) from one vectorised synthetic division.  One
+einsum checks every vector against every class matrix, the degrees of all
+rows come from one vector operation, and the eigenvalue multiplicities from
+one Fourier product per class.  Each product sums at most max(k, e) terms
+below p^2, which must stay under 2^63.
 """
 
 from __future__ import annotations
@@ -22,31 +33,43 @@ from .cyclo import _EVAL_BLOCK, Cyc, _split_prime, _units
 from .errors import TableFormatError
 from .fields import factorize
 from .group import EnumeratedGroup, PermutationGroup, conjugacy_classes
-from .modmath import charpoly_mod, element_of_order, nullspace_mod, poly_roots_mod, prime_one_mod
+from .modmath import charpoly_mod, element_of_order, poly_roots_mod, prime_one_mod
 
 MAX_SPLIT_ATTEMPTS = 64
+SIFT_BLOCK = 1 << 15
 
 
 def class_constants(eg: EnumeratedGroup) -> np.ndarray:
     """Structure constants a[i, j, l] = #{x in C_i : x^-1 * rep(C_l) in C_j}.
 
-    a[i, :, l] is computed in one vectorized pass: form x^-1 * rep(C_l) for
-    every x in C_i, classify the products, and histogram the class labels.
+    As x runs over G so does y = x^-1, of class inverse_class[class(y)].
+    The N*k products y * rep(C_l), l-major, are sifted in fixed blocks of
+    `SIFT_BLOCK` rows, and each block's triples (class of y^-1, class of
+    the product, l) are counted by one bincount.  The fixed block bounds
+    the memory of the sift whatever the group order.
     """
     eg.compute_classes()
     k = eg.n_classes
     E = eg.E
+    N = len(E)
     class_of = eg.class_of
-    mats = np.zeros((k, k, k), dtype=np.int64)
+    inv_class_of = np.array(eg.inverse_class, dtype=np.int64)[class_of]
     reps = [E[s].astype(np.intp) for s in eg.class_seeds]
-    for i in range(k):
-        members = np.nonzero(class_of == i)[0]
-        Xinv = E[eg.inv_index[members]]
-        for l in range(k):
-            # (x^-1 * z)(t) = x^-1(z(t)): index each inverse row by z's images
-            prod = Xinv[:, reps[l]]
-            labels = class_of[eg.group.element_index(prod)]
-            mats[i, :, l] = np.bincount(labels, minlength=k)
+    counts = np.zeros(k**3, dtype=np.int64)
+    block = np.empty((SIFT_BLOCK, E.shape[1]), dtype=E.dtype)
+    keys = np.empty(SIFT_BLOCK, dtype=np.int64)
+    for start in range(0, N * k, SIFT_BLOCK):
+        stop = min(start + SIFT_BLOCK, N * k)
+        for l in range(start // N, (stop - 1) // N + 1):
+            y0, y1 = max(start - l * N, 0), min(stop - l * N, N)
+            at = slice(l * N + y0 - start, l * N + y1 - start)
+            # (y * z)(t) = y(z(t)): index each row by z's images
+            block[at] = E[y0:y1][:, reps[l]]
+            keys[at] = inv_class_of[y0:y1] * k * k + l
+        rows = stop - start
+        labels = class_of[eg.group.element_index(block[:rows])]
+        counts += np.bincount(keys[:rows] + labels * k, minlength=k**3)
+    mats = counts.reshape(k, k, k)
     sizes = np.array(eg.class_sizes, dtype=np.int64)
     # each product x^-1 * z_l lands in exactly one class
     if not np.array_equal(mats.sum(axis=1), np.repeat(sizes[:, None], k, axis=1)):
@@ -221,6 +244,42 @@ def _sort_rows(values: list[list[Cyc]], degrees: list[int]) -> tuple[list[list[C
     return [values[r] for r in idx], [degrees[r] for r in idx]
 
 
+def _krylov_eigenvectors(
+    combo: np.ndarray, cp: np.ndarray, roots: list[int], p: int
+) -> np.ndarray | None:
+    """Eigenvectors of `combo` mod p for its k distinct roots, one per row,
+    scaled to v[0] = 1; None if some vector has v[0] = 0.
+
+    With K the Krylov matrix whose column t is combo^t e_0, and q_j the
+    quotient charpoly(x) / (x - lambda_j), K q_j = q_j(combo) e_0 lies in
+    the lambda_j eigenspace (Cayley-Hamilton) and equals a_j q_j(lambda_j)
+    v_j, where a_j is the e_0 coefficient along v_j.  For the central
+    characters a_j = chi_j(1)^2/|G|, which is a unit mod p, and q_j(lambda_j)
+    is the product of the root differences, so no vector vanishes."""
+    k = len(roots)
+    K = np.empty((k, k), dtype=np.int64)
+    col = np.zeros(k, dtype=np.int64)
+    col[0] = 1
+    for t in range(k):
+        K[:, t] = col
+        col = combo @ col % p
+    # synthetic division of the monic charpoly by every (x - lambda_j):
+    # q_{k-1} = 1, q_{t-1} = c_t + lambda q_t
+    lam = np.array(roots, dtype=np.int64)
+    Q = np.empty((k, k), dtype=np.int64)
+    q = np.ones(k, dtype=np.int64)
+    Q[k - 1] = q
+    for t in range(k - 1, 0, -1):
+        q = (cp[t] + lam * q) % p
+        Q[t - 1] = q
+    V = (K @ Q % p).T
+    lead = V[:, 0]
+    if not lead.all():
+        return None
+    scale = np.array([pow(int(x), -1, p) for x in lead], dtype=np.int64)
+    return V * scale[:, None] % p
+
+
 def character_table(eg: EnumeratedGroup, seed: int = 1) -> CharacterTable:
     """Compute the exact character table of a fully enumerated group."""
     eg.compute_classes()
@@ -229,6 +288,13 @@ def character_table(eg: EnumeratedGroup, seed: int = 1) -> CharacterTable:
     sizes = eg.class_sizes
     e = math.lcm(*eg.class_orders)
     p = prime_one_mod(e, max(2 * math.isqrt(order) + 1, k))
+    # every batched product below sums at most max(k, e) terms below p^2
+    terms = max(k, e)
+    if terms * (p - 1) ** 2 >= 2**63:
+        raise AssertionError(
+            f"Dixon prime {p} too large: {terms}*(p-1)^2 must stay below 2^63 "
+            "for exact int64 products"
+        )
     mats = class_constants(eg) % p
 
     # power map on classes: powmap[l][t] = class of rep(C_l)^t, from one
@@ -248,46 +314,44 @@ def character_table(eg: EnumeratedGroup, seed: int = 1) -> CharacterTable:
     powmap = np.split(eg.class_of[idx].astype(np.intp), cuts)
 
     rng = random.Random(seed * 1000003 + p)
-    eye = np.eye(k, dtype=np.int64)
-    vecs = None
     for _ in range(MAX_SPLIT_ATTEMPTS):
-        combo = np.zeros((k, k), dtype=np.int64)
-        for i in range(k):
-            combo = (combo + rng.randrange(p) * mats[i]) % p
-        roots = poly_roots_mod(charpoly_mod(combo, p), p)
+        draws = np.array([rng.randrange(p) for _ in range(k)], dtype=np.int64)
+        combo = np.tensordot(draws, mats, axes=1) % p
+        cp = charpoly_mod(combo, p)
+        roots = poly_roots_mod(cp, p)
         if len(roots) != k:
             continue
-        found = []
-        for lam in roots:
-            ns = nullspace_mod((combo - lam * eye) % p, p)
-            if ns.shape[0] != 1:
-                break
-            v = ns[0] % p
-            if v[0] == 0:
-                break
-            v = v * pow(int(v[0]), -1, p) % p
-            # v must be a common eigenvector of every class matrix, with
-            # eigenvalue v[i] on mats[i] (the omega identity)
-            ok = all(
-                np.array_equal(mats[i] @ v % p, v[i] * v % p) for i in range(k)
-            )
-            if not ok:
-                break
-            found.append(v)
-        if len(found) == k:
-            vecs = found
+        vecs = _krylov_eigenvectors(combo, cp, roots, p)
+        # every vector must be a common eigenvector of every class matrix,
+        # with eigenvalue v[i] on mats[i] (the omega identity)
+        if vecs is not None and np.array_equal(
+            np.einsum("iab,jb->jia", mats, vecs) % p,
+            vecs[:, :, None] * vecs[:, None, :] % p,
+        ):
             break
-    if vecs is None:
+    else:
         raise AssertionError("class algebra failed to split over F_p")
 
     z = element_of_order(p, e, list(factorize(e)))
-    inv_sizes = [pow(s, -1, p) for s in sizes]
-    # fourier(o)[s, t] = w^(-s*t) for w = z^(e/o) of order o, one table per
-    # class order; the Dixon prime is small enough that o*p^2 < 2^63 keeps
-    # its product with a residue vector exact
+    inv_sizes = np.array([pow(s, -1, p) for s in sizes], dtype=np.int64)
+    # <omega, omega-bar>/|C| sums to |G|/chi(1)^2 for each row; the degree
+    # is the one d <= sqrt|G| with d^2 * s = |G| (mod p)
+    norms = (vecs * vecs[:, eg.inverse_class] % p) @ inv_sizes % p
+    cand = np.arange(1, math.isqrt(order) + 1, dtype=np.int64)
+    hit = cand * cand % p * norms[:, None] % p == order % p
+    if not hit.any(axis=1).all():
+        raise AssertionError("no admissible degree for a split row")
+    deg = cand[hit.argmax(axis=1)]
+    # F[j, l] = chi_j(rep(C_l)) mod p
+    F = vecs * deg[:, None] % p * inv_sizes % p
+
+    # mult[j, s] of class l: the multiplicity of zeta_o^s as an eigenvalue
+    # of rep(C_l) in row j, (1/o) sum_t chi_j(rep^t) w^(-s*t) for w = z^(e/o)
+    # of order o, one Fourier product per class over every row at once
     tables: dict[int, np.ndarray] = {}
 
     def fourier(o: int) -> np.ndarray:
+        """fourier(o)[s, t] = w^(-s*t), one table per class order."""
         if o not in tables:
             w_inv = pow(z, -(e // o), p)
             powers = np.array([pow(w_inv, j, p) for j in range(o)], dtype=np.int64)
@@ -295,31 +359,20 @@ def character_table(eg: EnumeratedGroup, seed: int = 1) -> CharacterTable:
             tables[o] = powers[np.outer(grid, grid) % o]
         return tables[o]
 
-    values: list[list[Cyc]] = []
-    degrees: list[int] = []
-    for v in vecs:
-        s = 0
-        for i in range(k):
-            s = (s + int(v[i]) * int(v[eg.inverse_class[i]]) * inv_sizes[i]) % p
-        d_sq = order * pow(s, -1, p) % p
-        deg = next(
-            (d for d in range(1, math.isqrt(order) + 1) if d * d % p == d_sq), None
-        )
-        if deg is None:
-            raise AssertionError("no admissible degree for a split row")
-        f = np.array([int(v[l]) * deg * inv_sizes[l] % p for l in range(k)], dtype=np.int64)
-        row = []
-        for l in range(k):
-            o = len(powmap[l])
-            # multiplicity of the eigenvalue zeta_o^s: (1/o) sum_t f(rep^t) w^(-s*t)
-            mult = [int(m) for m in fourier(o) @ f[powmap[l]] % p * pow(o, -1, p) % p]
-            if max(mult) > deg:
-                raise AssertionError("eigenvalue multiplicity exceeds the degree")
-            if sum(mult) != deg:
-                raise AssertionError("eigenvalue multiplicities do not sum to the degree")
-            row.append(Cyc.root_sum(o, [(s, m) for s, m in enumerate(mult) if m]))
-        values.append(row)
-        degrees.append(deg)
+    columns = []
+    for l in range(k):
+        o = len(powmap[l])
+        mult = F[:, powmap[l]] @ fourier(o) % p * pow(o, -1, p) % p
+        if (mult > deg[:, None]).any():
+            raise AssertionError("eigenvalue multiplicity exceeds the degree")
+        if (mult.sum(axis=1) != deg).any():
+            raise AssertionError("eigenvalue multiplicities do not sum to the degree")
+        columns.append([
+            Cyc.root_sum(o, [(s, m) for s, m in enumerate(row) if m])
+            for row in mult.tolist()
+        ])
+    values = [list(row) for row in zip(*columns)]
+    degrees = deg.tolist()
 
     values, degrees = _sort_rows(values, degrees)
     class_fix = eg.class_fix

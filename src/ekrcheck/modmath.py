@@ -133,12 +133,6 @@ def finish_rref(R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
     return R
 
 
-def rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p; returns (R, pivot_columns)."""
-    R, pivots = echelon_mod(A, p)
-    return finish_rref(R, pivots, p), pivots
-
-
 def rank_mod(A: np.ndarray, p: int) -> int:
     return len(echelon_mod(A, p)[1])
 
@@ -152,11 +146,6 @@ def kernel_from_rref(R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = (-R[: len(pivots)][:, free].T) % p
     return basis
-
-
-def nullspace_mod(A: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right kernel mod p, one vector per row."""
-    return kernel_from_rref(*rref_mod(A, p), p)
 
 
 def charpoly_mod(A: np.ndarray, p: int) -> np.ndarray:

@@ -240,21 +240,23 @@ def _lift_kernel(N: np.ndarray, basis: np.ndarray, p: int):
     """Integer kernel vectors of N from a kernel basis mod p, or None.
 
     Vector i becomes the centred residues of k*basis[i] for the least k in
-    1..64 that N kills; all vectors are tried at k = 1 in one product, and
-    only the ones that fail are retried one at a time."""
+    1..64 that N kills; each multiplier is tried in one product over the
+    vectors that every smaller multiplier failed."""
 
     def centred(W):
         return np.where(W > p // 2, W - p, W)
 
-    W = centred(basis % p)
-    for i in np.flatnonzero(~_killed(N, W)):
-        for k in range(2, _KERNEL_MULTIPLIERS + 1):
-            w = centred(basis[i] * k % p)
-            if _killed(N, w[None, :])[0]:
-                W[i] = w
-                break
-        else:
-            return None
+    W = np.zeros_like(basis)
+    failing = np.arange(len(basis))
+    for k in range(1, _KERNEL_MULTIPLIERS + 1):
+        if not failing.size:
+            break
+        Wk = centred(basis[failing] * k % p)
+        killed = _killed(N, Wk)
+        W[failing[killed]] = Wk[killed]
+        failing = failing[~killed]
+    if failing.size:
+        return None
     # one Fraction per distinct entry, shared by every vector
     frac = {x: Fraction(x) for x in np.unique(W).tolist()}
     return tuple(tuple(frac[x] for x in w) for w in W.tolist())

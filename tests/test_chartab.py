@@ -3,7 +3,10 @@
 Degree multisets for the small groups are frozen from standard references
 and double-checked by the sum-of-squares identity; structure constants are
 cross-checked against a brute-force product count that shares no code with
-the vectorized path.
+the vectorized path, and against the one-sift-per-class-pair oracle with
+the sift block cut below a class size.  The batched split must give the
+same serialized table as the one-eigenvalue-at-a-time oracle in
+`chartab_reference`.
 """
 
 import numpy as np
@@ -21,8 +24,9 @@ from ekrcheck.chartab import (
 from ekrcheck.cyclo import Cyc
 from ekrcheck.errors import TableFormatError
 from ekrcheck.group import PermutationGroup, conjugacy_classes
-from ekrcheck.library import get_group
+from ekrcheck.library import catalog_keys, get_group, get_spec
 
+import chartab_reference
 from chartab_reference import inner_product
 
 
@@ -154,6 +158,45 @@ def test_class_constant_row_sums(tables):
     for i in range(eg.n_classes):
         for l in range(eg.n_classes):
             assert mats[i, :, l].sum() == eg.class_sizes[i]
+
+
+@pytest.mark.parametrize("key", ["PGL(2,5)", "M11"])
+def test_blocked_class_constants_match_reference(tables, key, monkeypatch):
+    eg, _ = tables(key)
+    want = chartab_reference.class_constants(eg)
+    assert np.array_equal(class_constants(eg), want)
+    # a block smaller than the smallest nontrivial class splits every
+    # class, and with |G| not a multiple of it a block spans two classes l
+    block = min(eg.class_sizes[1:]) - 1
+    monkeypatch.setattr(chartab_mod, "SIFT_BLOCK", block)
+    assert len(eg.E) % block
+    assert np.array_equal(class_constants(eg), want)
+
+
+# ---- the split ----
+
+SMALL_DEGREE = [key for key in catalog_keys() if get_spec(key).degree <= 12]
+
+
+@pytest.mark.parametrize("seed", [1, 99])
+@pytest.mark.parametrize("key", SMALL_DEGREE)
+def test_split_matches_reference(tables, key, seed):
+    eg, t = tables(key)
+    new = t if seed == 1 else character_table(eg, seed=seed)
+    assert export_table(new) == export_table(chartab_reference.character_table(eg, seed))
+
+
+def test_int64_guard_rejects_a_large_prime(monkeypatch):
+    _, g = get_group("S3")
+    eg = conjugacy_classes(g)
+
+    def boom(*a, **kw):
+        raise AssertionError("class constants computed before the guard")
+
+    monkeypatch.setattr(chartab_mod, "prime_one_mod", lambda e, lower: 2**31 - 1)
+    monkeypatch.setattr(chartab_mod, "class_constants", boom)
+    with pytest.raises(AssertionError, match=r"\(p-1\)\^2 must stay below 2\^63"):
+        character_table(eg)
 
 
 # ---- inner products ----

@@ -8,8 +8,6 @@ not at every unit, and one that vanishes modulo the first split prime only.
 """
 
 import dataclasses
-import importlib.util
-import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -23,18 +21,8 @@ from ekrcheck.group import conjugacy_classes
 from ekrcheck.library import get_group
 
 from chartab_reference import first_orthogonality_failure
+from survey import SURVEY
 
-WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
-
-
-def _survey_keys() -> list[str]:
-    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return list(module.SURVEY)
-
-
-SURVEY = _survey_keys()
 
 
 @pytest.fixture(scope="module")
