@@ -16,7 +16,6 @@ from .pipeline import (
     classify_many,
     emit_csv,
     emit_json,
-    mathieu_reports,
     verify_witness,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "emit_json",
     "get_group",
     "get_spec",
-    "mathieu_reports",
     "verify_witness",
     "__version__",
 ]

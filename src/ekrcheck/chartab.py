@@ -21,7 +21,6 @@ below p^2, which must stay under 2^63.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
@@ -493,39 +492,8 @@ def parse_table(text: str) -> CharacterTable:
     return table
 
 
-# ---- cache ----
-
-
-def group_key(group: PermutationGroup) -> str:
-    """Stable cache key: hash of the degree and the sorted generator images."""
-    gens = sorted(tuple(g.images) for g in group.generators)
-    blob = repr((group.degree, gens)).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def character_table_for(
-    group: PermutationGroup,
-    cache_dir=None,
-    seed: int = 1,
-    cap: int | None = None,
-    eg: EnumeratedGroup | None = None,
+    group: PermutationGroup, eg: EnumeratedGroup | None = None
 ) -> CharacterTable:
-    """Table for a group, consulting the cache directory when given.
-
-    Cached files are re-verified on load, so a corrupted cache fails loudly
-    instead of poisoning results.
-    """
-    path = None
-    if cache_dir is not None:
-        from pathlib import Path
-
-        path = Path(cache_dir) / f"{group_key(group)}.ct"
-        if path.exists():
-            return parse_table(path.read_text())
-    if eg is None:
-        eg = conjugacy_classes(group) if cap is None else conjugacy_classes(group, cap)
-    table = character_table(eg, seed=seed)
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(export_table(table))
-    return table
+    """Table for a group, from its enumeration `eg` when the caller has one."""
+    return character_table(eg if eg is not None else conjugacy_classes(group))

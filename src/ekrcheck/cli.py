@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands:
-  classify   decide EKR/strict-EKR for catalog keys or a group file
+  classify   decide EKR/strict-EKR for catalog keys or a group file; a
+             group over the enumeration cap reads its character table
+             from --tables DIR when one is supplied there
   table      run every catalog group up to a degree bound
-  mathieu    the Mathieu family, with opt-in heavy cases
   witness    check an intersecting-set witness against a group
   oracle     brute-force cross-check for small groups
 
@@ -74,12 +75,12 @@ def _progress(enabled: bool, msg: str) -> None:
         print(msg, file=sys.stderr, flush=True)
 
 
-def _classify_all(keys_or_specs, caps, cache_dir, verbose):
+def _classify_all(keys_or_specs, caps, verbose, tables_dir=None):
     reports = []
     for item in keys_or_specs:
         label = item if isinstance(item, str) else item.name
         t0 = time.time()
-        rep = classify(item, caps=caps, cache_dir=cache_dir)
+        rep = classify(item, caps=caps, tables_dir=tables_dir)
         _progress(
             verbose,
             f"{label}: ekr={rep.ekr} strict={rep.strict} ({time.time() - t0:.1f}s)",
@@ -106,7 +107,7 @@ def _cmd_classify(args) -> int:
             if not specs:
                 raise SystemExit(f"ekr: error: no group entries in {name!r}")
             targets.extend(specs.values())
-    reports = _classify_all(targets, caps, args.cache, args.verbose)
+    reports = _classify_all(targets, caps, args.verbose, args.tables)
     _emit(reports, args.format, args.out)
     return _exit_code(reports)
 
@@ -118,22 +119,7 @@ def _cmd_table(args) -> int:
     ]
     if not keys:
         raise SystemExit(f"ekr: error: no catalog groups with degree <= {args.degree_max}")
-    reports = _classify_all(keys, caps, args.cache, args.verbose)
-    _emit(reports, args.format, args.out)
-    return _exit_code(reports)
-
-
-def _cmd_mathieu(args) -> int:
-    caps = _parse_caps(args.caps)
-    reports = pipeline.mathieu_reports(
-        include=tuple(args.include),
-        opt_in_24=24 in args.opt_in,
-        tables_dir=args.tables,
-        caps=caps,
-        cache_dir=args.cache,
-    )
-    for r in reports:
-        _progress(args.verbose, f"{r.key}: ekr={r.ekr} strict={r.strict}")
+    reports = _classify_all(keys, caps, args.verbose)
     _emit(reports, args.format, args.out)
     return _exit_code(reports)
 
@@ -162,7 +148,7 @@ def _read_witness_file(path: str, degree: int) -> list[Permutation]:
 def _cmd_witness(args) -> int:
     caps = _parse_caps(args.caps)
     spec = get_spec(args.group)
-    rep = classify(spec, caps=caps, cache_dir=args.cache)
+    rep = classify(spec, caps=caps)
     group = pipeline.build_group(spec)
     if args.set:
         elements = _read_witness_file(args.set, spec.degree)
@@ -197,9 +183,9 @@ def _cmd_oracle(args) -> int:
     spec = get_spec(args.group)
     group = pipeline.build_group(spec)
     alpha, members, count = brute_alpha(group, cap=caps.oracle, count_cap=caps.count)
-    rep = classify(spec, caps=caps, cache_dir=args.cache)
+    rep = classify(spec, caps=caps)
     eg = EnumeratedGroup(group, caps.enumeration)
-    table = pipeline.character_table_for(group, cache_dir=args.cache, eg=eg)
+    table = pipeline.character_table_for(group, eg=eg)
     spec_match = brute_spectrum_matches(eg.E, pipeline.spectrum(table))
     out = {
         "group": args.group,
@@ -218,7 +204,6 @@ def _cmd_oracle(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cache", metavar="DIR", help="character-table cache directory")
     p.add_argument(
         "--caps",
         metavar="KEY=N",
@@ -246,6 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY|FILE",
         help="catalog key, or a file of group entries (repeatable)",
     )
+    p.add_argument(
+        "--tables",
+        metavar="DIR",
+        help="character tables <DIR>/<key>.ct for groups over the enumeration cap",
+    )
     _add_output(p)
     _add_common(p)
     p.set_defaults(func=_cmd_classify)
@@ -255,29 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     _add_common(p)
     p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("mathieu", help="the Mathieu family")
-    p.add_argument(
-        "--include",
-        type=int,
-        nargs="*",
-        choices=(22, 23),
-        default=[],
-        help="also run the degree-22/23 cases",
-    )
-    p.add_argument(
-        "--opt-in",
-        type=int,
-        nargs="*",
-        choices=(24,),
-        default=[],
-        help="enable the degree-24 case (its 20401920-element class is over "
-        "the class-orbit cap, so its rank stays unknown)",
-    )
-    p.add_argument("--tables", metavar="DIR", help="directory of imported character tables")
-    _add_output(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_mathieu)
 
     p = sub.add_parser("witness", help="verify an intersecting-set witness")
     p.add_argument("--group", required=True, metavar="KEY")

@@ -226,21 +226,11 @@ def projection_norm(eg: EnumeratedGroup, table: CharacterTable, idx, row: int) -
     return val
 
 
-def clique_char_sum(eg: EnumeratedGroup, table: CharacterTable, idx, row: int) -> Cyc:
-    """chi(C) = sum over the clique of the character value (reported for
-    comparison with the projection norm, not used for certification)."""
-    acc = Cyc.zero(1)
-    for i in idx:
-        acc = acc + table.values[row][int(eg.class_of[i])]
-    return acc
-
-
 @dataclass
 class ModuleWitness:
     row: int
     clique_idx: list[int] | None
     norm: Cyc | None
-    char_sum: Cyc | None
 
     @property
     def witnessed(self) -> bool:
@@ -251,17 +241,17 @@ def module_by_clique(
     eg: EnumeratedGroup,
     table: CharacterTable,
     budget: int = DEFAULT_NODE_BUDGET,
-    attempts: int = DEFAULT_CLIQUE_ATTEMPTS,
 ) -> dict[int, ModuleWitness]:
     """For every character other than trivial and standard, hunt for an
-    n-clique whose projection to that module is nonzero.
+    n-clique whose projection to that module is nonzero, over at most
+    `DEFAULT_CLIQUE_ATTEMPTS` distinct cliques.
 
     All-witnessed output certifies condition (b): maximum independent set
     vectors then lie in the span of the trivial and standard modules.
     Unwitnessed rows stay unknown; that is a legitimate outcome.
     """
     targets = [r for r in range(table.k) if r not in (table.trivial, table.standard)]
-    result = {r: ModuleWitness(row=r, clique_idx=None, norm=None, char_sum=None) for r in targets}
+    result = {r: ModuleWitness(row=r, clique_idx=None, norm=None) for r in targets}
     if not targets:
         return result
     pending = set(targets)
@@ -275,19 +265,14 @@ def module_by_clique(
         for r in list(pending):
             norm = projection_norm(eg, table, idx, r)
             if norm.sign_real() > 0:
-                result[r] = ModuleWitness(
-                    row=r,
-                    clique_idx=list(idx),
-                    norm=norm,
-                    char_sum=clique_char_sum(eg, table, idx, r),
-                )
+                result[r] = ModuleWitness(row=r, clique_idx=list(idx), norm=norm)
                 pending.discard(r)
 
     shortcut = _cyclic_shortcut(eg)
     if shortcut is not None:
         try_clique(shortcut)
     for idx in iter_n_cliques(eg, budget):
-        if not pending or len(seen) >= attempts:
+        if not pending or len(seen) >= DEFAULT_CLIQUE_ATTEMPTS:
             break
         try_clique(idx)
     return result

@@ -39,7 +39,6 @@ from .modmath import (
 from .perm import Permutation
 
 HBAR_CAP = 250_000
-GRAM_ROW_CAP = 1_000_000
 PROJECTION_CAP = 2_000
 GRAM_L_CAP = 50_000
 _KERNEL_MULTIPLIERS = 64
@@ -88,15 +87,10 @@ def gram_offdiag(rows: np.ndarray, n: int) -> np.ndarray:
     return N
 
 
-def gram_M(eg: EnumeratedGroup, row_cap: int = GRAM_ROW_CAP) -> np.ndarray:
-    """Gram matrix of the full derangement block M (direct mode)."""
-    der = eg.E[eg.fix_counts_all == 0]
-    if der.shape[0] > row_cap:
-        raise ValueError(
-            f"{der.shape[0]} derangement rows exceed the direct-mode cap "
-            f"{row_cap}; restrict to a class instead"
-        )
-    return gram_offdiag(der, eg.group.degree)
+def gram_M(eg: EnumeratedGroup) -> np.ndarray:
+    """Gram matrix of the full derangement block M; the enumeration cap
+    already bounds its rows."""
+    return gram_offdiag(eg.E[eg.fix_counts_all == 0], eg.group.degree)
 
 
 # ---- module matrices for enumerable groups ----
@@ -198,20 +192,25 @@ class RankCertificate:
                 and rank_mod(np.asarray(N) % self.primes[0], self.primes[0])
                 == self.columns
             )
-        if not self.kernel:
+        if not self.kernel or not _kernel_holds(N, self.kernel):
             return False
-        No = np.asarray(N, dtype=object)
-        for w in self.kernel:
-            scale = 1
-            for c in w:
-                scale = scale * c.denominator // np.gcd(scale, c.denominator)
-            wi = np.array([int(c * scale) for c in w], dtype=object)
-            if not any(wi):
-                return False
-            if any(No @ wi):
-                return False
         lower = max(rank_mod(np.asarray(N) % p, p) for p in self.primes)
         return self.claimed_rank == self.columns - len(self.kernel) == lower
+
+
+def _kernel_holds(N: np.ndarray, kernel) -> bool:
+    """Whether every rational vector w of `kernel` is nonzero with N w = 0
+    exactly: w is scaled to integers by the lcm of its denominators and
+    multiplied out in Python ints."""
+    No = np.asarray(N, dtype=object)
+    for w in kernel:
+        scale = 1
+        for c in w:
+            scale = scale * c.denominator // np.gcd(scale, c.denominator)
+        wi = np.array([int(c * scale) for c in w], dtype=object)
+        if not any(wi) or any(No @ wi):
+            return False
+    return True
 
 
 _rank_prime_cache: list[int] = []
@@ -325,13 +324,7 @@ def rank_certificate(N: np.ndarray) -> RankCertificate:
     # rational elimination
     rank, fr_basis = _fraction_kernel(N)
     kernel = tuple(tuple(w) for w in fr_basis)
-    No = np.asarray(N, dtype=object)
-    for w in kernel:
-        scale = 1
-        for c in w:
-            scale = scale * c.denominator // np.gcd(scale, c.denominator)
-        wi = np.array([int(c * scale) for c in w], dtype=object)
-        assert not any(No @ wi)
+    assert _kernel_holds(N, kernel)
     return RankCertificate(cols, rank, rank == cols, "exact elimination", (p1, p2), kernel)
 
 

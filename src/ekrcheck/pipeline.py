@@ -30,7 +30,6 @@ import numpy as np
 
 from .chartab import CharacterTable, character_table_for, parse_table
 from .cliques import (
-    DEFAULT_CLIQUE_ATTEMPTS,
     DEFAULT_NODE_BUDGET,
     Clique,
     SearchStats,
@@ -53,7 +52,7 @@ from .group import (
     conjugation_orbit,
 )
 from .library import GroupSpec, ProjectiveModel, build_group, get_spec
-from .modrank import GRAM_ROW_CAP, class_gram, gram_M, rank_certificate
+from .modrank import class_gram, gram_M, rank_certificate
 from .perm import Permutation
 from .weighted import weighted_ratio_certificate, weighted_ratio_holds
 
@@ -88,9 +87,7 @@ class Caps:
     wrong verdict."""
 
     enumeration: int = ENUMERATION_CAP
-    gram_rows: int = GRAM_ROW_CAP
     clique_budget: int = DEFAULT_NODE_BUDGET
-    clique_attempts: int = DEFAULT_CLIQUE_ATTEMPTS
     oracle: int = ORACLE_CAP
     count: int = COUNT_CAP
 
@@ -465,24 +462,6 @@ def _class_gram_rank(report: EkrReport, rows: np.ndarray, order: int) -> bool:
     return cg.psd_certified
 
 
-def _class_mode_rank(eg: EnumeratedGroup, report: EkrReport) -> None:
-    """Rank through the Gram matrix of one derangement class, used when the
-    full derangement set is too large to multiply out.  Prefers classes of
-    large element order; certifies full column rank only through the
-    positive-definite pattern."""
-    cands = [
-        c
-        for c in range(eg.n_classes)
-        if eg.class_fix[c] == 0 and eg.class_sizes[c] <= GRAM_ROW_CAP
-    ]
-    cands.sort(key=lambda c: (-eg.class_orders[c], eg.class_sizes[c]))
-    for c in cands:
-        rows = eg.E[np.nonzero(eg.class_of == c)[0]]
-        if _class_gram_rank(report, rows, eg.class_orders[c]):
-            return
-    report.notes.append("rank: no single class certified positive-definiteness")
-
-
 def _decide_strict(
     report: EkrReport,
     spc: DerangementSpectrum | None,
@@ -594,12 +573,7 @@ def _streamed_route(report: EkrReport, group: PermutationGroup, tables_dir) -> N
     report.timings["rank"] = time.perf_counter() - t
 
 
-def classify(
-    key_or_spec,
-    caps: Caps | None = None,
-    cache_dir=None,
-    tables_dir=None,
-) -> EkrReport:
+def classify(key_or_spec, caps: Caps | None = None, tables_dir=None) -> EkrReport:
     """Full decision sequence for one catalogued group.
 
     A group over the enumeration cap takes the streamed route instead
@@ -622,7 +596,7 @@ def classify(
         _streamed_route(report, group, tables_dir)
     else:
         t = time.perf_counter()
-        table = character_table_for(group, cache_dir=cache_dir, eg=eg)
+        table = character_table_for(group, eg=eg)
         report.timings["table"] = time.perf_counter() - t
 
         t = time.perf_counter()
@@ -665,9 +639,7 @@ def classify(
                 report.module_by_clique = "unknown"
             else:
                 t = time.perf_counter()
-                wits = module_by_clique(
-                    eg, table, budget=caps.clique_budget, attempts=caps.clique_attempts
-                )
+                wits = module_by_clique(eg, table, budget=caps.clique_budget)
                 done = all(w.witnessed for w in wits.values())
                 report.module_by_clique = "yes" if done else "unknown"
                 report.certificates.append(
@@ -680,23 +652,19 @@ def classify(
                 report.timings["module"] = time.perf_counter() - t
 
         t = time.perf_counter()
-        if spc.d <= caps.gram_rows:
-            N = gram_M(eg, row_cap=caps.gram_rows)
-            cert = rank_certificate(N)
-            report.rank_full = "yes" if cert.full else "no"
-            report.rank_mode = cert.mode
-            report.certificates.append(
-                {
-                    "kind": "rank",
-                    "columns": cert.columns,
-                    "claimed_rank": cert.claimed_rank,
-                    "mode": cert.mode,
-                    "primes": list(cert.primes),
-                    "kernel_digest": _digest(cert.kernel) if cert.kernel else None,
-                }
-            )
-        else:
-            _class_mode_rank(eg, report)
+        cert = rank_certificate(gram_M(eg))
+        report.rank_full = "yes" if cert.full else "no"
+        report.rank_mode = cert.mode
+        report.certificates.append(
+            {
+                "kind": "rank",
+                "columns": cert.columns,
+                "claimed_rank": cert.claimed_rank,
+                "mode": cert.mode,
+                "primes": list(cert.primes),
+                "kernel_digest": _digest(cert.kernel) if cert.kernel else None,
+            }
+        )
         report.timings["rank"] = time.perf_counter() - t
 
         witness_ok = False
@@ -734,14 +702,9 @@ def table_order(report: EkrReport) -> tuple:
     return (report.degree, -report.order, report.key)
 
 
-def classify_many(
-    keys,
-    caps: Caps | None = None,
-    cache_dir=None,
-    tables_dir=None,
-) -> list[EkrReport]:
+def classify_many(keys, caps: Caps | None = None, tables_dir=None) -> list[EkrReport]:
     """Classify each key; reports in `table_order`."""
-    return sorted((classify(k, caps, cache_dir, tables_dir) for k in keys), key=table_order)
+    return sorted((classify(k, caps, tables_dir) for k in keys), key=table_order)
 
 
 # ---- report emission ----
@@ -764,24 +727,3 @@ def strip_timings(json_text: str):
     for row in data:
         row.pop("timings", None)
     return data
-
-
-# ---- Mathieu family ----
-
-MATHIEU_BASE = ["M10", "M11", "M12", "M21"]
-
-
-def mathieu_reports(
-    include: tuple[int, ...] = (),
-    opt_in_24: bool = False,
-    tables_dir=None,
-    caps: Caps | None = None,
-    cache_dir=None,
-) -> list[EkrReport]:
-    """Reports for M10, M11, M12 and M21, plus M22 and M23 with
-    include=22/23 and M24 with opt_in_24.  M23 and M24 are over the
-    default enumeration cap, so `classify` takes its streamed route."""
-    keys = MATHIEU_BASE + [f"M{d}" for d in (22, 23) if d in include]
-    if opt_in_24:
-        keys.append("M24")
-    return classify_many(keys, caps, cache_dir, tables_dir)

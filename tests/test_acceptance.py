@@ -59,20 +59,20 @@ _oracle_seconds: list[float] = []
 
 
 @pytest.fixture(scope="module")
-def survey(table_cache):
+def survey():
     """Classify every catalog group of degree <= 20, once."""
     out = {}
     for key in SURVEY_KEYS:
         t0 = time.perf_counter()
-        out[key] = (pl.classify(key, cache_dir=table_cache), time.perf_counter() - t0)
+        out[key] = (pl.classify(key), time.perf_counter() - t0)
     return out
 
 
 @pytest.fixture(scope="module")
-def mathieu_core(table_cache, survey):
+def mathieu_core(survey):
     out = {k: survey[k] for k in ("M10", "M11", "M12")}
     t0 = time.perf_counter()
-    out["M21"] = (pl.classify("M21", cache_dir=table_cache), time.perf_counter() - t0)
+    out["M21"] = (pl.classify("M21"), time.perf_counter() - t0)
     return out
 
 
@@ -196,9 +196,9 @@ def m21_enumerated():
 
 
 @pytest.mark.parametrize("key", MATHIEU_CORE)
-def test_mathieu_core_least_value(key, mathieu_core, table_cache):
+def test_mathieu_core_least_value(key, mathieu_core):
     rep, _ = mathieu_core[key]
-    table = character_table_for(build_group(get_spec(key)), cache_dir=table_cache)
+    table = character_table_for(build_group(get_spec(key)))
     spc = spectrum(table)
     tau, is_least, _ = least_analysis(spc, table)
     assert is_least
@@ -207,9 +207,9 @@ def test_mathieu_core_least_value(key, mathieu_core, table_cache):
 
 
 @pytest.mark.parametrize("key", MATHIEU_CORE)
-def test_mathieu_core_least_attained_only_by_standard(key, mathieu_core, table_cache):
+def test_mathieu_core_least_attained_only_by_standard(key, mathieu_core):
     rep, _ = mathieu_core[key]
-    table = character_table_for(build_group(get_spec(key)), cache_dir=table_cache)
+    table = character_table_for(build_group(get_spec(key)))
     spc = spectrum(table)
     _, _, is_unique = least_analysis(spc, table)
     if key == "M10":
@@ -241,12 +241,12 @@ def test_mathieu_core_rank_full(key, mathieu_core, request):
 
 
 @pytest.mark.parametrize("key", MATHIEU_CORE)
-def test_mathieu_core_strict_yes(key, mathieu_core, table_cache, request):
+def test_mathieu_core_strict_yes(key, mathieu_core, request):
     rep, _ = mathieu_core[key]
     assert (rep.strict, rep.strict_reason) == MATHIEU_STRICT[key]
     if rep.strict == "yes" and rep.unique != "yes":
         # M10: condition (b) by the weighted ratio certificate
-        table = character_table_for(build_group(get_spec(key)), cache_dir=table_cache)
+        table = character_table_for(build_group(get_spec(key)))
         (cert,) = [c for c in rep.certificates if c["kind"] == "weighted-ratio"]
         assert verify_weighted_ratio(table, cert)
     if rep.strict == "no":
@@ -338,8 +338,8 @@ def test_degree_23_class_gram_pattern():
 
 
 @pytest.mark.parametrize("key", SURVEY_KEYS + ["M21"])
-def test_spectral_identities(key, table_cache, survey, mathieu_core):
-    table = character_table_for(build_group(get_spec(key)), cache_dir=table_cache)
+def test_spectral_identities(key, survey, mathieu_core):
+    table = character_table_for(build_group(get_spec(key)))
     spc = spectrum(table)
     n, order, d = spc.n, spc.order, spc.d
 
@@ -360,11 +360,11 @@ def test_spectral_identities(key, table_cache, survey, mathieu_core):
 
 
 @pytest.mark.parametrize("key", ORACLE_KEYS)
-def test_oracle_equivalence(key, table_cache):
+def test_oracle_equivalence(key):
     t0 = time.perf_counter()
     spec, g = get_group(key)
     eg = EnumeratedGroup(g)
-    table = character_table_for(g, cache_dir=table_cache, eg=eg)
+    table = character_table_for(g, eg=eg)
     assert brute_spectrum_matches(eg.E, spectrum(table))
     alpha, members, _ = pl.brute_alpha(g)
     assert alpha * spec.degree == spec.expected_order

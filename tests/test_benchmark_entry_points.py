@@ -45,8 +45,8 @@ def test_streamed_class_entry_points_keep_their_call_forms():
 
 
 def test_certificate_layer_entry_points_keep_their_call_forms():
-    # the traced wrappers forward rank_certificate(N), and character_table
-    # is called as (eg) and as (eg, seed=...) by character_table_for
+    # the traced wrappers forward rank_certificate(N); character_table_for
+    # calls character_table as (eg), and the tests as (eg, seed=...)
     inspect.signature(pl.rank_certificate).bind(object())
     inspect.signature(chartab.character_table).bind(object())
     inspect.signature(chartab.character_table).bind(object(), seed=1)

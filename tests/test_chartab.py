@@ -13,17 +13,10 @@ import numpy as np
 import pytest
 
 import ekrcheck.chartab as chartab_mod
-from ekrcheck.chartab import (
-    character_table,
-    character_table_for,
-    class_constants,
-    export_table,
-    group_key,
-    parse_table,
-)
+from ekrcheck.chartab import character_table, class_constants, export_table, parse_table
 from ekrcheck.cyclo import Cyc
 from ekrcheck.errors import TableFormatError
-from ekrcheck.group import PermutationGroup, conjugacy_classes
+from ekrcheck.group import conjugacy_classes
 from ekrcheck.library import catalog_keys, get_group, get_spec
 
 import chartab_reference
@@ -300,31 +293,3 @@ def test_corrupted_tables_rejected(tables):
     for case in bad:
         with pytest.raises(TableFormatError):
             parse_table(case)
-
-
-# ---- cache ----
-
-
-def test_cache_roundtrip(tmp_path, monkeypatch):
-    _, g = get_group("S3")
-    t1 = character_table_for(g, cache_dir=tmp_path)
-    files = list(tmp_path.glob("*.ct"))
-    assert len(files) == 1
-
-    def boom(*a, **kw):
-        raise AssertionError("cache miss")
-
-    monkeypatch.setattr(chartab_mod, "character_table", boom)
-    t2 = character_table_for(g, cache_dir=tmp_path)
-    assert t2.degrees == t1.degrees
-    files[0].write_text(files[0].read_text().replace("1 3 0", "3 1 0", 1))
-    with pytest.raises(TableFormatError):
-        character_table_for(g, cache_dir=tmp_path)
-
-
-def test_group_key_ignores_generator_order():
-    _, g = get_group("S3")
-    rev = PermutationGroup(list(reversed(g.generators)), g.degree)
-    assert group_key(g) == group_key(rev)
-    _, h = get_group("A4")
-    assert group_key(g) != group_key(h)

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from ekrcheck.chartab import character_table_for, export_table
 from ekrcheck.cli import main
-from ekrcheck.library import GroupSpec, format_catalog, get_spec
+from ekrcheck.library import GroupSpec, format_catalog, get_group, get_spec
 
 CSV_HEADER = "n,Group,size,least,n-clique,EKR,unique,module-by-clique,rank,strict"
 
@@ -16,41 +17,34 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_classify_csv(capsys, table_cache):
-    code, out, _ = run(
-        capsys, "classify", "--group", "S3", "--format", "csv", "--cache", table_cache
-    )
+def test_classify_csv(capsys):
+    code, out, _ = run(capsys, "classify", "--group", "S3", "--format", "csv")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines == [CSV_HEADER, "3,S3,6,Y,Y,Y,Y,--,Y,Y"]
 
 
-def test_classify_json_default(capsys, table_cache):
-    code, out, _ = run(capsys, "classify", "--group", "F20", "--cache", table_cache)
+def test_classify_json_default(capsys):
+    code, out, _ = run(capsys, "classify", "--group", "F20")
     assert code == 0
     (obj,) = json.loads(out)
     assert obj["key"] == "F20"
     assert obj["strict"] == {"verdict": "no", "reason": "complete-union"}
 
 
-def test_classify_multiple_groups_sorted(capsys, table_cache):
+def test_classify_multiple_groups_sorted(capsys):
     code, out, _ = run(
-        capsys,
-        "classify", "--group", "F20", "--group", "S3",
-        "--format", "csv", "--cache", table_cache,
+        capsys, "classify", "--group", "F20", "--group", "S3", "--format", "csv"
     )
     assert code == 0
     rows = out.strip().split("\n")[1:]
     assert [r.split(",")[1] for r in rows] == ["S3", "F20"]
 
 
-def test_classify_group_file(capsys, tmp_path, table_cache):
+def test_classify_group_file(capsys, tmp_path):
     path = tmp_path / "mini.cat"
     path.write_text(format_catalog([get_spec("A4")]))
-    code, out, _ = run(
-        capsys, "classify", "--group", str(path), "--format", "csv",
-        "--cache", table_cache,
-    )
+    code, out, _ = run(capsys, "classify", "--group", str(path), "--format", "csv")
     assert code == 0
     assert out.strip().split("\n")[1].startswith("4,A4,12,")
 
@@ -74,18 +68,25 @@ def test_classify_over_cap_group_without_streamed_class_is_partial(capsys, tmp_p
     assert "no streamed-class route registered for this group" in obj["notes"]
 
 
+def test_classify_over_cap_group_reads_a_supplied_table(capsys, tmp_path):
+    _, g = get_group("PGL(2,5)")
+    (tmp_path / "PGL(2,5).ct").write_text(export_table(character_table_for(g)))
+    code, out, _ = run(
+        capsys, "classify", "--group", "PGL(2,5)", "--caps", "enumeration=10",
+        "--tables", str(tmp_path), "--format", "csv",
+    )
+    assert code == 2  # rank stays unknown: no streamed class is registered
+    assert out.strip().split("\n")[1] == "6,PGL(2,5),120,Y,--,Y,N,--,?,?"
+
+
 def test_classify_unknown_group_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--group", "NoSuchGroup"])
     assert "neither a catalog key nor a readable file" in str(exc.value)
 
 
-def test_classify_caps_partial_exits_2(capsys, table_cache):
-    code, out, _ = run(
-        capsys,
-        "classify", "--group", "M11", "--caps", "enumeration=100",
-        "--cache", table_cache,
-    )
+def test_classify_caps_partial_exits_2(capsys):
+    code, out, _ = run(capsys, "classify", "--group", "M11", "--caps", "enumeration=100")
     assert code == 2
     (obj,) = json.loads(out)
     assert obj["least_standard"] == "unknown"
@@ -103,22 +104,18 @@ def test_usage_error_exits_1():
     assert exc.value.code == 1
 
 
-def test_out_file(capsys, tmp_path, table_cache):
+def test_out_file(capsys, tmp_path):
     target = tmp_path / "report.csv"
     code, out, _ = run(
         capsys,
-        "classify", "--group", "S3", "--format", "csv",
-        "--out", str(target), "--cache", table_cache,
+        "classify", "--group", "S3", "--format", "csv", "--out", str(target),
     )
     assert code == 0 and out == ""
     assert target.read_text().startswith(CSV_HEADER)
 
 
-def test_table_small_degrees(capsys, table_cache):
-    code, out, _ = run(
-        capsys,
-        "table", "--degree-max", "4", "--format", "csv", "--cache", table_cache,
-    )
+def test_table_small_degrees(capsys):
+    code, out, _ = run(capsys, "table", "--degree-max", "4", "--format", "csv")
     assert code == 0
     rows = out.strip().split("\n")[1:]
     keys = [r.split(",")[1] for r in rows]
@@ -127,10 +124,8 @@ def test_table_small_degrees(capsys, table_cache):
     assert degrees == sorted(degrees) and max(degrees) <= 4
 
 
-def test_witness_registered(capsys, table_cache):
-    code, out, _ = run(
-        capsys, "witness", "--group", "PGL(3,2)", "--cache", table_cache
-    )
+def test_witness_registered(capsys):
+    code, out, _ = run(capsys, "witness", "--group", "PGL(3,2)")
     assert code == 0
     verdict = json.loads(out)
     assert verdict["intersecting"] and verdict["maximum"]
@@ -138,39 +133,33 @@ def test_witness_registered(capsys, table_cache):
     assert verdict["refutes_strict"]
 
 
-def test_witness_from_file(capsys, tmp_path, table_cache):
+def test_witness_from_file(capsys, tmp_path):
     # the rotation coset g(1)=2 in cycle notation, and one row as images
     path = tmp_path / "set.txt"
     path.write_text("# point-stabilizer coset of S3\n(1,2)\n(1,2,3)\n")
-    code, out, _ = run(
-        capsys,
-        "witness", "--group", "S3", "--set", str(path), "--cache", table_cache,
-    )
+    code, out, _ = run(capsys, "witness", "--group", "S3", "--set", str(path))
     assert code == 0
     verdict = json.loads(out)
     assert verdict["intersecting"] and verdict["maximum"] and verdict["canonical"]
 
 
-def test_witness_file_image_rows(capsys, tmp_path, table_cache):
+def test_witness_file_image_rows(capsys, tmp_path):
     path = tmp_path / "set.txt"
     path.write_text("0 1 2\n1 0 2\n")
-    code, out, _ = run(
-        capsys,
-        "witness", "--group", "S3", "--set", str(path), "--cache", table_cache,
-    )
+    code, out, _ = run(capsys, "witness", "--group", "S3", "--set", str(path))
     assert code == 0
     verdict = json.loads(out)
     assert verdict["intersecting"]
 
 
-def test_witness_unregistered_needs_set(table_cache):
+def test_witness_unregistered_needs_set():
     with pytest.raises(SystemExit) as exc:
-        main(["witness", "--group", "S3", "--cache", table_cache])
+        main(["witness", "--group", "S3"])
     assert "no registered witness" in str(exc.value)
 
 
-def test_oracle(capsys, table_cache):
-    code, out, _ = run(capsys, "oracle", "--group", "A4", "--cache", table_cache)
+def test_oracle(capsys):
+    code, out, _ = run(capsys, "oracle", "--group", "A4")
     assert code == 0
     obj = json.loads(out)
     assert obj["alpha"] == 3
@@ -179,27 +168,13 @@ def test_oracle(capsys, table_cache):
     assert obj["maximum_set_count"] == 64
 
 
-def test_oracle_cap_exit_1(capsys, table_cache):
-    code, _, err = run(capsys, "oracle", "--group", "M11", "--cache", table_cache)
+def test_oracle_cap_exit_1(capsys):
+    code, _, err = run(capsys, "oracle", "--group", "M11")
     assert code == 1
     assert "cap exceeded" in err
 
 
-def test_mathieu_csv(capsys, table_cache):
-    code, out, _ = run(
-        capsys,
-        "mathieu", "--format", "csv", "--caps", "enumeration=100",
-        "--cache", table_cache,
-    )
-    assert code == 2  # everything partial under the tiny cap
-    rows = out.strip().split("\n")[1:]
-    assert [r.split(",")[1] for r in rows] == ["M10", "M11", "M12", "M21"]
-
-
-def test_verbose_progress_on_stderr(capsys, table_cache):
-    code, _, err = run(
-        capsys,
-        "classify", "--group", "S3", "--verbose", "--cache", table_cache,
-    )
+def test_verbose_progress_on_stderr(capsys):
+    code, _, err = run(capsys, "classify", "--group", "S3", "--verbose")
     assert code == 0
     assert "S3: ekr=yes strict=yes" in err

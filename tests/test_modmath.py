@@ -85,3 +85,4 @@ def test_rank_certificate_matches_reference_on_fallback():
     cert = mr.rank_certificate(N)
     assert cert == ref.rank_certificate(N)
     assert cert.mode == "exact elimination" and cert.claimed_rank == 2
+    assert cert.reverify(N)

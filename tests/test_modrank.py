@@ -1,5 +1,6 @@
 """Coset-incidence matrices, rank certificates, and the pairs graph."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -92,11 +93,6 @@ def test_build_M_cap(groups):
         mr.build_M(groups("F20"), cap=3)
 
 
-def test_gram_M_row_cap(groups):
-    with pytest.raises(ValueError):
-        mr.gram_M(groups("F20"), row_cap=3)
-
-
 # ---- rank certificates ----
 
 
@@ -156,6 +152,13 @@ def test_reverify_rejects_wrong_matrix(groups):
     cert = mr.rank_certificate(N)
     other = np.zeros_like(N)
     assert not cert.reverify(other)
+
+
+def test_reverify_rejects_a_zero_kernel_vector(groups):
+    N = mr.gram_M(groups("F20"))
+    cert = mr.rank_certificate(N)
+    zero = tuple(Fraction(0) for _ in cert.kernel[0])
+    assert not dataclasses.replace(cert, kernel=(zero,) + cert.kernel[1:]).reverify(N)
 
 
 # ---- pairs graph ----

@@ -17,12 +17,12 @@ from ekrcheck.weighted import verify_weighted_ratio
 
 
 @pytest.fixture(scope="module")
-def reports(table_cache):
+def reports():
     cache = {}
 
     def load(key):
         if key not in cache:
-            cache[key] = pl.classify(key, cache_dir=table_cache)
+            cache[key] = pl.classify(key)
         return cache[key]
 
     return load
@@ -63,7 +63,7 @@ def test_pgl32_witness_strict_no(reports):
     assert cert["size"] == 24
 
 
-def test_pgl25_strict_stays_unknown(reports, table_cache):
+def test_pgl25_strict_stays_unknown(reports):
     # The name records a former gap: rank is full but the least eigenvalue
     # is shared and no clique witnesses every module, so condition (b) had
     # no route and strict stayed unknown.  A weighted ratio certificate
@@ -73,7 +73,7 @@ def test_pgl25_strict_stays_unknown(reports, table_cache):
     assert r.strict == "yes" and r.strict_reason == "module-method"
     assert r.module_by_clique == "not-tried"
     _, g = get_group("PGL(2,5)")
-    table = pl.character_table_for(g, cache_dir=table_cache)
+    table = pl.character_table_for(g)
     (cert,) = [c for c in r.certificates if c["kind"] == "weighted-ratio"]
     assert verify_weighted_ratio(table, cert)
     alpha, _, count = pl.brute_alpha(g)
@@ -86,21 +86,21 @@ def test_classify_rejects_low_transitivity():
         pl.classify(c5)
 
 
-def test_caps_give_partial_report_not_wrong_verdict(table_cache):
+def test_caps_give_partial_report_not_wrong_verdict():
     caps = pl.Caps(enumeration=100)
-    r = pl.classify("M11", caps=caps, cache_dir=table_cache)
+    r = pl.classify("M11", caps=caps)
     assert r.partial
     assert r.least_standard == "unknown" and r.ekr == "unknown"
     assert r.strict == "unknown"
     r.validate()
 
 
-def test_m10_n_clique_no_by_exhaustion_and_unknown_at_the_budget(reports, table_cache):
+def test_m10_n_clique_no_by_exhaustion_and_unknown_at_the_budget(reports):
     r = reports("M10")
     assert r.n_clique == "no" and r.csv_row()[4] == "N"
     (cert,) = [c for c in r.certificates if c["kind"] == "n-clique-exhausted"]
     assert cert["nodes"] > 1
-    short = pl.classify("M10", caps=pl.Caps(clique_budget=1), cache_dir=table_cache)
+    short = pl.classify("M10", caps=pl.Caps(clique_budget=1))
     assert short.n_clique == "unknown" and short.csv_row()[4] == "?"
     assert "n-clique search stopped at the node budget: 1 of 1 nodes" in short.notes
     assert not any(c["kind"].startswith("n-clique") for c in short.certificates)
@@ -248,8 +248,8 @@ def test_csv_empty_reports_is_header_only():
     assert pl.emit_csv([]) == "n,Group,size,least,n-clique,EKR,unique,module-by-clique,rank,strict\n"
 
 
-def test_csv_partial_marks(table_cache):
-    r = pl.classify("M11", caps=pl.Caps(enumeration=100), cache_dir=table_cache)
+def test_csv_partial_marks():
+    r = pl.classify("M11", caps=pl.Caps(enumeration=100))
     row = pl.emit_csv([r]).strip().split("\n")[1]
     assert row == "11,M11,7920,?,--,?,?,--,?,?"
 
@@ -267,16 +267,16 @@ def test_json_schema_fields(reports):
     assert obj["d"] == 2
 
 
-def test_json_deterministic_modulo_timings(table_cache):
-    a = pl.classify("PGL(2,5)", cache_dir=table_cache)
-    b = pl.classify("PGL(2,5)", cache_dir=table_cache)
+def test_json_deterministic_modulo_timings():
+    a = pl.classify("PGL(2,5)")
+    b = pl.classify("PGL(2,5)")
     ja = pl.strip_timings(pl.emit_json([a]))
     jb = pl.strip_timings(pl.emit_json([b]))
     assert ja == jb
 
 
-def test_classify_many_table_order(table_cache):
-    reports = pl.classify_many(["F20", "PGL(2,5)", "S3", "A4"], cache_dir=table_cache)
+def test_classify_many_table_order():
+    reports = pl.classify_many(["F20", "PGL(2,5)", "S3", "A4"])
     assert [r.key for r in reports] == ["S3", "A4", "F20", "PGL(2,5)"]
     degrees = [r.degree for r in reports]
     assert degrees == sorted(degrees)
@@ -285,10 +285,10 @@ def test_classify_many_table_order(table_cache):
 # ---- imported character tables ----
 
 
-def test_imported_table_round_trip(tmp_path, table_cache):
+def test_imported_table_round_trip(tmp_path):
     spec, g = get_group("PGL(2,5)")
     eg = EnumeratedGroup(g)
-    table = pl.character_table_for(g, cache_dir=table_cache, eg=eg)
+    table = pl.character_table_for(g, eg=eg)
     path = tmp_path / "pgl25.ct"
     path.write_text(export_table(table))
 
@@ -299,9 +299,9 @@ def test_imported_table_round_trip(tmp_path, table_cache):
     assert r.strict == "unknown"
 
 
-def test_imported_table_rejects_wrong_group(tmp_path, table_cache):
+def test_imported_table_rejects_wrong_group(tmp_path):
     _, g3 = get_group("S3")
-    table = pl.character_table_for(g3, cache_dir=table_cache)
+    table = pl.character_table_for(g3)
     path = tmp_path / "s3.ct"
     path.write_text(export_table(table))
     _, g4 = get_group("A4")
@@ -313,21 +313,15 @@ def test_imported_table_rejects_wrong_group(tmp_path, table_cache):
 # ---- group-file classification ----
 
 
-def test_classify_from_spec_matches_key(table_cache):
+def test_classify_from_spec_matches_key():
     spec = get_spec("F20")
     text = format_catalog([spec])
-    reparsed = pl.classify(spec, cache_dir=table_cache)
-    direct = pl.classify("F20", cache_dir=table_cache)
+    reparsed = pl.classify(spec)
+    direct = pl.classify("F20")
     assert pl.strip_timings(pl.emit_json([reparsed])) == pl.strip_timings(
         pl.emit_json([direct])
     )
     assert "F20" in text
-
-
-def test_mathieu_base_order(table_cache):
-    reports = pl.mathieu_reports(cache_dir=table_cache, caps=pl.Caps(enumeration=100))
-    assert [r.key for r in reports] == ["M10", "M11", "M12", "M21"]
-    assert all(r.partial for r in reports)
 
 
 # ---- groups over the enumeration cap ----
@@ -366,9 +360,9 @@ def test_class_rank_checks_the_cap_before_the_orbit(monkeypatch):
     assert r.rank_full == "unknown"
 
 
-def test_over_cap_group_reads_a_supplied_table(tmp_path, table_cache):
+def test_over_cap_group_reads_a_supplied_table(tmp_path):
     _, g = get_group("PGL(2,5)")
-    table = pl.character_table_for(g, cache_dir=table_cache)
+    table = pl.character_table_for(g)
     (tmp_path / "PGL(2,5).ct").write_text(export_table(table))
     r = pl.classify("PGL(2,5)", pl.Caps(enumeration=10), tables_dir=tmp_path)
     assert r.csv_row()[3:] == ["Y", "--", "Y", "N", "--", "?", "?"]
@@ -376,10 +370,3 @@ def test_over_cap_group_reads_a_supplied_table(tmp_path, table_cache):
     assert any("supplied character table" in note for note in r.notes)
     assert any("no streamed-class route" in note for note in r.notes)
     assert r.strict_reason == "external-unproven"
-
-
-def test_mathieu_reports_pass_their_keys_to_classify_many(monkeypatch):
-    calls = []
-    monkeypatch.setattr(pl, "classify_many", lambda keys, *rest: calls.append(keys))
-    pl.mathieu_reports(include=(23,), opt_in_24=True)
-    assert calls == [["M10", "M11", "M12", "M21", "M23", "M24"]]

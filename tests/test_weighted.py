@@ -20,14 +20,14 @@ from ekrcheck.weighted import (
 
 
 @pytest.fixture(scope="module")
-def ctx(table_cache):
+def ctx():
     cache = {}
 
     def get(key):
         if key not in cache:
             _, g = get_group(key)
             eg = conjugacy_classes(g)
-            cache[key] = (eg, character_table_for(g, cache_dir=table_cache, eg=eg))
+            cache[key] = (eg, character_table_for(g, eg=eg))
         return cache[key]
 
     return get
