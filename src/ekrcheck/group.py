@@ -8,16 +8,40 @@ enumeration and conjugacy class labeling reproducible across runs.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import CapExceeded
 from .perm import Permutation
 
 ENUMERATION_CAP = 2_000_000
-# streaming a class and counting its Gram matrix peaks at about 125 bytes
-# per class element (measured on M23's 443,520-element class), so this cap
-# bounds a stream near 1 GB; M24's 20,401,920-element class stays over it
+# a streamed class peaks at about 125 bytes per element (measured on M23's
+# 443,520-element class), so this cap bounds a `conjugation_orbit` stream
+# near 1 GB
 CLASS_ORBIT_SOFT_CAP = 8_000_000
+
+
+def orbit_labels(size: int, maps) -> np.ndarray:
+    """Smallest point of each point's orbit, for the group that the index
+    permutations `maps` of 0..size-1 generate.
+
+    Min-label propagation with pointer jumping: label[i] is always a point
+    of i's orbit, and at the fixed point it is the orbit's smallest one."""
+    label = np.arange(size)
+    while True:
+        nxt = label
+        for c in maps:
+            nxt = np.minimum(nxt, label[c])
+            nxt[c] = np.minimum(nxt[c], label)
+        while True:
+            jumped = nxt[nxt]
+            if np.array_equal(jumped, nxt):
+                break
+            nxt = jumped
+        if np.array_equal(nxt, label):
+            return label
+        label = nxt
 
 
 class _Level:
@@ -304,6 +328,35 @@ def conjugation_orbit(group: PermutationGroup, rep: Permutation,
     return np.concatenate(found)
 
 
+def centralizer_order(group: PermutationGroup, z: Permutation) -> int:
+    """|C_G(z)|, by sifting every element of the symmetric-group centraliser
+    C_{S_n}(z).  That centraliser is the product over cycle lengths k of
+    C_k wr S_{m_k}, of order prod k^{m_k} m_k!, where m_k cycles of z have
+    length k; every element of it is listed, so keep to elements for which
+    that product is small."""
+    by_length: dict[int, list[tuple[int, ...]]] = {}
+    for cyc in z.cycles():
+        by_length.setdefault(len(cyc), []).append(cyc)
+    # per length: which cycle each cycle goes to, and the rotation it lands at
+    choices = [
+        [(cycs, targets, rots)
+         for targets in itertools.permutations(cycs)
+         for rots in itertools.product(range(k), repeat=len(cycs))]
+        for k, cycs in by_length.items()
+    ]
+    count = 0
+    for pick in itertools.product(*choices):
+        images = [0] * group.degree
+        for cycs, targets, rots in pick:
+            for src, dst, r in zip(cycs, targets, rots):
+                # c(z^t x) = z^t c(x) with x = src[0] and c(x) = dst[r]
+                k = len(src)
+                for t in range(k):
+                    images[src[t]] = dst[(t + r) % k]
+        count += Permutation(tuple(images)) in group
+    return count
+
+
 class EnumeratedGroup:
     """A fully enumerated group with conjugacy class data.
 
@@ -348,23 +401,9 @@ class EnumeratedGroup:
             gi = np.array(g.images, dtype=np.intp)
             ginv = np.array(g.inverse().images, dtype=np.int8)
             conj.append(self.group.element_index(ginv[self.E[:, gi]]))
-        # min-label propagation with pointer jumping: label[i] is always an
-        # element of i's class, and at the fixed point it is the class's
-        # smallest index, which is the seed a first-found BFS would pick
-        label = np.arange(N)
-        while True:
-            nxt = label
-            for c in conj:
-                nxt = np.minimum(nxt, label[c])
-                nxt[c] = np.minimum(nxt[c], label)
-            while True:
-                jumped = nxt[nxt]
-                if np.array_equal(jumped, nxt):
-                    break
-                nxt = jumped
-            if np.array_equal(nxt, label):
-                break
-            label = nxt
+        # each class is labelled by its smallest index, which is the seed a
+        # first-found BFS would pick
+        label = orbit_labels(N, conj)
         seeds_arr, class_of, sizes_arr = np.unique(label, return_inverse=True, return_counts=True)
         seeds = [int(s) for s in seeds_arr]
         sizes = [int(s) for s in sizes_arr]

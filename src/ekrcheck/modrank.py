@@ -12,7 +12,8 @@ full column rank over the rationals.
 Rank is certified on the Gram matrix N = M^T M: over Q, ker M = ker N
 (w^T N w = |Mw|^2), so a full-rank verdict mod p certifies full column
 rank of M, and an exact integer kernel vector of N certifies deficiency.
-N itself is counted exactly in int64, one point pair at a time.
+N itself is counted exactly in int64, one point pair at a time, or for
+one conjugacy class from a single representative by orbit counting.
 
 The positive-definiteness shortcut for class Gram matrices uses the pairs
 graph X_n; its least eigenvalue is bounded below by -(n-3) exactly, via
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .group import EnumeratedGroup, PermutationGroup
+from .group import EnumeratedGroup, PermutationGroup, orbit_labels
 from .modmath import (
     count_roots_strictly_below,
     echelon_mod,
@@ -85,6 +86,39 @@ def gram_offdiag(rows: np.ndarray, n: int) -> np.ndarray:
             N[bi, bk] = C[keep[i][:, None], keep[k]]
             N[bk, bi] = N[bi, bk].T
     return N
+
+
+def quadruple_orbit_gram(group: PermutationGroup, z: Permutation, class_size: int) -> np.ndarray:
+    """The N of `gram_offdiag` for the conjugacy class C of the derangement
+    z, which has `class_size` elements, counted from z alone.
+
+    N[(i,j),(k,l)] = #{x in C : x(i) = j, x(k) = l} is constant on each
+    G-orbit O of quadruples, because x(i) = j exactly when g x g^-1 maps
+    g(i) to g(j).  Counting the pairs (x, q) with x in C and q in O twice
+    gives N_O |O| = |C| f_O, where f_O = #{(i,k) : (i, z i, k, z k) in O}
+    is the same for every x in C.  Every orbit is checked for |O|
+    dividing |C| f_O, which rejects many wrong class sizes but not all:
+    a multiple of every |O|/gcd(|O|, f_O) passes."""
+    n = group.degree
+    zi = np.array(z.images, dtype=np.intp)
+    if (zi == np.arange(n)).any():
+        raise ValueError("non-derangement passed to quadruple_orbit_gram")
+    # quadruple (a, b, c, d) has index ((a n + b) n + c) n + d
+    maps = []
+    for g in group.generators:
+        gi = np.array(g.images, dtype=np.intp)
+        pair = (gi[:, None] * n + gi[None, :]).ravel()
+        maps.append((pair[:, None] * n * n + pair[None, :]).ravel())
+    label = orbit_labels(n**4, maps)
+    orbit_size = np.bincount(label, minlength=n**4)[label]
+    zpair = np.arange(n) * n + zi
+    f = np.bincount(label[(zpair[:, None] * n * n + zpair[None, :]).ravel()],
+                    minlength=n**4)[label]
+    total = class_size * f
+    if (total % orbit_size).any():
+        raise AssertionError(f"a quadruple orbit size does not divide {class_size} * f_O")
+    cols = np.array([i * n + j for i, j in offdiag_pairs(n)], dtype=np.intp)
+    return (total // orbit_size)[cols[:, None] * n * n + cols[None, :]]
 
 
 def gram_M(eg: EnumeratedGroup) -> np.ndarray:
@@ -452,13 +486,19 @@ class ClassGram:
 
 def class_gram(rows: np.ndarray, n: int) -> ClassGram:
     """Gram matrix of the M-block rows of a conjugation-closed set of
-    derangements, with the lambda*I + mu*A(X_n) pattern test.
+    derangements, with the `gram_pattern` test."""
+    rows = np.asarray(rows)
+    return gram_pattern(gram_offdiag(rows, n), n, rows.shape[0])
+
+
+def gram_pattern(N: np.ndarray, n: int, row_count: int) -> ClassGram:
+    """The lambda*I + mu*A(X_n) pattern test on the Gram matrix N of the
+    M-block rows of a conjugation-closed set of `row_count` derangements.
 
     When the pattern holds with mu >= 0, the pairs-graph bound gives
     least eigenvalue >= lambda - mu*(n-3); a positive bound certifies
     positive definiteness, hence full column rank of M restricted to
     these rows, hence full column rank of M itself."""
-    N = gram_offdiag(np.asarray(rows), n)
     lam = int(N[0, 0])
     # degree 3 has two column pairs and an edgeless pairs graph
     A = pairs_graph(n).adjacency if n > 3 else np.zeros_like(N, dtype=np.int8)
@@ -472,10 +512,8 @@ def class_gram(rows: np.ndarray, n: int) -> ClassGram:
     mu = int(mu_vals[0]) if pattern and mu_vals.size else (0 if pattern else None)
     if pattern:
         bound = lam - mu * (n - 3)
-        return ClassGram(
-            n, rows.shape[0], N, True, lam, mu, bound, mu >= 0 and bound > 0
-        )
-    return ClassGram(n, rows.shape[0], N, False, None, None, None, False)
+        return ClassGram(n, row_count, N, True, lam, mu, bound, mu >= 0 and bound > 0)
+    return ClassGram(n, row_count, N, False, None, None, None, False)
 
 
 # ---- the standard-module checks for small groups ----

@@ -6,8 +6,9 @@ EKR property), otherwise an n-clique and the clique-coclique bound; then
 condition (b) by a weighted ratio certificate, or failing that by clique
 projections onto the remaining character modules; an exact rank
 certificate for the pair-incidence matrix, and finally the strict verdict.
-A group over the enumeration cap gets only the columns that a streamed
-conjugacy class and a supplied character table decide.
+A group over the enumeration cap gets only the columns that the Gram
+matrix of one derangement class, counted from a single class
+representative, and a supplied character table decide.
 
 Strict = yes is only emitted when all three module-method conditions are
 certified here.  Strict = no is only emitted constructively: either the
@@ -44,15 +45,20 @@ from .dergraph import (
 )
 from .errors import CapExceeded
 from .group import (
-    CLASS_ORBIT_SOFT_CAP,
     ENUMERATION_CAP,
     EnumeratedGroup,
     PermutationGroup,
+    centralizer_order,
     conjugacy_classes,
-    conjugation_orbit,
 )
 from .library import GroupSpec, ProjectiveModel, build_group, get_spec
-from .modrank import class_gram, gram_M, rank_certificate
+from .modrank import gram_M, gram_pattern, quadruple_orbit_gram, rank_certificate
+
+# classify no longer calls these two; the traced benchmark
+# (benchmark/tracing.py) wraps them by name in this namespace until the
+# benchmark change that trims its entry points (ROADMAP item 1)
+from .group import conjugation_orbit  # noqa: F401
+from .modrank import class_gram  # noqa: F401
 from .perm import Permutation
 from .weighted import weighted_ratio_certificate, weighted_ratio_holds
 
@@ -443,25 +449,6 @@ def _spectral_columns(report: EkrReport, table: CharacterTable) -> DerangementSp
     return spc
 
 
-def _class_gram_rank(report: EkrReport, rows: np.ndarray, order: int) -> bool:
-    """Certify full rank through the Gram matrix of one derangement class
-    of element order `order`, when its positive-definite pattern holds."""
-    cg = class_gram(rows, report.degree)
-    if cg.psd_certified:
-        report.rank_full = "yes"
-        report.rank_mode = f"class gram, order-{order} class of {len(rows)}"
-        report.certificates.append(
-            {
-                "kind": "class-gram",
-                "class_size": int(len(rows)),
-                "lam": int(cg.lam),
-                "mu": int(cg.mu),
-                "least_bound": int(cg.least_bound),
-            }
-        )
-    return cg.psd_certified
-
-
 def _decide_strict(
     report: EkrReport,
     spc: DerangementSpectrum | None,
@@ -495,8 +482,7 @@ def _decide_strict(
 # ---- groups over the enumeration cap ----
 
 _CLASS_SHAPE = {
-    # catalog key: (element order, cycle type) of the certifying class;
-    # each class is self-centralizing, so it has |G|/order elements
+    # catalog key: (element order, cycle type) of the certifying class
     "M23": (23, (23,)),
     "M24": (12, (12, 12)),
 }
@@ -532,27 +518,34 @@ def imported_table_report(
     return spc
 
 
-def mathieu_class_rank(
-    report: EkrReport, group: PermutationGroup, class_cap: int = CLASS_ORBIT_SOFT_CAP
-) -> None:
-    """Rank certification for a group too large to enumerate: stream one
-    derangement class and certify the positive-definite Gram pattern.
-    A class larger than `class_cap` fails before it is streamed."""
+def mathieu_class_rank(report: EkrReport, group: PermutationGroup) -> None:
+    """Rank certification for a group too large to enumerate: the Gram
+    matrix of one derangement class, counted over quadruple orbits from
+    one representative z, and its positive-definite pattern.  The class
+    size |G|/|C_G(z)| comes from the sifted centraliser."""
     order, shape = _CLASS_SHAPE[report.key]
-    size = group.order() // order
-    if size > class_cap:
-        raise CapExceeded("conjugacy class orbit", size, class_cap)
     rep = _find_class_rep(group, order, shape)
-    rows = conjugation_orbit(group, rep, cap=class_cap)
-    if len(rows) != size:
-        raise AssertionError(f"{report.key}: streamed {len(rows)} class elements, not {size}")
-    if not _class_gram_rank(report, rows, order):
+    size = group.order() // centralizer_order(group, rep)
+    cg = gram_pattern(quadruple_orbit_gram(group, rep, size), report.degree, size)
+    if not cg.psd_certified:
         report.notes.append("class Gram pattern did not certify positive-definiteness")
+        return
+    report.rank_full = "yes"
+    report.rank_mode = f"class gram, order-{order} class of {size}"
+    report.certificates.append(
+        {
+            "kind": "class-gram",
+            "class_size": int(size),
+            "lam": int(cg.lam),
+            "mu": int(cg.mu),
+            "least_bound": int(cg.least_bound),
+        }
+    )
 
 
-def _streamed_route(report: EkrReport, group: PermutationGroup, tables_dir) -> None:
+def _over_cap_route(report: EkrReport, group: PermutationGroup, tables_dir) -> None:
     """Spectral columns from `<tables_dir>/<key>.ct` when that file exists,
-    and rank from a streamed class when one is registered for the group.
+    and rank from a class Gram when a class is registered for the group.
     Strict stays unknown: it is never assembled from a supplied table."""
     path = Path(tables_dir, f"{report.key}.ct") if tables_dir is not None else None
     if path is not None and path.exists():
@@ -563,20 +556,14 @@ def _streamed_route(report: EkrReport, group: PermutationGroup, tables_dir) -> N
         report.notes.append("no streamed-class route registered for this group")
         return
     t = time.perf_counter()
-    try:
-        mathieu_class_rank(report, group)
-    except CapExceeded as exc:
-        report.notes.append(
-            f"class orbit cap: the class has {exc.needed} elements, over the "
-            f"fixed cap {exc.cap} that no option raises"
-        )
+    mathieu_class_rank(report, group)
     report.timings["rank"] = time.perf_counter() - t
 
 
 def classify(key_or_spec, caps: Caps | None = None, tables_dir=None) -> EkrReport:
     """Full decision sequence for one catalogued group.
 
-    A group over the enumeration cap takes the streamed route instead
+    A group over the enumeration cap takes the over-cap route instead
     (`tables_dir` holds the tables it may read).  Resource caps produce
     partial reports with unknown columns; no column is ever filled with
     an unverified value.
@@ -593,7 +580,7 @@ def classify(key_or_spec, caps: Caps | None = None, tables_dir=None) -> EkrRepor
         report.timings["enumerate"] = time.perf_counter() - t
     except CapExceeded as exc:
         report.notes.append(f"enumeration cap: {exc}")
-        _streamed_route(report, group, tables_dir)
+        _over_cap_route(report, group, tables_dir)
     else:
         t = time.perf_counter()
         table = character_table_for(group, eg=eg)

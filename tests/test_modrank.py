@@ -1,14 +1,16 @@
 """Coset-incidence matrices, rank certificates, and the pairs graph."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ekrcheck import modrank as mr
-from ekrcheck.group import EnumeratedGroup
+from ekrcheck.group import EnumeratedGroup, centralizer_order, conjugation_orbit
 from ekrcheck.library import get_group
+from ekrcheck.pipeline import _find_class_rep
 
 from gram_reference import dense_gram, derangement_block
 
@@ -256,6 +258,51 @@ def test_class_gram_no_two_cycles_entry(groups):
     a = mr.pair_col_index(11, 0, 1)
     b = mr.pair_col_index(11, 1, 0)
     assert cg.N[a, b] == 0
+
+
+# ---- class Gram matrices by quadruple orbits ----
+
+
+@pytest.mark.m23
+@pytest.mark.parametrize("key, order, cycle_type", [("M23", 23, (23,)), ("M22", 11, (11, 11))])
+def test_quadruple_orbit_gram_matches_the_streamed_class(key, order, cycle_type):
+    _, g = get_group(key)
+    rep = _find_class_rep(g, order, cycle_type)
+    rows = conjugation_orbit(g, rep)
+    assert g.order() // centralizer_order(g, rep) == len(rows)
+    N = mr.quadruple_orbit_gram(g, rep, len(rows))
+    want = mr.gram_offdiag(rows, g.degree)
+    assert N.dtype == want.dtype and N.shape == want.shape
+    assert N.tobytes() == want.tobytes()
+
+
+def _symmetric_centralizer_order(cycle_type):
+    lengths = [(k, cycle_type.count(k)) for k in set(cycle_type)]
+    return math.prod(k**m * math.factorial(m) for k, m in lengths)
+
+
+@pytest.mark.parametrize("key", ["M11", "PSL(2,19)", "2^4:A7"])
+def test_quadruple_orbit_gram_matches_every_derangement_class(groups, key):
+    eg = groups(key)
+    n = eg.group.degree
+    classes = [c for c in range(eg.n_classes) if eg.class_fix[c] == 0]
+    assert classes
+    for c in classes:
+        rows = eg.E[eg.class_of == c]
+        rep = eg.class_rep(c)
+        N = mr.quadruple_orbit_gram(eg.group, rep, len(rows))
+        assert N.tobytes() == mr.gram_offdiag(rows, n).tobytes()
+        if _symmetric_centralizer_order(rep.cycle_type()) <= 5000:
+            assert eg.group.order() // centralizer_order(eg.group, rep) == len(rows)
+
+
+def test_quadruple_orbit_gram_rejects_a_wrong_class_size(groups):
+    eg = groups("M11")
+    c = eg.class_orders.index(11)
+    with pytest.raises(AssertionError, match="does not divide"):
+        mr.quadruple_orbit_gram(eg.group, eg.class_rep(c), eg.class_sizes[c] + 1)
+    with pytest.raises(ValueError, match="non-derangement"):
+        mr.quadruple_orbit_gram(eg.group, eg.element(0), 1)
 
 
 # ---- standard-module checks ----

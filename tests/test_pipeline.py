@@ -337,27 +337,34 @@ def test_m23_rank_by_streamed_class_gram():
     assert r.strict_reason == "external-unproven"
 
 
-def test_m24_stops_at_the_class_orbit_cap_before_streaming():
+def test_m24_rank_by_orbit_counted_class_gram():
     t0 = time.perf_counter()
     r = pl.classify("M24")
     assert time.perf_counter() - t0 < 2
-    assert r.rank_full == "unknown"
-    note = next(n for n in r.notes if n.startswith("class orbit cap"))
-    assert "20401920" in note and "8000000" in note
-    assert "fixed cap" in note and "no option raises" in note
-    assert "raise the cap" not in note
+    assert r.rank_full == "yes"
+    assert r.rank_mode == "class gram, order-12 class of 20401920"
+    (cert,) = [c for c in r.certificates if c["kind"] == "class-gram"]
+    assert cert == {
+        "kind": "class-gram",
+        "class_size": 20401920,
+        "lam": 887040,
+        "mu": 40320,
+        "least_bound": 40320,
+    }
+    assert r.least_standard == "unknown" and r.strict == "unknown"
 
 
-def test_class_rank_checks_the_cap_before_the_orbit(monkeypatch):
+def test_class_rank_streams_no_class(monkeypatch):
     def no_stream(*args, **kwargs):
-        raise AssertionError("streamed a class over the cap")
+        raise AssertionError("streamed a class")
 
     monkeypatch.setattr(pl, "conjugation_orbit", no_stream)
     spec, g = get_group("M23")
     r = pl.EkrReport(key="M23", degree=spec.degree, order=spec.expected_order)
-    with pytest.raises(CapExceeded, match="443520"):
-        pl.mathieu_class_rank(r, g, 443519)
-    assert r.rank_full == "unknown"
+    pl.mathieu_class_rank(r, g)
+    assert r.rank_full == "yes"
+    (cert,) = [c for c in r.certificates if c["kind"] == "class-gram"]
+    assert cert["class_size"] == 443520
 
 
 def test_over_cap_group_reads_a_supplied_table(tmp_path):
