@@ -1,9 +1,10 @@
 """Permutation groups via a deterministic Schreier-Sims stabilizer chain.
 
-Base points are chosen as the smallest moved point at every level, so for a
-k-transitive group the chain starts 0, 1, 2, ... and transitivity can be read
-off the orbit sizes.  All iteration orders are fixed, making element
-enumeration and conjugacy class labeling reproducible across runs.
+A new level's base point is the smallest point moved by the residue that
+opens it, so the base need not start 0, 1, 2 (M11's is 0, 2, 1, 3);
+transitivity is read off the orbit sizes.  All iteration orders are fixed,
+making element enumeration and conjugacy class labeling reproducible across
+runs.
 """
 
 from __future__ import annotations
@@ -259,6 +260,43 @@ class PermutationGroup:
         for row in self.elements_array(cap):
             yield Permutation(tuple(int(x) for x in row))
 
+    def _sift_table(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per level: each point's position in the level's orbit (-1 off
+        it), and the inverse of the transversal element of each orbit
+        point as an image row."""
+        if not hasattr(self, "_sift_tables"):
+            self._sift_tables = []
+            for lv in self.levels:
+                pos_of = np.full(self.degree, -1, dtype=np.intp)
+                pos_of[lv.orbit_list] = np.arange(len(lv.orbit_list))
+                uinv = np.array([lv.transversal[p].inverse().images
+                                 for p in lv.orbit_list], dtype=np.intp)
+                self._sift_tables.append((pos_of, uinv))
+        return self._sift_tables
+
+    def pair_carriers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first two levels of the chain of a 2-transitive group, read
+        as maps onto its first two base points b0 and b1.
+
+        Returns (carry, stab).  carry[a, b] is the image row of an element
+        that maps a to b0 and, for b != a, b to b1: the inverse of the
+        level-0 transversal element of a, followed by the inverse of the
+        level-1 transversal element of the point that b lands on
+        (carry[a, a] is the first alone).  stab holds the image rows of
+        the strong generators of the pointwise stabilizer of b0 and b1,
+        none when it is trivial."""
+        if self.transitivity_degree() < 2 or len(self.levels) < 2:
+            raise ValueError("pair carriers need a 2-transitive group of degree > 2")
+        n = self.degree
+        (pos0, inv0), (pos1, inv1) = self._sift_table()[:2]
+        # to_b0[a] maps a to b0; to_b1[x] maps x != b0 to b1 and fixes b0
+        to_b0 = inv0[pos0]
+        to_b1 = inv1[pos1]
+        to_b1[self.levels[0].base_point] = np.arange(n)
+        carry = to_b1[to_b0[:, :, None], to_b0[:, None, :]]
+        stab = [g.images for g in self.levels[2].gens] if len(self.levels) > 2 else []
+        return carry, np.array(stab, dtype=np.intp).reshape(-1, n)
+
     def element_index(self, rows: np.ndarray) -> np.ndarray:
         """Index in `elements_array` order of each image row (m, degree).
 
@@ -270,18 +308,10 @@ class PermutationGroup:
         -1, and other non-members are not detected (check the row)."""
         if self._order >= 2**63:
             raise ValueError(f"group order {self._order} does not fit an int64 index")
-        if not hasattr(self, "_sift_tables"):
-            self._sift_tables = []
-            for lv in self.levels:
-                pos_of = np.full(self.degree, -1, dtype=np.intp)
-                pos_of[lv.orbit_list] = np.arange(len(lv.orbit_list))
-                uinv = np.array([lv.transversal[p].inverse().images
-                                 for p in lv.orbit_list], dtype=np.intp)
-                self._sift_tables.append((pos_of, uinv))
         B = np.asarray(rows)[:, self.base()].astype(np.intp)
         idx = np.zeros(len(B), dtype=np.int64)
         ok = np.ones(len(B), dtype=bool)
-        for pos_of, uinv in self._sift_tables:
+        for pos_of, uinv in self._sift_table():
             pos = pos_of[B[:, 0]]
             ok &= pos >= 0
             pos[~ok] = 0

@@ -98,27 +98,36 @@ def quadruple_orbit_gram(group: PermutationGroup, z: Permutation, class_size: in
     gives N_O |O| = |C| f_O, where f_O = #{(i,k) : (i, z i, k, z k) in O}
     is the same for every x in C.  Every orbit is checked for |O|
     dividing |C| f_O, which rejects many wrong class sizes but not all:
-    a multiple of every |O|/gcd(|O|, f_O) passes."""
+    a multiple of every |O|/gcd(|O|, f_O) passes.
+
+    Only quadruples (a, b, c, d) with a != b occur, since z moves every
+    point.  The group is 2-transitive, so an element of the stabilizer
+    chain carries (a, b) to the base pair (b0, b1), and the quadruple's
+    orbit is the orbit of the image (c', d') under the pointwise
+    stabilizer G_{b0,b1}, of size n(n-1) times that suborbit's size.
+    The suborbits are labelled on the n^2 pairs, never on the n^4
+    quadruples."""
     n = group.degree
     zi = np.array(z.images, dtype=np.intp)
     if (zi == np.arange(n)).any():
         raise ValueError("non-derangement passed to quadruple_orbit_gram")
-    # quadruple (a, b, c, d) has index ((a n + b) n + c) n + d
-    maps = []
-    for g in group.generators:
-        gi = np.array(g.images, dtype=np.intp)
-        pair = (gi[:, None] * n + gi[None, :]).ravel()
-        maps.append((pair[:, None] * n * n + pair[None, :]).ravel())
-    label = orbit_labels(n**4, maps)
-    orbit_size = np.bincount(label, minlength=n**4)[label]
-    zpair = np.arange(n) * n + zi
-    f = np.bincount(label[(zpair[:, None] * n * n + zpair[None, :]).ravel()],
-                    minlength=n**4)[label]
+    carry, stab = group.pair_carriers()
+    # pair (c, d) has index c n + d; orbit[c n + d] numbers its suborbit
+    _, orbit, count = np.unique(
+        orbit_labels(n * n, [(g[:, None] * n + g[None, :]).ravel() for g in stab]),
+        return_inverse=True, return_counts=True)
+    orbit_size = n * (n - 1) * count
+    # (i, z i, k, z k) is carried to (b0, b1, hz[i, k], hz[i, z k])
+    hz = carry[np.arange(n), zi]
+    f = np.bincount(orbit[hz * n + hz[:, zi]].ravel(), minlength=len(count))
     total = class_size * f
     if (total % orbit_size).any():
         raise AssertionError(f"a quadruple orbit size does not divide {class_size} * f_O")
-    cols = np.array([i * n + j for i, j in offdiag_pairs(n)], dtype=np.intp)
-    return (total // orbit_size)[cols[:, None] * n * n + cols[None, :]]
+    value = total // orbit_size
+    pairs = np.array(offdiag_pairs(n), dtype=np.intp)
+    # one carrying map per column pair (i, j), then every (k, l) through it
+    h = carry[pairs[:, 0], pairs[:, 1]]
+    return value[orbit[h[:, pairs[:, 0]] * n + h[:, pairs[:, 1]]]]
 
 
 def gram_M(eg: EnumeratedGroup) -> np.ndarray:
@@ -370,39 +379,28 @@ class PairsGraph:
     n: int
     vertices: list[tuple[int, int]]
     adjacency: np.ndarray
+    orbital: tuple[tuple[int, ...], ...] | None
     charpoly: tuple[int, ...]
     least_lower_bound: int
 
 
 def _charpoly_exact(A: list[list[int]]) -> list[int]:
-    """Characteristic polynomial det(xI - A), lowest degree first, by the
-    Faddeev-LeVerrier recurrence over exact rationals."""
+    """Characteristic polynomial det(xI - A) of an integer matrix, lowest
+    degree first, by the Faddeev-LeVerrier recurrence in Python ints:
+    M_j = A M_{j-1} + c_{k-j+1} I and c_{k-j} = -tr(A M_j)/j, each
+    division exact because the coefficients are integers."""
     k = len(A)
-    Af = [[Fraction(x) for x in row] for row in A]
-    M = [[Fraction(0)] * k for _ in range(k)]
-    coeffs = [Fraction(0)] * (k + 1)
-    coeffs[k] = Fraction(1)
-    c = Fraction(1)
+    coeffs = [0] * k + [1]
+    AM = [[0] * k for _ in range(k)]
     for j in range(1, k + 1):
-        # M <- A M + c I
-        AM = [
-            [sum(Af[i][t] * M[t][s] for t in range(k)) for s in range(k)]
-            for i in range(k)
-        ]
+        M = [row[:] for row in AM]
         for i in range(k):
-            AM[i][i] += c
-        M = AM
-        AM2 = [
-            [sum(Af[i][t] * M[t][s] for t in range(k)) for s in range(k)]
-            for i in range(k)
-        ]
-        c = -sum(AM2[i][i] for i in range(k)) / j
-        coeffs[k - j] = c
-    out = []
-    for x in coeffs:
-        assert x.denominator == 1
-        out.append(int(x))
-    return out
+            M[i][i] += coeffs[k - j + 1]
+        AM = [[sum(A[i][t] * M[t][s] for t in range(k)) for s in range(k)] for i in range(k)]
+        trace = sum(AM[i][i] for i in range(k))
+        assert trace % j == 0
+        coeffs[k - j] = -trace // j
+    return coeffs
 
 
 _pairs_cache: dict[int, PairsGraph] = {}
@@ -410,7 +408,14 @@ _pairs_cache: dict[int, PairsGraph] = {}
 
 def pairs_graph(n: int) -> PairsGraph:
     """The graph X_n on ordered pairs from the first n-1 points, with its
-    least eigenvalue certified >= -(n-3) by exact root counting."""
+    least eigenvalue certified >= -(n-3) by exact root counting.
+
+    For n > 4 the roots are those of the 7x7 integer matrix L of
+    multiplication by A in the orbital algebra, whose basis is the seven
+    classes of vertex pairs below.  Entry L[s][t] counts the neighbours v
+    of u with (v, w) in class t, for a position (u, w) of class s, so row
+    s is one bincount; it is checked equal at up to 20 more positions of
+    the class."""
     if n <= 3:
         raise ValueError("pairs graph needs n > 3")
     if n in _pairs_cache:
@@ -439,32 +444,30 @@ def pairs_graph(n: int) -> PairsGraph:
     assert np.array_equal(A, A.T) and not A[swap].any()
 
     if n == 4:
+        # no disjoint pairs among three points: take A's own polynomial
+        L = None
         cp = _charpoly_exact(A.astype(int).tolist())
     else:
-        # regular representation of the 7-class orbital algebra; its
-        # characteristic polynomial has the same root set as A's
-        mats = [(T == t).astype(np.float64) for t in range(7)]
-        where = [np.argwhere(T == t) for t in range(7)]
-        reps = [tuple(pos[0]) for pos in where]
-        Afl = A.astype(np.float64)
-        L = [[0] * 7 for _ in range(7)]
+        nbrs = A.astype(bool)
+        # row-major positions of class 0, then of class 1, and so on
+        flat = np.argsort(T, axis=None, kind="stable")
+        counts = np.bincount(T.ravel(), minlength=7)
+        ends = np.cumsum(counts)
         rng = np.random.default_rng(7)
+        rows = []
         for t in range(7):
-            P = Afl @ mats[t]
-            for s in range(7):
-                val = P[reps[s]]
-                assert val == np.rint(val)
-                L[s][t] = int(val)
-                pos = where[s]
-                for u, w in pos[rng.choice(len(pos), size=min(20, len(pos)), replace=False)]:
-                    assert P[u, w] == val
+            u, w = np.divmod(flat[ends[t] - counts[t] : ends[t]], len(verts))
+            row = np.bincount(T[nbrs[u[0]], w[0]], minlength=7)
+            for k in rng.choice(len(u), size=min(20, len(u)), replace=False):
+                assert np.array_equal(np.bincount(T[nbrs[u[k]], w[k]], minlength=7), row)
+            rows.append(tuple(row.tolist()))
+        L = tuple(rows)
         cp = _charpoly_exact(L)
 
-    frac = [Fraction(c) for c in cp]
-    assert count_roots_strictly_below(frac, Fraction(-(n - 3))) == 0
+    assert count_roots_strictly_below(cp, Fraction(-(n - 3))) == 0
     if len(verts) <= 200:
         assert np.linalg.eigvalsh(A.astype(np.float64))[0] >= -(n - 3) - 1e-8
-    pg = PairsGraph(n, verts, A, tuple(cp), -(n - 3))
+    pg = PairsGraph(n, verts, A, L, tuple(cp), -(n - 3))
     _pairs_cache[n] = pg
     return pg
 

@@ -522,11 +522,19 @@ def mathieu_class_rank(report: EkrReport, group: PermutationGroup) -> None:
     """Rank certification for a group too large to enumerate: the Gram
     matrix of one derangement class, counted over quadruple orbits from
     one representative z, and its positive-definite pattern.  The class
-    size |G|/|C_G(z)| comes from the sifted centraliser."""
+    size |G|/|C_G(z)| comes from the sifted centraliser.  The three steps
+    are timed as `rank.class_size`, `rank.orbit_gram` and `rank.pattern`."""
     order, shape = _CLASS_SHAPE[report.key]
+    t = time.perf_counter()
     rep = _find_class_rep(group, order, shape)
     size = group.order() // centralizer_order(group, rep)
-    cg = gram_pattern(quadruple_orbit_gram(group, rep, size), report.degree, size)
+    report.timings["rank.class_size"] = time.perf_counter() - t
+    t = time.perf_counter()
+    N = quadruple_orbit_gram(group, rep, size)
+    report.timings["rank.orbit_gram"] = time.perf_counter() - t
+    t = time.perf_counter()
+    cg = gram_pattern(N, report.degree, size)
+    report.timings["rank.pattern"] = time.perf_counter() - t
     if not cg.psd_certified:
         report.notes.append("class Gram pattern did not certify positive-definiteness")
         return

@@ -1,11 +1,19 @@
-"""Reference Gram matrix of the derangement block M, built densely.
+"""Reference constructions for the rank layer, built the straightforward way.
 
 Each derangement row becomes its 0/1 row of M, and N = M^T M is a float64
-matrix product over chunks of rows: the straightforward construction that
-`modrank.gram_offdiag` must reproduce exactly.
+matrix product over chunks of rows: the construction that
+`modrank.gram_offdiag` must reproduce exactly.  The class Gram by orbit
+labelling on all n^4 quadruples, the pairs graph's orbital algebra from
+dense products, and a Fraction characteristic polynomial are the oracles
+for `modrank.quadruple_orbit_gram`, `modrank.pairs_graph` and
+`modrank._charpoly_exact`.
 """
 
+from fractions import Fraction
+
 import numpy as np
+
+from ekrcheck.group import orbit_labels
 
 
 def derangement_block(rows, n):
@@ -41,3 +49,86 @@ def dense_gram(rows, n, chunk=16_384):
     N = np.rint(acc).astype(np.int64)
     assert np.array_equal(acc, N)
     return N
+
+
+# ---- class Gram matrices and the pairs graph, the straightforward way ----
+
+
+def min_label_quadruple_orbit_gram(group, z, class_size):
+    """`modrank.quadruple_orbit_gram` by labelling the G-orbits on all n^4
+    quadruples with min-label propagation over the generators' maps."""
+    n = group.degree
+    zi = np.array(z.images, dtype=np.intp)
+    if (zi == np.arange(n)).any():
+        raise ValueError("non-derangement passed to min_label_quadruple_orbit_gram")
+    # quadruple (a, b, c, d) has index ((a n + b) n + c) n + d
+    maps = []
+    for g in group.generators:
+        gi = np.array(g.images, dtype=np.intp)
+        pair = (gi[:, None] * n + gi[None, :]).ravel()
+        maps.append((pair[:, None] * n * n + pair[None, :]).ravel())
+    label = orbit_labels(n**4, maps)
+    orbit_size = np.bincount(label, minlength=n**4)[label]
+    zpair = np.arange(n) * n + zi
+    f = np.bincount(label[(zpair[:, None] * n * n + zpair[None, :]).ravel()],
+                    minlength=n**4)[label]
+    total = class_size * f
+    if (total % orbit_size).any():
+        raise AssertionError(f"a quadruple orbit size does not divide {class_size} * f_O")
+    m = n - 1
+    cols = np.array([i * n + j for i in range(m) for j in range(m) if i != j], dtype=np.intp)
+    return (total // orbit_size)[cols[:, None] * n * n + cols[None, :]]
+
+
+def fraction_charpoly(A):
+    """det(xI - A), lowest degree first, by Faddeev-LeVerrier over Fractions."""
+    k = len(A)
+    Af = [[Fraction(x) for x in row] for row in A]
+    M = [[Fraction(0)] * k for _ in range(k)]
+    coeffs = [Fraction(0)] * (k + 1)
+    coeffs[k] = Fraction(1)
+    c = Fraction(1)
+    for j in range(1, k + 1):
+        AM = [[sum(Af[i][t] * M[t][s] for t in range(k)) for s in range(k)] for i in range(k)]
+        for i in range(k):
+            AM[i][i] += c
+        M = AM
+        AM2 = [[sum(Af[i][t] * M[t][s] for t in range(k)) for s in range(k)] for i in range(k)]
+        c = -sum(AM2[i][i] for i in range(k)) / j
+        coeffs[k - j] = c
+    assert all(x.denominator == 1 for x in coeffs)
+    return [int(x) for x in coeffs]
+
+
+def dense_pairs_graph(n):
+    """(adjacency, orbital, charpoly) of the pairs graph X_n from dense
+    masks: `orbital` is the 7x7 matrix of A times each orbital class,
+    read off float products of the full masks (None for n = 4, which
+    has no disjoint pairs), and `charpoly` is that matrix's
+    characteristic polynomial, or A's own for n = 4."""
+    m = n - 1
+    verts = [(i, j) for i in range(m) for j in range(m) if i != j]
+    I = np.array([v[0] for v in verts])[:, None]
+    J = np.array([v[1] for v in verts])[:, None]
+    same = (I == I.T) & (J == J.T)
+    types = [
+        same,
+        (I == J.T) & (J == I.T) & ~same,
+        (I == I.T) & (J != J.T),
+        (J == J.T) & (I != I.T),
+        (I == J.T) & (J != I.T),
+        (J == I.T) & (I != J.T),
+        (I != I.T) & (I != J.T) & (J != I.T) & (J != J.T),
+    ]
+    A = (types[4] | types[5] | types[6]).astype(np.int8)
+    if n == 4:
+        return A, None, fraction_charpoly(A.astype(int).tolist())
+    Afl = A.astype(np.float64)
+    reps = [tuple(np.argwhere(t)[0]) for t in types]
+    L = [[0] * 7 for _ in range(7)]
+    for t, mask in enumerate(types):
+        P = Afl @ mask.astype(np.float64)
+        for s in range(7):
+            assert P[reps[s]] == np.rint(P[reps[s]])
+            L[s][t] = int(P[reps[s]])
+    return A, L, fraction_charpoly(L)

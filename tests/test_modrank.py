@@ -8,11 +8,23 @@ import numpy as np
 import pytest
 
 from ekrcheck import modrank as mr
-from ekrcheck.group import EnumeratedGroup, centralizer_order, conjugation_orbit
+from ekrcheck.group import (
+    EnumeratedGroup,
+    PermutationGroup,
+    centralizer_order,
+    conjugation_orbit,
+)
 from ekrcheck.library import get_group
+from ekrcheck.perm import Permutation
 from ekrcheck.pipeline import _find_class_rep
 
-from gram_reference import dense_gram, derangement_block
+from gram_reference import (
+    dense_gram,
+    dense_pairs_graph,
+    derangement_block,
+    fraction_charpoly,
+    min_label_quadruple_orbit_gram,
+)
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +217,26 @@ def test_pairs_graph_charpoly_roots_cover_float_spectrum():
             assert val == 0
 
 
+@pytest.mark.parametrize("n", range(4, 25))
+def test_pairs_graph_matches_the_dense_reference(n):
+    pg = mr.pairs_graph(n)
+    A, orbital, charpoly = dense_pairs_graph(n)
+    assert np.array_equal(pg.adjacency, A)
+    if orbital is None:
+        assert pg.orbital is None
+    else:
+        assert [list(row) for row in pg.orbital] == orbital
+    assert list(pg.charpoly) == charpoly
+
+
+def test_charpoly_exact_matches_the_fraction_reference():
+    rng = np.random.default_rng(3)
+    for k in range(1, 9):
+        A = rng.integers(-50, 50, size=(k, k)).tolist()
+        assert mr._charpoly_exact(A) == fraction_charpoly(A)
+    assert mr._charpoly_exact([[0, 1], [1, 0]]) == [-1, 0, 1]
+
+
 def test_pairs_graph_rejects_small_n():
     with pytest.raises(ValueError):
         mr.pairs_graph(3)
@@ -274,6 +306,7 @@ def test_quadruple_orbit_gram_matches_the_streamed_class(key, order, cycle_type)
     want = mr.gram_offdiag(rows, g.degree)
     assert N.dtype == want.dtype and N.shape == want.shape
     assert N.tobytes() == want.tobytes()
+    assert N.tobytes() == min_label_quadruple_orbit_gram(g, rep, len(rows)).tobytes()
 
 
 def _symmetric_centralizer_order(cycle_type):
@@ -281,7 +314,9 @@ def _symmetric_centralizer_order(cycle_type):
     return math.prod(k**m * math.factorial(m) for k, m in lengths)
 
 
-@pytest.mark.parametrize("key", ["M11", "PSL(2,19)", "2^4:A7"])
+# AGL(1,8) is sharply 2-transitive (no level-2 stabilizer); the base of
+# M11 starts 0, 2
+@pytest.mark.parametrize("key", ["M11", "PSL(2,19)", "2^4:A7", "AGL(1,8)"])
 def test_quadruple_orbit_gram_matches_every_derangement_class(groups, key):
     eg = groups(key)
     n = eg.group.degree
@@ -292,6 +327,7 @@ def test_quadruple_orbit_gram_matches_every_derangement_class(groups, key):
         rep = eg.class_rep(c)
         N = mr.quadruple_orbit_gram(eg.group, rep, len(rows))
         assert N.tobytes() == mr.gram_offdiag(rows, n).tobytes()
+        assert N.tobytes() == min_label_quadruple_orbit_gram(eg.group, rep, len(rows)).tobytes()
         if _symmetric_centralizer_order(rep.cycle_type()) <= 5000:
             assert eg.group.order() // centralizer_order(eg.group, rep) == len(rows)
 
@@ -303,6 +339,14 @@ def test_quadruple_orbit_gram_rejects_a_wrong_class_size(groups):
         mr.quadruple_orbit_gram(eg.group, eg.class_rep(c), eg.class_sizes[c] + 1)
     with pytest.raises(ValueError, match="non-derangement"):
         mr.quadruple_orbit_gram(eg.group, eg.element(0), 1)
+
+
+def test_quadruple_orbit_gram_rejects_a_group_that_is_not_2_transitive():
+    z = Permutation((1, 2, 3, 4, 0))
+    dihedral = PermutationGroup([z, Permutation((0, 4, 3, 2, 1))])
+    assert dihedral.transitivity_degree() == 1
+    with pytest.raises(ValueError, match="2-transitive"):
+        mr.quadruple_orbit_gram(dihedral, z, 2)
 
 
 # ---- standard-module checks ----

@@ -328,13 +328,68 @@ def test_classify_from_spec_matches_key():
 
 
 @pytest.mark.m23
-def test_m23_rank_by_streamed_class_gram():
-    r = pl.classify("M23")
+def test_m23_rank_by_streamed_class_gram(reports):
+    r = reports("M23")
     assert r.rank_full == "yes"
+    assert r.rank_mode == "class gram, order-23 class of 443520"
     (cert,) = [c for c in r.certificates if c["kind"] == "class-gram"]
-    assert cert["class_size"] == 443520 == r.order // 23
+    assert cert == {
+        "kind": "class-gram",
+        "class_size": 443520,
+        "lam": 20160,
+        "mu": 960,
+        "least_bound": 960,
+    }
+    assert cert["class_size"] == r.order // 23
     assert r.least_standard == "unknown" and r.strict == "unknown"
     assert r.strict_reason == "external-unproven"
+
+
+def _over_cap_report(key, degree, order, certificate, mode):
+    """The JSON report, without timings, of a group over the enumeration
+    cap whose rank is certified by a class Gram."""
+    return {
+        "certificates": [{"kind": "class-gram", **certificate}],
+        "d": None,
+        "degree": degree,
+        "ekr": {"reason": None, "verdict": "unknown"},
+        "key": key,
+        "least_standard": "unknown",
+        "module_by_clique": "not-tried",
+        "n_clique": "not-tried",
+        "notes": [
+            f"enumeration cap: element enumeration needs {order} which exceeds "
+            "the cap 2000000; raise the cap explicitly to proceed"
+        ],
+        "order": order,
+        "rank": {"full": "yes", "mode": mode},
+        "strict": {"reason": "external-unproven", "verdict": "unknown"},
+        "unique": "unknown",
+    }
+
+
+@pytest.mark.m23
+@pytest.mark.parametrize("key, expected", [
+    ("M23", _over_cap_report(
+        "M23", 23, 10200960,
+        {"class_size": 443520, "lam": 20160, "mu": 960, "least_bound": 960},
+        "class gram, order-23 class of 443520")),
+    ("M24", _over_cap_report(
+        "M24", 24, 244823040,
+        {"class_size": 20401920, "lam": 887040, "mu": 40320, "least_bound": 40320},
+        "class gram, order-12 class of 20401920")),
+])
+def test_over_cap_json_report(reports, key, expected):
+    assert pl.strip_timings(pl.emit_json([reports(key)])) == [expected]
+
+
+@pytest.mark.m23
+def test_class_rank_times_its_steps(reports):
+    r = reports("M23")
+    steps = {"rank.class_size", "rank.orbit_gram", "rank.pattern"}
+    assert steps <= r.timings.keys()
+    assert all(r.timings[k] >= 0 for k in steps)
+    assert "timings" not in pl.strip_timings(pl.emit_json([r]))[0]
 
 
 def test_m24_rank_by_orbit_counted_class_gram():
