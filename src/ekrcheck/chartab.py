@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -204,12 +203,8 @@ def _verify_table(t: CharacterTable) -> None:
     if failing.size:
         a, b = (int(x) for x in failing[0])
         raise TableFormatError(f"rows {a},{b} violate orthogonality")
-    one = Cyc.integer(1, 1)
-    if any(not (v - one).is_zero() for v in t.values[t.trivial]):
-        raise TableFormatError("trivial row is not all ones")
-    std = t.values[t.standard]
-    if any(not (v - (f - 1)).is_zero() for v, f in zip(std, t.class_fix)):
-        raise TableFormatError("standard row is not fix-1")
+    if (t.trivial, t.standard) != _locate_distinguished(t.values, t.class_fix):
+        raise TableFormatError("trivial or standard index names the wrong row")
 
 
 def _locate_distinguished(values: list[list[Cyc]], class_fix: list[int]) -> tuple[int, int]:
@@ -229,6 +224,16 @@ def _locate_distinguished(values: list[list[Cyc]], class_fix: list[int]) -> tupl
     if standard < 0:
         raise TableFormatError("no fix-1 character row (group not 2-transitive?)")
     return trivial, standard
+
+
+def _propose_distinguished(values: list[list[Cyc]], class_fix: list[int]) -> tuple[int, int]:
+    """The rows whose float shadows lie nearest all-ones and fix-1, a
+    proposal that `_verify_table` confirms exactly.  By orthogonality any
+    other irreducible row differs from either by at least sqrt(2) at some
+    class, far beyond the float error."""
+    shadow = np.array([[v.approx() for v in row] for row in values])
+    distance = [np.abs(shadow - target).max(axis=1) for target in (1, np.array(class_fix) - 1)]
+    return int(distance[0].argmin()), int(distance[1].argmin())
 
 
 def _sort_rows(values: list[list[Cyc]], degrees: list[int]) -> tuple[list[list[Cyc]], list[int]]:
@@ -375,7 +380,7 @@ def character_table(eg: EnumeratedGroup, seed: int = 1) -> CharacterTable:
 
     values, degrees = _sort_rows(values, degrees)
     class_fix = eg.class_fix
-    trivial, standard = _locate_distinguished(values, class_fix)
+    trivial, standard = _propose_distinguished(values, class_fix)
     table = CharacterTable(
         order=order,
         degree=eg.group.degree,
@@ -473,7 +478,7 @@ def parse_table(text: str) -> CharacterTable:
             raise TableFormatError("non-positive degree")
         values.append(row)
         degrees.append(int(deg))
-    trivial, standard = _locate_distinguished(values, fixes)
+    trivial, standard = _propose_distinguished(values, fixes)
     table = CharacterTable(
         order=order,
         degree=fixes[0],

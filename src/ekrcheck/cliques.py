@@ -45,13 +45,6 @@ class Clique:
         return len(self.elements)
 
 
-def canonical_clique(elements) -> Clique:
-    els = list(elements)
-    first_inv = els[0].inverse()
-    els = [first_inv * x for x in els]
-    return Clique(elements=tuple(els))
-
-
 def verify_clique(group: PermutationGroup, elements) -> bool:
     els = list(elements)
     for x in els:

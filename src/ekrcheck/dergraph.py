@@ -122,24 +122,6 @@ def least_analysis(spec: DerangementSpectrum, table: CharacterTable):
     return tau, is_least, is_unique
 
 
-def ratio_verdict(order: int, n: int, d: int, tau: Cyc):
-    """Independent-set bound |G|/(1 - d/tau).
-
-    Returns (bound, ekr_by_ratio).  The flag is true exactly when tau equals
-    -d/(n-1), in which case the bound is |G|/n.  The bound is an exact
-    Fraction whenever tau is rational, else None (the flag still decides).
-    """
-    if tau.sign_real() >= 0:
-        raise ValueError("least eigenvalue must be negative")
-    ekr_by_ratio = (tau - Fraction(-d, n - 1)).is_zero()
-    if ekr_by_ratio:
-        return Fraction(order, n), True
-    if tau.is_rational():
-        t = tau.to_fraction()
-        return Fraction(order) / (1 - Fraction(d) / t), False
-    return None, False
-
-
 def complete_union_detect(spec: DerangementSpectrum):
     """Detect the two-eigenvalue case {d, -1}: the graph is then a disjoint
     union of complete graphs on n vertices.

@@ -179,7 +179,7 @@ def gf(q: int) -> GF:
     return GF(q)
 
 
-# ---- small exact linear algebra over GF, vectors/matrices as tuples ----
+# ---- matrix times vector over GF, as tuples ----
 
 def mat_vec(F: GF, A, v) -> tuple[int, ...]:
     out = []
@@ -189,43 +189,3 @@ def mat_vec(F: GF, A, v) -> tuple[int, ...]:
             s = F.add(s, F.mul(a, x))
         out.append(s)
     return tuple(out)
-
-
-def mat_mul(F: GF, A, B) -> tuple[tuple[int, ...], ...]:
-    m, inner, n = len(A), len(B), len(B[0])
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            s = 0
-            for t in range(inner):
-                s = F.add(s, F.mul(A[i][t], B[t][j]))
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_det(F: GF, A) -> int:
-    """Determinant by fraction-free elimination over the field."""
-    n = len(A)
-    M = [list(row) for row in A]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = F.neg(det)
-        det = F.mul(det, M[col][col])
-        inv = F.inv(M[col][col])
-        for r in range(col + 1, n):
-            f = F.mul(M[r][col], inv)
-            if f:
-                for c in range(col, n):
-                    M[r][c] = F.sub(M[r][c], F.mul(f, M[col][c]))
-    return det
-
-
-def identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))

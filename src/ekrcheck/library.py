@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 from .errors import CatalogError
@@ -353,9 +352,3 @@ def get_group(key: str) -> tuple[GroupSpec, PermutationGroup]:
     spec = get_spec(key)
     return spec, build_group(spec)
 
-
-def canonical_set_size(spec_or_group) -> Fraction:
-    """|G|/n, the size every canonical intersecting set attains."""
-    if isinstance(spec_or_group, GroupSpec):
-        return Fraction(spec_or_group.expected_order, spec_or_group.degree)
-    return Fraction(spec_or_group.order(), spec_or_group.degree)

@@ -1,13 +1,11 @@
-"""Coset-incidence matrices and exact rank certification.
+"""Exact rank certification of the derangement block M.
 
-For a 2-transitive group of degree n the indicator vectors v_{i,j} of the
-canonical sets {pi : pi(i)=j} span a module whose structure is probed with
-four matrices: H (all n^2 columns), the reduced H-bar (n diagonal columns
-(i,i) followed by the off-diagonal pairs over the first n-1 points), the
-block M of H-bar with rows restricted to derangements and columns to the
-off-diagonal pairs, and the block B (non-identity rows with fixed points,
-diagonal columns).  The question that decides strictness is whether M has
-full column rank over the rationals.
+For a 2-transitive group of degree n, M has one row per derangement and
+one column per off-diagonal pair (i,j), i != j, over the first n-1 points;
+entry 1 records that the derangement maps i to j.  M is the derangement
+block of the module method's coset-incidence matrix; the standard-module
+lemmas about that matrix are checked in the tests.  The question that
+decides strictness is whether M has full column rank over the rationals.
 
 Rank is certified on the Gram matrix N = M^T M: over Q, ker M = ker N
 (w^T N w = |Mw|^2), so a full-rank verdict mod p certifies full column
@@ -39,9 +37,6 @@ from .modmath import (
 )
 from .perm import Permutation
 
-HBAR_CAP = 250_000
-PROJECTION_CAP = 2_000
-GRAM_L_CAP = 50_000
 _KERNEL_MULTIPLIERS = 64
 
 
@@ -50,13 +45,6 @@ def offdiag_pairs(n: int) -> list[tuple[int, int]]:
     lexicographic."""
     m = n - 1
     return [(i, j) for i in range(m) for j in range(m) if i != j]
-
-
-def pair_col_index(n: int, i: int, j: int) -> int:
-    m = n - 1
-    if not (0 <= i < m and 0 <= j < m and i != j):
-        raise ValueError(f"({i},{j}) is not an off-diagonal pair over {m} points")
-    return i * (m - 1) + (j if j < i else j - 1)
 
 
 def gram_offdiag(rows: np.ndarray, n: int) -> np.ndarray:
@@ -134,84 +122,6 @@ def gram_M(eg: EnumeratedGroup) -> np.ndarray:
     """Gram matrix of the full derangement block M; the enumeration cap
     already bounds its rows."""
     return gram_offdiag(eg.E[eg.fix_counts_all == 0], eg.group.degree)
-
-
-# ---- module matrices for enumerable groups ----
-
-
-@dataclass
-class ModuleMatrices:
-    """H-bar with the canonical row and column order, plus its blocks.
-
-    Columns: n diagonal pairs (i,i), then off-diagonal pairs over the
-    first n-1 points.  Rows: identity, derangements in enumeration
-    order, then the remaining elements."""
-
-    n: int
-    order: int
-    der_count: int
-    row_order: np.ndarray
-    Hbar: np.ndarray
-
-    @property
-    def M(self) -> np.ndarray:
-        return self.Hbar[1 : 1 + self.der_count, self.n :]
-
-    @property
-    def B(self) -> np.ndarray:
-        return self.Hbar[1 + self.der_count :, : self.n]
-
-    @property
-    def C(self) -> np.ndarray:
-        return self.Hbar[1 + self.der_count :, self.n :]
-
-
-def build_M(eg: EnumeratedGroup, cap: int = HBAR_CAP) -> ModuleMatrices:
-    if eg.E.shape[0] > cap:
-        raise ValueError(f"group order {eg.E.shape[0]} exceeds the H-bar cap {cap}")
-    n = eg.group.degree
-    fix = eg.fix_counts_all
-    der = np.nonzero(fix == 0)[0]
-    rest = np.nonzero((fix > 0) & (np.arange(len(fix)) != 0))[0]
-    row_order = np.concatenate(([0], der, rest))
-    Eo = eg.E[row_order]
-
-    diag = (Eo == np.arange(n, dtype=Eo.dtype)).astype(np.int8)
-    m = n - 1
-    pts = np.arange(m, dtype=np.int64)
-    J = Eo[:, :m].astype(np.int64)
-    valid = (J <= n - 2) & (J != pts[None, :])
-    col = pts[None, :] * (m - 1) + J - (J > pts[None, :])
-    off = np.zeros((Eo.shape[0], m * (m - 1)), dtype=np.int8)
-    r_idx = np.broadcast_to(np.arange(Eo.shape[0])[:, None], J.shape)[valid]
-    off[r_idx, col[valid]] = 1
-
-    mm = ModuleMatrices(
-        n=n,
-        order=eg.E.shape[0],
-        der_count=len(der),
-        row_order=row_order,
-        Hbar=np.hstack([diag, off]),
-    )
-    # block display: identity row is all-ones on the diagonal columns and
-    # zero elsewhere; derangement rows are zero on every diagonal column
-    assert (mm.Hbar[0, :n] == 1).all() and (mm.Hbar[0, n:] == 0).all()
-    assert not mm.Hbar[1 : 1 + len(der), :n].any()
-    assert (mm.M.sum(axis=1) == n - 2).all()
-    return mm
-
-
-def build_H(eg: EnumeratedGroup, cap: int = HBAR_CAP) -> np.ndarray:
-    """Full incidence matrix: all n^2 columns (i,j) in lexicographic order,
-    rows in enumeration order."""
-    if eg.E.shape[0] > cap:
-        raise ValueError(f"group order {eg.E.shape[0]} exceeds the H-bar cap {cap}")
-    n = eg.group.degree
-    H = np.zeros((eg.E.shape[0], n * n), dtype=np.int8)
-    r = np.repeat(np.arange(eg.E.shape[0]), n)
-    c = (np.arange(n)[None, :] * n + eg.E).ravel()
-    H[r, c.astype(np.int64)] = 1
-    return H
 
 
 # ---- rank certification ----
@@ -405,6 +315,13 @@ def _charpoly_exact(A: list[list[int]]) -> list[int]:
 
 _pairs_cache: dict[int, PairsGraph] = {}
 
+# class of a vertex pair (u, w), indexed by the coincidence code
+# [u0 = w0] + 2 [u1 = w1] + 4 [u0 = w1] + 8 [u1 = w0]: 0 same, 1 swapped,
+# 2 shared first point, 3 shared second point, 4 u0 = w1 only, 5 u1 = w0
+# only, 6 disjoint; -1 marks codes that no two vertices have.  A joins
+# classes 4, 5 and 6.
+_PAIR_CLASS = np.array([6, 2, 3, 0, 4, -1, -1, -1, 5, -1, -1, -1, 1, -1, -1, -1], dtype=np.int8)
+
 
 def pairs_graph(n: int) -> PairsGraph:
     """The graph X_n on ordered pairs from the first n-1 points, with its
@@ -412,7 +329,7 @@ def pairs_graph(n: int) -> PairsGraph:
 
     For n > 4 the roots are those of the 7x7 integer matrix L of
     multiplication by A in the orbital algebra, whose basis is the seven
-    classes of vertex pairs below.  Entry L[s][t] counts the neighbours v
+    classes of vertex pairs in `_PAIR_CLASS`.  Entry L[s][t] counts the neighbours v
     of u with (v, w) in class t, for a position (u, w) of class s, so row
     s is one bincount; it is checked equal at up to 20 more positions of
     the class."""
@@ -425,23 +342,14 @@ def pairs_graph(n: int) -> PairsGraph:
     I = np.array([v[0] for v in verts], dtype=np.int16)
     J = np.array([v[1] for v in verts], dtype=np.int16)
     Iu, Ju, Iw, Jw = I[:, None], J[:, None], I[None, :], J[None, :]
-    same = (Iu == Iw) & (Ju == Jw)
-    swap = (Iu == Jw) & (Ju == Iw) & ~same
-    icom = (Iu == Iw) & (Ju != Jw)
-    jcom = (Ju == Jw) & (Iu != Iw)
-    ilnk = (Iu == Jw) & (Ju != Iw)
-    jlnk = (Ju == Iw) & (Iu != Jw)
-    disj = (Iu != Iw) & (Iu != Jw) & (Ju != Iw) & (Ju != Jw)
-    types = [same, swap, icom, jcom, ilnk, jlnk, disj]
-    T = np.zeros_like(same, dtype=np.int8)
-    cover = np.zeros_like(same, dtype=np.int8)
-    for t, mask in enumerate(types):
-        T[mask] = t
-        cover += mask
-    assert (cover == 1).all()
-    A = (ilnk | jlnk | disj).astype(np.int8)
+    # uint8 weights keep the n^4-entry temporaries one byte wide
+    w = np.array([1, 2, 4, 8], dtype=np.uint8)
+    code = (Iu == Iw) * w[0] + (Ju == Jw) * w[1] + (Iu == Jw) * w[2] + (Ju == Iw) * w[3]
+    T = _PAIR_CLASS[code]
+    assert (T >= 0).all()
+    A = (T >= 4).astype(np.int8)
     assert (A.sum(axis=1) == (n - 2) * (n - 3)).all()
-    assert np.array_equal(A, A.T) and not A[swap].any()
+    assert np.array_equal(A, A.T) and not A[T == 1].any()
 
     if n == 4:
         # no disjoint pairs among three points: take A's own polynomial
@@ -518,129 +426,3 @@ def gram_pattern(N: np.ndarray, n: int, row_count: int) -> ClassGram:
         return ClassGram(n, row_count, N, True, lam, mu, bound, mu >= 0 and bound > 0)
     return ClassGram(n, row_count, N, False, None, None, None, False)
 
-
-# ---- the standard-module checks for small groups ----
-
-
-def _fix_product_matrix(eg: EnumeratedGroup) -> np.ndarray:
-    """F[r, s] = number of fixed points of element_r * element_s^{-1}."""
-    o, n = eg.E.shape
-    F = np.empty((o, o), dtype=np.int64)
-    pts = np.arange(n, dtype=eg.E.dtype)
-    for s in range(o):
-        inv_row = eg.E[eg.inv_index[s]]
-        F[:, s] = (eg.E[:, inv_row] == pts).sum(axis=1)
-    return F
-
-
-def std_apply(eg: EnumeratedGroup, vec: np.ndarray) -> list[Fraction]:
-    """Image of an integer vector under the projection onto the module of
-    the standard character (degree n-1, values fix-1)."""
-    if eg.E.shape[0] > PROJECTION_CAP:
-        raise ValueError(f"group order exceeds the projection cap {PROJECTION_CAP}")
-    n = eg.group.degree
-    W = _fix_product_matrix(eg) - 1
-    img = W @ np.asarray(vec, dtype=np.int64)
-    return [Fraction(int(x) * (n - 1), eg.E.shape[0]) for x in img]
-
-
-def rank_H_exact(eg: EnumeratedGroup) -> int:
-    """Exact rational rank of H, certified on both sides: a modular rank
-    lower bound and 2n-2 explicit kernel vectors for the upper bound."""
-    n = eg.group.degree
-    H = build_H(eg)
-    p1, p2 = _rank_primes()
-    lower = max(rank_mod(H.astype(np.int64) % p, p) for p in (p1, p2))
-
-    # kernel vectors: all row-sum columns (i,*) share the all-ones image,
-    # and so do all column-sum families (*,j)
-    K = np.zeros((2 * n - 2, n * n), dtype=np.int64)
-    for i in range(1, n):
-        K[i - 1, i * n : (i + 1) * n] = 1
-        K[i - 1, 0:n] = -1
-    for j in range(1, n):
-        K[n - 2 + j, j::n] = 1
-        K[n - 2 + j, 0::n] = -1
-    assert not (H.astype(np.int64) @ K.T).any()
-    assert rank_mod(K % p1, p1) == 2 * n - 2
-    upper = n * n - (2 * n - 2)
-    if lower != upper:
-        raise ArithmeticError(f"rank of H not pinched: {lower} < {upper}")
-    return lower
-
-
-def rank_Hbar(eg: EnumeratedGroup) -> int:
-    mm = build_M(eg)
-    p1, p2 = _rank_primes()
-    r = max(rank_mod(mm.Hbar.astype(np.int64) % p, p) for p in (p1, p2))
-    cols = mm.Hbar.shape[1]
-    if r != cols:
-        raise ArithmeticError(f"H-bar rank {r} below column count {cols}")
-    return r
-
-
-def standard_projection_check(eg: EnumeratedGroup, i: int, j: int) -> bool:
-    """Verify that v_{i,j} - (1/n)*1 is fixed by the standard-module
-    projection, and that rank(H) = rank(H-bar) = (n-1)^2 + 1."""
-    o, n = eg.E.shape
-    if o > PROJECTION_CAP:
-        raise ValueError(f"group order {o} exceeds the projection cap {PROJECTION_CAP}")
-    v = (eg.E[:, i] == j).astype(np.int64)
-    X = n * v - 1
-    W = _fix_product_matrix(eg) - 1
-    # E_std x = x cleared of denominators: (n-1) W X = |G| X
-    assert np.array_equal((n - 1) * (W @ X), o * X)
-    target = (n - 1) ** 2 + 1
-    assert rank_H_exact(eg) == target
-    assert rank_Hbar(eg) == target
-    return True
-
-
-def unique_fixed_point_element(group: PermutationGroup, x: int) -> Permutation:
-    """An element whose only fixed point is x, found by scanning the point
-    stabilizer.  2-transitivity guarantees one exists."""
-    stab = group.point_stabilizer(x)
-    for p in stab.elements():
-        fixed = [y for y in range(group.degree) if p.images[y] == y]
-        if fixed == [x]:
-            return p
-    raise ValueError(f"no element fixes only point {x}; group is not 2-transitive")
-
-
-def b_identity_submatrix(eg: EnumeratedGroup) -> np.ndarray:
-    """Rows of the B block, one per point, forming the n x n identity on
-    the diagonal columns."""
-    n = eg.group.degree
-    sel = np.zeros((n, n), dtype=np.int8)
-    for x in range(n):
-        u = unique_fixed_point_element(eg.group, x)
-        row = np.fromiter(u.images, dtype=np.int8, count=n)
-        assert 0 < (row == np.arange(n)).sum() < n
-        sel[x] = row == np.arange(n)
-    assert np.array_equal(sel, np.eye(n, dtype=np.int8))
-    return sel
-
-
-def gram_L(eg: EnumeratedGroup, cap: int = GRAM_L_CAP) -> np.ndarray:
-    """Exact Gram matrix of all (n-1)^2 vectors v_{i,j} over the first n-1
-    points, verified to equal (|G|/n) I + |G|/(n(n-1)) (A(K) (x) A(K)).
-
-    The Kronecker factor has least eigenvalue -(n-2), so the Gram matrix
-    is positive definite and the v_{i,j} are linearly independent."""
-    o, n = eg.E.shape
-    if o > cap:
-        raise ValueError(f"group order {o} exceeds the Gram cap {cap}")
-    m = n - 1
-    masks = np.empty((m * m, o), dtype=np.float64)
-    for i in range(m):
-        for j in range(m):
-            masks[i * m + j] = eg.E[:, i] == j
-    G = np.rint(masks @ masks.T).astype(np.int64)
-    assert o % (n * (n - 1)) == 0
-    AK = np.ones((m, m), dtype=np.int64) - np.eye(m, dtype=np.int64)
-    expected = (o // n) * np.eye(m * m, dtype=np.int64) + (
-        o // (n * (n - 1))
-    ) * np.kron(AK, AK)
-    if not np.array_equal(G, expected):
-        raise ArithmeticError("Gram matrix of the v_{i,j} has unexpected structure")
-    return G

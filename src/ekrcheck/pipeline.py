@@ -24,6 +24,7 @@ import hashlib
 import json
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +33,6 @@ import numpy as np
 from .chartab import CharacterTable, character_table_for, parse_table
 from .cliques import (
     DEFAULT_NODE_BUDGET,
-    Clique,
     SearchStats,
     find_n_clique,
     module_by_clique,
@@ -479,6 +479,15 @@ def _decide_strict(
         report.strict, report.strict_reason = "unknown", "external-unproven"
 
 
+@contextmanager
+def _timed(report: EkrReport, key: str):
+    """Record the wall time of the block as `report.timings[key]`; a block
+    that raises records nothing."""
+    t = time.perf_counter()
+    yield
+    report.timings[key] = time.perf_counter() - t
+
+
 # ---- groups over the enumeration cap ----
 
 _CLASS_SHAPE = {
@@ -525,16 +534,13 @@ def mathieu_class_rank(report: EkrReport, group: PermutationGroup) -> None:
     size |G|/|C_G(z)| comes from the sifted centraliser.  The three steps
     are timed as `rank.class_size`, `rank.orbit_gram` and `rank.pattern`."""
     order, shape = _CLASS_SHAPE[report.key]
-    t = time.perf_counter()
-    rep = _find_class_rep(group, order, shape)
-    size = group.order() // centralizer_order(group, rep)
-    report.timings["rank.class_size"] = time.perf_counter() - t
-    t = time.perf_counter()
-    N = quadruple_orbit_gram(group, rep, size)
-    report.timings["rank.orbit_gram"] = time.perf_counter() - t
-    t = time.perf_counter()
-    cg = gram_pattern(N, report.degree, size)
-    report.timings["rank.pattern"] = time.perf_counter() - t
+    with _timed(report, "rank.class_size"):
+        rep = _find_class_rep(group, order, shape)
+        size = group.order() // centralizer_order(group, rep)
+    with _timed(report, "rank.orbit_gram"):
+        N = quadruple_orbit_gram(group, rep, size)
+    with _timed(report, "rank.pattern"):
+        cg = gram_pattern(N, report.degree, size)
     if not cg.psd_certified:
         report.notes.append("class Gram pattern did not certify positive-definiteness")
         return
@@ -557,15 +563,13 @@ def _over_cap_route(report: EkrReport, group: PermutationGroup, tables_dir) -> N
     Strict stays unknown: it is never assembled from a supplied table."""
     path = Path(tables_dir, f"{report.key}.ct") if tables_dir is not None else None
     if path is not None and path.exists():
-        t = time.perf_counter()
-        imported_table_report(report, group, path)
-        report.timings["table"] = time.perf_counter() - t
+        with _timed(report, "table"):
+            imported_table_report(report, group, path)
     if report.key not in _CLASS_SHAPE:
         report.notes.append("no streamed-class route registered for this group")
         return
-    t = time.perf_counter()
-    mathieu_class_rank(report, group)
-    report.timings["rank"] = time.perf_counter() - t
+    with _timed(report, "rank"):
+        mathieu_class_rank(report, group)
 
 
 def classify(key_or_spec, caps: Caps | None = None, tables_dir=None) -> EkrReport:
@@ -580,114 +584,104 @@ def classify(key_or_spec, caps: Caps | None = None, tables_dir=None) -> EkrRepor
     spec = get_spec(key_or_spec) if isinstance(key_or_spec, str) else key_or_spec
     group = build_group(spec)
     report = EkrReport(key=spec.name, degree=spec.degree, order=group.order())
-    t0 = time.perf_counter()
-
-    try:
-        t = time.perf_counter()
-        eg = conjugacy_classes(group, caps.enumeration)
-        report.timings["enumerate"] = time.perf_counter() - t
-    except CapExceeded as exc:
-        report.notes.append(f"enumeration cap: {exc}")
-        _over_cap_route(report, group, tables_dir)
-    else:
-        t = time.perf_counter()
-        table = character_table_for(group, eg=eg)
-        report.timings["table"] = time.perf_counter() - t
-
-        t = time.perf_counter()
-        spc = _spectral_columns(report, table)
-        report.timings["spectrum"] = time.perf_counter() - t
-
-        t = time.perf_counter()
-        search = SearchStats()
-        clique = find_n_clique(eg, caps.clique_budget, search)
-        if clique is not None:
-            report.n_clique = "yes"
-            report.certificates.append(
-                {"kind": "n-clique", "elements": [list(p.images) for p in clique.elements]}
-            )
-        elif search.exhausted:
-            report.n_clique = "no"
-            report.certificates.append({"kind": "n-clique-exhausted", "nodes": search.nodes})
+    with _timed(report, "total"):
+        try:
+            with _timed(report, "enumerate"):
+                eg = conjugacy_classes(group, caps.enumeration)
+        except CapExceeded as exc:
+            report.notes.append(f"enumeration cap: {exc}")
+            _over_cap_route(report, group, tables_dir)
         else:
-            report.n_clique = "unknown"
-            report.notes.append(
-                f"n-clique search stopped at the node budget: {search.nodes} of "
-                f"{caps.clique_budget} nodes"
-            )
-        report.timings["clique"] = time.perf_counter() - t
+            with _timed(report, "table"):
+                table = character_table_for(group, eg=eg)
 
-        if report.least_standard == "no":
+            with _timed(report, "spectrum"):
+                spc = _spectral_columns(report, table)
+
+            with _timed(report, "clique"):
+                search = SearchStats()
+                clique = find_n_clique(eg, caps.clique_budget, search)
             if clique is not None:
-                report.ekr, report.ekr_reason = "yes", "clique-coclique"
-            else:
-                report.notes.append("no n-clique for the clique-coclique bound; EKR undecided")
-
-        if report.ekr == "yes" and report.unique != "yes":
-            t = time.perf_counter()
-            weighted = weighted_ratio_certificate(eg, table)
-            report.timings["weighted"] = time.perf_counter() - t
-            if weighted is not None:
-                # condition (b) is settled; the clique hunt is not attempted
-                report.certificates.append(weighted)
-            elif clique is None:
-                report.module_by_clique = "unknown"
-            else:
-                t = time.perf_counter()
-                wits = module_by_clique(eg, table, budget=caps.clique_budget)
-                done = all(w.witnessed for w in wits.values())
-                report.module_by_clique = "yes" if done else "unknown"
+                report.n_clique = "yes"
                 report.certificates.append(
-                    {
-                        "kind": "module-by-clique",
-                        "witnessed": sorted(r for r, w in wits.items() if w.witnessed),
-                        "characters": len(wits),
-                    }
+                    {"kind": "n-clique", "elements": [list(p.images) for p in clique.elements]}
                 )
-                report.timings["module"] = time.perf_counter() - t
-
-        t = time.perf_counter()
-        cert = rank_certificate(gram_M(eg))
-        report.rank_full = "yes" if cert.full else "no"
-        report.rank_mode = cert.mode
-        report.certificates.append(
-            {
-                "kind": "rank",
-                "columns": cert.columns,
-                "claimed_rank": cert.claimed_rank,
-                "mode": cert.mode,
-                "primes": list(cert.primes),
-                "kernel_digest": _digest(cert.kernel) if cert.kernel else None,
-            }
-        )
-        report.timings["rank"] = time.perf_counter() - t
-
-        witness_ok = False
-        built = hyperplane_witness(spec, eg)
-        if built is not None:
-            t = time.perf_counter()
-            els, W = built
-            inter, maximum, canonical = verify_witness(
-                group, els, ekr_established=report.ekr == "yes"
-            )
-            witness_ok = inter and maximum and not canonical
-            if witness_ok:
-                report.certificates.append(
-                    {
-                        "kind": "witness",
-                        "size": len(els),
-                        "hyperplane": [int(x) for x in W],
-                        "digest": _digest(sorted(p.images for p in els)),
-                    }
-                )
+            elif search.exhausted:
+                report.n_clique = "no"
+                report.certificates.append({"kind": "n-clique-exhausted", "nodes": search.nodes})
+            else:
+                report.n_clique = "unknown"
                 report.notes.append(
-                    f"hyperplane stabilizer of size {len(els)} is a maximum "
-                    "intersecting set sharing no image pair"
+                    f"n-clique search stopped at the node budget: {search.nodes} of "
+                    f"{caps.clique_budget} nodes"
                 )
-            report.timings["witness"] = time.perf_counter() - t
 
-        _decide_strict(report, spc, witness_ok)
-    report.timings["total"] = time.perf_counter() - t0
+            if report.least_standard == "no":
+                if clique is not None:
+                    report.ekr, report.ekr_reason = "yes", "clique-coclique"
+                else:
+                    report.notes.append("no n-clique for the clique-coclique bound; EKR undecided")
+
+            if report.ekr == "yes" and report.unique != "yes":
+                with _timed(report, "weighted"):
+                    weighted = weighted_ratio_certificate(eg, table)
+                if weighted is not None:
+                    # condition (b) is settled; the clique hunt is not attempted
+                    report.certificates.append(weighted)
+                elif clique is None:
+                    report.module_by_clique = "unknown"
+                else:
+                    with _timed(report, "module"):
+                        wits = module_by_clique(eg, table, budget=caps.clique_budget)
+                    done = all(w.witnessed for w in wits.values())
+                    report.module_by_clique = "yes" if done else "unknown"
+                    report.certificates.append(
+                        {
+                            "kind": "module-by-clique",
+                            "witnessed": sorted(r for r, w in wits.items() if w.witnessed),
+                            "characters": len(wits),
+                        }
+                    )
+
+            with _timed(report, "rank"):
+                cert = rank_certificate(gram_M(eg))
+            report.rank_full = "yes" if cert.full else "no"
+            report.rank_mode = cert.mode
+            report.certificates.append(
+                {
+                    "kind": "rank",
+                    "columns": cert.columns,
+                    "claimed_rank": cert.claimed_rank,
+                    "mode": cert.mode,
+                    "primes": list(cert.primes),
+                    "kernel_digest": _digest(cert.kernel) if cert.kernel else None,
+                }
+            )
+
+            witness_ok = False
+            built = hyperplane_witness(spec, eg)
+            if built is not None:
+                els, W = built
+                with _timed(report, "witness"):
+                    inter, maximum, canonical = verify_witness(
+                        group, els, ekr_established=report.ekr == "yes"
+                    )
+                witness_ok = inter and maximum and not canonical
+                if witness_ok:
+                    report.certificates.append(
+                        {
+                            "kind": "witness",
+                            "size": len(els),
+                            "hyperplane": [int(x) for x in W],
+                            "digest": _digest(sorted(p.images for p in els)),
+                        }
+                    )
+                    report.notes.append(
+                        f"hyperplane stabilizer of size {len(els)} is a maximum "
+                        "intersecting set sharing no image pair"
+                    )
+
+            _decide_strict(report, spc, witness_ok)
     report.validate()
     return report
 

@@ -24,7 +24,7 @@ import numpy as np
 from ekrcheck.chartab import (
     MAX_SPLIT_ATTEMPTS,
     CharacterTable,
-    _locate_distinguished,
+    _propose_distinguished,
     _sort_rows,
     _verify_table,
 )
@@ -149,7 +149,7 @@ def character_table(eg: EnumeratedGroup, seed: int = 1) -> CharacterTable:
         degrees.append(deg)
 
     values, degrees = _sort_rows(values, degrees)
-    trivial, standard = _locate_distinguished(values, eg.class_fix)
+    trivial, standard = _propose_distinguished(values, eg.class_fix)
     table = CharacterTable(
         order=order,
         degree=eg.group.degree,

@@ -49,6 +49,7 @@ from ekrcheck import pipeline as pl
 from ekrcheck.perm import Permutation
 from ekrcheck.weighted import verify_weighted_ratio
 from reference_rows import ROWS
+import lemma_reference as lr
 
 SMALL_DEGREE_MAX = 20
 SURVEY_KEYS = [k for k in catalog_keys() if get_spec(k).degree <= SMALL_DEGREE_MAX]
@@ -326,7 +327,8 @@ def test_degree_23_class_gram_pattern():
     assert cg.lam == t // 22
     assert cg.mu == t // (22 * 21)
     # a 23-cycle has no 2-cycle, so the ((1,2),(2,1)) entry vanishes
-    assert cg.N[mr.pair_col_index(23, 0, 1), mr.pair_col_index(23, 1, 0)] == 0
+    pairs = mr.offdiag_pairs(23)
+    assert cg.N[pairs.index((0, 1)), pairs.index((1, 0))] == 0
     A = mr.pairs_graph(23).adjacency.astype(np.int64)
     expected = cg.lam * np.eye(A.shape[0], dtype=np.int64) + cg.mu * A
     assert np.array_equal(cg.N, expected)
@@ -420,10 +422,10 @@ def test_standard_module_lemmas(key):
     _, g = get_group(key)
     eg = EnumeratedGroup(g)
     n = g.degree
-    assert mr.rank_H_exact(eg) == (n - 1) ** 2 + 1
-    assert mr.rank_Hbar(eg) == (n - 1) ** 2 + 1
+    assert lr.rank_H_exact(eg) == (n - 1) ** 2 + 1
+    assert lr.rank_Hbar(eg) == (n - 1) ** 2 + 1
     # projection fixes v_{i,j} - (1/n) * all-ones for every pair
     for i, j in ((0, 1), (1, 0), (n - 1, 0)):
-        assert mr.standard_projection_check(eg, i, j)
-    mr.gram_L(eg)  # raises unless the Gram has the two-constant form
-    assert np.array_equal(mr.b_identity_submatrix(eg), np.eye(n, dtype=np.int8))
+        assert lr.standard_projection_check(eg, i, j)
+    lr.gram_L(eg)  # raises unless the Gram has the two-constant form
+    assert np.array_equal(lr.b_identity_submatrix(eg), np.eye(n, dtype=np.int8))

@@ -9,6 +9,8 @@ same serialized table as the one-eigenvalue-at-a-time oracle in
 `chartab_reference`.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,9 @@ import ekrcheck.chartab as chartab_mod
 from ekrcheck.chartab import character_table, class_constants, export_table, parse_table
 from ekrcheck.cyclo import Cyc
 from ekrcheck.errors import TableFormatError
-from ekrcheck.group import conjugacy_classes
+from ekrcheck.group import PermutationGroup, conjugacy_classes
 from ekrcheck.library import catalog_keys, get_group, get_spec
+from ekrcheck.perm import Permutation
 
 import chartab_reference
 from chartab_reference import inner_product
@@ -293,3 +296,19 @@ def test_corrupted_tables_rejected(tables):
     for case in bad:
         with pytest.raises(TableFormatError):
             parse_table(case)
+
+
+def test_swapped_distinguished_indices_rejected(tables):
+    _, t = tables("F20")
+    chartab_mod._verify_table(t)
+    swapped = dataclasses.replace(t, trivial=t.standard, standard=t.trivial)
+    with pytest.raises(TableFormatError, match="wrong row"):
+        chartab_mod._verify_table(swapped)
+
+
+def test_table_without_a_fix_minus_one_row_rejected():
+    # the dihedral group of order 10 is transitive but not 2-transitive on
+    # five points, so fix-1 is not irreducible
+    dihedral = PermutationGroup([Permutation((1, 2, 3, 4, 0)), Permutation((0, 4, 3, 2, 1))])
+    with pytest.raises(TableFormatError, match="no fix-1"):
+        character_table(conjugacy_classes(dihedral))

@@ -9,9 +9,7 @@ import pytest
 
 from ekrcheck.chartab import character_table
 from ekrcheck.cliques import (
-    Clique,
     SearchStats,
-    canonical_clique,
     find_n_clique,
     iter_n_cliques,
     module_by_clique,
@@ -160,16 +158,6 @@ def test_verify_clique_basics(ctx):
     assert not verify_clique(g, [ident, swap])
     with pytest.raises(ValueError):
         verify_clique(g, [Permutation.identity(4)])
-
-
-def test_canonical_clique_translates_to_identity(ctx):
-    eg, _ = ctx("F20")
-    c = find_n_clique(eg)
-    g = eg.element(7)
-    shifted = [g * x for x in c.elements]
-    canon = canonical_clique(shifted)
-    assert canon.elements[0] == Permutation.identity(5)
-    assert verify_clique(eg.group, canon.elements)
 
 
 def test_projection_norms_sum_to_clique_size(ctx):

@@ -20,7 +20,6 @@ from ekrcheck.dergraph import (
     brute_spectrum_matches,
     complete_union_detect,
     least_analysis,
-    ratio_verdict,
     spectrum,
 )
 from ekrcheck.group import conjugacy_classes
@@ -117,23 +116,6 @@ def test_least_analysis_s3(ctx):
     tau, is_least, is_unique = least_analysis(sp, t)
     assert is_least and is_unique
     assert (tau + 1).is_zero()
-
-
-def test_ratio_verdict_examples(ctx):
-    _, _, sp3 = ctx("S3")
-    bound, flag = ratio_verdict(6, 3, 2, sp3.least.value)
-    assert flag and bound == Fraction(2)
-    _, _, sp20 = ctx("F20")
-    bound, flag = ratio_verdict(20, 5, 4, sp20.least.value)
-    assert flag and bound == Fraction(4)
-
-
-def test_ratio_verdict_nonstandard_least():
-    # tau = -2 on a graph with d = 2, n = 5: bound 10/(1+1) = 5, no flag
-    bound, flag = ratio_verdict(10, 5, 2, Cyc.integer(1, -2))
-    assert not flag and bound == Fraction(5)
-    with pytest.raises(ValueError):
-        ratio_verdict(10, 5, 2, Cyc.integer(1, 1))
 
 
 def test_brute_adjacency_s3(ctx):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ekrcheck.fields import gf, identity_matrix, mat_det, mat_mul, mat_vec, prime_power
+from ekrcheck.fields import gf, mat_vec, prime_power
 
 ALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -89,34 +89,8 @@ def test_fermat_little():
 
 
 def test_matrix_helpers():
-    F = gf(4)
-    I = identity_matrix(3)
-    A = ((2, 1, 0), (0, 2, 1), (1, 0, 2))
-    assert mat_mul(F, A, I) == A
-    assert mat_mul(F, I, A) == A
-    v = (1, 2, 3)
-    assert mat_vec(F, I, v) == v
-    # associativity of a matrix product chain
-    B = ((1, 1, 1), (0, 1, 1), (0, 0, 1))
-    assert mat_mul(F, mat_mul(F, A, B), A) == mat_mul(F, A, mat_mul(F, B, A))
-
-
-def test_det():
-    F = gf(5)
-    assert mat_det(F, ((1, 2), (3, 4))) == (4 - 6) % 5
-    assert mat_det(F, ((1, 2), (2, 4))) == 0
-    assert mat_det(F, identity_matrix(4)) == 1
-    # multiplicativity over a sample of GL(2,4)
-    F4 = gf(4)
-    mats = [((a, b), (c, d))
-            for a, b, c, d in itertools.product(range(4), repeat=4)]
-    gl = [m for m in mats if mat_det(F4, m) != 0]
-    assert len(gl) == (16 - 1) * (16 - 4)  # |GL(2,4)| = 180
-    import random
-    rng = random.Random(7)
-    for _ in range(50):
-        A, B = rng.choice(gl), rng.choice(gl)
-        assert mat_det(F4, mat_mul(F4, A, B)) == F4.mul(mat_det(F4, A), mat_det(F4, B))
+    I = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert mat_vec(gf(4), I, (1, 2, 3)) == (1, 2, 3)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,12 +11,10 @@ import itertools
 import pytest
 
 from ekrcheck.errors import CatalogError
-from ekrcheck.group import PermutationGroup
 from ekrcheck.library import (
     AffineModel,
     ProjectiveModel,
     build_group,
-    canonical_set_size,
     catalog_keys,
     get_group,
     get_spec,
@@ -180,11 +178,6 @@ def test_build_group_checks_order():
 def test_unknown_key():
     with pytest.raises(CatalogError):
         get_spec("M25")
-
-
-def test_canonical_set_size():
-    spec = get_spec("M11")
-    assert canonical_set_size(spec) == 720
 
 
 def test_model_tokens():
