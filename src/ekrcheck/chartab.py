@@ -105,9 +105,6 @@ class CharacterTable:
     trivial: int
     standard: int
 
-    def shadow(self) -> np.ndarray:
-        return np.array([[v.approx() for v in row] for row in self.values])
-
     def permutation_character(self) -> list[Cyc]:
         return [Cyc.integer(1, f) for f in self.class_fix]
 
@@ -226,26 +223,34 @@ def _locate_distinguished(values: list[list[Cyc]], class_fix: list[int]) -> tupl
     return trivial, standard
 
 
-def _propose_distinguished(values: list[list[Cyc]], class_fix: list[int]) -> tuple[int, int]:
+def _shadow(values: list[list[Cyc]]) -> np.ndarray:
+    """The float shadow of a table: every value as a complex128."""
+    return np.array([[v.approx() for v in row] for row in values])
+
+
+def _propose_distinguished(shadow: np.ndarray, class_fix: list[int]) -> tuple[int, int]:
     """The rows whose float shadows lie nearest all-ones and fix-1, a
     proposal that `_verify_table` confirms exactly.  By orthogonality any
     other irreducible row differs from either by at least sqrt(2) at some
     class, far beyond the float error."""
-    shadow = np.array([[v.approx() for v in row] for row in values])
     distance = [np.abs(shadow - target).max(axis=1) for target in (1, np.array(class_fix) - 1)]
     return int(distance[0].argmin()), int(distance[1].argmin())
 
 
-def _sort_rows(values: list[list[Cyc]], degrees: list[int]) -> tuple[list[list[Cyc]], list[int]]:
+def _sort_rows(
+    values: list[list[Cyc]], degrees: list[int]
+) -> tuple[list[list[Cyc]], list[int], np.ndarray]:
+    """Rows sorted by (degree, rounded float shadow), with the shadow of
+    the sorted table.  The key rounds the numpy float64 scalars that
+    `Cyc.approx` returns; rounding Python floats could break ties
+    differently."""
+    shadow = _shadow(values)
+
     def key(r: int):
-        shadow = []
-        for v in values[r]:
-            z = v.approx()
-            shadow.append((round(z.real, 9), round(z.imag, 9)))
-        return (degrees[r], shadow)
+        return (degrees[r], [(round(z.real, 9), round(z.imag, 9)) for z in shadow[r]])
 
     idx = sorted(range(len(values)), key=key)
-    return [values[r] for r in idx], [degrees[r] for r in idx]
+    return [values[r] for r in idx], [degrees[r] for r in idx], shadow[idx]
 
 
 def _krylov_eigenvectors(
@@ -378,9 +383,9 @@ def character_table(eg: EnumeratedGroup, seed: int = 1) -> CharacterTable:
     values = [list(row) for row in zip(*columns)]
     degrees = deg.tolist()
 
-    values, degrees = _sort_rows(values, degrees)
+    values, degrees, shadow = _sort_rows(values, degrees)
     class_fix = eg.class_fix
-    trivial, standard = _propose_distinguished(values, class_fix)
+    trivial, standard = _propose_distinguished(shadow, class_fix)
     table = CharacterTable(
         order=order,
         degree=eg.group.degree,
@@ -478,7 +483,7 @@ def parse_table(text: str) -> CharacterTable:
             raise TableFormatError("non-positive degree")
         values.append(row)
         degrees.append(int(deg))
-    trivial, standard = _propose_distinguished(values, fixes)
+    trivial, standard = _propose_distinguished(_shadow(values), fixes)
     table = CharacterTable(
         order=order,
         degree=fixes[0],

@@ -2,7 +2,7 @@
 
 Everything works on int64 numpy matrices with a prime modulus small enough
 that a*b never overflows (p < 2^31), which covers both the Dixon primes
-(p slightly above 2*sqrt|G|) and the 29-bit rank certification primes.
+(p slightly above 2*sqrt|G|) and the 29-bit rank certification prime.
 
 A rank needs only forward elimination (`echelon_mod`), which touches the
 rows below each pivot and the columns from the pivot on.  The reduced row
@@ -12,8 +12,6 @@ echelon form, so a caller that already holds one pays no second pass.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -173,92 +171,3 @@ def poly_roots_mod(coeffs: np.ndarray, p: int) -> list[int]:
     for c in reversed(coeffs):
         vals = (vals * xs + int(c)) % p
     return [int(x) for x in np.nonzero(vals == 0)[0]]
-
-
-# ---- exact polynomials over Q (lowest degree first, Fraction coeffs) ----
-
-
-def poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def poly_derivative(p: list[Fraction]) -> list[Fraction]:
-    if len(p) <= 1:
-        return [Fraction(0)]
-    return [c * i for i, c in enumerate(p)][1:]
-
-
-def poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(c != 0 for c in a):
-        shift = len(a) - 1 - db
-        q = a[-1] / lb
-        for i in range(len(b)):
-            a[shift + i] -= q * b[i]
-        a = poly_trim(a[:-1]) if a[-1] == 0 else poly_trim(a)
-    return poly_trim(a)
-
-
-def poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = poly_trim(list(a)), poly_trim(list(b))
-    while any(c != 0 for c in b):
-        a, b = b, poly_rem(a, b)
-    if a[-1] != 0:
-        a = [c / a[-1] for c in a]
-    return a
-
-
-def poly_div_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    out = [Fraction(0)] * (len(a) - db)
-    while len(a) - 1 >= db and any(c != 0 for c in a):
-        shift = len(a) - 1 - db
-        q = a[-1] / lb
-        out[shift] = q
-        for i in range(len(b)):
-            a[shift + i] -= q * b[i]
-        a = a[:-1]
-        while len(a) > 1 and a[-1] == 0:
-            a = a[:-1]
-    return poly_trim(out)
-
-
-def count_roots_strictly_below(p: list[Fraction], a: Fraction) -> int:
-    """Number of distinct real roots of p in (-inf, a), by Sturm's theorem."""
-    p = poly_trim([Fraction(c) for c in p])
-    if len(p) == 1:
-        return 0
-    sf = poly_div_exact(p, poly_gcd(p, poly_derivative(p)))
-    chain = [sf, poly_trim(poly_derivative(sf))]
-    while len(chain[-1]) > 1 or chain[-1][0] != 0:
-        r = poly_rem(chain[-2], chain[-1])
-        if all(c == 0 for c in r):
-            break
-        chain.append([-c for c in r])
-
-    def variations(signs):
-        signs = [s for s in signs if s != 0]
-        return sum(1 for x, y in zip(signs, signs[1:]) if x * y < 0)
-
-    at_minus_inf = [
-        (1 if q[-1] > 0 else -1) * (1 if (len(q) - 1) % 2 == 0 else -1)
-        for q in chain
-        if any(c != 0 for c in q)
-    ]
-    at_a = []
-    for q in chain:
-        v = poly_eval(q, a)
-        at_a.append(0 if v == 0 else (1 if v > 0 else -1))
-    below_or_at = variations(at_minus_inf) - variations(at_a)
-    return below_or_at - (1 if poly_eval(sf, a) == 0 else 0)

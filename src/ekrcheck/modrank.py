@@ -7,16 +7,17 @@ block of the module method's coset-incidence matrix; the standard-module
 lemmas about that matrix are checked in the tests.  The question that
 decides strictness is whether M has full column rank over the rationals.
 
-Rank is certified on the Gram matrix N = M^T M: over Q, ker M = ker N
-(w^T N w = |Mw|^2), so a full-rank verdict mod p certifies full column
-rank of M, and an exact integer kernel vector of N certifies deficiency.
+Rank is certified on the Gram matrix N = M^T M at one prime: over Q,
+ker M = ker N (w^T N w = |Mw|^2), so a full-rank verdict mod p certifies
+full column rank of M, and exact integer kernel vectors of N certify
+deficiency.
 N itself is counted exactly in int64, one point pair at a time, or for
 one conjugacy class from a single representative by orbit counting.
 
 The positive-definiteness shortcut for class Gram matrices uses the pairs
 graph X_n; its least eigenvalue is bounded below by -(n-3) exactly, via
-the characteristic polynomial of the 7-dimensional regular representation
-of the orbital algebra and a Sturm-chain root count.
+the integer characteristic polynomial of the 7-dimensional regular
+representation of the orbital algebra and a sign test on its Taylor shift.
 """
 
 from __future__ import annotations
@@ -27,14 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .group import EnumeratedGroup, PermutationGroup, orbit_labels
-from .modmath import (
-    count_roots_strictly_below,
-    echelon_mod,
-    finish_rref,
-    is_prime,
-    kernel_from_rref,
-    rank_mod,
-)
+from .modmath import echelon_mod, finish_rref, is_prime, kernel_from_rref, rank_mod
 from .perm import Permutation
 
 _KERNEL_MULTIPLIERS = 64
@@ -58,7 +52,8 @@ def gram_offdiag(rows: np.ndarray, n: int) -> np.ndarray:
         raise ValueError("non-derangement row passed to gram_offdiag")
     # each row has n-2 ones in M: one of the first n-1 points lands on the
     # last point, whose column is cut
-    assert ((rows[:, : n - 1] == n - 1).sum(axis=1) == 1).all()
+    if not ((rows[:, : n - 1] == n - 1).sum(axis=1) == 1).all():
+        raise ValueError("a row does not send exactly one point to the last point")
     m = n - 1
     X = np.ascontiguousarray(rows[:, :m].T, dtype=np.int16)
     Xn = X * np.int16(n)
@@ -138,45 +133,39 @@ class RankCertificate:
 
     def reverify(self, N: np.ndarray) -> bool:
         """Re-check the certificate against the Gram matrix, independently
-        of the computation that produced it."""
-        if self.full:
-            return (
-                self.claimed_rank == self.columns
-                and rank_mod(np.asarray(N) % self.primes[0], self.primes[0])
-                == self.columns
-            )
-        if not self.kernel or not _kernel_holds(N, self.kernel):
+        of the computation that produced it.  The kernel vectors, when
+        independent mod p, bound the rank from above and the rank at p
+        bounds it from below; an exact-elimination certificate, whose p
+        may be unlucky, is checked by rational elimination instead."""
+        N = np.asarray(N)
+        if self.claimed_rank != self.columns - len(self.kernel) or self.full == bool(self.kernel):
             return False
-        lower = max(rank_mod(np.asarray(N) % p, p) for p in self.primes)
-        return self.claimed_rank == self.columns - len(self.kernel) == lower
+        W = _integer_kernel(N, self.kernel)
+        if W is None:
+            return False
+        if self.mode == "exact elimination":
+            return _fraction_kernel(N)[0] == self.claimed_rank
+        p = self.primes[0]
+        return rank_mod(N % p, p) == self.claimed_rank and rank_mod(W % p, p) == len(W)
 
 
-def _kernel_holds(N: np.ndarray, kernel) -> bool:
-    """Whether every rational vector w of `kernel` is nonzero with N w = 0
-    exactly: w is scaled to integers by the lcm of its denominators and
-    multiplied out in Python ints."""
+def _integer_kernel(N: np.ndarray, kernel) -> np.ndarray | None:
+    """The rational vectors of `kernel`, each scaled to integers by the lcm
+    of its denominators, as the rows of an object array; None unless every
+    one is nonzero with N w = 0 exactly, multiplied out in Python ints."""
     No = np.asarray(N, dtype=object)
-    for w in kernel:
+    W = np.zeros((len(kernel), N.shape[1]), dtype=object)
+    for wi, w in zip(W, kernel):
         scale = 1
         for c in w:
             scale = scale * c.denominator // np.gcd(scale, c.denominator)
-        wi = np.array([int(c * scale) for c in w], dtype=object)
+        wi[:] = [int(c * scale) for c in w]
         if not any(wi) or any(No @ wi):
-            return False
-    return True
+            return None
+    return W
 
 
-_rank_prime_cache: list[int] = []
-
-
-def _rank_primes() -> tuple[int, int]:
-    if not _rank_prime_cache:
-        p = 2**29
-        while len(_rank_prime_cache) < 2:
-            if is_prime(p):
-                _rank_prime_cache.append(p)
-            p += 1
-    return _rank_prime_cache[0], _rank_prime_cache[1]
+_RANK_PRIME = next(p for p in range(2**29, 2**30) if is_prime(p))
 
 
 def _killed(N: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -248,37 +237,31 @@ def _fraction_kernel(N: np.ndarray) -> tuple[int, list[list[Fraction]]]:
 
 
 def rank_certificate(N: np.ndarray) -> RankCertificate:
-    """Certify the rational rank of the Gram matrix N = M^T M.
+    """Certify the rational rank of the Gram matrix N = M^T M at one prime p.
 
-    Full-rank mode is sound because rank mod p never exceeds the rational
-    rank; the deficient mode exhibits kernel vectors re-verified by exact
-    multiplication, and N w = 0 already forces M w = 0 over Q.  One forward
-    elimination at p1 gives the rank, and when it is deficient the same
-    echelon form is finished to the RREF that yields the kernel basis."""
+    Rank mod p never exceeds the rational rank, so r pivots at p prove
+    rank >= r, and r = cols proves full rank.  Otherwise the echelon form
+    is finished to the RREF, whose kernel basis lifts to integer vectors
+    that N kills exactly (N w = 0 forces M w = 0 over Q); they keep the
+    basis's diagonal pattern on the free columns, so they are independent
+    and prove rank <= r.  When a vector does not lift, exact rational
+    elimination decides."""
     N = np.asarray(N, dtype=np.int64)
     cols = N.shape[1]
-    p1, p2 = _rank_primes()
-    R, pivots = echelon_mod(N % p1, p1)
+    p = _RANK_PRIME
+    R, pivots = echelon_mod(N % p, p)
     if len(pivots) == cols:
-        return RankCertificate(cols, cols, True, f"full-rank via prime {p1}", (p1,), ())
-    r2 = rank_mod(N % p2, p2)
-    if r2 == cols:
-        return RankCertificate(cols, cols, True, f"full-rank via prime {p2}", (p2,), ())
+        return RankCertificate(cols, cols, True, f"full-rank via prime {p}", (p,), ())
+    basis = kernel_from_rref(finish_rref(R, pivots, p), pivots, p)
+    kernel = _lift_kernel(N, basis, p)
+    if kernel is not None:
+        return RankCertificate(cols, len(pivots), False, "deficient via exact kernel", (p,), kernel)
 
-    lower = max(len(pivots), r2)
-    basis = kernel_from_rref(finish_rref(R, pivots, p1), pivots, p1)
-    kernel = _lift_kernel(N, basis, p1)
-    if kernel is not None and lower == cols - len(basis):
-        return RankCertificate(
-            cols, lower, False, "deficient via exact kernel", (p1, p2), kernel
-        )
-
-    # small-integer reconstruction failed somewhere; fall back to exact
-    # rational elimination
     rank, fr_basis = _fraction_kernel(N)
     kernel = tuple(tuple(w) for w in fr_basis)
-    assert _kernel_holds(N, kernel)
-    return RankCertificate(cols, rank, rank == cols, "exact elimination", (p1, p2), kernel)
+    if _integer_kernel(N, kernel) is None:
+        raise AssertionError("rational elimination gave a vector outside the kernel")
+    return RankCertificate(cols, rank, rank == cols, "exact elimination", (p,), kernel)
 
 
 # ---- pairs graph and its exact least-eigenvalue bound ----
@@ -308,9 +291,28 @@ def _charpoly_exact(A: list[list[int]]) -> list[int]:
             M[i][i] += coeffs[k - j + 1]
         AM = [[sum(A[i][t] * M[t][s] for t in range(k)) for s in range(k)] for i in range(k)]
         trace = sum(AM[i][i] for i in range(k))
-        assert trace % j == 0
+        if trace % j:
+            raise AssertionError("Faddeev-LeVerrier trace not divisible")
         coeffs[k - j] = -trace // j
     return coeffs
+
+
+def _no_root_below(coeffs: list[int], a: int) -> bool:
+    """True proves that the integer polynomial p (coefficients lowest
+    degree first) has no real root below a.
+
+    The Taylor shift q(y) = p(y + a) is taken in Python ints.  If its
+    leading coefficient is positive and (-1)^(k-i) b_i >= 0 for its other
+    coefficients, every nonzero term of q has the sign (-1)^k for y < 0.
+    For a real-rooted p, such as a symmetric matrix's characteristic
+    polynomial, the test is exact: the b_i are then signed elementary
+    symmetric functions of the shifted roots."""
+    b = list(coeffs)
+    k = len(b) - 1
+    for i in range(k):
+        for j in range(k - 1, i - 1, -1):
+            b[j] += a * b[j + 1]
+    return b[k] > 0 and all((-1) ** (k - i) * b[i] >= 0 for i in range(k))
 
 
 _pairs_cache: dict[int, PairsGraph] = {}
@@ -325,14 +327,15 @@ _PAIR_CLASS = np.array([6, 2, 3, 0, 4, -1, -1, -1, 5, -1, -1, -1, 1, -1, -1, -1]
 
 def pairs_graph(n: int) -> PairsGraph:
     """The graph X_n on ordered pairs from the first n-1 points, with its
-    least eigenvalue certified >= -(n-3) by exact root counting.
+    least eigenvalue certified >= -(n-3) by the `_no_root_below` sign test
+    on an exact characteristic polynomial.
 
     For n > 4 the roots are those of the 7x7 integer matrix L of
     multiplication by A in the orbital algebra, whose basis is the seven
     classes of vertex pairs in `_PAIR_CLASS`.  Entry L[s][t] counts the neighbours v
     of u with (v, w) in class t, for a position (u, w) of class s, so row
     s is one bincount; it is checked equal at up to 20 more positions of
-    the class."""
+    the class.  Every check raises, so none is lost under `python -O`."""
     if n <= 3:
         raise ValueError("pairs graph needs n > 3")
     if n in _pairs_cache:
@@ -346,10 +349,10 @@ def pairs_graph(n: int) -> PairsGraph:
     w = np.array([1, 2, 4, 8], dtype=np.uint8)
     code = (Iu == Iw) * w[0] + (Ju == Jw) * w[1] + (Iu == Jw) * w[2] + (Ju == Iw) * w[3]
     T = _PAIR_CLASS[code]
-    assert (T >= 0).all()
     A = (T >= 4).astype(np.int8)
-    assert (A.sum(axis=1) == (n - 2) * (n - 3)).all()
-    assert np.array_equal(A, A.T) and not A[T == 1].any()
+    regular = (T >= 0).all() and (A.sum(axis=1) == (n - 2) * (n - 3)).all()
+    if not (regular and np.array_equal(A, A.T) and not A[T == 1].any()):
+        raise AssertionError(f"X_{n} is not the pairs graph")
 
     if n == 4:
         # no disjoint pairs among three points: take A's own polynomial
@@ -367,14 +370,14 @@ def pairs_graph(n: int) -> PairsGraph:
             u, w = np.divmod(flat[ends[t] - counts[t] : ends[t]], len(verts))
             row = np.bincount(T[nbrs[u[0]], w[0]], minlength=7)
             for k in rng.choice(len(u), size=min(20, len(u)), replace=False):
-                assert np.array_equal(np.bincount(T[nbrs[u[k]], w[k]], minlength=7), row)
+                if not np.array_equal(np.bincount(T[nbrs[u[k]], w[k]], minlength=7), row):
+                    raise AssertionError(f"row {t} of the orbital matrix of X_{n} varies")
             rows.append(tuple(row.tolist()))
         L = tuple(rows)
         cp = _charpoly_exact(L)
 
-    assert count_roots_strictly_below(cp, Fraction(-(n - 3))) == 0
-    if len(verts) <= 200:
-        assert np.linalg.eigvalsh(A.astype(np.float64))[0] >= -(n - 3) - 1e-8
+    if not _no_root_below(cp, -(n - 3)):
+        raise AssertionError(f"least eigenvalue of X_{n} not certified >= {-(n - 3)}")
     pg = PairsGraph(n, verts, A, L, tuple(cp), -(n - 3))
     _pairs_cache[n] = pg
     return pg
@@ -406,13 +409,17 @@ def gram_pattern(N: np.ndarray, n: int, row_count: int) -> ClassGram:
     """The lambda*I + mu*A(X_n) pattern test on the Gram matrix N of the
     M-block rows of a conjugation-closed set of `row_count` derangements.
 
-    When the pattern holds with mu >= 0, the pairs-graph bound gives
-    least eigenvalue >= lambda - mu*(n-3); a positive bound certifies
-    positive definiteness, hence full column rank of M restricted to
-    these rows, hence full column rank of M itself."""
+    When the pattern holds with mu >= 0, the certified pairs-graph bound
+    `least` gives least eigenvalue >= lambda + mu*least; a positive bound
+    certifies positive definiteness, hence full column rank of M
+    restricted to these rows, hence full column rank of M itself."""
     lam = int(N[0, 0])
-    # degree 3 has two column pairs and an edgeless pairs graph
-    A = pairs_graph(n).adjacency if n > 3 else np.zeros_like(N, dtype=np.int8)
+    if n > 3:
+        pg = pairs_graph(n)
+        A, least = pg.adjacency, pg.least_lower_bound
+    else:
+        # degree 3 has two column pairs and an edgeless pairs graph
+        A, least = np.zeros_like(N, dtype=np.int8), 0
     off = (A == 0) & ~np.eye(N.shape[0], dtype=bool)
     mu_vals = N[A == 1]
     pattern = (
@@ -422,7 +429,7 @@ def gram_pattern(N: np.ndarray, n: int, row_count: int) -> ClassGram:
     )
     mu = int(mu_vals[0]) if pattern and mu_vals.size else (0 if pattern else None)
     if pattern:
-        bound = lam - mu * (n - 3)
+        bound = lam + mu * least
         return ClassGram(n, row_count, N, True, lam, mu, bound, mu >= 0 and bound > 0)
     return ClassGram(n, row_count, N, False, None, None, None, False)
 

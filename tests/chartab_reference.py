@@ -148,8 +148,8 @@ def character_table(eg: EnumeratedGroup, seed: int = 1) -> CharacterTable:
         values.append(row)
         degrees.append(deg)
 
-    values, degrees = _sort_rows(values, degrees)
-    trivial, standard = _propose_distinguished(values, eg.class_fix)
+    values, degrees, shadow = _sort_rows(values, degrees)
+    trivial, standard = _propose_distinguished(shadow, eg.class_fix)
     table = CharacterTable(
         order=order,
         degree=eg.group.degree,

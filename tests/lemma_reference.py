@@ -21,9 +21,14 @@ from fractions import Fraction
 import numpy as np
 
 from ekrcheck.group import EnumeratedGroup, PermutationGroup
-from ekrcheck.modmath import rank_mod
-from ekrcheck.modrank import _rank_primes, offdiag_pairs
+from ekrcheck.modmath import is_prime, rank_mod
+from ekrcheck.modrank import _RANK_PRIME, offdiag_pairs
 from ekrcheck.perm import Permutation
+
+# the lower bounds here take the larger rank at two primes: the library's
+# rank prime and the next prime above it
+P1 = _RANK_PRIME
+P2 = next(p for p in range(P1 + 1, 2 * P1) if is_prime(p))
 
 
 def build_H(eg: EnumeratedGroup) -> np.ndarray:
@@ -95,8 +100,7 @@ def rank_H_exact(eg: EnumeratedGroup) -> int:
     lower bound and 2n-2 explicit kernel vectors for the upper bound."""
     n = eg.group.degree
     H = build_H(eg)
-    p1, p2 = _rank_primes()
-    lower = max(rank_mod(H.astype(np.int64) % p, p) for p in (p1, p2))
+    lower = max(rank_mod(H.astype(np.int64) % p, p) for p in (P1, P2))
 
     # kernel vectors: all row-sum columns (i,*) share the all-ones image,
     # and so do all column-sum families (*,j)
@@ -108,7 +112,7 @@ def rank_H_exact(eg: EnumeratedGroup) -> int:
         K[n - 2 + j, j::n] = 1
         K[n - 2 + j, 0::n] = -1
     assert not (H.astype(np.int64) @ K.T).any()
-    assert rank_mod(K % p1, p1) == 2 * n - 2
+    assert rank_mod(K % P1, P1) == 2 * n - 2
     upper = n * n - (2 * n - 2)
     if lower != upper:
         raise ArithmeticError(f"rank of H not pinched: {lower} < {upper}")
@@ -117,8 +121,7 @@ def rank_H_exact(eg: EnumeratedGroup) -> int:
 
 def rank_Hbar(eg: EnumeratedGroup) -> int:
     mm = build_M(eg)
-    p1, p2 = _rank_primes()
-    r = max(rank_mod(mm.Hbar.astype(np.int64) % p, p) for p in (p1, p2))
+    r = max(rank_mod(mm.Hbar.astype(np.int64) % p, p) for p in (P1, P2))
     cols = mm.Hbar.shape[1]
     if r != cols:
         raise ArithmeticError(f"H-bar rank {r} below column count {cols}")

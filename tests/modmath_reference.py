@@ -1,17 +1,17 @@
-"""Gauss-Jordan elimination mod p and the three-pass rank certificate built
+"""Gauss-Jordan elimination mod p and the two-pass rank certificate built
 on it: the oracles for `modmath`'s forward elimination and for
 `modrank.rank_certificate`, which finishes one echelon form to the RREF.
 
 `rref_mod` clears above and below each pivot in one sweep; `rank_certificate`
-eliminates afresh for the rank at each prime and again for the kernel, and
-lifts one kernel vector at a time.
+eliminates afresh for the rank at the rank prime and again for the kernel,
+and lifts one kernel vector at a time.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from ekrcheck.modrank import _KERNEL_MULTIPLIERS, RankCertificate, _fraction_kernel, _rank_primes
+from ekrcheck.modrank import _KERNEL_MULTIPLIERS, _RANK_PRIME, RankCertificate, _fraction_kernel
 
 
 def rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -64,36 +64,32 @@ def _verify_integer_kernel(N: np.ndarray, w: np.ndarray) -> bool:
 
 
 def rank_certificate(N: np.ndarray) -> RankCertificate:
-    """The rank certificate as three separate eliminations produce it."""
+    """The rank certificate as two separate eliminations at one prime
+    produce it."""
     N = np.asarray(N, dtype=np.int64)
     cols = N.shape[1]
-    p1, p2 = _rank_primes()
-    r1 = rank_mod(N % p1, p1)
-    if r1 == cols:
-        return RankCertificate(cols, cols, True, f"full-rank via prime {p1}", (p1,), ())
-    r2 = rank_mod(N % p2, p2)
-    if r2 == cols:
-        return RankCertificate(cols, cols, True, f"full-rank via prime {p2}", (p2,), ())
+    p = _RANK_PRIME
+    rank = rank_mod(N % p, p)
+    if rank == cols:
+        return RankCertificate(cols, cols, True, f"full-rank via prime {p}", (p,), ())
 
-    lower = max(r1, r2)
-    basis = nullspace_mod(N % p1, p1)
+    basis = nullspace_mod(N % p, p)
     verified: list[tuple[Fraction, ...]] = []
     for b in basis:
-        b = np.asarray(b, dtype=np.int64) % p1
+        b = np.asarray(b, dtype=np.int64) % p
         for k in range(1, _KERNEL_MULTIPLIERS + 1):
-            w = (b * k) % p1
-            w = np.where(w > p1 // 2, w - p1, w)
+            w = (b * k) % p
+            w = np.where(w > p // 2, w - p, w)
             if _verify_integer_kernel(N, w):
                 verified.append(tuple(Fraction(int(x)) for x in w))
                 break
         else:
             break
-    if len(verified) == len(basis) and lower == cols - len(basis):
+    if len(verified) == len(basis):
         return RankCertificate(
-            cols, lower, False, "deficient via exact kernel", (p1, p2),
-            tuple(verified),
+            cols, rank, False, "deficient via exact kernel", (p,), tuple(verified)
         )
 
     rank, fr_basis = _fraction_kernel(N)
     kernel = tuple(tuple(w) for w in fr_basis)
-    return RankCertificate(cols, rank, rank == cols, "exact elimination", (p1, p2), kernel)
+    return RankCertificate(cols, rank, rank == cols, "exact elimination", (p,), kernel)

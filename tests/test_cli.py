@@ -1,9 +1,14 @@
 """Command surface: argument handling, output formats, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import ekrcheck
 from ekrcheck.chartab import character_table_for, export_table
 from ekrcheck.cli import main
 from ekrcheck.library import GroupSpec, format_catalog, get_group, get_spec
@@ -178,3 +183,20 @@ def test_verbose_progress_on_stderr(capsys):
     code, _, err = run(capsys, "classify", "--group", "S3", "--verbose")
     assert code == 0
     assert "S3: ekr=yes strict=yes" in err
+
+
+def test_classify_csv_is_the_same_under_python_O():
+    # `python -O` strips assert statements; no check that a verdict rests on
+    # may be one, so the verdicts cannot change
+    src = pathlib.Path(ekrcheck.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    argv = ["-m", "ekrcheck.cli", "classify", "--group", "M23", "--group", "PSL(2,11)"]
+    plain, optimized = (
+        subprocess.run(
+            [sys.executable, *flags, *argv, "--format", "csv"],
+            capture_output=True, text=True, env=env,
+        )
+        for flags in ([], ["-O"])
+    )
+    assert plain.stdout.startswith(CSV_HEADER) and plain.stdout.count("\n") == 3
+    assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)

@@ -1,8 +1,11 @@
 """Forward elimination mod p, finished to the RREF and read off as a kernel
 basis, against the Gauss-Jordan oracle in `modmath_reference`, and the
 one-elimination rank certificate with its batched kernel lift against the
-three-elimination one with a per-vector lift, on random matrices and on
+two-elimination one with a per-vector lift, on random matrices and on
 survey Gram matrices."""
+
+import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from ekrcheck.modmath import echelon_mod, finish_rref, kernel_from_rref, rank_mo
 import modmath_reference as ref
 from survey import SURVEY
 
-P1 = mr._rank_primes()[0]
+P1 = mr._RANK_PRIME
 
 
 @st.composite
@@ -86,3 +89,28 @@ def test_rank_certificate_matches_reference_on_fallback():
     assert cert == ref.rank_certificate(N)
     assert cert.mode == "exact elimination" and cert.claimed_rank == 2
     assert cert.reverify(N)
+
+
+def test_unlucky_prime_falls_back_to_exact_elimination():
+    # diag(1, p^2) has rank 1 at the rank prime p but a zero kernel over Q,
+    # so no kernel vector lifts and rational elimination proves full rank
+    N = np.diag([1, P1 * P1]).astype(np.int64)
+    cert = mr.rank_certificate(N)
+    assert cert == ref.rank_certificate(N)
+    assert cert.full and cert.mode == "exact elimination" and cert.claimed_rank == 2
+    assert cert.primes == (P1,) and cert.kernel == ()
+    assert cert.reverify(N)
+    # the same claim made at the prime alone does not re-verify
+    assert not dataclasses.replace(cert, mode=f"full-rank via prime {P1}").reverify(N)
+
+
+def test_reverify_rejects_dependent_kernel_vectors():
+    # diag(0, 1, p^2) has rank 2 but rank 1 at p; a kernel that repeats e_0
+    # would pinch the rank at 1 unless its vectors are checked independent
+    N = np.diag([0, 1, P1 * P1]).astype(np.int64)
+    cert = mr.rank_certificate(N)
+    assert cert.mode == "exact elimination" and cert.claimed_rank == 2
+    assert cert.reverify(N)
+    e0 = (Fraction(1), Fraction(0), Fraction(0))
+    forged = mr.RankCertificate(3, 1, False, "deficient via exact kernel", (P1,), (e0, e0))
+    assert not forged.reverify(N)

@@ -2,10 +2,15 @@
 
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ekrcheck import modrank as mr
 from ekrcheck.group import (
@@ -206,13 +211,16 @@ def test_pairs_graph_adjacency_cases():
 def test_pairs_graph_charpoly_roots_cover_float_spectrum():
     pg = mr.pairs_graph(7)
     eigs = np.linalg.eigvalsh(pg.adjacency.astype(float))
-    cp = [Fraction(c) for c in pg.charpoly]
-    from ekrcheck.modmath import poly_eval
+
+    def horner(x):
+        acc = 0
+        for c in reversed(pg.charpoly):
+            acc = acc * x + c
+        return acc
 
     for lam in {round(float(e), 6) for e in eigs}:
-        val = poly_eval(cp, Fraction(round(lam)))
         if lam == round(lam):
-            assert val == 0
+            assert horner(round(lam)) == 0
 
 
 @pytest.mark.parametrize("n", range(4, 25))
@@ -225,6 +233,39 @@ def test_pairs_graph_matches_the_dense_reference(n):
     else:
         assert [list(row) for row in pg.orbital] == orbital
     assert list(pg.charpoly) == charpoly
+    # the certified bound -(n-3) is the least eigenvalue: one above fails
+    assert pg.least_lower_bound == -(n - 3)
+    assert not mr._no_root_below(list(pg.charpoly), -(n - 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=10), st.integers(-30, 30))
+def test_sign_test_decides_integer_rooted_polynomials(roots, a):
+    coeffs = [1]
+    for r in roots:
+        # multiply by x - r, lowest degree first
+        coeffs = [lo - r * c for lo, c in zip([0] + coeffs, coeffs + [0])]
+    assert mr._no_root_below(coeffs, a) == (min(roots) >= a)
+
+
+def test_pairs_graph_checks_survive_python_O():
+    # x^6 (x + 5) has the root -5 below the bound -4 of X_7; under -O an
+    # assert would be stripped and the bound accepted
+    script = (
+        "import sys\n"
+        "from ekrcheck import modrank as mr\n"
+        "if __debug__:\n"
+        "    sys.exit('not optimized')\n"
+        "mr._charpoly_exact = lambda A: [0] * 6 + [5, 1]\n"
+        "mr.pairs_graph(7)\n"
+    )
+    src = pathlib.Path(mr.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 1
+    assert "least eigenvalue of X_7 not certified >= -4" in done.stderr
 
 
 def test_charpoly_exact_matches_the_fraction_reference():
