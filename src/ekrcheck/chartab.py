@@ -189,8 +189,7 @@ def _verify_table(t: CharacterTable) -> None:
     for r, row in enumerate(t.values):
         if len(row) != t.k:
             raise TableFormatError("ragged value row")
-        ident = row[0]
-        if not ident.is_integer() or ident.to_fraction() != t.degrees[r]:
+        if not (row[0] - t.degrees[r]).is_zero():
             raise TableFormatError("identity column disagrees with the degree list")
         if t.degrees[r] < 1 or t.order % t.degrees[r]:
             raise TableFormatError("degree does not divide the group order")
@@ -475,14 +474,14 @@ def parse_table(text: str) -> CharacterTable:
             if len(coeffs) > e:
                 raise TableFormatError("coefficient list longer than the conductor")
             row.append(Cyc.root_sum(e, list(enumerate(coeffs))))
-        ident = row[0]
-        if not ident.is_integer():
-            raise TableFormatError("identity column value is not an integer")
-        deg = ident.to_fraction()
+        try:
+            deg = row[0].to_int()
+        except ValueError:
+            raise TableFormatError("identity column value is not an integer") from None
         if deg < 1:
             raise TableFormatError("non-positive degree")
         values.append(row)
-        degrees.append(int(deg))
+        degrees.append(deg)
     trivial, standard = _propose_distinguished(_shadow(values), fixes)
     table = CharacterTable(
         order=order,

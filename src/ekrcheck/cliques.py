@@ -2,9 +2,10 @@
 
 An n-clique is a sharply transitive set: n permutations pairwise
 disagreeing at every point.  Cliques certify the EKR bound through the
-clique-coclique inequality, and their projections onto character modules
-certify that maximum independent sets live in the trivial plus standard
-module (condition (b) of the module method).
+clique-coclique inequality.  Their projections onto character modules
+(`module_by_clique`) could certify condition (b) of the module method,
+but `classify` decides that from the spectrum alone and does not run
+them; they stay because the traced benchmark wraps them by name.
 
 The search is an exact cover with symmetry breaking by conjugacy class
 (`iter_n_cliques`).  It either finds a clique, runs its tree to the end

@@ -11,10 +11,12 @@ exactly when x lies in p Z[zeta] (p splits completely).  So if that holds
 for primes whose product P exceeds B, then either x = 0 or
 P^phi(e) <= |N(x)| <= B^phi(e), which is impossible.  Reduction modulo the
 e-th cyclotomic polynomial is kept for the coordinate form (`canonical`).
-Real values are ordered by certified interval evaluation at escalating
-precision, falling back to the exact zero test whenever an interval
-straddles zero.  Operands of different conductors are embedded into their
-lcm, so mixing is always exact.
+`to_int` reads a value that is a rational integer, such as a derangement
+eigenvalue: the float value proposes the integer and the exact zero test
+decides.  The sign of a real value comes from certified interval
+evaluation at escalating precision, after the exact zero test.  Operands
+of different conductors are embedded into their lcm, so mixing is always
+exact.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ def cyclotomic_poly(e: int) -> tuple[int, ...]:
     for d in divisors(e):
         if d < e:
             poly = _poly_div_exact(poly, cyclotomic_poly(d))
-    assert len(poly) == euler_phi(e) + 1
+    if len(poly) != euler_phi(e) + 1:
+        raise AssertionError(f"cyclotomic polynomial {e} has degree {len(poly) - 1}, not phi({e})")
     return tuple(poly)
 
 
@@ -299,16 +302,6 @@ class Cyc:
     def conj(self) -> "Cyc":
         return Cyc(self.e, {(-k) % self.e: c for k, c in self.num.items()}, self.den)
 
-    def galois(self, t: int) -> "Cyc":
-        """Apply zeta -> zeta^t; t must be a unit mod e."""
-        if gcd(t, self.e) != 1:
-            raise ValueError("galois exponent not coprime to conductor")
-        num: dict[int, int] = {}
-        for k, c in self.num.items():
-            kk = (k * t) % self.e
-            num[kk] = num.get(kk, 0) + c
-        return Cyc(self.e, num, self.den)
-
     # ---- predicates / conversion ----
 
     def approx(self) -> complex:
@@ -366,24 +359,20 @@ class Cyc:
     def __hash__(self):
         return hash(self.canonical())
 
-    def is_rational(self) -> bool:
-        coords = self.canonical()[1]
-        return not any(coords[1:])
-
-    def to_fraction(self) -> Fraction:
-        _, coords, den = self.canonical()
-        if any(coords[1:]):
-            raise ValueError("not a rational value")
-        return Fraction(coords[0], den)
-
-    def is_integer(self) -> bool:
-        _, coords, den = self.canonical()
-        return den == 1 and not any(coords[1:])
+    def to_int(self) -> int:
+        """The value as an int, when it is a rational integer; anything
+        else raises ValueError.  The float value proposes the integer and
+        the exact zero test decides, so a wrong int is never returned; an
+        integer too large for a float to round exactly (about 2^52) raises."""
+        m = round(self.approx().real)
+        if not (self - m).is_zero():
+            raise ValueError(f"{self!r} is not a rational integer")
+        return m
 
     def is_real(self) -> bool:
         return (self - self.conj()).is_zero()
 
-    # ---- ordering of real values ----
+    # ---- sign of real values ----
 
     def sign_real(self) -> int:
         """Sign of a real value: -1, 0, or 1.
@@ -426,25 +415,6 @@ class Cyc:
         finally:
             iv.prec = saved
         raise RuntimeError("interval sign did not converge for a nonzero value")
-
-    def _cmp_diff(self, other) -> "Cyc":
-        pr = self._pair(other)
-        if pr is None:
-            raise TypeError(f"cannot compare Cyc with {type(other).__name__}")
-        a, b = pr
-        return a - b
-
-    def __lt__(self, other):
-        return self._cmp_diff(other).sign_real() < 0
-
-    def __le__(self, other):
-        return self._cmp_diff(other).sign_real() <= 0
-
-    def __gt__(self, other):
-        return self._cmp_diff(other).sign_real() > 0
-
-    def __ge__(self, other):
-        return self._cmp_diff(other).sign_real() >= 0
 
     def __repr__(self):
         if not self.num:

@@ -4,13 +4,16 @@ The derangement graph has the group as vertex set, with an edge when the
 quotient of two elements fixes no point.  Since the connection set is a
 union of conjugacy classes, every irreducible character chi contributes
 the eigenvalue (1/chi(1)) sum_i |C_i| chi(C_i) over derangement classes,
-with multiplicity chi(1)^2.  All values are exact cyclotomics; equal
-eigenvalues are merged by exact comparison, never by float proximity.
+with multiplicity chi(1)^2.  The derangements are closed under x -> x^t
+for every t prime to the order of x, so that sum is fixed by every Galois
+automorphism: a rational algebraic integer, hence an int.  The same holds
+for any Galois-closed set of classes (`class_set_eigenvalue`).  Each
+eigenvalue is read off its exact cyclotomic sum by `Cyc.to_int`; equal
+eigenvalues are merged and sorted as ints.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +25,7 @@ from .cyclo import Cyc
 
 @dataclass(frozen=True)
 class SpectrumEntry:
-    value: Cyc
+    value: int
     multiplicity: int
     rows: tuple[int, ...]  # attaining character rows of the source table
 
@@ -34,7 +37,7 @@ class DerangementSpectrum:
     d: int
     der_classes: tuple[int, ...]
     entries: list[SpectrumEntry]  # sorted descending by value
-    eta_by_row: list[Cyc]
+    eta_by_row: list[int]
 
     @property
     def least(self) -> SpectrumEntry:
@@ -45,8 +48,15 @@ class DerangementSpectrum:
         return Fraction(-self.d, self.n - 1)
 
 
-def _cmp_exact(a: Cyc, b: Cyc) -> int:
-    return (a - b).sign_real()
+def class_set_eigenvalue(table: CharacterTable, row: int, classes) -> int:
+    """(1/chi(1)) sum_{C in classes} |C| chi(C) for the character of `row`:
+    the eigenvalue of the class sum of a Galois-closed set of classes on the
+    chi-isotypic module.  Raises ValueError if it is not an integer, which
+    it always is for a Galois-closed set."""
+    acc = Cyc.zero(1)
+    for i in classes:
+        acc = acc + table.values[row][i] * table.class_sizes[i]
+    return (acc / table.degrees[row]).to_int()
 
 
 def spectrum(table: CharacterTable) -> DerangementSpectrum:
@@ -54,50 +64,30 @@ def spectrum(table: CharacterTable) -> DerangementSpectrum:
     identities before being returned."""
     der = tuple(i for i, f in enumerate(table.class_der) if f)
     d = sum(table.class_sizes[i] for i in der)
-    etas: list[Cyc] = []
-    for r in range(table.k):
-        acc = Cyc.zero(1)
-        for i in der:
-            acc = acc + table.values[r][i] * table.class_sizes[i]
-        eta = acc / table.degrees[r]
-        if not eta.is_real():
-            raise AssertionError("non-real eigenvalue from an inverse-closed class set")
-        # every value conductor divides e, hence so does eta's
-        etas.append(eta.embed(table.e))
-    # merge equal eigenvalues by exact zero tests of their differences
-    groups: list[list[int]] = []
+    etas = [class_set_eigenvalue(table, r, der) for r in range(table.k)]
+    by_value: dict[int, list[int]] = {}
     for r, eta in enumerate(etas):
-        rows = next((g for g in groups if (eta - etas[g[0]]).is_zero()), None)
-        if rows is None:
-            groups.append([r])
-        else:
-            rows.append(r)
+        by_value.setdefault(eta, []).append(r)
     entries = [
         SpectrumEntry(
-            value=etas[rows[0]],
+            value=value,
             multiplicity=sum(table.degrees[r] ** 2 for r in rows),
             rows=tuple(rows),
         )
-        for rows in groups
+        for value, rows in sorted(by_value.items(), reverse=True)
     ]
-    entries.sort(key=functools.cmp_to_key(lambda x, y: _cmp_exact(x.value, y.value)), reverse=True)
 
     # trace identities: vertex count, edge handshake, closed 2-walks
     if sum(e.multiplicity for e in entries) != table.order:
         raise AssertionError("multiplicities do not sum to the group order")
-    s1 = Cyc.zero(1)
-    s2 = Cyc.zero(1)
-    for e in entries:
-        s1 = s1 + e.value * e.multiplicity
-        s2 = s2 + e.value * e.value * e.multiplicity
-    if not s1.is_zero():
+    if sum(e.value * e.multiplicity for e in entries) != 0:
         raise AssertionError("eigenvalue sum is nonzero")
-    if not (s2 - table.order * d).is_zero():
+    if sum(e.value**2 * e.multiplicity for e in entries) != table.order * d:
         raise AssertionError("eigenvalue square sum disagrees with |G|*d")
-    if not (entries[0].value - d).is_zero() or table.trivial not in entries[0].rows:
+    if entries[0].value != d or table.trivial not in entries[0].rows:
         raise AssertionError("largest eigenvalue is not the valency at the trivial row")
     n = table.degree
-    if not (etas[table.standard] - Fraction(-d, n - 1)).is_zero():
+    if etas[table.standard] != Fraction(-d, n - 1):
         raise AssertionError("standard eigenvalue is not -d/(n-1)")
     std_entry = next(e for e in entries if table.standard in e.rows)
     if std_entry.multiplicity < (n - 1) ** 2:
@@ -117,7 +107,7 @@ def least_analysis(spec: DerangementSpectrum, table: CharacterTable):
     """(tau, is_standard_least, is_standard_unique), all decided exactly."""
     least = spec.least
     tau = least.value
-    is_least = (tau - spec.eta_standard).is_zero()
+    is_least = tau == spec.eta_standard
     is_unique = is_least and least.rows == (table.standard,)
     return tau, is_least, is_unique
 
@@ -131,7 +121,7 @@ def complete_union_detect(spec: DerangementSpectrum):
     sets, so strict fails; at n = 3 the two counts coincide and strict holds.
     """
     vals = spec.entries
-    flag = len(vals) == 2 and (vals[1].value + 1).is_zero()
+    flag = len(vals) == 2 and vals[1].value == -1
     if not flag:
         return False, None, None
     m = spec.order // spec.n
@@ -158,12 +148,15 @@ def brute_adjacency(E: np.ndarray) -> np.ndarray:
 
 def brute_spectrum_matches(E: np.ndarray, spec: DerangementSpectrum, tol: float = 1e-6) -> bool:
     """Eigendecomposition of the explicit adjacency matrix against the exact
-    spectrum, multiplicities included."""
+    spectrum, multiplicities included.  Every float eigenvalue must lie
+    within tol*d of an integer; the rounded multiset must then equal the
+    integer spectrum exactly."""
     A = brute_adjacency(E)
     eig = np.linalg.eigvalsh(A.astype(np.float64))
-    expected = np.concatenate(
-        [np.full(e.multiplicity, complex(e.value.approx()).real) for e in spec.entries]
+    rounded = np.rint(eig)
+    if np.abs(eig - rounded).max() >= tol * max(1.0, float(spec.d)):
+        return False
+    expected = np.repeat(
+        [e.value for e in spec.entries], [e.multiplicity for e in spec.entries]
     )
-    expected.sort()
-    scale = max(1.0, float(spec.d))
-    return bool(np.all(np.abs(eig - expected) < tol * scale))
+    return bool(np.array_equal(np.sort(rounded.astype(np.int64)), np.sort(expected)))

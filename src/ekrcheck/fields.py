@@ -43,13 +43,20 @@ def prime_power(q: int) -> tuple[int, int]:
 def _poly_table() -> dict[int, tuple[int, ...]]:
     text = resources.files("ekrcheck").joinpath("data/field_polys.txt").read_text()
     out: dict[int, tuple[int, ...]] = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
+    for no, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        vals = [int(v) for v in line.split()]
-        q, p, k, coeffs = vals[0], vals[1], vals[2], vals[3:]
-        assert q == p**k and len(coeffs) == k + 1 and coeffs[-1] == 1
+        try:
+            q, p, k, *coeffs = (int(v) for v in line.split())
+            ok = q == p**k and len(coeffs) == k + 1 and coeffs[-1] == 1
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(
+                f"data/field_polys.txt line {no}: {line!r} is not 'q p k' with q = p^k "
+                "followed by a monic polynomial of degree k"
+            )
         out[q] = tuple(coeffs)
     return out
 

@@ -233,7 +233,8 @@ class PermutationGroup:
             return rebuilt
         stab_gens = rebuilt.levels[1].gens if len(rebuilt.levels) > 1 else []
         stab = PermutationGroup(stab_gens, self.degree)
-        assert stab.order() * len(rebuilt.levels[0].orbit_list) == self.order()
+        if stab.order() * len(rebuilt.levels[0].orbit_list) != self.order():
+            raise AssertionError(f"stabilizer of {x} times its orbit is not the group order")
         return stab
 
     # ---- element enumeration ----

@@ -54,7 +54,8 @@ def prime_one_mod(e: int, lower: int) -> int:
 
 def element_of_order(p: int, e: int, prime_divisors: list[int]) -> int:
     """Element of exact multiplicative order e in F_p (requires e | p-1)."""
-    assert (p - 1) % e == 0
+    if (p - 1) % e:
+        raise ValueError(f"{e} does not divide {p} - 1")
     q = (p - 1) // e
     for x in range(2, p):
         z = pow(x, q, p)

@@ -3,9 +3,10 @@
 The decision sequence per group: exact spectrum of the derangement graph,
 least-eigenvalue analysis, the ratio bound (least = -d/(n-1) settles the
 EKR property), otherwise an n-clique and the clique-coclique bound; then
-condition (b) by a weighted ratio certificate, or failing that by clique
-projections onto the remaining character modules; an exact rank
-certificate for the pair-incidence matrix, and finally the strict verdict.
+condition (b) from the spectrum alone: the standard character attains the
+least eigenvalue by itself, or a weighted ratio certificate holds; an exact
+rank certificate for the pair-incidence matrix, and finally the strict
+verdict.
 A group over the enumeration cap gets only the columns that the Gram
 matrix of one derangement class, counted from a single class
 representative, and a supplied character table decide.
@@ -31,12 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .chartab import CharacterTable, character_table_for, parse_table
-from .cliques import (
-    DEFAULT_NODE_BUDGET,
-    SearchStats,
-    find_n_clique,
-    module_by_clique,
-)
+from .cliques import DEFAULT_NODE_BUDGET, SearchStats, find_n_clique
 from .dergraph import (
     DerangementSpectrum,
     complete_union_detect,
@@ -54,9 +50,10 @@ from .group import (
 from .library import GroupSpec, ProjectiveModel, build_group, get_spec
 from .modrank import gram_M, gram_pattern, quadruple_orbit_gram, rank_certificate
 
-# classify no longer calls these two; the traced benchmark
+# classify no longer calls these three; the traced benchmark
 # (benchmark/tracing.py) wraps them by name in this namespace until the
 # benchmark change that trims its entry points (ROADMAP item 1)
+from .cliques import module_by_clique  # noqa: F401
 from .group import conjugation_orbit  # noqa: F401
 from .modrank import class_gram  # noqa: F401
 from .perm import Permutation
@@ -109,7 +106,7 @@ class EkrReport:
     ekr: str = "unknown"  # yes | unknown
     ekr_reason: str | None = None  # ratio | clique-coclique
     unique: str = "unknown"  # yes | no | not-applicable | unknown
-    module_by_clique: str = "not-tried"  # yes | unknown | not-tried
+    module_by_clique: str = "not-tried"  # (b) is read off the spectrum instead
     rank_full: str = "unknown"  # yes | no | unknown
     rank_mode: str | None = None
     strict: str = "unknown"  # yes | no | unknown
@@ -121,11 +118,10 @@ class EkrReport:
     @property
     def condition_b(self) -> bool:
         """Maximum intersecting sets lie in trivial + standard: the standard
-        character alone attains the least eigenvalue, a clique witnessed
-        every other module, or a weighted-ratio certificate holds."""
+        character alone attains the least eigenvalue, or a weighted-ratio
+        certificate holds."""
         return (
             self.unique == "yes"
-            or self.module_by_clique == "yes"
             or any(
                 c["kind"] == "weighted-ratio"
                 and weighted_ratio_holds(c["eta_by_row"], self.degree)
@@ -626,22 +622,7 @@ def classify(key_or_spec, caps: Caps | None = None, tables_dir=None) -> EkrRepor
                 with _timed(report, "weighted"):
                     weighted = weighted_ratio_certificate(eg, table)
                 if weighted is not None:
-                    # condition (b) is settled; the clique hunt is not attempted
                     report.certificates.append(weighted)
-                elif clique is None:
-                    report.module_by_clique = "unknown"
-                else:
-                    with _timed(report, "module"):
-                        wits = module_by_clique(eg, table, budget=caps.clique_budget)
-                    done = all(w.witnessed for w in wits.values())
-                    report.module_by_clique = "yes" if done else "unknown"
-                    report.certificates.append(
-                        {
-                            "kind": "module-by-clique",
-                            "witnessed": sorted(r for r, w in wits.items() if w.witnessed),
-                            "characters": len(wits),
-                        }
-                    )
 
             with _timed(report, "rank"):
                 cert = rank_certificate(gram_M(eg))

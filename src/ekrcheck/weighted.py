@@ -14,10 +14,13 @@ characteristic vector of S in the trivial plus standard module.  That is
 condition (b), with no n-clique needed (Godsil and Meagher, "Erdos-Ko-Rado
 Theorems: Algebraic Approaches", CUP 2015).
 
-A small float simplex proposes the weights; it is never trusted.  The
-weights are made constant on rational classes, so every eta is rational,
-and `verify_weighted_ratio` decides by exact arithmetic from the
-character table alone.
+The weights are made constant on rational classes S, so
+eta_chi(w) = sum_S w_S omega_chi(S), where omega_chi(S) is the integer
+eigenvalue of the class sum of S (`dergraph.class_set_eigenvalue`).  A
+small float simplex on those integers proposes the weights; it is never
+trusted.  The certificate's etas are exact Fractions from the same
+integers, and `verify_weighted_ratio` re-derives every one from the
+character table in cyclotomic arithmetic, independently of them.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 
 from .chartab import CharacterTable
 from .cyclo import Cyc
+from .dergraph import class_set_eigenvalue
 from .group import EnumeratedGroup
 
 # rounding of the simplex's float weights; the exact check decides
@@ -147,24 +151,21 @@ def _simplex_max(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray | No
         basis[leave] = enter
 
 
-def _propose(table: CharacterTable, orbits: list[list[int]]) -> np.ndarray | None:
+def _propose(table: CharacterTable, sizes: list[int], omega: list[list[int]]) -> np.ndarray | None:
     """Float weights per rational class that maximise the least gap
-    eta_chi - eta_std over the other nontrivial rows, with d_w <= n-1."""
+    eta_chi - eta_std over the other nontrivial rows, with d_w <= n-1.
+    `sizes` are the rational class sizes and omega[r] the integer
+    eigenvalues of row r on them."""
     n = table.degree
-    sizes = np.array([sum(table.class_sizes[c] for c in orb) for orb in orbits], dtype=float)
-    gaps = []
-    for r in range(table.k):
-        if r in (table.trivial, table.standard):
-            continue
-        a = [
-            sum(table.class_sizes[c] * table.values[r][c].approx().real for c in orb)
-            / table.degrees[r]
-            for orb in orbits
-        ]
-        gaps.append(np.array(a) + sizes / (n - 1))
+    sizes = np.array(sizes, dtype=float)
+    gaps = [
+        np.array(omega[r], dtype=float) + sizes / (n - 1)
+        for r in range(table.k)
+        if r not in (table.trivial, table.standard)
+    ]
     if not gaps:
         return None
-    m = len(orbits)
+    m = len(sizes)
     # variables (w_1..w_m, t): maximise t with t <= gap_chi(w) for every chi
     A = np.vstack([np.append(-g, 1.0) for g in gaps] + [np.append(sizes, 0.0)])
     b = np.zeros(len(A))
@@ -181,15 +182,15 @@ def weighted_ratio_certificate(eg: EnumeratedGroup, table: CharacterTable) -> di
     """A verified weighted-ratio certificate, or None when the simplex
     finds no weights or their rounding fails the exact check."""
     orbits = rational_classes(eg)
-    x = _propose(table, orbits)
+    sizes = [sum(table.class_sizes[c] for c in orb) for orb in orbits]
+    omega = [[class_set_eigenvalue(table, r, orb) for orb in orbits] for r in range(table.k)]
+    x = _propose(table, sizes, omega)
     if x is None:
         return None
     ws = [Fraction(float(v)).limit_denominator(_MAX_DENOMINATOR) for v in x]
-    weights = {c: w for orb, w in zip(orbits, ws) for c in orb if w}
     cert = {
         "kind": "weighted-ratio",
         "weights": [{"classes": orb, "weight": str(w)} for orb, w in zip(orbits, ws) if w],
-        # rational, since the weights are constant on rational classes
-        "eta_by_row": [str(eta.to_fraction()) for eta in weighted_etas(table, weights)],
+        "eta_by_row": [str(sum(w * o for w, o in zip(ws, row))) for row in omega],
     }
     return cert if verify_weighted_ratio(table, cert) else None

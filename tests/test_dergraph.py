@@ -6,6 +6,7 @@ explicitly built adjacency matrix, multiplicities included.  The oracle
 path shares no code with the character machinery.
 """
 
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -14,10 +15,10 @@ import pytest
 
 from ekrcheck import cyclo
 from ekrcheck.chartab import character_table
-from ekrcheck.cyclo import Cyc
 from ekrcheck.dergraph import (
     brute_adjacency,
     brute_spectrum_matches,
+    class_set_eigenvalue,
     complete_union_detect,
     least_analysis,
     spectrum,
@@ -45,8 +46,7 @@ def test_s3_spectrum(ctx):
     _, t, sp = ctx("S3")
     assert sp.d == 2
     assert [(e.multiplicity) for e in sp.entries] == [2, 4]
-    assert (sp.entries[0].value - 2).is_zero()
-    assert (sp.entries[1].value + 1).is_zero()
+    assert [e.value for e in sp.entries] == [2, -1]
     # eigenvalue 2 comes from trivial and sign, -1 from standard alone
     assert set(sp.entries[0].rows) == {t.trivial, 1 if t.trivial != 1 else 0}
     assert sp.entries[1].rows == (t.standard,)
@@ -56,7 +56,7 @@ def test_a4_complete_union(ctx):
     _, _, sp = ctx("A4")
     assert sp.d == 3
     vals = [e.value for e in sp.entries]
-    assert len(vals) == 2 and (vals[0] - 3).is_zero() and (vals[1] + 1).is_zero()
+    assert vals == [3, -1]
     flag, strict, count = complete_union_detect(sp)
     assert flag and strict == "no" and count == 4**3
 
@@ -85,14 +85,9 @@ def test_trace_identities(ctx, key):
     _, t, sp = ctx(key)
     # spectrum() enforces these on construction; re-assert the raw sums here
     assert sum(e.multiplicity for e in sp.entries) == sp.order
-    s1 = Cyc.zero(1)
-    s2 = Cyc.zero(1)
-    for e in sp.entries:
-        s1 = s1 + e.value * e.multiplicity
-        s2 = s2 + e.value * e.value * e.multiplicity
-    assert s1.is_zero()
-    assert (s2 - sp.order * sp.d).is_zero()
-    assert (sp.eta_by_row[t.standard] - Fraction(-sp.d, sp.n - 1)).is_zero()
+    assert sum(e.value * e.multiplicity for e in sp.entries) == 0
+    assert sum(e.value**2 * e.multiplicity for e in sp.entries) == sp.order * sp.d
+    assert sp.eta_by_row[t.standard] * (sp.n - 1) == -sp.d
     std_entry = next(e for e in sp.entries if t.standard in e.rows)
     assert std_entry.multiplicity >= (sp.n - 1) ** 2
 
@@ -101,7 +96,7 @@ def test_least_analysis_m11(ctx):
     _, t, sp = ctx("M11")
     tau, is_least, is_unique = least_analysis(sp, t)
     assert is_least and is_unique
-    assert (tau - Fraction(-sp.d, 10)).is_zero()
+    assert tau == Fraction(-sp.d, 10)
 
 
 def test_least_analysis_pgl25(ctx):
@@ -115,7 +110,7 @@ def test_least_analysis_s3(ctx):
     _, t, sp = ctx("S3")
     tau, is_least, is_unique = least_analysis(sp, t)
     assert is_least and is_unique
-    assert (tau + 1).is_zero()
+    assert tau == -1
 
 
 def test_brute_adjacency_s3(ctx):
@@ -133,6 +128,31 @@ def test_brute_adjacency_s3(ctx):
 def test_oracle_spectrum(ctx, key):
     eg, _, sp = ctx(key)
     assert brute_spectrum_matches(eg.E, sp)
+
+
+def test_oracle_rejects_a_shifted_eigenvalue(ctx):
+    eg, _, sp = ctx("PGL(2,5)")
+    least = sp.entries[-1]
+    shifted = dataclasses.replace(
+        sp, entries=sp.entries[:-1] + [dataclasses.replace(least, value=least.value + 1)]
+    )
+    assert brute_spectrum_matches(eg.E, sp)
+    assert not brute_spectrum_matches(eg.E, shifted)
+
+
+def test_rational_class_eigenvalues_sum_to_the_spectrum(ctx):
+    # M10's two classes of order 8 form one rational class: together their
+    # eigenvalues are integers, alone not (some character takes i*sqrt(2))
+    eg, t, sp = ctx("M10")
+    eight = [c for c in sp.der_classes if eg.class_orders[c] == 8]
+    rest = [c for c in sp.der_classes if c not in eight]
+    assert len(eight) == 2
+    for r in range(t.k):
+        total = class_set_eigenvalue(t, r, eight) + class_set_eigenvalue(t, r, rest)
+        assert total == sp.eta_by_row[r]
+    with pytest.raises(ValueError):
+        for r in range(t.k):
+            class_set_eigenvalue(t, r, eight[:1])
 
 
 def test_psl219_table_and_spectrum_never_reduce_modulo_phi(monkeypatch):

@@ -1,8 +1,13 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ekrcheck import fields
 from ekrcheck.fields import gf, mat_vec, prime_power
 
 ALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
@@ -103,3 +108,25 @@ def test_pow_matches_repeated_mul(q, data):
     for _ in range(n):
         y = F.mul(y, x)
     assert F.pow(x, n) == y
+
+
+def test_poly_table_rejects_a_bad_line_under_python_O():
+    # line 2 claims q = 8 = 2^3 with a degree-3 polynomial that is not monic;
+    # under -O an assert would be stripped and the line accepted
+    script = (
+        "import sys, types\n"
+        "from ekrcheck import fields\n"
+        "if __debug__:\n"
+        "    sys.exit('not optimized')\n"
+        "text = '4 2 2 1 1 1\\n8 2 3 1 1 0 2\\n'\n"
+        "data = types.SimpleNamespace(joinpath=lambda name: data, read_text=lambda: text)\n"
+        "fields.resources = types.SimpleNamespace(files=lambda package: data)\n"
+        "fields._poly_table()\n"
+    )
+    src = pathlib.Path(fields.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 1
+    assert "ValueError: data/field_polys.txt line 2: '8 2 3 1 1 0 2'" in done.stderr

@@ -8,12 +8,14 @@ import time
 import pytest
 
 from ekrcheck.chartab import export_table
+from ekrcheck.cyclo import Cyc
 from ekrcheck.errors import CapExceeded
 from ekrcheck.group import EnumeratedGroup
 from ekrcheck.library import GroupSpec, format_catalog, get_group, get_spec
 from ekrcheck.perm import Permutation
 from ekrcheck import pipeline as pl
 from ekrcheck.weighted import verify_weighted_ratio
+from survey import BENCHMARK_ROWS, SURVEY, SURVEY_ROWS, row_problems
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +80,20 @@ def test_pgl25_strict_stays_unknown(reports):
     assert verify_weighted_ratio(table, cert)
     alpha, _, count = pl.brute_alpha(g)
     assert alpha == 20 and count == 36 == 6**2
+
+
+@pytest.mark.parametrize("key", SURVEY)
+def test_survey_rows_need_no_sign_test_or_canonical_form(key, monkeypatch):
+    # every spectral verdict rests on integer eigenvalues: no interval sign
+    # test and no reduction to the power basis
+    def refuse(self):
+        raise AssertionError("classify called Cyc.sign_real or Cyc.canonical")
+
+    monkeypatch.setattr(Cyc, "sign_real", refuse)
+    monkeypatch.setattr(Cyc, "canonical", refuse)
+    row = pl.classify(key).csv_row()
+    assert row == SURVEY_ROWS[key]
+    assert row_problems(BENCHMARK_ROWS[key], row) == []
 
 
 def test_classify_rejects_low_transitivity():

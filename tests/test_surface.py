@@ -91,3 +91,14 @@ def test_every_library_name_is_reachable_from_an_entry_point():
             todo.extend(by_name.get(name, ()))
     unreached = sorted(f"{module}.{name}" for module, name in defs if name not in reached)
     assert not unreached, f"library names no entry point reaches: {unreached}"
+
+
+def test_no_assert_statement_in_the_library():
+    # `python -O` strips assert statements; a check in the library raises
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in src/ekrcheck: {found}"

@@ -1,6 +1,7 @@
 """Weighted ratio certificates: the simplex, the exact re-verifier, and
 the M10 certificate that meets condition (b) without an n-clique."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -35,11 +36,17 @@ def ctx():
 
 def _cert(table, weights: dict[int, Fraction]) -> dict:
     """An honest certificate for the given weights: every eta recorded as
-    the table gives it."""
+    the table gives it.  Times chi(1) and the weights' common denominator,
+    a rational eta is an integer."""
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    etas = [
+        Fraction((eta * (den * deg)).to_int(), den * deg)
+        for eta, deg in zip(weighted_etas(table, weights), table.degrees)
+    ]
     return {
         "kind": "weighted-ratio",
         "weights": [{"classes": [c], "weight": str(w)} for c, w in sorted(weights.items())],
-        "eta_by_row": [str(eta.to_fraction()) for eta in weighted_etas(table, weights)],
+        "eta_by_row": [str(eta) for eta in etas],
     }
 
 
