@@ -240,13 +240,16 @@ def _sort_rows(
     values: list[list[Cyc]], degrees: list[int]
 ) -> tuple[list[list[Cyc]], list[int], np.ndarray]:
     """Rows sorted by (degree, rounded float shadow), with the shadow of
-    the sorted table.  The key rounds the numpy float64 scalars that
+    the sorted table.  The key rounds the whole shadow with `np.round`,
+    which is what `round` does on the numpy float64 scalars that
     `Cyc.approx` returns; rounding Python floats could break ties
     differently."""
     shadow = _shadow(values)
+    re = np.round(shadow.real, 9).tolist()
+    im = np.round(shadow.imag, 9).tolist()
 
     def key(r: int):
-        return (degrees[r], [(round(z.real, 9), round(z.imag, 9)) for z in shadow[r]])
+        return (degrees[r], list(zip(re[r], im[r])))
 
     idx = sorted(range(len(values)), key=key)
     return [values[r] for r in idx], [degrees[r] for r in idx], shadow[idx]

@@ -275,6 +275,22 @@ class PermutationGroup:
                 self._sift_tables.append((pos_of, uinv))
         return self._sift_tables
 
+    def contains_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Membership of each permutation image row (m, degree), by one
+        vectorised sift through the chain on every column: at each level
+        the row's base-point image picks a transversal element, whose
+        inverse is applied to the whole row.  A member sifts to the
+        identity row; a row whose base-point image leaves an orbit, or
+        whose residue is not the identity, is not a member."""
+        R = np.asarray(rows).astype(np.intp)
+        ok = np.ones(len(R), dtype=bool)
+        for lv, (pos_of, uinv) in zip(self.levels, self._sift_table()):
+            pos = pos_of[R[:, lv.base_point]]
+            ok &= pos >= 0
+            pos[~ok] = 0
+            R = uinv[pos[:, None], R]
+        return ok & (R == np.arange(self.degree)).all(axis=1)
+
     def pair_carriers(self) -> tuple[np.ndarray, np.ndarray]:
         """The first two levels of the chain of a 2-transitive group, read
         as maps onto its first two base points b0 and b1.

@@ -5,14 +5,18 @@ one column per off-diagonal pair (i,j), i != j, over the first n-1 points;
 entry 1 records that the derangement maps i to j.  M is the derangement
 block of the module method's coset-incidence matrix; the standard-module
 lemmas about that matrix are checked in the tests.  The question that
-decides strictness is whether M has full column rank over the rationals.
+decides strictness is whether M has full column rank c = (n-1)(n-2) over
+the rationals.
 
-Rank is certified on the Gram matrix N = M^T M at one prime: over Q,
-ker M = ker N (w^T N w = |Mw|^2), so a full-rank verdict mod p certifies
-full column rank of M, and exact integer kernel vectors of N certify
-deficiency.
-N itself is counted exactly in int64, one point pair at a time, or for
-one conjugacy class from a single representative by orbit counting.
+Rank is certified at one prime on the smaller of M's two Gram matrices:
+the column Gram M^T M, or the row Gram M M^T when M has fewer rows d than
+columns.  Over Q each has the rank of M, since w^T M^T M w = |Mw|^2 and
+w^T M M^T w = |M^T w|^2 give ker M^T M = ker M and ker M M^T = ker M^T.
+A rank r mod p proves rank >= r, and exact integer kernel vectors of the
+Gram prove rank <= r.  Full column rank needs rank c, so a row Gram
+(d < c) always certifies deficiency; its certificate adds the exact rank.
+The column Gram is counted exactly in int64, one point pair at a time, or
+for one conjugacy class from a single representative by orbit counting.
 
 The positive-definiteness shortcut for class Gram matrices uses the pairs
 graph X_n; its least eigenvalue is bounded below by -(n-3) exactly, via
@@ -22,6 +26,7 @@ representation of the orbital algebra and a sign test on its Taylor shift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,19 +46,25 @@ def offdiag_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(m) for j in range(m) if i != j]
 
 
+def _derangement_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """The image rows as an array, after checking that each is a
+    derangement with n-2 ones in M: exactly one of the first n-1 points
+    lands on the last point, whose column is cut."""
+    rows = np.asarray(rows)
+    if (rows == np.arange(n, dtype=rows.dtype)).any():
+        raise ValueError("non-derangement row passed to a Gram of M")
+    if not ((rows[:, : n - 1] == n - 1).sum(axis=1) == 1).all():
+        raise ValueError("a row does not send exactly one point to the last point")
+    return rows
+
+
 def gram_offdiag(rows: np.ndarray, n: int) -> np.ndarray:
     """Exact N = M^T M for the derangement rows, counted by point pairs.
 
     N[(i,j),(k,l)] = #{x : x(i) = j, x(k) = l}: for i < k one bincount of
     x(i)*n + x(k) fills block (i,k) and its transpose, and a diagonal
     block (i,i) is diagonal with the counts of x(i) = j."""
-    rows = np.asarray(rows)
-    if (rows == np.arange(n, dtype=rows.dtype)).any():
-        raise ValueError("non-derangement row passed to gram_offdiag")
-    # each row has n-2 ones in M: one of the first n-1 points lands on the
-    # last point, whose column is cut
-    if not ((rows[:, : n - 1] == n - 1).sum(axis=1) == 1).all():
-        raise ValueError("a row does not send exactly one point to the last point")
+    rows = _derangement_rows(rows, n)
     m = n - 1
     X = np.ascontiguousarray(rows[:, :m].T, dtype=np.int16)
     Xn = X * np.int16(n)
@@ -113,56 +124,82 @@ def quadruple_orbit_gram(group: PermutationGroup, z: Permutation, class_size: in
     return value[orbit[h[:, pairs[:, 0]] * n + h[:, pairs[:, 1]]]]
 
 
+def gram_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """Exact M M^T for the derangement rows: entry (x, y) counts the points
+    i < n-1 with x(i) = y(i) < n-1, the columns (i, x(i)) that rows x and y
+    share.  It takes d x d x (n-1) bytes for d rows."""
+    X = _derangement_rows(rows, n)[:, : n - 1]
+    shared = (X[:, None, :] == X[None, :, :]) & (X < n - 1)[:, None, :]
+    return shared.sum(axis=2, dtype=np.int64)
+
+
 def gram_M(eg: EnumeratedGroup) -> np.ndarray:
-    """Gram matrix of the full derangement block M; the enumeration cap
-    already bounds its rows."""
-    return gram_offdiag(eg.E[eg.fix_counts_all == 0], eg.group.degree)
+    """The smaller Gram matrix of the full derangement block M: the row
+    Gram when M has fewer rows than columns, else the column Gram.  Both
+    have the rank of M; the enumeration cap already bounds the rows."""
+    n = eg.group.degree
+    rows = eg.E[eg.fix_counts_all == 0]
+    if len(rows) < len(offdiag_pairs(n)):
+        return gram_rows(rows, n)
+    return gram_offdiag(rows, n)
 
 
 # ---- rank certification ----
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankCertificate:
+    """The rank of M, certified on one of its Gram matrices N at a prime.
+
+    `columns` is the column count c of M.  N is the c x c Gram M^T M, or
+    the d x d Gram M M^T when M has d < c rows.  `kernel` holds integer
+    vectors that N kills, one int64 row of N's size each, so `claimed_rank`
+    is that size less their number, and `full` means rank c, which only a
+    column Gram can reach.  `mode` says how the rank was proven: at the
+    prime in `primes`, with the kernel as the upper bound ("full-rank via
+    prime p", "deficient via exact kernel", or, on the row side,
+    "deficient: fewer rows than columns"), or by rational elimination
+    ("exact elimination")."""
+
     columns: int
     claimed_rank: int
     full: bool
     mode: str
     primes: tuple[int, ...]
-    kernel: tuple[tuple[Fraction, ...], ...]
+    kernel: np.ndarray
+
+    @property
+    def gram(self) -> str:
+        """The side of M whose Gram carries the certificate: "row" when
+        that Gram is smaller than the column count, else "column"."""
+        return "row" if self.kernel.shape[1] < self.columns else "column"
 
     def reverify(self, N: np.ndarray) -> bool:
         """Re-check the certificate against the Gram matrix, independently
         of the computation that produced it.  The kernel vectors, when
-        independent mod p, bound the rank from above and the rank at p
-        bounds it from below; an exact-elimination certificate, whose p
-        may be unlucky, is checked by rational elimination instead."""
-        N = np.asarray(N)
-        if self.claimed_rank != self.columns - len(self.kernel) or self.full == bool(self.kernel):
+        nonzero, killed by N in exact integer arithmetic and independent
+        mod p, bound the rank from above and the rank at p bounds it from
+        below; an exact-elimination certificate, whose p may be unlucky,
+        is checked by rational elimination instead."""
+        N = np.asarray(N, dtype=np.int64)
+        W = np.asarray(self.kernel)
+        size = N.shape[1]
+        shape_ok = (
+            N.shape == (size, size)
+            and size <= self.columns
+            and W.dtype == np.int64
+            and W.shape == (len(W), size)
+        )
+        if not shape_ok or self.claimed_rank != size - len(W):
             return False
-        W = _integer_kernel(N, self.kernel)
-        if W is None:
+        if self.full != (self.claimed_rank == self.columns):
+            return False
+        if not W.any(axis=1).all() or not _killed(N, W).all():
             return False
         if self.mode == "exact elimination":
             return _fraction_kernel(N)[0] == self.claimed_rank
         p = self.primes[0]
         return rank_mod(N % p, p) == self.claimed_rank and rank_mod(W % p, p) == len(W)
-
-
-def _integer_kernel(N: np.ndarray, kernel) -> np.ndarray | None:
-    """The rational vectors of `kernel`, each scaled to integers by the lcm
-    of its denominators, as the rows of an object array; None unless every
-    one is nonzero with N w = 0 exactly, multiplied out in Python ints."""
-    No = np.asarray(N, dtype=object)
-    W = np.zeros((len(kernel), N.shape[1]), dtype=object)
-    for wi, w in zip(W, kernel):
-        scale = 1
-        for c in w:
-            scale = scale * c.denominator // np.gcd(scale, c.denominator)
-        wi[:] = [int(c * scale) for c in w]
-        if not any(wi) or any(No @ wi):
-            return None
-    return W
 
 
 _RANK_PRIME = next(p for p in range(2**29, 2**30) if is_prime(p))
@@ -177,8 +214,9 @@ def _killed(N: np.ndarray, W: np.ndarray) -> np.ndarray:
     return ~(np.asarray(N, dtype=object) @ W.T.astype(object)).any(axis=0)
 
 
-def _lift_kernel(N: np.ndarray, basis: np.ndarray, p: int):
-    """Integer kernel vectors of N from a kernel basis mod p, or None.
+def _lift_kernel(N: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray | None:
+    """Integer kernel vectors of N from a kernel basis mod p, as the int64
+    rows of one array, or None.
 
     Vector i becomes the centred residues of k*basis[i] for the least k in
     1..64 that N kills; each multiplier is tried in one product over the
@@ -196,16 +234,15 @@ def _lift_kernel(N: np.ndarray, basis: np.ndarray, p: int):
         killed = _killed(N, Wk)
         W[failing[killed]] = Wk[killed]
         failing = failing[~killed]
-    if failing.size:
-        return None
-    # one Fraction per distinct entry, shared by every vector
-    frac = {x: Fraction(x) for x in np.unique(W).tolist()}
-    return tuple(tuple(frac[x] for x in w) for w in W.tolist())
+    return None if failing.size else W
 
 
-def _fraction_kernel(N: np.ndarray) -> tuple[int, list[list[Fraction]]]:
+def _fraction_kernel(N: np.ndarray) -> tuple[int, np.ndarray]:
     """Plain rational row reduction; the correctness backstop when modular
-    reconstruction fails.  Quadratic memory, cubic time in the column count."""
+    reconstruction fails.  Returns the rank and a kernel basis, each vector
+    scaled to integers by the lcm of its denominators, as int64 rows; a
+    vector whose integers leave int64 raises OverflowError.  Quadratic
+    memory, cubic time in the column count."""
     rows = [[Fraction(int(x)) for x in row] for row in N]
     cols = N.shape[1]
     pivots: list[int] = []
@@ -226,42 +263,52 @@ def _fraction_kernel(N: np.ndarray) -> tuple[int, list[list[Fraction]]]:
         if r == len(rows):
             break
     free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        w = [Fraction(0)] * cols
-        w[f] = Fraction(1)
+    W = np.zeros((len(free), cols), dtype=np.int64)
+    for w, f in zip(W, free):
+        scale = math.lcm(*(rows[i][f].denominator for i in range(len(pivots))))
+        w[f] = scale
         for i, c in enumerate(pivots):
-            w[c] = -rows[i][f]
-        basis.append(w)
-    return len(pivots), basis
+            w[c] = int(-rows[i][f] * scale)
+    return len(pivots), W
 
 
-def rank_certificate(N: np.ndarray) -> RankCertificate:
-    """Certify the rational rank of the Gram matrix N = M^T M at one prime p.
+def rank_certificate(N: np.ndarray, columns: int | None = None) -> RankCertificate:
+    """Certify the rational rank of a Gram matrix N of M at one prime p.
 
-    Rank mod p never exceeds the rational rank, so r pivots at p prove
-    rank >= r, and r = cols proves full rank.  Otherwise the echelon form
-    is finished to the RREF, whose kernel basis lifts to integer vectors
-    that N kills exactly (N w = 0 forces M w = 0 over Q); they keep the
-    basis's diagonal pattern on the free columns, so they are independent
-    and prove rank <= r.  When a vector does not lift, exact rational
-    elimination decides."""
+    M has `columns` columns, N.shape[1] by default; a smaller N is the
+    row Gram.  Rank mod p never exceeds the rational rank, so r pivots at
+    p prove rank >= r, and r = columns proves full rank.  Otherwise the
+    echelon form is finished to the RREF, whose kernel basis lifts to
+    integer vectors that N kills exactly (N w = 0 forces M w = 0, or
+    M^T w = 0 on the row side, over Q); they keep the basis's diagonal
+    pattern on the free columns, so they are independent and prove
+    rank <= r.  When a vector does not lift, exact rational elimination
+    decides."""
     N = np.asarray(N, dtype=np.int64)
-    cols = N.shape[1]
+    size = N.shape[1]
+    columns = size if columns is None else columns
+    if size > columns:
+        raise ValueError(f"a Gram matrix of size {size} for {columns} columns")
     p = _RANK_PRIME
     R, pivots = echelon_mod(N % p, p)
-    if len(pivots) == cols:
-        return RankCertificate(cols, cols, True, f"full-rank via prime {p}", (p,), ())
-    basis = kernel_from_rref(finish_rref(R, pivots, p), pivots, p)
-    kernel = _lift_kernel(N, basis, p)
-    if kernel is not None:
-        return RankCertificate(cols, len(pivots), False, "deficient via exact kernel", (p,), kernel)
-
-    rank, fr_basis = _fraction_kernel(N)
-    kernel = tuple(tuple(w) for w in fr_basis)
-    if _integer_kernel(N, kernel) is None:
-        raise AssertionError("rational elimination gave a vector outside the kernel")
-    return RankCertificate(cols, rank, rank == cols, "exact elimination", (p,), kernel)
+    if len(pivots) == size:
+        kernel = np.zeros((0, size), dtype=np.int64)
+    else:
+        basis = kernel_from_rref(finish_rref(R, pivots, p), pivots, p)
+        kernel = _lift_kernel(N, basis, p)
+    if kernel is None:
+        _, kernel = _fraction_kernel(N)
+        if not _killed(N, kernel).all():
+            raise AssertionError("rational elimination gave a vector outside the kernel")
+        mode = "exact elimination"
+    elif size < columns:
+        mode = "deficient: fewer rows than columns"
+    elif len(kernel):
+        mode = "deficient via exact kernel"
+    else:
+        mode = f"full-rank via prime {p}"
+    rank = size - len(kernel)
+    return RankCertificate(columns, rank, rank == columns, mode, (p,), kernel)
 
 
 # ---- pairs graph and its exact least-eigenvalue bound ----

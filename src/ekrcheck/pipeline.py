@@ -48,7 +48,13 @@ from .group import (
     conjugacy_classes,
 )
 from .library import GroupSpec, ProjectiveModel, build_group, get_spec
-from .modrank import gram_M, gram_pattern, quadruple_orbit_gram, rank_certificate
+from .modrank import (
+    gram_M,
+    gram_pattern,
+    offdiag_pairs,
+    quadruple_orbit_gram,
+    rank_certificate,
+)
 
 # classify no longer calls these three; the traced benchmark
 # (benchmark/tracing.py) wraps them by name in this namespace until the
@@ -61,6 +67,7 @@ from .weighted import weighted_ratio_certificate, weighted_ratio_holds
 
 ORACLE_CAP = 2000
 COUNT_CAP = 200
+_WITNESS_BLOCK = 256  # rows per agreement block in verify_witness
 
 CSV_COLUMNS = [
     "n",
@@ -196,6 +203,13 @@ def _digest(obj) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _kernel_digest(kernel: np.ndarray) -> str:
+    """sha256 of an integer kernel's shape and its little-endian int64
+    bytes, row by row."""
+    W = np.ascontiguousarray(kernel, dtype="<i8")
+    return hashlib.sha256(repr(W.shape).encode() + W.tobytes()).hexdigest()[:16]
+
+
 # ---- witnesses ----
 
 
@@ -210,21 +224,23 @@ def verify_witness(
     an image pair, i.e. the set sits inside one of those cosets.
     """
     els = list(elements)
-    for x in els:
-        if x not in group:
-            raise ValueError("witness element not in the group")
     n = group.degree
-    rows = np.array([x.images for x in els], dtype=np.int8)
+    if any(x.degree != n for x in els):
+        raise ValueError("witness element not in the group")
+    rows = np.array([x.images for x in els], dtype=np.int8).reshape(-1, n)
+    if not group.contains_rows(rows).all():
+        raise ValueError("witness element not in the group")
     if len({r.tobytes() for r in rows}) != len(els):
         raise ValueError("witness contains repeated elements")
-    pts = np.arange(n, dtype=np.intp)
+    # x y^-1 fixes y(t) exactly when x(t) = y(t): every pair of rows must
+    # agree in some column; a block of rows is compared with all at once
     intersecting = True
-    for i in range(len(els)):
-        inv = np.empty(n, dtype=np.intp)
-        inv[rows[i].astype(np.intp)] = pts
-        # (x y^-1)(t) = x(y^-1(t)); fixed points of all quotients against row i
-        fixes = (rows[:, inv] == pts[None, :]).sum(axis=1)
-        if (fixes == 0).any():
+    for lo in range(0, len(rows), _WITNESS_BLOCK):
+        block = rows[lo : lo + _WITNESS_BLOCK]
+        agree = np.zeros((len(block), len(rows)), dtype=bool)
+        for t in range(n):
+            agree |= block[:, t, None] == rows[None, :, t]
+        if not agree.all():
             intersecting = False
             break
     maximum = bool(ekr_established and len(els) * n == group.order())
@@ -625,17 +641,18 @@ def classify(key_or_spec, caps: Caps | None = None, tables_dir=None) -> EkrRepor
                     report.certificates.append(weighted)
 
             with _timed(report, "rank"):
-                cert = rank_certificate(gram_M(eg))
+                cert = rank_certificate(gram_M(eg), len(offdiag_pairs(spec.degree)))
             report.rank_full = "yes" if cert.full else "no"
             report.rank_mode = cert.mode
             report.certificates.append(
                 {
                     "kind": "rank",
                     "columns": cert.columns,
+                    "gram": cert.gram,
                     "claimed_rank": cert.claimed_rank,
                     "mode": cert.mode,
                     "primes": list(cert.primes),
-                    "kernel_digest": _digest(cert.kernel) if cert.kernel else None,
+                    "kernel_digest": _kernel_digest(cert.kernel) if len(cert.kernel) else None,
                 }
             )
 

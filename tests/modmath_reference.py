@@ -7,8 +7,6 @@ eliminates afresh for the rank at the rank prime and again for the kernel,
 and lifts one kernel vector at a time.
 """
 
-from fractions import Fraction
-
 import numpy as np
 
 from ekrcheck.modrank import _KERNEL_MULTIPLIERS, _RANK_PRIME, RankCertificate, _fraction_kernel
@@ -63,33 +61,45 @@ def _verify_integer_kernel(N: np.ndarray, w: np.ndarray) -> bool:
     return not (np.asarray(N, dtype=object) @ w.astype(object)).any()
 
 
-def rank_certificate(N: np.ndarray) -> RankCertificate:
+def rank_certificate(N: np.ndarray, columns: int | None = None) -> RankCertificate:
     """The rank certificate as two separate eliminations at one prime
-    produce it."""
+    produce it, for a Gram matrix N of a matrix with `columns` columns
+    (N.shape[1] by default; fewer on the row side)."""
     N = np.asarray(N, dtype=np.int64)
-    cols = N.shape[1]
+    size = N.shape[1]
+    columns = size if columns is None else columns
     p = _RANK_PRIME
     rank = rank_mod(N % p, p)
-    if rank == cols:
-        return RankCertificate(cols, cols, True, f"full-rank via prime {p}", (p,), ())
+    if size < columns:
+        mode = "deficient: fewer rows than columns"
+    elif rank == size:
+        mode = f"full-rank via prime {p}"
+    else:
+        mode = "deficient via exact kernel"
 
     basis = nullspace_mod(N % p, p)
-    verified: list[tuple[Fraction, ...]] = []
+    verified = []
     for b in basis:
         b = np.asarray(b, dtype=np.int64) % p
         for k in range(1, _KERNEL_MULTIPLIERS + 1):
             w = (b * k) % p
             w = np.where(w > p // 2, w - p, w)
             if _verify_integer_kernel(N, w):
-                verified.append(tuple(Fraction(int(x)) for x in w))
+                verified.append(w)
                 break
         else:
             break
     if len(verified) == len(basis):
-        return RankCertificate(
-            cols, rank, False, "deficient via exact kernel", (p,), tuple(verified)
-        )
+        kernel = np.array(verified, dtype=np.int64).reshape(-1, size)
+        return RankCertificate(columns, rank, rank == columns, mode, (p,), kernel)
 
-    rank, fr_basis = _fraction_kernel(N)
-    kernel = tuple(tuple(w) for w in fr_basis)
-    return RankCertificate(cols, rank, rank == cols, "exact elimination", (p,), kernel)
+    rank, kernel = _fraction_kernel(N)
+    return RankCertificate(columns, rank, rank == columns, "exact elimination", (p,), kernel)
+
+
+def same_certificate(a: RankCertificate, b: RankCertificate) -> bool:
+    """Field-by-field equality, with the kernels compared as arrays."""
+    fields = ("columns", "claimed_rank", "full", "mode", "primes")
+    return all(getattr(a, f) == getattr(b, f) for f in fields) and (
+        a.kernel.dtype == b.kernel.dtype and np.array_equal(a.kernel, b.kernel)
+    )

@@ -27,6 +27,7 @@ The Mathieu core tests carry per-key expectations for the same reason:
   certificate finds rank 360 of 380 with 20 integer kernel vectors.
 """
 
+import hashlib
 import random
 import time
 
@@ -234,10 +235,13 @@ def test_mathieu_core_rank_full(key, mathieu_core, request):
         N = mr.gram_M(eg)
         cert = mr.rank_certificate(N)
         assert cert.reverify(N)
-        assert not cert.full and cert.claimed_rank == 360 and len(cert.kernel) == 20
+        assert not cert.full and cert.claimed_rank == 360
+        assert cert.kernel.shape == (20, 380) and cert.kernel.dtype == np.int64
         (recorded,) = [c for c in rep.certificates if c["kind"] == "rank"]
-        assert recorded["claimed_rank"] == 360
-        assert recorded["kernel_digest"] == pl._digest(cert.kernel)
+        assert recorded["claimed_rank"] == 360 and recorded["gram"] == "column"
+        W = np.ascontiguousarray(cert.kernel, dtype="<i8")
+        blob = repr(W.shape).encode() + W.tobytes()
+        assert recorded["kernel_digest"] == hashlib.sha256(blob).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("key", MATHIEU_CORE)

@@ -2,10 +2,12 @@
 streamed rank route directly.  A refactor that renames or removes one of
 them fails here, in the unit suite, instead of breaking the benchmark."""
 
+import dataclasses
 import importlib.util
 import inspect
 import pathlib
 
+import numpy as np
 import pytest
 
 from ekrcheck import chartab
@@ -45,8 +47,11 @@ def test_streamed_class_entry_points_keep_their_call_forms():
 
 
 def test_certificate_layer_entry_points_keep_their_call_forms():
-    # the traced wrappers forward rank_certificate(N); character_table_for
-    # calls character_table as (eg), and the tests as (eg, seed=...)
+    # the traced wrappers forward rank_certificate(N, columns) and count
+    # `.primes` on its result; character_table_for calls character_table
+    # as (eg), and the tests as (eg, seed=...)
     inspect.signature(pl.rank_certificate).bind(object())
+    inspect.signature(pl.rank_certificate).bind(object(), 2)
+    assert "primes" in {f.name for f in dataclasses.fields(pl.rank_certificate(np.eye(2)))}
     inspect.signature(chartab.character_table).bind(object())
     inspect.signature(chartab.character_table).bind(object(), seed=1)

@@ -142,6 +142,30 @@ def test_s3_three_cycle_constant(tables):
     assert mats[c3, c3, 0] == 2
 
 
+def _scalar_round_order(values, degrees):
+    """Row order by (degree, shadow rounded one numpy scalar at a time)."""
+    shadow = chartab_mod._shadow(values)
+
+    def key(r):
+        return (degrees[r], [(round(z.real, 9), round(z.imag, 9)) for z in shadow[r]])
+
+    return sorted(range(len(values)), key=key)
+
+
+@pytest.mark.parametrize("key", [k for k in catalog_keys() if get_spec(k).degree <= 21])
+def test_sort_rows_matches_the_scalar_round_order(tables, key):
+    # the rows of the finished table, shuffled, so ties keep a nontrivial order
+    _, t = tables(key)
+    perm = np.random.default_rng(t.k).permutation(t.k)
+    values = [t.values[r] for r in perm]
+    degrees = [t.degrees[r] for r in perm]
+    want = _scalar_round_order(values, degrees)
+    got_values, got_degrees, shadow = chartab_mod._sort_rows(values, degrees)
+    assert all(a is values[r] for a, r in zip(got_values, want, strict=True))
+    assert got_degrees == [degrees[r] for r in want]
+    assert np.array_equal(shadow, chartab_mod._shadow(values)[want])
+
+
 def test_identity_class_matrix(tables):
     eg, _ = tables("F20")
     mats = class_constants(eg)

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,24 @@ def test_element_index_is_the_enumeration_order(key):
     _, g = get_group(key)
     E = g.elements_array()
     assert np.array_equal(g.element_index(E), np.arange(len(E)))
+
+
+@pytest.mark.parametrize("key", ["A4", "PGL(3,2)", "M11", "M22"])
+def test_contains_rows_matches_the_sift(key):
+    # random permutations, members, and members with the images of two
+    # non-base points swapped, which keep a member's base images
+    _, g = get_group(key)
+    rng = np.random.default_rng(4)
+    pick = random.Random(4)
+    members = np.array([g.random_element(pick).images for _ in range(30)])
+    swapped = members.copy()
+    a, b = [p for p in range(g.degree) if p not in g.base()][:2]
+    swapped[:, [a, b]] = swapped[:, [b, a]]
+    shuffled = np.array([rng.permutation(g.degree) for _ in range(30)])
+    rows = np.concatenate([members, swapped, shuffled])
+    want = [Permutation(tuple(int(x) for x in r)) in g for r in rows]
+    assert g.contains_rows(rows).tolist() == want
+    assert all(want[:30]) and not any(want[30:60])
 
 
 def test_element_index_refuses_orders_past_int64():

@@ -5,7 +5,6 @@ two-elimination one with a per-vector lift, on random matrices and on
 survey Gram matrices."""
 
 import dataclasses
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ekrcheck import modrank as mr
 from ekrcheck.group import EnumeratedGroup
-from ekrcheck.library import get_group
+from ekrcheck.library import catalog_keys, get_group, load_catalog
 from ekrcheck.modmath import echelon_mod, finish_rref, kernel_from_rref, rank_mod
 
 import modmath_reference as ref
@@ -70,24 +69,61 @@ def test_echelon_does_not_modify_its_input():
 
 @pytest.mark.parametrize("key", SURVEY)
 def test_rank_certificate_matches_reference_on_grams(key):
-    # 24 of the survey Grams are deficient; the kernels of PSL(2,11)@11,
-    # A7@15, A8@15, AGammaL(1,16), ASL(2,4) and ASigmaL(1,16) need the
+    # 24 of the survey groups are deficient, 14 of them on the row Gram;
+    # the kernels of PSL(2,11)@11, A7@15, A8@15 and AGammaL(1,16) need the
     # multipliers 2 to 4 that the batched lift tries after 1
     _, g = get_group(key)
     eg = EnumeratedGroup(g)
     eg.compute_classes()
     N = mr.gram_M(eg)
-    assert mr.rank_certificate(N) == ref.rank_certificate(N)
+    columns = (g.degree - 1) * (g.degree - 2)
+    assert ref.same_certificate(mr.rank_certificate(N, columns), ref.rank_certificate(N, columns))
+
+
+def _few_derangement_candidates() -> list[str]:
+    """Catalog groups of degree <= 21 that may have fewer derangements d
+    than M has columns c = (n-1)(n-2).  A transitive group of degree n has
+    at least |G|/n derangements (Cameron and Cohen), so d < c needs
+    |G| < n c."""
+    specs = [load_catalog()[k] for k in catalog_keys()]
+    return [
+        s.name for s in specs
+        if s.degree <= 21 and s.expected_order < s.degree * (s.degree - 1) * (s.degree - 2)
+    ]
+
+
+@pytest.mark.parametrize("key", _few_derangement_candidates())
+def test_row_gram_certificate_matches_the_column_gram(key):
+    # 14 of these groups have d < c: A4, F20, AGL(1,q) for q = 7, 8, 9,
+    # 11, 13, 16, 17, 19, 3^2:Q8, AGammaL(1,9), ASL(2,4) and ASigmaL(1,16)
+    _, g = get_group(key)
+    eg = EnumeratedGroup(g)
+    eg.compute_classes()
+    n = g.degree
+    c = (n - 1) * (n - 2)
+    der = eg.E[eg.fix_counts_all == 0]
+    N = mr.gram_M(eg)
+    if len(der) >= c:
+        assert np.array_equal(N, mr.gram_offdiag(der, n))
+        return
+    assert np.array_equal(N, mr.gram_rows(der, n))
+    row = mr.rank_certificate(N, c)
+    col = ref.rank_certificate(mr.gram_offdiag(der, n))
+    assert (row.claimed_rank, row.full) == (col.claimed_rank, col.full)
+    assert row.gram == "row" and row.mode == "deficient: fewer rows than columns"
+    assert row.reverify(N)
+    assert ref.same_certificate(row, ref.rank_certificate(N, c))
 
 
 def test_rank_certificate_matches_reference_on_fallback():
-    # the kernel vector (1, 299998, -199999) has no small residue multiple
+    # the kernel vector -(1, 299998, -199999) has no small residue multiple
     # at the rank prime, so both certificates fall back to exact elimination
     B = np.array([[1, 2, 3], [100003, 7, 11]], dtype=np.int64)
     N = B.T @ B
     cert = mr.rank_certificate(N)
-    assert cert == ref.rank_certificate(N)
+    assert ref.same_certificate(cert, ref.rank_certificate(N))
     assert cert.mode == "exact elimination" and cert.claimed_rank == 2
+    assert cert.kernel.tolist() == [[-1, -299998, 199999]]
     assert cert.reverify(N)
 
 
@@ -96,9 +132,9 @@ def test_unlucky_prime_falls_back_to_exact_elimination():
     # so no kernel vector lifts and rational elimination proves full rank
     N = np.diag([1, P1 * P1]).astype(np.int64)
     cert = mr.rank_certificate(N)
-    assert cert == ref.rank_certificate(N)
+    assert ref.same_certificate(cert, ref.rank_certificate(N))
     assert cert.full and cert.mode == "exact elimination" and cert.claimed_rank == 2
-    assert cert.primes == (P1,) and cert.kernel == ()
+    assert cert.primes == (P1,) and cert.kernel.shape == (0, 2)
     assert cert.reverify(N)
     # the same claim made at the prime alone does not re-verify
     assert not dataclasses.replace(cert, mode=f"full-rank via prime {P1}").reverify(N)
@@ -111,6 +147,38 @@ def test_reverify_rejects_dependent_kernel_vectors():
     cert = mr.rank_certificate(N)
     assert cert.mode == "exact elimination" and cert.claimed_rank == 2
     assert cert.reverify(N)
-    e0 = (Fraction(1), Fraction(0), Fraction(0))
-    forged = mr.RankCertificate(3, 1, False, "deficient via exact kernel", (P1,), (e0, e0))
+    e0 = np.array([[1, 0, 0], [1, 0, 0]], dtype=np.int64)
+    forged = mr.RankCertificate(3, 1, False, "deficient via exact kernel", (P1,), e0)
     assert not forged.reverify(N)
+
+
+def _int64_tampers(cert):
+    """Copies of a certificate whose int64 kernel has one vector zeroed,
+    one entry altered, or one vector replaced by a copy of another."""
+    zeroed, altered, repeated = (cert.kernel.copy() for _ in range(3))
+    zeroed[0] = 0
+    altered[0, np.flatnonzero(altered[0])[0]] += 1
+    repeated[-1] = repeated[0]
+    return [dataclasses.replace(cert, kernel=W) for W in (zeroed, altered, repeated)]
+
+
+@pytest.mark.parametrize("key", ["F20", "PGL(3,2)", "AGammaL(1,9)", "A8@15"])
+def test_reverify_rejects_tampered_int64_kernels(key):
+    # column Grams for all four; AGammaL(1,9) also has a row-Gram kernel
+    _, g = get_group(key)
+    eg = EnumeratedGroup(g)
+    eg.compute_classes()
+    n = g.degree
+    der = eg.E[eg.fix_counts_all == 0]
+    grams = [mr.gram_offdiag(der, n)]
+    if len(der) < (n - 1) * (n - 2):
+        grams.append(mr.gram_rows(der, n))
+    for N in grams:
+        cert = mr.rank_certificate(N, (n - 1) * (n - 2))
+        if not len(cert.kernel):
+            continue
+        assert cert.kernel.dtype == np.int64 and cert.reverify(N)
+        for forged in _int64_tampers(cert):
+            assert not forged.reverify(N)
+        # an object-dtype or Fraction kernel is not a certificate
+        assert not dataclasses.replace(cert, kernel=cert.kernel.astype(object)).reverify(N)

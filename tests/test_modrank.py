@@ -123,19 +123,55 @@ def test_s3_full_rank(groups):
 
 def test_f20_deficient(groups):
     eg = groups("F20")
-    N = mr.gram_M(eg)
+    der = eg.E[eg.fix_counts_all == 0]
+    N = mr.gram_offdiag(der, 5)
     cert = mr.rank_certificate(N)
-    assert not cert.full
+    assert not cert.full and cert.gram == "column"
     assert cert.mode == "deficient via exact kernel"
     assert cert.columns == 12 and cert.claimed_rank == 4
-    assert len(cert.kernel) == 8
+    assert cert.kernel.shape == (8, 12) and cert.kernel.dtype == np.int64
     assert cert.reverify(N)
     # kernel vectors kill M itself, not just the Gram matrix
-    M = derangement_block(eg.E[eg.fix_counts_all == 0], 5).astype(np.int64)
-    for w in cert.kernel:
-        wi = np.array([int(x) for x in w], dtype=np.int64)
-        assert not (M @ wi).any()
+    M = derangement_block(der, 5).astype(np.int64)
+    assert not (M @ cert.kernel.T).any()
     assert np.linalg.matrix_rank(M.astype(float)) == 4
+    # four derangements: gram_M takes the 4 x 4 row Gram, of the same rank
+    A = mr.gram_M(eg)
+    assert np.array_equal(A, M @ M.T)
+    row = mr.rank_certificate(A, 12)
+    assert row.gram == "row" and row.mode == "deficient: fewer rows than columns"
+    assert (row.columns, row.claimed_rank, row.full) == (12, 4, False)
+    assert row.kernel.shape == (0, 4) and row.reverify(A)
+
+
+@pytest.mark.parametrize("key", ["A4", "F20", "AGL(1,8)", "AGammaL(1,9)", "ASL(2,4)"])
+def test_gram_rows_matches_the_dense_reference(key):
+    _, g = get_group(key)
+    E = g.elements_array()
+    der = E[(E != np.arange(g.degree, dtype=E.dtype)).all(axis=1)]
+    M = derangement_block(der, g.degree).astype(np.int64)
+    A = mr.gram_rows(der, g.degree)
+    assert A.dtype == np.int64 and np.array_equal(A, M @ M.T)
+
+
+def test_gram_rows_rejects_fixed_points(groups):
+    eg = groups("S3")
+    with pytest.raises(ValueError, match="non-derangement"):
+        mr.gram_rows(eg.E[:1], 3)
+
+
+def test_reverify_holds_a_row_certificate_to_the_column_count(groups):
+    eg = groups("F20")
+    A = mr.gram_M(eg)
+    row = mr.rank_certificate(A, 12)
+    # rank 4 of 12 columns: neither full, nor a Gram wider than M
+    assert not dataclasses.replace(row, full=True).reverify(A)
+    assert not dataclasses.replace(row, claimed_rank=5).reverify(A)
+    assert not dataclasses.replace(row, columns=3).reverify(A)
+    with pytest.raises(ValueError):
+        mr.rank_certificate(A, 3)
+    # the same Gram read as a column Gram is a claim about a 4-column M
+    assert dataclasses.replace(row, columns=4, full=True).gram == "column"
 
 
 def test_m11_full_column_rank(groups):
@@ -156,12 +192,8 @@ def test_rank_certificate_matches_float_oracle():
         assert cert.claimed_rank == np.linalg.matrix_rank(B.astype(float))
         assert not cert.full
         assert cert.reverify(N)
-        for w in cert.kernel:
-            scale = 1
-            for x in w:
-                scale = scale * x.denominator // np.gcd(scale, x.denominator)
-            wi = np.array([int(x * scale) for x in w], dtype=object)
-            assert not (B.astype(object) @ wi).any()
+        assert cert.kernel.dtype == np.int64
+        assert not (B @ cert.kernel.T).any()
 
 
 def test_reverify_rejects_wrong_matrix(groups):
@@ -172,10 +204,15 @@ def test_reverify_rejects_wrong_matrix(groups):
 
 
 def test_reverify_rejects_a_zero_kernel_vector(groups):
-    N = mr.gram_M(groups("F20"))
+    eg = groups("F20")
+    N = mr.gram_offdiag(eg.E[eg.fix_counts_all == 0], 5)
     cert = mr.rank_certificate(N)
-    zero = tuple(Fraction(0) for _ in cert.kernel[0])
-    assert not dataclasses.replace(cert, kernel=(zero,) + cert.kernel[1:]).reverify(N)
+    zeroed = cert.kernel.copy()
+    zeroed[0] = 0
+    assert not dataclasses.replace(cert, kernel=zeroed).reverify(N)
+    altered = cert.kernel.copy()
+    altered[0, np.flatnonzero(altered[0])[0]] += 1
+    assert not dataclasses.replace(cert, kernel=altered).reverify(N)
 
 
 # ---- pairs graph ----

@@ -5,6 +5,7 @@ import json
 import pathlib
 import time
 
+import numpy as np
 import pytest
 
 from ekrcheck.chartab import export_table
@@ -200,6 +201,60 @@ def test_witness_rejects_foreign_element():
     outsider = Permutation((1, 0, 2, 3))  # odd, not in A4
     with pytest.raises(ValueError, match="not in the group"):
         pl.verify_witness(g, [outsider])
+
+
+def test_witness_rejects_an_outsider_with_a_members_base_images():
+    # an element is fixed by its base images, so a sift of the base
+    # columns alone would take this outsider for the member it copies
+    spec, g = get_group("PGL(3,2)")
+    elements, _ = pl.hyperplane_witness(spec, EnumeratedGroup(g))
+    images = list(elements[1].images)
+    a, b = [p for p in range(g.degree) if p not in g.base()][:2]
+    images[a], images[b] = images[b], images[a]
+    outsider = Permutation(tuple(images))
+    assert outsider not in g
+    assert g.element_index(np.array([images])) == g.element_index(np.array([elements[1].images]))
+    with pytest.raises(ValueError, match="not in the group"):
+        pl.verify_witness(g, elements[:1] + [outsider] + elements[2:])
+
+
+def _intersecting_by_quotients(rows):
+    """Whether every quotient x y^-1 of two rows fixes a point, one row y
+    at a time."""
+    n = rows.shape[1]
+    pts = np.arange(n)
+    for y in rows:
+        inv = np.empty(n, dtype=np.intp)
+        inv[y.astype(np.intp)] = pts
+        if ((rows[:, inv] == pts).sum(axis=1) == 0).any():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("key, seed", [("PGL(3,2)", 1), ("PSL(3,3)", 2), ("PSL(3,3)", 3)])
+def test_witness_intersecting_matches_the_quotient_loop(key, seed):
+    # the hyperplane stabilizer with some members swapped for other group
+    # elements; PSL(3,3)'s 432 rows span two agreement blocks
+    spec, g = get_group(key)
+    eg = EnumeratedGroup(g)
+    elements, _ = pl.hyperplane_witness(spec, eg)
+    rng = np.random.default_rng(seed)
+    sets = [elements]
+    for swaps in (1, 3):
+        inside = {p.images for p in elements}
+        outside = [i for i in range(len(eg.E)) if tuple(int(x) for x in eg.E[i]) not in inside]
+        picked = list(elements)
+        for at, i in zip(rng.choice(len(picked), swaps, replace=False),
+                         rng.choice(outside, swaps, replace=False)):
+            picked[at] = eg.element(int(i))
+        sets.append(picked)
+    verdicts = []
+    for els in sets:
+        rows = np.array([p.images for p in els], dtype=np.int8)
+        inter, _, _ = pl.verify_witness(g, els)
+        assert inter == _intersecting_by_quotients(rows)
+        verdicts.append(inter)
+    assert verdicts[0]
 
 
 def test_witness_rejects_duplicates():
