@@ -6,7 +6,7 @@ ratio and clique-coclique bounds, and certifies strictness through
 exact rank computations on the coset-incidence matrix.
 """
 
-from .errors import CapExceeded, CatalogError, TableFormatError
+from .errors import CapExceeded, CatalogError
 from .library import build_group, catalog_keys, get_group, get_spec
 from .pipeline import (
     Caps,
@@ -26,7 +26,6 @@ __all__ = [
     "CapExceeded",
     "CatalogError",
     "EkrReport",
-    "TableFormatError",
     "brute_alpha",
     "build_group",
     "catalog_keys",

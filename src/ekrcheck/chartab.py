@@ -3,9 +3,9 @@
 The table is computed by splitting the class algebra over a prime field
 F_p with p = 1 (mod exponent), then lifting eigenvalue data back to exact
 cyclotomic values via discrete Fourier inversion of the power map.  Every
-table, computed or imported, is verified against the orthogonality
-relations before it is returned, so downstream spectral reasoning can rely
-on the values being exactly right.
+table is verified against the orthogonality relations before it is
+returned, so downstream spectral reasoning can rely on the values being
+exactly right.
 
 The split is a few batched F_p operations per group.  The class constants
 come from sifting every product x * rep(C_l) in fixed row blocks.  A random
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclo import _EVAL_BLOCK, Cyc, _split_prime, _units
-from .errors import TableFormatError
 from .fields import factorize
 from .group import EnumeratedGroup, PermutationGroup, conjugacy_classes
 from .modmath import charpoly_mod, element_of_order, poly_roots_mod, prime_one_mod
@@ -88,8 +87,7 @@ class CharacterTable:
 
     Rows are sorted by (degree, float shadow of the value list); columns
     follow the canonical class order of the source group (identity first,
-    then by element order, class size, discovery index).  `class_orders`
-    is None for imported tables, whose serialization does not carry it.
+    then by element order, class size, discovery index).
     """
 
     order: int
@@ -98,12 +96,16 @@ class CharacterTable:
     k: int
     class_sizes: list[int]
     class_fix: list[int]
-    class_der: list[bool]
-    class_orders: list[int] | None
+    class_orders: list[int]
     values: list[list[Cyc]]
     degrees: list[int]
     trivial: int
     standard: int
+
+    @property
+    def class_der(self) -> list[bool]:
+        """Whether each class consists of derangements."""
+        return [f == 0 for f in self.class_fix]
 
     def permutation_character(self) -> list[Cyc]:
         return [Cyc.integer(1, f) for f in self.class_fix]
@@ -176,31 +178,28 @@ def _orthogonality_failures(t: CharacterTable) -> np.ndarray:
 
 def _verify_table(t: CharacterTable) -> None:
     if t.k != len(t.class_sizes) or t.k != len(t.values):
-        raise TableFormatError("class/row count mismatch")
+        raise ValueError("class/row count mismatch")
     if t.class_sizes[0] != 1:
-        raise TableFormatError("first class is not the identity class")
+        raise ValueError("first class is not the identity class")
     if sum(t.class_sizes) != t.order:
-        raise TableFormatError("class sizes do not sum to the group order")
+        raise ValueError("class sizes do not sum to the group order")
     if t.class_fix[0] != t.degree:
-        raise TableFormatError("identity fixes fewer points than the degree")
-    for f, d in zip(t.class_fix, t.class_der):
-        if d != (f == 0):
-            raise TableFormatError("derangement flag disagrees with fix count")
+        raise ValueError("identity fixes fewer points than the degree")
     for r, row in enumerate(t.values):
         if len(row) != t.k:
-            raise TableFormatError("ragged value row")
+            raise ValueError("ragged value row")
         if not (row[0] - t.degrees[r]).is_zero():
-            raise TableFormatError("identity column disagrees with the degree list")
+            raise ValueError("identity column disagrees with the degree list")
         if t.degrees[r] < 1 or t.order % t.degrees[r]:
-            raise TableFormatError("degree does not divide the group order")
+            raise ValueError("degree does not divide the group order")
     if sum(d * d for d in t.degrees) != t.order:
-        raise TableFormatError("degree squares do not sum to the group order")
+        raise ValueError("degree squares do not sum to the group order")
     failing = np.argwhere(np.triu(_orthogonality_failures(t)))
     if failing.size:
         a, b = (int(x) for x in failing[0])
-        raise TableFormatError(f"rows {a},{b} violate orthogonality")
+        raise ValueError(f"rows {a},{b} violate orthogonality")
     if (t.trivial, t.standard) != _locate_distinguished(t.values, t.class_fix):
-        raise TableFormatError("trivial or standard index names the wrong row")
+        raise ValueError("trivial or standard index names the wrong row")
 
 
 def _locate_distinguished(values: list[list[Cyc]], class_fix: list[int]) -> tuple[int, int]:
@@ -209,16 +208,16 @@ def _locate_distinguished(values: list[list[Cyc]], class_fix: list[int]) -> tupl
     for r, row in enumerate(values):
         if all((v - one).is_zero() for v in row):
             if trivial >= 0:
-                raise TableFormatError("two all-ones rows")
+                raise ValueError("two all-ones rows")
             trivial = r
         if all((v - (f - 1)).is_zero() for v, f in zip(row, class_fix)):
             if standard >= 0:
-                raise TableFormatError("two fix-1 rows")
+                raise ValueError("two fix-1 rows")
             standard = r
     if trivial < 0:
-        raise TableFormatError("no trivial character row")
+        raise ValueError("no trivial character row")
     if standard < 0:
-        raise TableFormatError("no fix-1 character row (group not 2-transitive?)")
+        raise ValueError("no fix-1 character row (group not 2-transitive?)")
     return trivial, standard
 
 
@@ -308,21 +307,8 @@ def character_table(eg: EnumeratedGroup, seed: int = 1) -> CharacterTable:
         )
     mats = class_constants(eg) % p
 
-    # power map on classes: powmap[l][t] = class of rep(C_l)^t, from one
-    # sift of the stacked power rows of every representative
-    power_rows = []
-    for l in range(k):
-        rep = eg.E[eg.class_seeds[l]].astype(np.intp)
-        row = np.arange(len(rep), dtype=np.intp)
-        for _ in range(eg.class_orders[l]):
-            power_rows.append(row)
-            row = rep[row]
-    stacked = np.array(power_rows, dtype=eg.E.dtype)
-    idx = eg.group.element_index(stacked)
-    if not np.array_equal(eg.E[idx], stacked):
-        raise AssertionError("a class representative's power left the group")
-    cuts = np.cumsum(eg.class_orders)[:-1]
-    powmap = np.split(eg.class_of[idx].astype(np.intp), cuts)
+    # power map on classes: powmap[l][t] = class of rep(C_l)^t
+    powmap = [eg.class_of[idx].astype(np.intp) for idx in eg.power_indices()]
 
     rng = random.Random(seed * 1000003 + p)
     for _ in range(MAX_SPLIT_ATTEMPTS):
@@ -395,106 +381,7 @@ def character_table(eg: EnumeratedGroup, seed: int = 1) -> CharacterTable:
         k=k,
         class_sizes=list(sizes),
         class_fix=list(class_fix),
-        class_der=[f == 0 for f in class_fix],
         class_orders=list(eg.class_orders),
-        values=values,
-        degrees=degrees,
-        trivial=trivial,
-        standard=standard,
-    )
-    _verify_table(table)
-    return table
-
-
-# ---- serialization ----
-#
-# Line 1: "k e |G|".  Then k class lines "size fix_count is_derangement",
-# identity class first.  Then k character lines, each holding k values
-# separated by spaces; a value is the comma-separated integer coefficient
-# list c0,c1,...  of the element sum_t c_t zeta_e^t, with trailing zeros
-# omitted (a bare "0" for zero, full e-length lists accepted on input).
-
-
-def _encode_value(v: Cyc, e: int) -> str:
-    _, coords, den = v.embed(e).canonical()
-    if den != 1:
-        raise TableFormatError("non-integral character value")
-    trimmed = list(coords)
-    while len(trimmed) > 1 and trimmed[-1] == 0:
-        trimmed.pop()
-    return ",".join(str(c) for c in trimmed)
-
-
-def export_table(t: CharacterTable) -> str:
-    lines = [f"{t.k} {t.e} {t.order}"]
-    for s, f, d in zip(t.class_sizes, t.class_fix, t.class_der):
-        lines.append(f"{s} {f} {int(d)}")
-    for row in t.values:
-        lines.append(" ".join(_encode_value(v, t.e) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_table(text: str) -> CharacterTable:
-    """Parse and fully verify a serialized character table."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise TableFormatError("empty table file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise TableFormatError("header must be 'k e order'")
-    try:
-        k, e, order = (int(x) for x in head)
-    except ValueError:
-        raise TableFormatError("non-integer header field") from None
-    if k < 1 or e < 1 or order < 1 or len(lines) != 1 + 2 * k:
-        raise TableFormatError("wrong line count for the declared class number")
-    sizes, fixes, ders = [], [], []
-    for ln in lines[1 : 1 + k]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise TableFormatError("class line must be 'size fix der'")
-        try:
-            s, f, d = (int(x) for x in parts)
-        except ValueError:
-            raise TableFormatError("non-integer class line field") from None
-        if s < 1 or f < 0 or d not in (0, 1):
-            raise TableFormatError("class line out of range")
-        sizes.append(s)
-        fixes.append(f)
-        ders.append(bool(d))
-    values: list[list[Cyc]] = []
-    degrees: list[int] = []
-    for ln in lines[1 + k :]:
-        tokens = ln.split()
-        if len(tokens) != k:
-            raise TableFormatError("character line has the wrong value count")
-        row = []
-        for tok in tokens:
-            try:
-                coeffs = [int(c) for c in tok.split(",")]
-            except ValueError:
-                raise TableFormatError("non-integer coefficient") from None
-            if len(coeffs) > e:
-                raise TableFormatError("coefficient list longer than the conductor")
-            row.append(Cyc.root_sum(e, list(enumerate(coeffs))))
-        try:
-            deg = row[0].to_int()
-        except ValueError:
-            raise TableFormatError("identity column value is not an integer") from None
-        if deg < 1:
-            raise TableFormatError("non-positive degree")
-        values.append(row)
-        degrees.append(deg)
-    trivial, standard = _propose_distinguished(_shadow(values), fixes)
-    table = CharacterTable(
-        order=order,
-        degree=fixes[0],
-        e=e,
-        k=k,
-        class_sizes=sizes,
-        class_fix=fixes,
-        class_der=ders,
-        class_orders=None,
         values=values,
         degrees=degrees,
         trivial=trivial,

@@ -1,9 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-  classify   decide EKR/strict-EKR for catalog keys or a group file; a
-             group over the enumeration cap reads its character table
-             from --tables DIR when one is supplied there
+  classify   decide EKR/strict-EKR for catalog keys or a group file
   table      run every catalog group up to a degree bound
   witness    check an intersecting-set witness against a group
   oracle     brute-force cross-check for small groups
@@ -75,12 +73,12 @@ def _progress(enabled: bool, msg: str) -> None:
         print(msg, file=sys.stderr, flush=True)
 
 
-def _classify_all(keys_or_specs, caps, verbose, tables_dir=None):
+def _classify_all(keys_or_specs, caps, verbose):
     reports = []
     for item in keys_or_specs:
         label = item if isinstance(item, str) else item.name
         t0 = time.time()
-        rep = classify(item, caps=caps, tables_dir=tables_dir)
+        rep = classify(item, caps=caps)
         _progress(
             verbose,
             f"{label}: ekr={rep.ekr} strict={rep.strict} ({time.time() - t0:.1f}s)",
@@ -107,7 +105,7 @@ def _cmd_classify(args) -> int:
             if not specs:
                 raise SystemExit(f"ekr: error: no group entries in {name!r}")
             targets.extend(specs.values())
-    reports = _classify_all(targets, caps, args.verbose, args.tables)
+    reports = _classify_all(targets, caps, args.verbose)
     _emit(reports, args.format, args.out)
     return _exit_code(reports)
 
@@ -230,11 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="KEY|FILE",
         help="catalog key, or a file of group entries (repeatable)",
-    )
-    p.add_argument(
-        "--tables",
-        metavar="DIR",
-        help="character tables <DIR>/<key>.ct for groups over the enumeration cap",
     )
     _add_output(p)
     _add_common(p)

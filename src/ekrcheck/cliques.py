@@ -28,7 +28,7 @@ import numpy as np
 
 from .chartab import CharacterTable
 from .cyclo import Cyc
-from .group import EnumeratedGroup, PermutationGroup
+from .group import EnumeratedGroup, PermutationGroup, agreeing_rows, member_rows
 from .perm import Permutation
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -47,27 +47,19 @@ class Clique:
 
 
 def verify_clique(group: PermutationGroup, elements) -> bool:
-    els = list(elements)
-    for x in els:
-        if x not in group:
-            raise ValueError("clique element not in the group")
-    for a in range(len(els)):
-        for b in range(a + 1, len(els)):
-            if (els[a] * els[b].inverse()).num_fixed() != 0:
-                return False
-    return True
+    """Whether the elements, which must all lie in the group, pairwise
+    disagree at every point: each quotient of two of them is a derangement."""
+    rows = member_rows(group, elements, "clique")
+    return bool((agreeing_rows(rows) == 1).all())
 
 
 def _cyclic_shortcut(eg: EnumeratedGroup) -> list[int] | None:
     """A single n-cycle generates a cyclic regular subgroup: an n-clique."""
     n = eg.group.degree
     for c in range(eg.n_classes):
-        if eg.class_orders[c] == n and eg.class_fix[c] == 0:
-            rep = eg.class_rep(c)
-            if rep.cycle_type() != (n,):
-                continue
-            idx = [eg.index_of(rep.power(t)) for t in range(n)]
-            return sorted(idx[:1]) + sorted(idx[1:])
+        if eg.class_orders[c] == n and eg.class_rep(c).cycle_type() == (n,):
+            idx = eg.power_indices()[c].tolist()  # the identity first
+            return idx[:1] + sorted(idx[1:])
     return None
 
 

@@ -19,7 +19,3 @@ class CapExceeded(RuntimeError):
 
 class CatalogError(ValueError):
     """Malformed catalog data or a failed catalog validation check."""
-
-
-class TableFormatError(ValueError):
-    """Malformed or inconsistent character-table import data."""

@@ -339,6 +339,37 @@ class PermutationGroup:
         return idx
 
 
+_AGREE_BLOCK = 256  # rows per block of an agreement sweep
+
+
+def member_rows(group: PermutationGroup, elements, what: str) -> np.ndarray:
+    """The image rows of `elements`, one sift for all of them; a ValueError
+    naming `what` if one is not in the group."""
+    els = list(elements)
+    n = group.degree
+    if any(x.degree != n for x in els):
+        raise ValueError(f"{what} element not in the group")
+    rows = np.array([x.images for x in els], dtype=np.int8).reshape(-1, n)
+    if not group.contains_rows(rows).all():
+        raise ValueError(f"{what} element not in the group")
+    return rows
+
+
+def agreeing_rows(rows: np.ndarray) -> np.ndarray:
+    """For each image row, the number of rows (itself included) that agree
+    with it at some point.  x y^-1 fixes y(t) exactly when x(t) = y(t), so
+    this counts the quotients that are not derangements.  A block of rows
+    is compared with all of them at once, column by column."""
+    counts = np.empty(len(rows), dtype=np.int64)
+    for lo in range(0, len(rows), _AGREE_BLOCK):
+        block = rows[lo : lo + _AGREE_BLOCK]
+        agree = np.zeros((len(block), len(rows)), dtype=bool)
+        for t in range(rows.shape[1]):
+            agree |= block[:, t, None] == rows[None, :, t]
+        counts[lo : lo + len(block)] = agree.sum(axis=1)
+    return counts
+
+
 def conjugation_orbit(group: PermutationGroup, rep: Permutation,
                       cap: int = CLASS_ORBIT_SOFT_CAP) -> np.ndarray:
     """Conjugacy class of rep as a (size, degree) int8 image array, without
@@ -424,6 +455,7 @@ class EnumeratedGroup:
         self.inv_index = group.element_index(inv)
         self.fix_counts_all = (self.E == np.arange(n, dtype=np.int8)[None, :]).sum(axis=1)
         self._classes_done = False
+        self._powers: list[np.ndarray] | None = None
 
     def index_of(self, p: Permutation) -> int:
         row = np.array(p.images, dtype=np.int8)
@@ -476,6 +508,25 @@ class EnumeratedGroup:
 
     def class_rep(self, c: int) -> Permutation:
         return self.element(self.class_seeds[c])
+
+    def power_indices(self) -> list[np.ndarray]:
+        """Per class c, the indices of rep(C_c)^t for t = 0..order-1, from
+        one sift of the stacked power rows of every representative."""
+        if self._powers is None:
+            self.compute_classes()
+            power_rows = []
+            for s, o in zip(self.class_seeds, self.class_orders):
+                rep = self.E[s].astype(np.intp)
+                row = np.arange(len(rep), dtype=np.intp)
+                for _ in range(o):
+                    power_rows.append(row)
+                    row = rep[row]
+            stacked = np.array(power_rows, dtype=self.E.dtype)
+            idx = self.group.element_index(stacked)
+            if not np.array_equal(self.E[idx], stacked):
+                raise AssertionError("a class representative's power left the group")
+            self._powers = np.split(idx, np.cumsum(self.class_orders)[:-1])
+        return self._powers
 
 
 def conjugacy_classes(group: PermutationGroup, cap: int = ENUMERATION_CAP) -> EnumeratedGroup:

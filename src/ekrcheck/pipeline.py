@@ -7,9 +7,9 @@ condition (b) from the spectrum alone: the standard character attains the
 least eigenvalue by itself, or a weighted ratio certificate holds; an exact
 rank certificate for the pair-incidence matrix, and finally the strict
 verdict.
-A group over the enumeration cap gets only the columns that the Gram
-matrix of one derangement class, counted from a single class
-representative, and a supplied character table decide.
+A group over the enumeration cap gets only the rank column, from the Gram
+matrix of one derangement class counted from a single class
+representative.
 
 Strict = yes is only emitted when all three module-method conditions are
 certified here.  Strict = no is only emitted constructively: either the
@@ -27,11 +27,10 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .chartab import CharacterTable, character_table_for, parse_table
+from .chartab import CharacterTable, character_table_for
 from .cliques import DEFAULT_NODE_BUDGET, SearchStats, find_n_clique
 from .dergraph import (
     DerangementSpectrum,
@@ -44,8 +43,10 @@ from .group import (
     ENUMERATION_CAP,
     EnumeratedGroup,
     PermutationGroup,
+    agreeing_rows,
     centralizer_order,
     conjugacy_classes,
+    member_rows,
 )
 from .library import GroupSpec, ProjectiveModel, build_group, get_spec
 from .modrank import (
@@ -67,7 +68,6 @@ from .weighted import weighted_ratio_certificate, weighted_ratio_holds
 
 ORACLE_CAP = 2000
 COUNT_CAP = 200
-_WITNESS_BLOCK = 256  # rows per agreement block in verify_witness
 
 CSV_COLUMNS = [
     "n",
@@ -146,6 +146,10 @@ class EkrReport:
         if self.ekr == "yes" and self.ekr_reason not in ("ratio", "clique-coclique"):
             raise AssertionError(f"{self.key}: ekr=yes without a reason")
         kinds = {c["kind"] for c in self.certificates}
+        if self.ekr_reason == "clique-coclique" and "n-clique" not in kinds:
+            raise AssertionError(f"{self.key}: ekr by clique-coclique without a clique")
+        if self.rank_full in ("yes", "no") and not kinds & {"rank", "class-gram"}:
+            raise AssertionError(f"{self.key}: rank={self.rank_full} without a rank certificate")
         if self.n_clique == "yes" and "n-clique" not in kinds:
             raise AssertionError(f"{self.key}: n-clique=yes without a clique")
         if self.n_clique == "no" and "n-clique-exhausted" not in kinds:
@@ -223,27 +227,11 @@ def verify_witness(
     known to hold so nothing larger exists.  canonical: all elements share
     an image pair, i.e. the set sits inside one of those cosets.
     """
-    els = list(elements)
-    n = group.degree
-    if any(x.degree != n for x in els):
-        raise ValueError("witness element not in the group")
-    rows = np.array([x.images for x in els], dtype=np.int8).reshape(-1, n)
-    if not group.contains_rows(rows).all():
-        raise ValueError("witness element not in the group")
-    if len({r.tobytes() for r in rows}) != len(els):
+    rows = member_rows(group, elements, "witness")
+    if len({r.tobytes() for r in rows}) != len(rows):
         raise ValueError("witness contains repeated elements")
-    # x y^-1 fixes y(t) exactly when x(t) = y(t): every pair of rows must
-    # agree in some column; a block of rows is compared with all at once
-    intersecting = True
-    for lo in range(0, len(rows), _WITNESS_BLOCK):
-        block = rows[lo : lo + _WITNESS_BLOCK]
-        agree = np.zeros((len(block), len(rows)), dtype=bool)
-        for t in range(n):
-            agree |= block[:, t, None] == rows[None, :, t]
-        if not agree.all():
-            intersecting = False
-            break
-    maximum = bool(ekr_established and len(els) * n == group.order())
+    intersecting = bool((agreeing_rows(rows) == len(rows)).all())
+    maximum = bool(ekr_established and len(rows) * group.degree == group.order())
     canonical = bool((rows == rows[0]).all(axis=0).any())
     return intersecting, maximum, canonical
 
@@ -461,24 +449,19 @@ def _spectral_columns(report: EkrReport, table: CharacterTable) -> DerangementSp
     return spc
 
 
-def _decide_strict(
-    report: EkrReport,
-    spc: DerangementSpectrum | None,
-    witness_ok: bool,
-) -> None:
+def _decide_strict(report: EkrReport, spc: DerangementSpectrum, witness_ok: bool) -> None:
     mm = report.ekr == "yes" and report.rank_full == "yes" and report.condition_b
     cu_no = False
-    if spc is not None:
-        flag, verdict, count = complete_union_detect(spc)
-        if flag:
-            report.notes.append(
-                f"derangement graph is {spc.order // spc.n} complete components; "
-                f"{count} maximum intersecting sets vs {spc.n ** 2} canonical"
-            )
-            report.certificates.append(
-                {"kind": "complete-union", "components": spc.order // spc.n, "count": count}
-            )
-            cu_no = verdict == "no"
+    flag, verdict, count = complete_union_detect(spc)
+    if flag:
+        report.notes.append(
+            f"derangement graph is {spc.order // spc.n} complete components; "
+            f"{count} maximum intersecting sets vs {spc.n ** 2} canonical"
+        )
+        report.certificates.append(
+            {"kind": "complete-union", "components": spc.order // spc.n, "count": count}
+        )
+        cu_no = verdict == "no"
     if mm and (cu_no or witness_ok):
         raise AssertionError(f"{report.key}: strict certified yes and refuted at once")
     if mm:
@@ -518,27 +501,6 @@ def _find_class_rep(group: PermutationGroup, order: int, shape: tuple, seed: int
     raise RuntimeError(f"no element of order {order} with cycle type {shape} found")
 
 
-def imported_table_report(
-    report: EkrReport, group: PermutationGroup, table_path
-) -> DerangementSpectrum:
-    """Fill the spectral columns of a partial report from a supplied table.
-
-    The file is re-verified on parse (orthogonality, degree sums); the
-    eigenvalue computations on it are exact.  Columns that rest on the
-    supplied data are flagged in the notes, and the strict verdict is
-    never assembled from them.
-    """
-    table = parse_table(table_path.read_text())
-    if table.order != group.order() or table.degree != group.degree:
-        raise ValueError(f"{report.key}: supplied table order/degree mismatch")
-    spc = _spectral_columns(report, table)
-    report.notes.append(
-        "least/EKR/unique columns rest on a supplied character table "
-        "(re-verified internally, externally sourced)"
-    )
-    return spc
-
-
 def mathieu_class_rank(report: EkrReport, group: PermutationGroup) -> None:
     """Rank certification for a group too large to enumerate: the Gram
     matrix of one derangement class, counted over quadruple orbits from
@@ -569,28 +531,13 @@ def mathieu_class_rank(report: EkrReport, group: PermutationGroup) -> None:
     )
 
 
-def _over_cap_route(report: EkrReport, group: PermutationGroup, tables_dir) -> None:
-    """Spectral columns from `<tables_dir>/<key>.ct` when that file exists,
-    and rank from a class Gram when a class is registered for the group.
-    Strict stays unknown: it is never assembled from a supplied table."""
-    path = Path(tables_dir, f"{report.key}.ct") if tables_dir is not None else None
-    if path is not None and path.exists():
-        with _timed(report, "table"):
-            imported_table_report(report, group, path)
-    if report.key not in _CLASS_SHAPE:
-        report.notes.append("no streamed-class route registered for this group")
-        return
-    with _timed(report, "rank"):
-        mathieu_class_rank(report, group)
-
-
-def classify(key_or_spec, caps: Caps | None = None, tables_dir=None) -> EkrReport:
+def classify(key_or_spec, caps: Caps | None = None) -> EkrReport:
     """Full decision sequence for one catalogued group.
 
-    A group over the enumeration cap takes the over-cap route instead
-    (`tables_dir` holds the tables it may read).  Resource caps produce
-    partial reports with unknown columns; no column is ever filled with
-    an unverified value.
+    A group over the enumeration cap gets its rank from a class Gram when
+    a class is registered for it in `_CLASS_SHAPE`, and no other column.
+    Resource caps produce partial reports with unknown columns; no column
+    is ever filled with an unverified value.
     """
     caps = caps or Caps()
     spec = get_spec(key_or_spec) if isinstance(key_or_spec, str) else key_or_spec
@@ -602,7 +549,11 @@ def classify(key_or_spec, caps: Caps | None = None, tables_dir=None) -> EkrRepor
                 eg = conjugacy_classes(group, caps.enumeration)
         except CapExceeded as exc:
             report.notes.append(f"enumeration cap: {exc}")
-            _over_cap_route(report, group, tables_dir)
+            if report.key in _CLASS_SHAPE:
+                with _timed(report, "rank"):
+                    mathieu_class_rank(report, group)
+            else:
+                report.notes.append("no streamed-class route registered for this group")
         else:
             with _timed(report, "table"):
                 table = character_table_for(group, eg=eg)
@@ -689,9 +640,9 @@ def table_order(report: EkrReport) -> tuple:
     return (report.degree, -report.order, report.key)
 
 
-def classify_many(keys, caps: Caps | None = None, tables_dir=None) -> list[EkrReport]:
+def classify_many(keys, caps: Caps | None = None) -> list[EkrReport]:
     """Classify each key; reports in `table_order`."""
-    return sorted((classify(k, caps, tables_dir) for k in keys), key=table_order)
+    return sorted((classify(k, caps) for k in keys), key=table_order)
 
 
 # ---- report emission ----

@@ -64,10 +64,11 @@ def weighted_etas(table: CharacterTable, weights: dict[int, Fraction]) -> list[C
 
 def _parse_weights(cert: dict, table: CharacterTable) -> dict[int, Fraction] | None:
     weights: dict[int, Fraction] = {}
+    der = table.class_der
     for entry in cert["weights"]:
         w = Fraction(entry["weight"])
         for c in entry["classes"]:
-            if not (0 <= c < table.k) or not table.class_der[c] or c in weights or w < 0:
+            if not (0 <= c < table.k) or not der[c] or c in weights or w < 0:
                 return None
             weights[c] = w
     return weights
@@ -103,17 +104,15 @@ def rational_classes(eg: EnumeratedGroup) -> list[list[int]]:
     """Derangement classes grouped into rational classes: c and the
     classes of x^t for a representative x of c and every t prime to its
     order.  Each group is closed under inversion."""
+    powers = eg.power_indices()
     seen: set[int] = set()
     out = []
     for c in range(eg.n_classes):
         if eg.class_fix[c] or c in seen:
             continue
-        rep = eg.class_rep(c)
         o = eg.class_orders[c]
-        orbit = sorted(
-            {int(eg.class_of[eg.index_of(rep.power(t))]) for t in range(1, o) if gcd(t, o) == 1}
-            | {c}
-        )
+        units = [t for t in range(1, o) if gcd(t, o) == 1]
+        orbit = sorted(set(eg.class_of[powers[c][units]].tolist()) | {c})
         seen.update(orbit)
         out.append(orbit)
     return out

@@ -157,7 +157,6 @@ def character_table(eg: EnumeratedGroup, seed: int = 1) -> CharacterTable:
         k=k,
         class_sizes=list(sizes),
         class_fix=list(eg.class_fix),
-        class_der=[f == 0 for f in eg.class_fix],
         class_orders=list(eg.class_orders),
         values=values,
         degrees=degrees,

@@ -9,9 +9,8 @@ import sys
 import pytest
 
 import ekrcheck
-from ekrcheck.chartab import character_table_for, export_table
 from ekrcheck.cli import main
-from ekrcheck.library import GroupSpec, format_catalog, get_group, get_spec
+from ekrcheck.library import GroupSpec, format_catalog, get_spec
 
 CSV_HEADER = "n,Group,size,least,n-clique,EKR,unique,module-by-clique,rank,strict"
 
@@ -71,17 +70,6 @@ def test_classify_over_cap_group_without_streamed_class_is_partial(capsys, tmp_p
     (obj,) = json.loads(out)
     assert obj["rank"]["full"] == "unknown"
     assert "no streamed-class route registered for this group" in obj["notes"]
-
-
-def test_classify_over_cap_group_reads_a_supplied_table(capsys, tmp_path):
-    _, g = get_group("PGL(2,5)")
-    (tmp_path / "PGL(2,5).ct").write_text(export_table(character_table_for(g)))
-    code, out, _ = run(
-        capsys, "classify", "--group", "PGL(2,5)", "--caps", "enumeration=10",
-        "--tables", str(tmp_path), "--format", "csv",
-    )
-    assert code == 2  # rank stays unknown: no streamed class is registered
-    assert out.strip().split("\n")[1] == "6,PGL(2,5),120,Y,--,Y,N,--,?,?"
 
 
 def test_classify_unknown_group_exits_1(capsys):

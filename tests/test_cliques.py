@@ -10,6 +10,7 @@ import pytest
 from ekrcheck.chartab import character_table
 from ekrcheck.cliques import (
     SearchStats,
+    _cyclic_shortcut,
     find_n_clique,
     iter_n_cliques,
     module_by_clique,
@@ -158,6 +159,65 @@ def test_verify_clique_basics(ctx):
     assert not verify_clique(g, [ident, swap])
     with pytest.raises(ValueError):
         verify_clique(g, [Permutation.identity(4)])
+
+
+def test_verify_clique_rejects_an_outsider_with_a_members_base_images(enumerated):
+    # an element is fixed by its base images, so a sift of the base
+    # columns alone would take this outsider for the member it copies
+    eg = enumerated("PGL(3,2)")
+    g = eg.group
+    clique = find_n_clique(eg).elements
+    images = list(clique[1].images)
+    a, b = [p for p in range(g.degree) if p not in g.base()][:2]
+    images[a], images[b] = images[b], images[a]
+    outsider = Permutation(tuple(images))
+    assert outsider not in g
+    assert g.element_index(np.array([images])) == g.element_index(np.array([clique[1].images]))
+    with pytest.raises(ValueError, match="not in the group"):
+        verify_clique(g, clique[:1] + (outsider,) + clique[2:])
+
+
+def _clique_by_quotients(els) -> bool:
+    """Whether every quotient of two of the elements is a derangement, one
+    `Permutation` product per pair."""
+    return all(
+        (x * y.inverse()).num_fixed() == 0 for i, x in enumerate(els) for y in els[i + 1 :]
+    )
+
+
+@pytest.mark.parametrize("key", ["S3", "F20", "PGL(2,5)", "AGammaL(1,8)", "PGL(3,2)"])
+def test_verify_clique_matches_the_quotient_loop(key, enumerated):
+    eg = enumerated(key)
+    n = eg.group.degree
+    der = np.flatnonzero(eg.fix_counts_all == 0)
+    clique = list(find_n_clique(eg).elements)
+    candidates = [clique, clique[:-1] + clique[1:2]]
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        # the identity and n - 1 derangements: some are cliques
+        idx = [0, *rng.choice(der, n - 1, replace=False)]
+        candidates.append([eg.element(int(i)) for i in idx])
+    verdicts = [verify_clique(eg.group, els) for els in candidates]
+    assert verdicts == [_clique_by_quotients(els) for els in candidates]
+    assert verdicts[:2] == [True, False]
+
+
+def _shortcut_by_powers(eg):
+    """The cyclic shortcut with every power of the n-cycle sifted one
+    `Permutation` at a time."""
+    n = eg.group.degree
+    for c in range(eg.n_classes):
+        rep = eg.class_rep(c)
+        if eg.class_orders[c] == n and rep.cycle_type() == (n,):
+            idx = [eg.index_of(rep.power(t)) for t in range(n)]
+            return idx[:1] + sorted(idx[1:])
+    return None
+
+
+@pytest.mark.parametrize("key", _survey_keys())
+def test_cyclic_shortcut_matches_the_power_loop(key, enumerated):
+    eg = enumerated(key)
+    assert _cyclic_shortcut(eg) == _shortcut_by_powers(eg)
 
 
 def test_projection_norms_sum_to_clique_size(ctx):

@@ -203,6 +203,17 @@ def test_class_labels_match_the_bfs_reference(key):
     assert eg.inverse_class == inverse
 
 
+@pytest.mark.parametrize("key", ["S3", "PGL(2,5)", "M11"])
+def test_power_indices_are_the_powers_of_each_class_representative(key):
+    _, g = get_group(key)
+    eg = conjugacy_classes(g)
+    powers = eg.power_indices()
+    assert eg.power_indices() is powers
+    for c, idx in enumerate(powers):
+        rep = eg.class_rep(c)
+        assert idx.tolist() == [eg.index_of(rep.power(t)) for t in range(eg.class_orders[c])]
+
+
 def test_inverse_class_consistent():
     eg = conjugacy_classes(PermutationGroup(S4))
     for c in range(eg.n_classes):

@@ -8,7 +8,6 @@ import time
 import numpy as np
 import pytest
 
-from ekrcheck.chartab import export_table
 from ekrcheck.cyclo import Cyc
 from ekrcheck.errors import CapExceeded
 from ekrcheck.group import EnumeratedGroup
@@ -124,12 +123,21 @@ def test_m10_n_clique_no_by_exhaustion_and_unknown_at_the_budget(reports):
     short.validate()
 
 
-@pytest.mark.parametrize("key, kind", [("S3", "n-clique"), ("M10", "n-clique-exhausted")])
-def test_validate_rejects_n_clique_verdict_without_certificate(reports, key, kind):
+@pytest.mark.parametrize(
+    "key, kind, match",
+    [
+        ("S3", "n-clique", "n-clique=yes"),
+        ("M10", "n-clique-exhausted", "n-clique=no"),
+        ("AGammaL(1,8)", "n-clique", "clique-coclique"),
+        ("S3", "rank", "rank=yes"),
+    ],
+    ids=["S3-n-clique", "M10-n-clique-exhausted", "AGammaL(1,8)-clique-coclique", "S3-rank"],
+)
+def test_validate_rejects_n_clique_verdict_without_certificate(reports, key, kind, match):
     r = copy.deepcopy(reports(key))
     r.validate()
     r.certificates = [c for c in r.certificates if c["kind"] != kind]
-    with pytest.raises(AssertionError, match="n-clique"):
+    with pytest.raises(AssertionError, match=match):
         r.validate()
 
 
@@ -156,7 +164,7 @@ def test_validate_rejects_strict_yes_without_condition_b():
     r.unique, r.module_by_clique, r.rank_full = "no", "unknown", "yes"
     r.strict, r.strict_reason = "yes", "module-method"
     tie = {"kind": "weighted-ratio", "weights": [], "eta_by_row": ["324", "-36", "-36", "0"]}
-    r.certificates.append(tie)
+    r.certificates += [tie, {"kind": "rank"}]
     with pytest.raises(AssertionError, match="three conditions"):
         r.validate()
     r.certificates[0] = dict(tie, eta_by_row=["9", "0", "-1", "9/32"])
@@ -353,34 +361,6 @@ def test_classify_many_table_order():
     assert degrees == sorted(degrees)
 
 
-# ---- imported character tables ----
-
-
-def test_imported_table_round_trip(tmp_path):
-    spec, g = get_group("PGL(2,5)")
-    eg = EnumeratedGroup(g)
-    table = pl.character_table_for(g, eg=eg)
-    path = tmp_path / "pgl25.ct"
-    path.write_text(export_table(table))
-
-    r = pl.EkrReport(key="PGL(2,5)", degree=spec.degree, order=spec.expected_order)
-    pl.imported_table_report(r, g, path)
-    assert r.least_standard == "yes" and r.ekr == "yes" and r.unique == "no"
-    assert any("supplied character table" in note for note in r.notes)
-    assert r.strict == "unknown"
-
-
-def test_imported_table_rejects_wrong_group(tmp_path):
-    _, g3 = get_group("S3")
-    table = pl.character_table_for(g3)
-    path = tmp_path / "s3.ct"
-    path.write_text(export_table(table))
-    _, g4 = get_group("A4")
-    r = pl.EkrReport(key="A4", degree=4, order=12)
-    with pytest.raises(ValueError, match="mismatch"):
-        pl.imported_table_report(r, g4, path)
-
-
 # ---- group-file classification ----
 
 
@@ -491,15 +471,3 @@ def test_class_rank_streams_no_class(monkeypatch):
     assert r.rank_full == "yes"
     (cert,) = [c for c in r.certificates if c["kind"] == "class-gram"]
     assert cert["class_size"] == 443520
-
-
-def test_over_cap_group_reads_a_supplied_table(tmp_path):
-    _, g = get_group("PGL(2,5)")
-    table = pl.character_table_for(g)
-    (tmp_path / "PGL(2,5).ct").write_text(export_table(table))
-    r = pl.classify("PGL(2,5)", pl.Caps(enumeration=10), tables_dir=tmp_path)
-    assert r.csv_row()[3:] == ["Y", "--", "Y", "N", "--", "?", "?"]
-    assert r.ekr_reason == "ratio"
-    assert any("supplied character table" in note for note in r.notes)
-    assert any("no streamed-class route" in note for note in r.notes)
-    assert r.strict_reason == "external-unproven"

@@ -19,7 +19,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ekrcheck"
 
 ALLOWED = {
-    "export_table": "writes the format parse_table reads, keeping that format in one module",
     "strip_timings": "part of the JSON contract: reports are byte-identical once stripped",
 }
 

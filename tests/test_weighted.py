@@ -19,6 +19,8 @@ from ekrcheck.weighted import (
     weighted_ratio_holds,
 )
 
+from survey import SURVEY
+
 
 @pytest.fixture(scope="module")
 def ctx():
@@ -147,6 +149,32 @@ def test_rational_classes_are_inverse_closed(ctx):
     ]
     for orb in orbits:
         assert {eg.inverse_class[c] for c in orb} <= set(orb)
+
+
+def _rational_classes_by_powers(eg):
+    """The rational classes with every power of a representative sifted
+    one `Permutation` at a time."""
+    seen: set[int] = set()
+    out = []
+    for c in range(eg.n_classes):
+        if eg.class_fix[c] or c in seen:
+            continue
+        rep = eg.class_rep(c)
+        o = eg.class_orders[c]
+        orbit = sorted(
+            {int(eg.class_of[eg.index_of(rep.power(t))]) for t in range(1, o) if math.gcd(t, o) == 1}
+            | {c}
+        )
+        seen.update(orbit)
+        out.append(orbit)
+    return out
+
+
+@pytest.mark.parametrize("key", SURVEY)
+def test_rational_classes_match_the_power_loop(key):
+    _, g = get_group(key)
+    eg = conjugacy_classes(g)
+    assert rational_classes(eg) == _rational_classes_by_powers(eg)
 
 
 def test_pgl32_has_no_certificate(ctx):
