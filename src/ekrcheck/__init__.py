@@ -1,9 +1,10 @@
 """Exact verification of intersection properties of 2-transitive groups.
 
 The package computes the derangement-graph spectrum of a finite
-2-transitive permutation group from its character table, applies the
-ratio and clique-coclique bounds, and certifies strictness through
-exact rank computations on the coset-incidence matrix.
+2-transitive permutation group in integers, from the certified central
+characters of its rational class algebra, applies the ratio and
+clique-coclique bounds, and certifies strictness through exact rank
+computations on the coset-incidence matrix.
 """
 
 from .errors import CapExceeded, CatalogError

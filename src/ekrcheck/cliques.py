@@ -26,7 +26,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chartab import CharacterTable
 from .cyclo import Cyc
 from .group import EnumeratedGroup, PermutationGroup, agreeing_rows, member_rows
 from .perm import Permutation
@@ -194,9 +193,12 @@ def _quotient_class_counts(eg: EnumeratedGroup, idx: list[int]) -> np.ndarray:
     return counts
 
 
-def projection_norm(eg: EnumeratedGroup, table: CharacterTable, idx, row: int) -> Cyc:
+def projection_norm(eg: EnumeratedGroup, table, idx, row: int) -> Cyc:
     """Exact quadratic form of the clique vector under the module projector
     of character `row`: (chi(1)/|G|) sum over ordered pairs of chi(x^-1 y).
+    `table` is a cyclotomic character table with `values`, `degrees` and
+    `order`, such as the oracle table of `tests/chartab_reference.py`; the
+    library itself builds only the rational table of `chartab`.
 
     Non-negative for any vertex subset (the projector is PSD); positive
     exactly when the subset's characteristic vector meets the module.
@@ -225,12 +227,14 @@ class ModuleWitness:
 
 def module_by_clique(
     eg: EnumeratedGroup,
-    table: CharacterTable,
+    table,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> dict[int, ModuleWitness]:
     """For every character other than trivial and standard, hunt for an
     n-clique whose projection to that module is nonzero, over at most
-    `DEFAULT_CLIQUE_ATTEMPTS` distinct cliques.
+    `DEFAULT_CLIQUE_ATTEMPTS` distinct cliques.  `table` is a cyclotomic
+    character table as for `projection_norm`, with `k`, `trivial` and
+    `standard`.
 
     All-witnessed output certifies condition (b): maximum independent set
     vectors then lie in the span of the trivial and standard modules.

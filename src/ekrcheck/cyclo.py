@@ -11,12 +11,9 @@ exactly when x lies in p Z[zeta] (p splits completely).  So if that holds
 for primes whose product P exceeds B, then either x = 0 or
 P^phi(e) <= |N(x)| <= B^phi(e), which is impossible.  Reduction modulo the
 e-th cyclotomic polynomial is kept for the coordinate form (`canonical`).
-`to_int` reads a value that is a rational integer, such as a derangement
-eigenvalue: the float value proposes the integer and the exact zero test
-decides.  The sign of a real value comes from certified interval
-evaluation at escalating precision, after the exact zero test.  Operands
-of different conductors are embedded into their lcm, so mixing is always
-exact.
+The sign of a real value comes from certified interval evaluation at
+escalating precision, after the exact zero test.  Operands of different
+conductors are embedded into their lcm, so mixing is always exact.
 """
 
 from __future__ import annotations
@@ -358,16 +355,6 @@ class Cyc:
 
     def __hash__(self):
         return hash(self.canonical())
-
-    def to_int(self) -> int:
-        """The value as an int, when it is a rational integer; anything
-        else raises ValueError.  The float value proposes the integer and
-        the exact zero test decides, so a wrong int is never returned; an
-        integer too large for a float to round exactly (about 2^52) raises."""
-        m = round(self.approx().real)
-        if not (self - m).is_zero():
-            raise ValueError(f"{self!r} is not a rational integer")
-        return m
 
     def is_real(self) -> bool:
         return (self - self.conj()).is_zero()

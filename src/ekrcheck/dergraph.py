@@ -1,15 +1,12 @@
-"""Spectrum of the derangement graph from an exact character table.
+"""Spectrum of the derangement graph from the rational table.
 
 The derangement graph has the group as vertex set, with an edge when the
 quotient of two elements fixes no point.  Since the connection set is a
-union of conjugacy classes, every irreducible character chi contributes
-the eigenvalue (1/chi(1)) sum_i |C_i| chi(C_i) over derangement classes,
-with multiplicity chi(1)^2.  The derangements are closed under x -> x^t
-for every t prime to the order of x, so that sum is fixed by every Galois
-automorphism: a rational algebraic integer, hence an int.  The same holds
-for any Galois-closed set of classes (`class_set_eigenvalue`).  Each
-eigenvalue is read off its exact cyclotomic sum by `Cyc.to_int`; equal
-eigenvalues are merged and sorted as ints.
+union of rational classes, every Galois orbit O of irreducible characters
+contributes the integer eigenvalue eta_O = sum_S omega_O(S) over the
+derangement rational classes S, with multiplicity dim_O (`chartab`).
+Equal eigenvalues are merged and sorted as ints, and the trace identities
+are checked before the spectrum is returned.
 """
 
 from __future__ import annotations
@@ -19,15 +16,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chartab import CharacterTable
-from .cyclo import Cyc
+from .chartab import RationalTable
 
 
 @dataclass(frozen=True)
 class SpectrumEntry:
     value: int
     multiplicity: int
-    rows: tuple[int, ...]  # attaining character rows of the source table
+    rows: tuple[int, ...]  # attaining rows of the rational table
 
 
 @dataclass
@@ -35,7 +31,7 @@ class DerangementSpectrum:
     n: int
     order: int
     d: int
-    der_classes: tuple[int, ...]
+    der_classes: tuple[int, ...]  # rational classes of derangements
     entries: list[SpectrumEntry]  # sorted descending by value
     eta_by_row: list[int]
 
@@ -48,30 +44,19 @@ class DerangementSpectrum:
         return Fraction(-self.d, self.n - 1)
 
 
-def class_set_eigenvalue(table: CharacterTable, row: int, classes) -> int:
-    """(1/chi(1)) sum_{C in classes} |C| chi(C) for the character of `row`:
-    the eigenvalue of the class sum of a Galois-closed set of classes on the
-    chi-isotypic module.  Raises ValueError if it is not an integer, which
-    it always is for a Galois-closed set."""
-    acc = Cyc.zero(1)
-    for i in classes:
-        acc = acc + table.values[row][i] * table.class_sizes[i]
-    return (acc / table.degrees[row]).to_int()
-
-
-def spectrum(table: CharacterTable) -> DerangementSpectrum:
+def spectrum(table: RationalTable) -> DerangementSpectrum:
     """Exact spectrum of the derangement graph, verified against the trace
     identities before being returned."""
-    der = tuple(i for i, f in enumerate(table.class_der) if f)
-    d = sum(table.class_sizes[i] for i in der)
-    etas = [class_set_eigenvalue(table, r, der) for r in range(table.k)]
+    der = tuple(table.der)
+    d = sum(table.sizes[S] for S in der)
+    etas = table.omega[:, list(der)].sum(axis=1).tolist()
     by_value: dict[int, list[int]] = {}
-    for r, eta in enumerate(etas):
-        by_value.setdefault(eta, []).append(r)
+    for O, eta in enumerate(etas):
+        by_value.setdefault(eta, []).append(O)
     entries = [
         SpectrumEntry(
             value=value,
-            multiplicity=sum(table.degrees[r] ** 2 for r in rows),
+            multiplicity=sum(table.dims[O] for O in rows),
             rows=tuple(rows),
         )
         for value, rows in sorted(by_value.items(), reverse=True)
@@ -103,8 +88,10 @@ def spectrum(table: CharacterTable) -> DerangementSpectrum:
     )
 
 
-def least_analysis(spec: DerangementSpectrum, table: CharacterTable):
-    """(tau, is_standard_least, is_standard_unique), all decided exactly."""
+def least_analysis(spec: DerangementSpectrum, table: RationalTable):
+    """(tau, is_standard_least, is_standard_unique), all decided exactly.
+    The standard character is its own Galois orbit, so a least value
+    attained by the standard row alone is attained by no other character."""
     least = spec.least
     tau = least.value
     is_least = tau == spec.eta_standard

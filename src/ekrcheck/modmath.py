@@ -1,8 +1,9 @@
 """Modular linear algebra shared by the character-table and rank modules.
 
 Everything works on int64 numpy matrices with a prime modulus small enough
-that a*b never overflows (p < 2^31), which covers both the Dixon primes
-(p slightly above 2*sqrt|G|) and the 29-bit rank certification prime.
+that a*b never overflows (p < 2^31), which covers both the split prime of
+the rational class algebra (the smallest odd prime above 2|G|) and the
+29-bit rank certification prime.
 
 A rank needs only forward elimination (`echelon_mod`), which touches the
 rows below each pivot and the columns from the pivot on.  The reduced row
@@ -44,7 +45,7 @@ def is_prime(n: int) -> bool:
 
 def prime_one_mod(e: int, lower: int) -> int:
     """Smallest prime p with p ≡ 1 (mod e) and p > lower."""
-    m = max(1, (lower // e) + 1)
+    m = max(1, lower // e)
     while True:
         p = m * e + 1
         if p > lower and is_prime(p):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chartab import CharacterTable, character_table_for
+from .chartab import RationalTable, character_table_for
 from .cliques import DEFAULT_NODE_BUDGET, SearchStats, find_n_clique
 from .dergraph import (
     DerangementSpectrum,
@@ -225,9 +225,12 @@ def verify_witness(
     intersecting: no pairwise quotient is a derangement.  maximum: the set
     has the size every point-to-point coset has, and the EKR bound is
     known to hold so nothing larger exists.  canonical: all elements share
-    an image pair, i.e. the set sits inside one of those cosets.
+    an image pair, i.e. the set sits inside one of those cosets.  An empty
+    set raises ValueError.
     """
     rows = member_rows(group, elements, "witness")
+    if not len(rows):
+        raise ValueError("witness is empty")
     if len({r.tobytes() for r in rows}) != len(rows):
         raise ValueError("witness contains repeated elements")
     intersecting = bool((agreeing_rows(rows) == len(rows)).all())
@@ -435,7 +438,7 @@ def brute_alpha(
 # ---- classification ----
 
 
-def _spectral_columns(report: EkrReport, table: CharacterTable) -> DerangementSpectrum:
+def _spectral_columns(report: EkrReport, table: RationalTable) -> DerangementSpectrum:
     """Fill d, least, unique, and EKR when the ratio bound settles it."""
     spc = spectrum(table)
     report.d = spc.d
@@ -587,7 +590,7 @@ def classify(key_or_spec, caps: Caps | None = None) -> EkrReport:
 
             if report.ekr == "yes" and report.unique != "yes":
                 with _timed(report, "weighted"):
-                    weighted = weighted_ratio_certificate(eg, table)
+                    weighted = weighted_ratio_certificate(table)
                 if weighted is not None:
                     report.certificates.append(weighted)
 

@@ -15,25 +15,20 @@ condition (b), with no n-clique needed (Godsil and Meagher, "Erdos-Ko-Rado
 Theorems: Algebraic Approaches", CUP 2015).
 
 The weights are made constant on rational classes S, so
-eta_chi(w) = sum_S w_S omega_chi(S), where omega_chi(S) is the integer
-eigenvalue of the class sum of S (`dergraph.class_set_eigenvalue`).  A
-small float simplex on those integers proposes the weights; it is never
-trusted.  The certificate's etas are exact Fractions from the same
-integers, and `verify_weighted_ratio` re-derives every one from the
-character table in cyclotomic arithmetic, independently of them.
+eta_O(w) = sum_S w_S omega_O(S) is one value per row O of the certified
+rational table (`chartab`), a Galois orbit of characters; the standard
+character is its own orbit.  A small float simplex on those integers
+proposes the weights; it is never trusted.  `verify_weighted_ratio`
+re-derives every eta from the certified omega in exact Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
-from .chartab import CharacterTable
-from .cyclo import Cyc
-from .dergraph import class_set_eigenvalue
-from .group import EnumeratedGroup
+from .chartab import RationalTable
 
 # rounding of the simplex's float weights; the exact check decides
 _MAX_DENOMINATOR = 10_000
@@ -50,72 +45,52 @@ def weighted_ratio_holds(etas, n: int) -> bool:
     return d_w > 0 and min(etas) == least and etas.count(least) == 1
 
 
-def weighted_etas(table: CharacterTable, weights: dict[int, Fraction]) -> list[Cyc]:
-    """eta_chi(w) for every row of the table, exact."""
-    etas = []
-    for r in range(table.k):
-        acc = Cyc.zero(1)
-        for c, w in weights.items():
-            if w:
-                acc = acc + table.values[r][c] * (w * table.class_sizes[c])
-        etas.append(acc / table.degrees[r])
-    return etas
+def weighted_etas(table: RationalTable, weights: dict[int, Fraction]) -> list[Fraction]:
+    """eta_O(w) for every row of the table, exact; `weights` maps rational
+    classes to their weights."""
+    return [
+        sum((w * int(table.omega[O, S]) for S, w in weights.items()), Fraction(0))
+        for O in range(table.r)
+    ]
 
 
-def _parse_weights(cert: dict, table: CharacterTable) -> dict[int, Fraction] | None:
+def _parse_weights(cert: dict, table: RationalTable) -> dict[int, Fraction] | None:
+    """The weight of each rational class; None unless every entry names
+    one whole rational class of derangements, once, with a weight >= 0."""
+    index = {tuple(table.classes[S]): S for S in table.der}
     weights: dict[int, Fraction] = {}
-    der = table.class_der
     for entry in cert["weights"]:
+        S = index.get(tuple(entry["classes"]))
         w = Fraction(entry["weight"])
-        for c in entry["classes"]:
-            if not (0 <= c < table.k) or not der[c] or c in weights or w < 0:
-                return None
-            weights[c] = w
+        if S is None or S in weights or w < 0:
+            return None
+        weights[S] = w
     return weights
 
 
-def verify_weighted_ratio(table: CharacterTable, cert: dict) -> bool:
-    """Re-derive a weighted-ratio certificate from the character table.
+def verify_weighted_ratio(table: RationalTable, cert: dict) -> bool:
+    """Re-derive a weighted-ratio certificate from the rational table.
 
-    The weights must be non-negative and sit on derangement classes only.
-    Every recorded eta must equal the exact eta of the weights, the
-    trivial row must give d_w and the standard row -d_w/(n-1), and
-    `weighted_ratio_holds` must accept the values.  Uses no solver.
+    The weights must be non-negative and sit on whole rational classes of
+    derangements.  Every recorded eta must equal the exact eta of the
+    weights, the trivial row must give d_w and the standard row
+    -d_w/(n-1), and `weighted_ratio_holds` must accept the values.  Uses
+    no solver.
     """
-    if cert.get("kind") != "weighted-ratio" or len(cert["eta_by_row"]) != table.k:
+    if cert.get("kind") != "weighted-ratio":
         return False
     weights = _parse_weights(cert, table)
     if weights is None:
         return False
     claimed = [Fraction(x) for x in cert["eta_by_row"]]
-    for eta, want in zip(weighted_etas(table, weights), claimed):
-        if not (eta - want).is_zero():
-            return False
-    d_w = sum(w * table.class_sizes[c] for c, w in weights.items())
+    d_w = sum(w * table.sizes[S] for S, w in weights.items())
     n = table.degree
     return (
-        claimed[table.trivial] == d_w
+        weighted_etas(table, weights) == claimed
+        and claimed[table.trivial] == d_w
         and claimed[table.standard] == Fraction(-d_w, n - 1)
         and weighted_ratio_holds(claimed, n)
     )
-
-
-def rational_classes(eg: EnumeratedGroup) -> list[list[int]]:
-    """Derangement classes grouped into rational classes: c and the
-    classes of x^t for a representative x of c and every t prime to its
-    order.  Each group is closed under inversion."""
-    powers = eg.power_indices()
-    seen: set[int] = set()
-    out = []
-    for c in range(eg.n_classes):
-        if eg.class_fix[c] or c in seen:
-            continue
-        o = eg.class_orders[c]
-        units = [t for t in range(1, o) if gcd(t, o) == 1]
-        orbit = sorted(set(eg.class_of[powers[c][units]].tolist()) | {c})
-        seen.update(orbit)
-        out.append(orbit)
-    return out
 
 
 def _simplex_max(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -150,22 +125,23 @@ def _simplex_max(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray | No
         basis[leave] = enter
 
 
-def _propose(table: CharacterTable, sizes: list[int], omega: list[list[int]]) -> np.ndarray | None:
-    """Float weights per rational class that maximise the least gap
-    eta_chi - eta_std over the other nontrivial rows, with d_w <= n-1.
-    `sizes` are the rational class sizes and omega[r] the integer
-    eigenvalues of row r on them."""
+def _propose(table: RationalTable) -> np.ndarray | None:
+    """Float weights per rational class of derangements that maximise the
+    least gap eta_O - eta_std over the other nontrivial rows, with
+    d_w <= n-1."""
     n = table.degree
-    sizes = np.array(sizes, dtype=float)
+    der = table.der
+    sizes = np.array([table.sizes[S] for S in der], dtype=float)
+    omega = table.omega[:, der].astype(float)
     gaps = [
-        np.array(omega[r], dtype=float) + sizes / (n - 1)
-        for r in range(table.k)
-        if r not in (table.trivial, table.standard)
+        omega[O] + sizes / (n - 1)
+        for O in range(table.r)
+        if O not in (table.trivial, table.standard)
     ]
     if not gaps:
         return None
     m = len(sizes)
-    # variables (w_1..w_m, t): maximise t with t <= gap_chi(w) for every chi
+    # variables (w_1..w_m, t): maximise t with t <= gap_O(w) for every O
     A = np.vstack([np.append(-g, 1.0) for g in gaps] + [np.append(sizes, 0.0)])
     b = np.zeros(len(A))
     b[-1] = n - 1
@@ -177,19 +153,17 @@ def _propose(table: CharacterTable, sizes: list[int], omega: list[list[int]]) ->
     return x[:m]
 
 
-def weighted_ratio_certificate(eg: EnumeratedGroup, table: CharacterTable) -> dict | None:
+def weighted_ratio_certificate(table: RationalTable) -> dict | None:
     """A verified weighted-ratio certificate, or None when the simplex
     finds no weights or their rounding fails the exact check."""
-    orbits = rational_classes(eg)
-    sizes = [sum(table.class_sizes[c] for c in orb) for orb in orbits]
-    omega = [[class_set_eigenvalue(table, r, orb) for orb in orbits] for r in range(table.k)]
-    x = _propose(table, sizes, omega)
+    x = _propose(table)
     if x is None:
         return None
     ws = [Fraction(float(v)).limit_denominator(_MAX_DENOMINATOR) for v in x]
+    weights = {S: w for S, w in zip(table.der, ws) if w}
     cert = {
         "kind": "weighted-ratio",
-        "weights": [{"classes": orb, "weight": str(w)} for orb, w in zip(orbits, ws) if w],
-        "eta_by_row": [str(sum(w * o for w, o in zip(ws, row))) for row in omega],
+        "weights": [{"classes": table.classes[S], "weight": str(w)} for S, w in weights.items()],
+        "eta_by_row": [str(eta) for eta in weighted_etas(table, weights)],
     }
     return cert if verify_weighted_ratio(table, cert) else None

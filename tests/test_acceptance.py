@@ -215,8 +215,9 @@ def test_mathieu_core_least_attained_only_by_standard(key, mathieu_core):
     _, _, is_unique = least_analysis(spc, table)
     if key == "M10":
         # corrected: the nontrivial linear character of M10/A6 also
-        # reaches -36 (144 - 90 - 90), see _m10_linear_character_ties_standard
-        linear = [r for r in range(table.k) if table.degrees[r] == 1 and r != table.trivial]
+        # reaches -36 (144 - 90 - 90), see _m10_linear_character_ties_standard;
+        # it is rational, so its row of the rational table has dimension 1
+        linear = [r for r in range(table.r) if table.dims[r] == 1 and r != table.trivial]
         assert len(linear) == 1
         assert set(spc.least.rows) == {table.standard, linear[0]}
         assert spc.least.multiplicity == 82

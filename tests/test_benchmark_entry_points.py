@@ -12,6 +12,7 @@ import pytest
 
 from ekrcheck import chartab
 from ekrcheck import pipeline as pl
+from ekrcheck.library import get_group
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
 
@@ -55,3 +56,12 @@ def test_certificate_layer_entry_points_keep_their_call_forms():
     assert "primes" in {f.name for f in dataclasses.fields(pl.rank_certificate(np.eye(2)))}
     inspect.signature(chartab.character_table).bind(object())
     inspect.signature(chartab.character_table).bind(object(), seed=1)
+
+
+def test_table_keeps_the_conductor_the_tracer_reads():
+    # the tracer records `.e` of character_table_for's result as the
+    # maximum `chartab.conductor.max`
+    table = pl.character_table_for(get_group("A4")[1])
+    assert type(table.e) is int and table.e == 6
+    _, value = tracing.SPAN_MAXIMA["chartab.conductor.max"]
+    assert value((), table) == 6

@@ -1,12 +1,18 @@
 """Character table tests.
 
+The library builds the rational table of `chartab`: the central
+characters of the rational class algebra, one row per Galois orbit of
+irreducible characters.  Its rows are checked against the cyclotomic
+table of `chartab_reference`, which has its own class constants, split
+and lift: every omega row must equal (1/chi(1)) sum_{C in S} |C| chi(C)
+for each character chi of its orbit, and every dimension the sum of
+chi(1)^2 over the orbit.  A tampered table must be rejected.
+
 Degree multisets for the small groups are frozen from standard references
 and double-checked by the sum-of-squares identity; structure constants are
 cross-checked against a brute-force product count that shares no code with
 the vectorized path, and against the one-sift-per-class-pair oracle with
-the sift block cut below a class size.  The batched split must give the
-same table, value for value in canonical form, as the
-one-eigenvalue-at-a-time oracle in `chartab_reference`.
+the sift block cut below a class size.
 """
 
 import dataclasses
@@ -15,14 +21,15 @@ import numpy as np
 import pytest
 
 import ekrcheck.chartab as chartab_mod
-from ekrcheck.chartab import character_table, class_constants
+from ekrcheck.chartab import character_table, class_constants, rational_algebra
 from ekrcheck.cyclo import Cyc
 from ekrcheck.group import PermutationGroup, conjugacy_classes
 from ekrcheck.library import catalog_keys, get_group, get_spec
 from ekrcheck.perm import Permutation
 
 import chartab_reference
-from chartab_reference import inner_product
+from chartab_reference import enumerated, inner_product, omega_rows, oracle_table
+from survey import SURVEY
 
 
 @pytest.fixture(scope="module")
@@ -31,12 +38,32 @@ def tables():
 
     def get(key):
         if key not in cache:
-            _, g = get_group(key)
-            eg = conjugacy_classes(g)
+            eg = enumerated(key)
             cache[key] = (eg, character_table(eg))
         return cache[key]
 
     return get
+
+
+def _fields(t):
+    """Every field of a rational table, with omega as nested lists."""
+    return {**dataclasses.asdict(t), "omega": t.omega.tolist()}
+
+
+def _assert_matches_oracle(key, t):
+    """Every row of the rational table is the omega row of each character
+    of one Galois orbit of the oracle table, and its dimension is the sum
+    of chi(1)^2 over them; every character belongs to one row."""
+    oracle = oracle_table(key)
+    chi_rows = omega_rows(oracle, t.classes)
+    rows = [tuple(row) for row in t.omega.tolist()]
+    assert set(chi_rows) == set(rows)
+    for row, dim in zip(rows, t.dims, strict=True):
+        assert dim == sum(d * d for d, got in zip(oracle.degrees, chi_rows) if got == row)
+    assert t.classes == chartab_mod.rational_classes(enumerated(key))
+    assert t.sizes == [sum(oracle.class_sizes[c] for c in cls) for cls in t.classes]
+    assert t.fix == [oracle.class_fix[cls[0]] for cls in t.classes]
+    assert t.e == oracle.e
 
 
 EXPECTED_DEGREES = {
@@ -47,54 +74,84 @@ EXPECTED_DEGREES = {
     "PSL(3,2)": [1, 3, 3, 6, 7, 8],
     "M11": [1, 10, 10, 10, 11, 16, 16, 44, 45, 55],
 }
+# sum of chi(1)^2 over each Galois orbit: A4's two nontrivial linear
+# characters, F20's pair taking +-i, PSL(3,2)'s two of degree 3, and
+# M11's pairs of degree 10 and 16 are conjugate
+EXPECTED_DIMS = {
+    "S3": [1, 1, 4],
+    "A4": [1, 2, 9],
+    "F20": [1, 1, 2, 16],
+    "PGL(2,5)": [1, 1, 16, 16, 25, 25, 36],
+    "PSL(3,2)": [1, 18, 36, 49, 64],
+    "M11": [1, 100, 121, 200, 512, 1936, 2025, 3025],
+}
 
 
 @pytest.mark.parametrize("key", sorted(EXPECTED_DEGREES))
 def test_degree_lists(tables, key):
+    assert oracle_table(key).degrees == EXPECTED_DEGREES[key]
     _, t = tables(key)
-    assert t.degrees == EXPECTED_DEGREES[key]
-    assert sum(d * d for d in t.degrees) == t.order
+    assert t.dims == EXPECTED_DIMS[key]
+    assert sum(t.dims) == t.order
 
 
 def test_m12_degrees(tables):
+    assert oracle_table("M12").degrees == [
+        1, 11, 11, 16, 16, 45, 54, 55, 55, 55, 66, 99, 120, 144, 176
+    ]
     _, t = tables("M12")
-    assert t.degrees == [1, 11, 11, 16, 16, 45, 54, 55, 55, 55, 66, 99, 120, 144, 176]
+    # the two characters of degree 16 form one orbit
+    assert sorted(t.dims) == sorted([1, 121, 121, 512, 2025, 2916, *[3025] * 3,
+                                     4356, 9801, 14400, 20736, 30976])
 
 
 def test_s3_exact_values(tables):
-    _, t = tables("S3")
+    o = oracle_table("S3")
     # classes: identity, transpositions (order 2), 3-cycles (order 3)
-    assert t.class_sizes == [1, 3, 2]
+    assert o.class_sizes == [1, 3, 2]
     expected = ([1, 1, 1], [1, -1, 1], [2, 0, -1])
     for want in expected:
         hits = [
             row
-            for row in t.values
+            for row in o.values
             if all((v - x).is_zero() for v, x in zip(row, want))
         ]
         assert len(hits) == 1
+    _, t = tables("S3")
+    assert t.sizes == [1, 3, 2]
+    assert t.omega.tolist() == [[1, -3, 2], [1, 3, 2], [1, 0, -1]]
 
 
 def test_a4_exact_values(tables):
-    _, t = tables("A4")
-    assert t.class_sizes == [1, 3, 4, 4]
+    o = oracle_table("A4")
+    assert o.class_sizes == [1, 3, 4, 4]
     w, w2 = Cyc.zeta(3, 1), Cyc.zeta(3, 2)
     one = Cyc.integer(1, 1)
-    linear = [row for r, row in enumerate(t.values) if t.degrees[r] == 1]
+    linear = [row for r, row in enumerate(o.values) if o.degrees[r] == 1]
     assert any(all((a - b).is_zero() for a, b in zip(row, [one, one, w, w2])) for row in linear)
     assert any(all((a - b).is_zero() for a, b in zip(row, [one, one, w2, w])) for row in linear)
-    std = t.values[t.standard]
+    std = o.values[o.standard]
     assert [v.approx().real for v in std] == pytest.approx([3, -1, 0, 0])
+    # the two classes of 3-cycles form one rational class, on which the
+    # pair of linear characters gives 4w + 4w^2 = -4
+    _, t = tables("A4")
+    assert t.classes == [[0], [1], [2, 3]] and t.sizes == [1, 3, 8]
+    assert t.omega.tolist() == [[1, 3, 8], [1, 3, -4], [1, -1, 0]]
 
 
 def test_trivial_and_standard_rows(tables):
     for key in ("F20", "PGL(2,5)", "M11"):
+        o = oracle_table(key)
+        assert o.degrees[o.trivial] == 1
+        assert all((v - 1).is_zero() for v in o.values[o.trivial])
+        assert o.degrees[o.standard] == o.degree - 1
+        std = o.values[o.standard]
+        assert all((v - (f - 1)).is_zero() for v, f in zip(std, o.class_fix))
         _, t = tables(key)
-        assert t.degrees[t.trivial] == 1
-        assert all((v - 1).is_zero() for v in t.values[t.trivial])
-        assert t.degrees[t.standard] == t.degree - 1
-        std = t.values[t.standard]
-        assert all((v - (f - 1)).is_zero() for v, f in zip(std, t.class_fix))
+        n, sizes, fix = t.degree, np.array(t.sizes), np.array(t.fix)
+        assert np.array_equal(t.omega[t.trivial], sizes)
+        assert np.array_equal((n - 1) * t.omega[t.standard], sizes * (fix - 1))
+        assert t.dims[t.trivial] == 1 and t.dims[t.standard] == (n - 1) ** 2
 
 
 # ---- class constants ----
@@ -143,7 +200,7 @@ def test_s3_three_cycle_constant(tables):
 
 def _scalar_round_order(values, degrees):
     """Row order by (degree, shadow rounded one numpy scalar at a time)."""
-    shadow = chartab_mod._shadow(values)
+    shadow = chartab_reference._shadow(values)
 
     def key(r):
         return (degrees[r], [(round(z.real, 9), round(z.imag, 9)) for z in shadow[r]])
@@ -152,17 +209,18 @@ def _scalar_round_order(values, degrees):
 
 
 @pytest.mark.parametrize("key", [k for k in catalog_keys() if get_spec(k).degree <= 21])
-def test_sort_rows_matches_the_scalar_round_order(tables, key):
-    # the rows of the finished table, shuffled, so ties keep a nontrivial order
-    _, t = tables(key)
+def test_sort_rows_matches_the_scalar_round_order(key):
+    # the rows of the finished oracle table, shuffled, so ties keep a
+    # nontrivial order
+    t = oracle_table(key)
     perm = np.random.default_rng(t.k).permutation(t.k)
     values = [t.values[r] for r in perm]
     degrees = [t.degrees[r] for r in perm]
     want = _scalar_round_order(values, degrees)
-    got_values, got_degrees, shadow = chartab_mod._sort_rows(values, degrees)
+    got_values, got_degrees, shadow = chartab_reference._sort_rows(values, degrees)
     assert all(a is values[r] for a, r in zip(got_values, want, strict=True))
     assert got_degrees == [degrees[r] for r in want]
-    assert np.array_equal(shadow, chartab_mod._shadow(values)[want])
+    assert np.array_equal(shadow, chartab_reference._shadow(values)[want])
 
 
 def test_identity_class_matrix(tables):
@@ -192,16 +250,9 @@ def test_blocked_class_constants_match_reference(tables, key, monkeypatch):
     assert np.array_equal(class_constants(eg), want)
 
 
-# ---- the split ----
+# ---- the split against the oracle ----
 
 SMALL_DEGREE = [key for key in catalog_keys() if get_spec(key).degree <= 12]
-
-
-def _canonical(t):
-    """The header and class data of a table, and every value in canonical
-    power-basis coordinates over Q(zeta_e)."""
-    values = [[v.embed(t.e).canonical() for v in row] for row in t.values]
-    return t.k, t.e, t.order, t.class_sizes, t.class_fix, values
 
 
 @pytest.mark.parametrize("seed", [1, 99])
@@ -209,7 +260,14 @@ def _canonical(t):
 def test_split_matches_reference(tables, key, seed):
     eg, t = tables(key)
     new = t if seed == 1 else character_table(eg, seed=seed)
-    assert _canonical(new) == _canonical(chartab_reference.character_table(eg, seed))
+    assert _fields(new) == _fields(t)
+    _assert_matches_oracle(key, new)
+
+
+@pytest.mark.parametrize("key", SURVEY + ["M12", "M21", "PGL(2,19)", "AGL(4,2)"])
+def test_rational_table_matches_the_oracle(tables, key):
+    _, t = tables(key)
+    _assert_matches_oracle(key, t)
 
 
 def test_int64_guard_rejects_a_large_prime(monkeypatch):
@@ -221,24 +279,24 @@ def test_int64_guard_rejects_a_large_prime(monkeypatch):
 
     monkeypatch.setattr(chartab_mod, "prime_one_mod", lambda e, lower: 2**31 - 1)
     monkeypatch.setattr(chartab_mod, "class_constants", boom)
-    with pytest.raises(AssertionError, match=r"\(p-1\)\^2 must stay below 2\^63"):
+    with pytest.raises(ValueError, match=r"\(p-1\)\^2 must stay below 2\^63"):
         character_table(eg)
 
 
-# ---- inner products ----
+# ---- inner products of the oracle ----
 
 
 @pytest.mark.parametrize("key", ["S3", "F20", "PGL(2,5)", "M11"])
-def test_permutation_character_norm(tables, key):
-    _, t = tables(key)
+def test_permutation_character_norm(key):
+    t = oracle_table(key)
     fix = t.permutation_character()
     assert (inner_product(t, fix, fix) - 2).is_zero()
     assert (inner_product(t, fix, t.values[t.trivial]) - 1).is_zero()
     assert (inner_product(t, fix, t.values[t.standard]) - 1).is_zero()
 
 
-def test_row_orthonormality(tables):
-    _, t = tables("A4")
+def test_row_orthonormality():
+    t = oracle_table("A4")
     for a in range(t.k):
         for b in range(t.k):
             want = 1 if a == b else 0
@@ -258,41 +316,133 @@ def test_cross_prime_determinism(tables, key, monkeypatch):
 
     monkeypatch.setattr(chartab_mod, "prime_one_mod", next_prime_up)
     t2 = character_table(eg, seed=99)
-    assert t1.degrees == t2.degrees
-    for r1, r2 in zip(t1.values, t2.values):
-        assert all((a - b).is_zero() for a, b in zip(r1, r2))
+    assert _fields(t2) == _fields(t1)
 
 
 # ---- verification ----
 
 
+def _algebra(eg, t):
+    return rational_algebra(class_constants(eg), t.classes)
+
+
+def _with_omega(t, edit):
+    omega = t.omega.copy()
+    edit(omega)
+    return dataclasses.replace(t, omega=omega)
+
+
 def test_corrupted_tables_rejected(tables):
-    _, t = tables("F20")
-    chartab_mod._verify_table(t)
+    eg, t = tables("F20")
+    A = _algebra(eg, t)
+    chartab_mod._verify_table(t, A)
     # a first class of two elements
-    bad = [dataclasses.replace(t, class_sizes=[2, *t.class_sizes[1:]])]
+    bad = [dataclasses.replace(t, sizes=[2, *t.sizes[1:]])]
     # the first row replaced by a copy of the second
-    bad.append(dataclasses.replace(t, values=[t.values[1], *t.values[1:]]))
-    # two values inside a row swapped
-    values = [list(row) for row in t.values]
-    values[1][0], values[1][1] = values[1][1], values[1][0]
-    bad.append(dataclasses.replace(t, values=values))
+    bad.append(_with_omega(t, lambda w: w.__setitem__(0, w[1])))
+    # two unequal values inside the last row swapped
+    last = t.r - 1
+    i, j = next(
+        (i, j) for i in range(1, t.r) for j in range(i + 1, t.r)
+        if t.omega[last, i] != t.omega[last, j]
+    )
+
+    def swap(w):
+        w[last, i], w[last, j] = w[last, j], w[last, i]
+
+    bad.append(_with_omega(t, swap))
     for case in bad:
         with pytest.raises(ValueError):
-            chartab_mod._verify_table(case)
+            chartab_mod._verify_table(case, A)
+
+
+TAMPERS = {
+    "omega entry plus one": lambda t: _with_omega(
+        t, lambda w: w.__setitem__((t.r - 1, t.r - 1), w[t.r - 1, t.r - 1] + 1)
+    ),
+    "row dropped": lambda t: dataclasses.replace(
+        t, omega=t.omega[:-1], dims=t.dims[:-1]
+    ),
+    "trivial and standard swapped": lambda t: dataclasses.replace(
+        t, trivial=t.standard, standard=t.trivial
+    ),
+    "dimension changed": lambda t: dataclasses.replace(
+        t, dims=[t.dims[0] + 1, *t.dims[1:]]
+    ),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPERS))
+@pytest.mark.parametrize("key", ["PGL(2,5)", "M10", "PSL(3,2)"])
+def test_tampered_rational_table_rejected(tables, key, tamper):
+    eg, t = tables(key)
+    A = _algebra(eg, t)
+    chartab_mod._verify_table(t, A)
+    with pytest.raises(ValueError):
+        chartab_mod._verify_table(TAMPERS[tamper](t), A)
+
+
+def _negate_one_entry(t):
+    """A nontrivial, nonstandard row with one nonzero entry negated: its
+    dimension, the other rows and the distinguished rows are unchanged,
+    so only the omega identity can reject it."""
+    O = next(O for O in range(t.r) if O not in (t.trivial, t.standard))
+    S = next(S for S in range(1, t.r) if t.omega[O, S])
+    return _with_omega(t, lambda w: w.__setitem__((O, S), -w[O, S]))
+
+
+@pytest.mark.parametrize("key", ["PGL(2,5)", "M10", "PSL(3,2)", "M11"])
+def test_negated_omega_entry_rejected_by_the_omega_identity(tables, key):
+    eg, t = tables(key)
+    tampered = _negate_one_entry(t)
+    assert chartab_mod._dimensions(tampered.omega, t.sizes, t.order) == t.dims
+    with pytest.raises(ValueError, match="not a central character"):
+        chartab_mod._verify_table(tampered, _algebra(eg, t))
+
+
+def test_omega_identity_refuses_entries_past_the_int64_guard(tables):
+    eg, t = tables("F20")
+    O = next(O for O in range(t.r) if O not in (t.trivial, t.standard))
+    huge = _with_omega(t, lambda w: w.__setitem__((O, 1), 2**40))
+    with pytest.raises(ValueError, match="overflow int64"):
+        chartab_mod._verify_table(huge, _algebra(eg, t))
+
+
+def test_duplicated_row_rejected(tables):
+    # PGL(2,5) = S5 has two rows of dimension 16, neither trivial nor
+    # standard: a copy of one over the other keeps every other check true
+    eg, t = tables("PGL(2,5)")
+    a, b = [O for O in range(t.r) if t.dims[O] == 16]
+    tampered = _with_omega(t, lambda w: w.__setitem__(a, w[b]))
+    with pytest.raises(ValueError, match="two rows are equal"):
+        chartab_mod._verify_table(tampered, _algebra(eg, t))
+
+
+def test_rational_algebra_rejects_constants_that_split_a_rational_class(tables):
+    # A4's two classes of 3-cycles form one rational class; a product of
+    # two class sums that meets one of them and not the other is no
+    # product of rational class sums
+    eg, t = tables("A4")
+    mats = class_constants(eg)
+    assert t.classes[2] == [2, 3]
+    mats[0, 0, 3] += 1
+    with pytest.raises(ValueError, match="rational class sums"):
+        rational_algebra(mats, t.classes)
 
 
 def test_swapped_distinguished_indices_rejected(tables):
-    _, t = tables("F20")
-    chartab_mod._verify_table(t)
+    eg, t = tables("F20")
+    A = _algebra(eg, t)
+    chartab_mod._verify_table(t, A)
     swapped = dataclasses.replace(t, trivial=t.standard, standard=t.trivial)
     with pytest.raises(ValueError, match="wrong row"):
-        chartab_mod._verify_table(swapped)
+        chartab_mod._verify_table(swapped, A)
 
 
 def test_table_without_a_fix_minus_one_row_rejected():
     # the dihedral group of order 10 is transitive but not 2-transitive on
-    # five points, so fix-1 is not irreducible
+    # five points, so fix-1 is not irreducible: the orbit of the two
+    # characters of degree 2 has the omega row of fix-1, but dimension 8
     dihedral = PermutationGroup([Permutation((1, 2, 3, 4, 0)), Permutation((0, 4, 3, 2, 1))])
     with pytest.raises(ValueError, match="no fix-1"):
         character_table(conjugacy_classes(dihedral))

@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ekrcheck.chartab import character_table
 from ekrcheck.cliques import (
     SearchStats,
     _cyclic_shortcut,
@@ -21,6 +20,7 @@ from ekrcheck.cyclo import Cyc
 from ekrcheck.group import conjugacy_classes
 from ekrcheck.library import get_group
 from ekrcheck.perm import Permutation, parse_cycles
+from chartab_reference import oracle_table
 from clique_reference import bucketed_n_cliques, reference_has_n_clique
 
 WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
@@ -54,13 +54,11 @@ def enumerated():
 
 @pytest.fixture(scope="module")
 def ctx(enumerated):
-    cache = {}
+    """The enumerated group and its cyclotomic table, the oracle table of
+    `chartab_reference`: the module projections read character values."""
 
     def get(key):
-        if key not in cache:
-            eg = enumerated(key)
-            cache[key] = (eg, character_table(eg))
-        return cache[key]
+        return enumerated(key), oracle_table(key)
 
     return get
 

@@ -1,30 +1,29 @@
 """Derangement spectrum tests.
 
 The heavy check is the brute-force oracle: for small groups the exact
-character-derived spectrum must match the eigendecomposition of the
+spectrum from the rational table must match the eigendecomposition of the
 explicitly built adjacency matrix, multiplicities included.  The oracle
 path shares no code with the character machinery.
 """
 
 import dataclasses
-import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ekrcheck import cyclo
 from ekrcheck.chartab import character_table
 from ekrcheck.dergraph import (
     brute_adjacency,
     brute_spectrum_matches,
-    class_set_eigenvalue,
     complete_union_detect,
     least_analysis,
     spectrum,
 )
 from ekrcheck.group import conjugacy_classes
 from ekrcheck.library import get_group
+
+from chartab_reference import omega_rows, oracle_table, to_int
 
 
 @pytest.fixture(scope="module")
@@ -144,32 +143,14 @@ def test_rational_class_eigenvalues_sum_to_the_spectrum(ctx):
     # M10's two classes of order 8 form one rational class: together their
     # eigenvalues are integers, alone not (some character takes i*sqrt(2))
     eg, t, sp = ctx("M10")
-    eight = [c for c in sp.der_classes if eg.class_orders[c] == 8]
-    rest = [c for c in sp.der_classes if c not in eight]
-    assert len(eight) == 2
-    for r in range(t.k):
-        total = class_set_eigenvalue(t, r, eight) + class_set_eigenvalue(t, r, rest)
-        assert total == sp.eta_by_row[r]
+    (eight,) = [S for S in sp.der_classes if eg.class_orders[t.classes[S][0]] == 8]
+    rest = [S for S in sp.der_classes if S != eight]
+    assert len(t.classes[eight]) == 2
+    assert (t.omega[:, eight] + t.omega[:, rest].sum(axis=1)).tolist() == sp.eta_by_row
+    oracle = oracle_table("M10")
+    chi_rows = omega_rows(oracle, t.classes)
+    assert {row[eight] for row in chi_rows} == set(t.omega[:, eight].tolist())
+    one = t.classes[eight][0]
     with pytest.raises(ValueError):
-        for r in range(t.k):
-            class_set_eigenvalue(t, r, eight[:1])
-
-
-def test_psl219_table_and_spectrum_never_reduce_modulo_phi(monkeypatch):
-    """Zero tests and eigenvalue merging use the norm-bound test; reduction
-    modulo Phi_e stays with the coordinate form."""
-    callers = []
-    reduce = cyclo._reduce_mod_cyclo
-
-    def counted(dense, e):
-        frame, chain = sys._getframe(1), []
-        while frame is not None:
-            chain.append(frame.f_code.co_name)
-            frame = frame.f_back
-        callers.append(chain)
-        return reduce(dense, e)
-
-    monkeypatch.setattr(cyclo, "_reduce_mod_cyclo", counted)
-    table = character_table(conjugacy_classes(get_group("PSL(2,19)")[1]))
-    spectrum(table)
-    assert not [c for c in callers if "is_zero" in c or "spectrum" in c]
+        for r in range(oracle.k):
+            to_int(oracle.values[r][one] * Fraction(oracle.class_sizes[one], oracle.degrees[r]))

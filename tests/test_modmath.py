@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from ekrcheck import modrank as mr
 from ekrcheck.group import EnumeratedGroup
 from ekrcheck.library import catalog_keys, get_group, load_catalog
-from ekrcheck.modmath import echelon_mod, finish_rref, kernel_from_rref, rank_mod
+from ekrcheck.modmath import echelon_mod, finish_rref, is_prime, kernel_from_rref, prime_one_mod, rank_mod
 
 import modmath_reference as ref
 from survey import SURVEY
@@ -58,6 +58,14 @@ def test_elimination_matches_gauss_jordan(case):
     R = finish_rref(E, piv, p)
     assert np.array_equal(R, R_ref)
     assert np.array_equal(kernel_from_rref(R, piv, p), ref.nullspace_mod(A, p))
+
+
+@pytest.mark.parametrize("e, lower", [(2, 12), (2, 13), (6, 6), (6, 7), (4, 1), (1, 10)])
+def test_prime_one_mod_is_the_smallest(e, lower):
+    # lower + 1 is a candidate too, also when e divides lower (2*6+1 = 13,
+    # 6+1 = 7): the first prime of the progression past lower, by a scan
+    p = prime_one_mod(e, lower)
+    assert p == next(q for q in range(lower + 1, 10 * lower + 100) if q % e == 1 % e and is_prime(q))
 
 
 def test_echelon_does_not_modify_its_input():

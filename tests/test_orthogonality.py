@@ -1,5 +1,6 @@
-"""The batched orthogonality check of `chartab._verify_table` against the
-pairwise oracle in `chartab_reference`.
+"""The batched orthogonality check that certifies the cyclotomic oracle
+table (`chartab_reference._verify_table`) against the pairwise inner
+products of the same module.
 
 Every survey table, and tampered copies of each, must be accepted or
 rejected by both alike, with the same first failing row pair.  Two tampers
@@ -13,28 +14,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import ekrcheck.chartab as chartab_mod
-from ekrcheck.chartab import character_table
 from ekrcheck.cyclo import Cyc, _split_prime, _units, euler_phi
-from ekrcheck.group import conjugacy_classes
-from ekrcheck.library import get_group
 
-from chartab_reference import first_orthogonality_failure
+import chartab_reference as chartab_mod
+from chartab_reference import first_orthogonality_failure, oracle_table
 from survey import SURVEY
-
 
 
 @pytest.fixture(scope="module")
 def tables():
-    cache = {}
-
-    def get(key):
-        if key not in cache:
-            _, g = get_group(key)
-            cache[key] = character_table(conjugacy_classes(g))
-        return cache[key]
-
-    return get
+    return oracle_table
 
 
 def batched_first_failure(t):

@@ -84,13 +84,13 @@ def test_pgl25_strict_stays_unknown(reports):
 
 @pytest.mark.parametrize("key", SURVEY)
 def test_survey_rows_need_no_sign_test_or_canonical_form(key, monkeypatch):
-    # every spectral verdict rests on integer eigenvalues: no interval sign
-    # test and no reduction to the power basis
-    def refuse(self):
-        raise AssertionError("classify called Cyc.sign_real or Cyc.canonical")
+    # every spectral verdict rests on the integers of the rational table:
+    # classify constructs no cyclotomic number at all, so in particular it
+    # runs no interval sign test and no reduction to the power basis
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("classify constructed a Cyc")
 
-    monkeypatch.setattr(Cyc, "sign_real", refuse)
-    monkeypatch.setattr(Cyc, "canonical", refuse)
+    monkeypatch.setattr(Cyc, "__init__", refuse)
     row = pl.classify(key).csv_row()
     assert row == SURVEY_ROWS[key]
     assert row_problems(BENCHMARK_ROWS[key], row) == []
@@ -270,6 +270,14 @@ def test_witness_rejects_duplicates():
     e = Permutation.identity(3)
     with pytest.raises(ValueError, match="repeated"):
         pl.verify_witness(g, [e, e])
+
+
+def test_witness_rejects_an_empty_set():
+    _, g = get_group("A4")
+    with pytest.raises(ValueError, match="witness is empty"):
+        pl.verify_witness(g, [])
+    with pytest.raises(ValueError, match="witness is empty"):
+        pl.verify_witness(g, iter(()))
 
 
 def test_hyperplane_witness_registered_groups():

@@ -7,18 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ekrcheck.chartab import character_table_for
+from ekrcheck.chartab import character_table_for, rational_classes
+from ekrcheck.cyclo import Cyc
 from ekrcheck.group import conjugacy_classes
 from ekrcheck.library import get_group
 from ekrcheck.weighted import (
     _simplex_max,
-    rational_classes,
     verify_weighted_ratio,
-    weighted_etas,
     weighted_ratio_certificate,
     weighted_ratio_holds,
 )
 
+from chartab_reference import omega_rows, oracle_table, to_int
 from survey import SURVEY
 
 
@@ -36,30 +36,42 @@ def ctx():
     return get
 
 
-def _cert(table, weights: dict[int, Fraction]) -> dict:
-    """An honest certificate for the given weights: every eta recorded as
-    the table gives it.  Times chi(1) and the weights' common denominator,
-    a rational eta is an integer."""
+def _cert(key: str, table, weights: dict[int, Fraction]) -> dict:
+    """An honest certificate for weights on rational classes: every eta
+    recorded as the cyclotomic oracle table gives it, for one character
+    of each row's orbit, summed over the conjugacy classes of each
+    rational class.  Times the weights' common denominator, an eta is an
+    integer."""
+    oracle = oracle_table(key)
+    chi_rows = omega_rows(oracle, table.classes)
     den = math.lcm(*(w.denominator for w in weights.values()))
-    etas = [
-        Fraction((eta * (den * deg)).to_int(), den * deg)
-        for eta, deg in zip(weighted_etas(table, weights), table.degrees)
-    ]
+    etas = []
+    for row in table.omega.tolist():
+        chi = chi_rows.index(tuple(row))
+        acc = Cyc.zero(1)
+        for S, w in weights.items():
+            for c in table.classes[S]:
+                scale = Fraction(oracle.class_sizes[c], oracle.degrees[chi]) * w * den
+                acc = acc + oracle.values[chi][c] * scale
+        etas.append(Fraction(to_int(acc), den))
     return {
         "kind": "weighted-ratio",
-        "weights": [{"classes": [c], "weight": str(w)} for c, w in sorted(weights.items())],
+        "weights": [
+            {"classes": table.classes[S], "weight": str(w)} for S, w in sorted(weights.items())
+        ],
         "eta_by_row": [str(eta) for eta in etas],
     }
 
 
-def _m10_classes(eg):
-    """(order-5 derangement class, the two order-8 classes)."""
-    der = [c for c in range(eg.n_classes) if eg.class_fix[c] == 0]
-    five = [c for c in der if eg.class_orders[c] == 5]
-    eight = [c for c in der if eg.class_orders[c] == 8]
-    assert [eg.class_sizes[c] for c in five] == [144]
-    assert [eg.class_sizes[c] for c in eight] == [90, 90]
-    return five[0], eight
+def _m10_classes(eg, table):
+    """The rational classes of derangements of M10: (order 5, order 8).
+    The second holds the two classes of order 8."""
+    order = {S: eg.class_orders[table.classes[S][0]] for S in table.der}
+    (five,) = [S for S in table.der if order[S] == 5]
+    (eight,) = [S for S in table.der if order[S] == 8]
+    assert [eg.class_sizes[c] for c in table.classes[five]] == [144]
+    assert [eg.class_sizes[c] for c in table.classes[eight]] == [90, 90]
+    return five, eight
 
 
 def test_simplex_small_lp():
@@ -81,7 +93,7 @@ def test_holds_needs_a_strict_unique_least():
 
 def test_m10_certificate(ctx):
     eg, table = ctx("M10")
-    cert = weighted_ratio_certificate(eg, table)
+    cert = weighted_ratio_certificate(table)
     assert cert is not None and verify_weighted_ratio(table, cert)
     etas = [Fraction(x) for x in cert["eta_by_row"]]
     d_w = etas[table.trivial]
@@ -95,9 +107,9 @@ def test_m10_hand_weights_verify(ctx):
     # 1/32 on the order-5 class, 1/40 on each order-8 class:
     # d_w = 144/32 + 180/40 = 9, eta_std = -1, every other eta 0 or 9/32
     eg, table = ctx("M10")
-    five, eight = _m10_classes(eg)
-    weights = {five: Fraction(1, 32), **{c: Fraction(1, 40) for c in eight}}
-    cert = _cert(table, weights)
+    five, eight = _m10_classes(eg, table)
+    weights = {five: Fraction(1, 32), eight: Fraction(1, 40)}
+    cert = _cert("M10", table, weights)
     assert verify_weighted_ratio(table, cert)
     etas = [Fraction(x) for x in cert["eta_by_row"]]
     assert etas[table.trivial] == 9 and etas[table.standard] == -1
@@ -107,7 +119,7 @@ def test_m10_hand_weights_verify(ctx):
 
 def test_reverify_rejects_tampered_weight(ctx):
     eg, table = ctx("M10")
-    cert = weighted_ratio_certificate(eg, table)
+    cert = weighted_ratio_certificate(table)
     entry = cert["weights"][0]
     tampered = dict(cert, weights=[dict(entry, weight=str(Fraction(entry["weight"]) * 2))]
                     + cert["weights"][1:])
@@ -118,8 +130,8 @@ def test_reverify_rejects_a_tie(ctx):
     # the unweighted derangement graph of M10: its linear character gives
     # -36 = -d/9, only equal to the standard eigenvalue, not greater
     eg, table = ctx("M10")
-    weights = {c: Fraction(1) for c in range(table.k) if table.class_der[c]}
-    cert = _cert(table, weights)
+    weights = {S: Fraction(1) for S in table.der}
+    cert = _cert("M10", table, weights)
     etas = [Fraction(x) for x in cert["eta_by_row"]]
     assert etas[table.standard] == -36 and etas.count(Fraction(-36)) == 2
     assert not verify_weighted_ratio(table, cert)
@@ -132,21 +144,34 @@ def test_reverify_rejects_a_tie(ctx):
 
 def test_reverify_rejects_weights_off_the_derangements(ctx):
     eg, table = ctx("M10")
-    five, eight = _m10_classes(eg)
-    fixed = next(c for c in range(1, table.k) if not table.class_der[c])
-    weights = {five: Fraction(1, 32), **{c: Fraction(1, 40) for c in eight}}
-    assert not verify_weighted_ratio(table, _cert(table, {**weights, fixed: Fraction(1, 1000)}))
-    negative = _cert(table, weights)
+    five, eight = _m10_classes(eg, table)
+    fixed = next(S for S in range(1, table.r) if S not in table.der)
+    weights = {five: Fraction(1, 32), eight: Fraction(1, 40)}
+    off = _cert("M10", table, {**weights, fixed: Fraction(1, 1000)})
+    assert not verify_weighted_ratio(table, off)
+    negative = _cert("M10", table, weights)
     negative["weights"][0]["weight"] = "-1/32"
     assert not verify_weighted_ratio(table, negative)
+    # honest etas of weights with a negative entry pass the arithmetic,
+    # but not the sign condition
+    signed = _cert("M10", table, {five: Fraction(1, 5), eight: Fraction(-1, 8)})
+    assert weighted_ratio_holds(signed["eta_by_row"], table.degree)
+    assert not verify_weighted_ratio(table, signed)
+    # a weight on one class of order 8 alone is not constant on its
+    # rational class
+    half = _cert("M10", table, weights)
+    half["weights"][1]["classes"] = table.classes[eight][:1]
+    assert not verify_weighted_ratio(table, half)
+    # a rational class named twice
+    twice = _cert("M10", table, weights)
+    twice["weights"].append(twice["weights"][0])
+    assert not verify_weighted_ratio(table, twice)
 
 
 def test_rational_classes_are_inverse_closed(ctx):
     eg, _ = ctx("M10")
     orbits = rational_classes(eg)
-    assert sorted(c for orb in orbits for c in orb) == [
-        c for c in range(eg.n_classes) if eg.class_fix[c] == 0
-    ]
+    assert sorted(c for orb in orbits for c in orb) == list(range(eg.n_classes))
     for orb in orbits:
         assert {eg.inverse_class[c] for c in orb} <= set(orb)
 
@@ -157,7 +182,7 @@ def _rational_classes_by_powers(eg):
     seen: set[int] = set()
     out = []
     for c in range(eg.n_classes):
-        if eg.class_fix[c] or c in seen:
+        if c in seen:
             continue
         rep = eg.class_rep(c)
         o = eg.class_orders[c]
@@ -181,5 +206,5 @@ def test_pgl32_has_no_certificate(ctx):
     # one rational class of derangements leaves no freedom: the
     # unweighted graph is all there is, and its least eigenvalue is shared
     eg, table = ctx("PGL(3,2)")
-    assert len(rational_classes(eg)) == 1
-    assert weighted_ratio_certificate(eg, table) is None
+    assert len(table.der) == 1
+    assert weighted_ratio_certificate(table) is None
