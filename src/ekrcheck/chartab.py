@@ -15,13 +15,12 @@ A_R omega_O = omega_O(R) omega_O: Dixon-Schneider over Q with rational
 classes (Schneider, J. Symb. Comput. 9, 1990).
 
 The class constants come from sifting every product x * rep(C_l) in fixed
-row blocks, and are summed over rational classes.  A random combination
-of the A_R with r distinct roots modulo a prime p > 2|G| gives every row
-at once: V = K Q, with K the Krylov matrix of the combination on e_0 and
-column j of Q the coefficients of charpoly(x)/(x - lambda_j).  Each entry
-is its centred residue, exactly, because |omega_O(S)| <= |S| < p/2.
+row blocks, and are summed over rational classes.  One float
+eigendecomposition of a random real combination of the A_R, made
+symmetric by the class sizes, proposes every row at once (`_propose`).
 
-Residues only propose.  The table is certified by exact integer checks:
+Floats only propose.  The table is certified by exact integer checks, and
+a proposal they reject is redrawn:
 
 - A_R v = v[R] v over Z for every R and row, in int64 behind an overflow
   guard.  With v[identity] = 1 such a row is a homomorphism of the
@@ -37,15 +36,13 @@ Residues only propose.  The table is certified by exact integer checks:
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .group import EnumeratedGroup, PermutationGroup, conjugacy_classes
-from .modmath import charpoly_mod, poly_roots_mod, prime_one_mod
 
-MAX_SPLIT_ATTEMPTS = 64
+MAX_PROPOSALS = 4
 SIFT_BLOCK = 1 << 15
 
 
@@ -137,7 +134,7 @@ class RationalTable:
 
     Columns are the rational classes, the identity's first; rows are the
     Galois orbits of irreducible characters, sorted by (dimension, omega
-    row), so the order depends on neither the seed nor the prime.
+    row), so the order does not depend on the seed.
     """
 
     order: int
@@ -224,93 +221,65 @@ def _verify_table(t: RationalTable, A: np.ndarray) -> None:
         raise ValueError("trivial or standard index names the wrong row")
 
 
-def _krylov_eigenvectors(
-    combo: np.ndarray, cp: np.ndarray, roots: list[int], p: int
-) -> np.ndarray | None:
-    """Eigenvectors of `combo` mod p for its r distinct roots, one per row,
-    scaled to v[0] = 1; None if some vector has v[0] = 0.
+def _propose(A: np.ndarray, sizes: list[int], order: int, rng: np.random.Generator) -> np.ndarray:
+    """Integer rows proposed by one float eigendecomposition of a random
+    real combination L of the A_R.
 
-    With K the Krylov matrix whose column t is combo^t e_0, and q_j the
-    quotient charpoly(x) / (x - lambda_j), K q_j = q_j(combo) e_0 lies in
-    the lambda_j eigenspace (Cayley-Hamilton) and equals a_j q_j(lambda_j)
-    v_j, where a_j is the e_0 coefficient along v_j.  For the central
-    characters a_j = dim_j/|G|, which is a unit mod p > |G|, and
-    q_j(lambda_j) is the product of the root differences, so no vector
-    vanishes."""
-    k = len(roots)
-    K = np.empty((k, k), dtype=np.int64)
-    col = np.zeros(k, dtype=np.int64)
-    col[0] = 1
-    for t in range(k):
-        K[:, t] = col
-        col = combo @ col % p
-    # synthetic division of the monic charpoly by every (x - lambda_j):
-    # q_{k-1} = 1, q_{t-1} = c_t + lambda q_t
-    lam = np.array(roots, dtype=np.int64)
-    Q = np.empty((k, k), dtype=np.int64)
-    q = np.ones(k, dtype=np.int64)
-    Q[k - 1] = q
-    for t in range(k - 1, 0, -1):
-        q = (cp[t] + lam * q) % p
-        Q[t - 1] = q
-    V = (K @ Q % p).T
-    lead = V[:, 0]
-    if not lead.all():
-        return None
-    scale = np.array([pow(int(x), -1, p) for x in lead], dtype=np.int64)
-    return V * scale[:, None] % p
+    Rational classes are closed under inversion, so
+    |T| A[R, S, T] = |S| A[R, T, S], and with D = diag(sqrt|S|) the matrix
+    D^-1 L D is symmetric.  Each of its eigenvectors u gives v = D u, the
+    row of one central character up to scale; it is scaled to 1 at the
+    identity and rounded.  Since |omega_O(S)| <= |S| <= |G|, an entry past
+    |G| (or not finite) comes only from a wrong proposal and raises
+    ValueError."""
+    scale = np.sqrt(np.array(sizes, dtype=np.float64))
+    L = np.tensordot(rng.standard_normal(len(sizes)), A, axes=1)
+    _, U = np.linalg.eigh(L * scale / scale[:, None])
+    V = U.T * scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        V = V / V[:, :1]
+    if not (np.abs(V) <= order).all():
+        raise ValueError("a proposed row is not bounded by the group order")
+    return np.rint(V).astype(np.int64)
 
 
 def character_table(eg: EnumeratedGroup, seed: int = 1) -> RationalTable:
-    """The certified rational table of a fully enumerated group."""
+    """The certified rational table of a fully enumerated group.
+
+    Floats only propose the rows; a proposal the exact checks reject is
+    redrawn, up to `MAX_PROPOSALS` times, and the last rejection raises."""
     eg.compute_classes()
     order = len(eg.E)
     n = eg.group.degree
     classes = rational_classes(eg)
-    r = len(classes)
-    # the smallest odd prime above 2|G|; every batched product below sums
-    # at most r terms below p^2, and every entry of A is at most |G| < p
-    p = prime_one_mod(2, 2 * order)
-    if r * (p - 1) ** 2 >= 2**63:
-        raise ValueError(
-            f"split prime {p} too large: r*(p-1)^2 must stay below 2^63 "
-            "for exact int64 products"
-        )
     A = rational_algebra(class_constants(eg), classes)
-
-    rng = random.Random(seed * 1000003 + p)
-    for _ in range(MAX_SPLIT_ATTEMPTS):
-        draws = np.array([rng.randrange(p) for _ in range(r)], dtype=np.int64)
-        combo = np.tensordot(draws, A, axes=1) % p
-        cp = charpoly_mod(combo, p)
-        roots = poly_roots_mod(cp, p)
-        vecs = _krylov_eigenvectors(combo, cp, roots, p) if len(roots) == r else None
-        if vecs is not None:
-            break
-    else:
-        raise ValueError("rational class algebra failed to split over F_p")
-
-    omega = np.where(vecs > p // 2, vecs - p, vecs)
     sizes = [sum(eg.class_sizes[c] for c in cls) for cls in classes]
     fix = [eg.class_fix[cls[0]] for cls in classes]
-    dims = _dimensions(omega, sizes, order)
-    rows = sorted(range(r), key=lambda O: (dims[O], omega[O].tolist()))
-    omega, dims = omega[rows], [dims[O] for O in rows]
-    trivial, standard = _distinguished(omega, dims, sizes, fix, n)
-    table = RationalTable(
-        order=order,
-        degree=n,
-        e=math.lcm(*eg.class_orders),
-        classes=classes,
-        sizes=sizes,
-        fix=fix,
-        omega=omega,
-        dims=dims,
-        trivial=trivial,
-        standard=standard,
-    )
-    _verify_table(table, A)
-    return table
+    rng = np.random.default_rng(seed)
+    for _ in range(MAX_PROPOSALS):
+        try:
+            omega = _propose(A, sizes, order, rng)
+            dims = _dimensions(omega, sizes, order)
+            rows = sorted(range(len(classes)), key=lambda O: (dims[O], omega[O].tolist()))
+            omega, dims = omega[rows], [dims[O] for O in rows]
+            trivial, standard = _distinguished(omega, dims, sizes, fix, n)
+            table = RationalTable(
+                order=order,
+                degree=n,
+                e=math.lcm(*eg.class_orders),
+                classes=classes,
+                sizes=sizes,
+                fix=fix,
+                omega=omega,
+                dims=dims,
+                trivial=trivial,
+                standard=standard,
+            )
+            _verify_table(table, A)
+            return table
+        except ValueError as err:
+            rejection = err
+    raise rejection
 
 
 def character_table_for(

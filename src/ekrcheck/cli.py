@@ -47,9 +47,12 @@ def _parse_caps(pairs: list[str]) -> Caps:
                 f"{', '.join(sorted(fields))})"
             )
         try:
-            setattr(caps, key, int(value))
+            number = int(value)
         except ValueError:
             raise SystemExit(f"ekr: error: --caps {key} needs an integer") from None
+        if number < 0:
+            raise SystemExit(f"ekr: error: --caps {key} must not be negative")
+        setattr(caps, key, number)
     return caps
 
 

@@ -1,9 +1,8 @@
 """Modular linear algebra shared by the character-table and rank modules.
 
 Everything works on int64 numpy matrices with a prime modulus small enough
-that a*b never overflows (p < 2^31), which covers both the split prime of
-the rational class algebra (the smallest odd prime above 2|G|) and the
-29-bit rank certification prime.
+that a*b never overflows (p < 2^31), which covers the 29-bit rank
+certification prime and the split primes of `cyclo`.
 
 A rank needs only forward elimination (`echelon_mod`), which touches the
 rows below each pivot and the columns from the pivot on.  The reduced row
@@ -146,30 +145,3 @@ def kernel_from_rref(R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = (-R[: len(pivots)][:, free].T) % p
     return basis
-
-
-def charpoly_mod(A: np.ndarray, p: int) -> np.ndarray:
-    """Characteristic polynomial coefficients mod p (Faddeev-LeVerrier),
-    returned lowest degree first with leading coefficient (-1)^k folded out:
-    result[j] is the coefficient of x^j of det(xI - A)."""
-    A = np.array(A, dtype=np.int64) % p
-    k = A.shape[0]
-    coeffs = np.zeros(k + 1, dtype=np.int64)
-    coeffs[k] = 1
-    M = np.zeros_like(A)
-    c = 1
-    for j in range(1, k + 1):
-        M = (A @ M + c * np.eye(k, dtype=np.int64)) % p
-        c = (-(np.trace(A @ M) % p) * pow(j, -1, p)) % p
-        coeffs[k - j] = c
-    return coeffs % p
-
-
-def poly_roots_mod(coeffs: np.ndarray, p: int) -> list[int]:
-    """All roots in F_p of the polynomial with the given coefficients
-    (lowest degree first), found by direct evaluation."""
-    xs = np.arange(p, dtype=np.int64)
-    vals = np.zeros(p, dtype=np.int64)
-    for c in reversed(coeffs):
-        vals = (vals * xs + int(c)) % p
-    return [int(x) for x in np.nonzero(vals == 0)[0]]

@@ -29,14 +29,43 @@ from functools import lru_cache
 
 import numpy as np
 
-from ekrcheck.chartab import MAX_SPLIT_ATTEMPTS
 from ekrcheck.cyclo import _EVAL_BLOCK, Cyc, _split_prime, _units
 from ekrcheck.fields import factorize
 from ekrcheck.group import EnumeratedGroup, conjugacy_classes
 from ekrcheck.library import get_group
-from ekrcheck.modmath import charpoly_mod, element_of_order, poly_roots_mod, prime_one_mod
+from ekrcheck.modmath import element_of_order, prime_one_mod
 
 from modmath_reference import nullspace_mod
+
+
+MAX_SPLIT_ATTEMPTS = 64
+
+
+def charpoly_mod(A: np.ndarray, p: int) -> np.ndarray:
+    """Characteristic polynomial coefficients mod p (Faddeev-LeVerrier),
+    returned lowest degree first with leading coefficient (-1)^k folded out:
+    result[j] is the coefficient of x^j of det(xI - A)."""
+    A = np.array(A, dtype=np.int64) % p
+    k = A.shape[0]
+    coeffs = np.zeros(k + 1, dtype=np.int64)
+    coeffs[k] = 1
+    M = np.zeros_like(A)
+    c = 1
+    for j in range(1, k + 1):
+        M = (A @ M + c * np.eye(k, dtype=np.int64)) % p
+        c = (-(np.trace(A @ M) % p) * pow(j, -1, p)) % p
+        coeffs[k - j] = c
+    return coeffs % p
+
+
+def poly_roots_mod(coeffs: np.ndarray, p: int) -> list[int]:
+    """All roots in F_p of the polynomial with the given coefficients
+    (lowest degree first), found by direct evaluation."""
+    xs = np.arange(p, dtype=np.int64)
+    vals = np.zeros(p, dtype=np.int64)
+    for c in reversed(coeffs):
+        vals = (vals * xs + int(c)) % p
+    return [int(x) for x in np.nonzero(vals == 0)[0]]
 
 
 def to_int(x: Cyc) -> int:

@@ -2,11 +2,15 @@
 
 The library builds the rational table of `chartab`: the central
 characters of the rational class algebra, one row per Galois orbit of
-irreducible characters.  Its rows are checked against the cyclotomic
-table of `chartab_reference`, which has its own class constants, split
-and lift: every omega row must equal (1/chi(1)) sum_{C in S} |C| chi(C)
-for each character chi of its orbit, and every dimension the sum of
-chi(1)^2 over the orbit.  A tampered table must be rejected.
+irreducible characters, proposed by a float eigendecomposition of the
+symmetrised algebra and certified in integers.  Its rows are checked
+against the cyclotomic table of `chartab_reference`, which has its own
+class constants, modular split and lift: every omega row must equal
+(1/chi(1)) sum_{C in S} |C| chi(C) for each character chi of its orbit,
+and every dimension the sum of chi(1)^2 over the orbit.  The algebra
+must be self-adjoint for the class sizes, which is what makes the
+symmetric eigendecomposition valid.  A tampered table, or a proposal
+with a wrong entry, must be rejected.
 
 Degree multisets for the small groups are frozen from standard references
 and double-checked by the sum-of-squares identity; structure constants are
@@ -24,7 +28,7 @@ import ekrcheck.chartab as chartab_mod
 from ekrcheck.chartab import character_table, class_constants, rational_algebra
 from ekrcheck.cyclo import Cyc
 from ekrcheck.group import PermutationGroup, conjugacy_classes
-from ekrcheck.library import catalog_keys, get_group, get_spec
+from ekrcheck.library import catalog_keys, get_spec
 from ekrcheck.perm import Permutation
 
 import chartab_reference
@@ -250,7 +254,7 @@ def test_blocked_class_constants_match_reference(tables, key, monkeypatch):
     assert np.array_equal(class_constants(eg), want)
 
 
-# ---- the split against the oracle ----
+# ---- the proposal against the oracle ----
 
 SMALL_DEGREE = [key for key in catalog_keys() if get_spec(key).degree <= 12]
 
@@ -270,17 +274,32 @@ def test_rational_table_matches_the_oracle(tables, key):
     _assert_matches_oracle(key, t)
 
 
-def test_int64_guard_rejects_a_large_prime(monkeypatch):
-    _, g = get_group("S3")
-    eg = conjugacy_classes(g)
+@pytest.mark.parametrize("key", SURVEY)
+def test_rational_algebra_is_self_adjoint(tables, key):
+    # |T| A[R, S, T] == |S| A[R, T, S], exactly: D^-1 A_R D is symmetric
+    # for D = diag(sqrt|S|)
+    eg, t = tables(key)
+    A = _algebra(eg, t)
+    sizes = np.array(t.sizes, dtype=np.int64)
+    assert np.array_equal(A * sizes, A.transpose(0, 2, 1) * sizes[:, None])
 
-    def boom(*a, **kw):
-        raise AssertionError("class constants computed before the guard")
 
-    monkeypatch.setattr(chartab_mod, "prime_one_mod", lambda e, lower: 2**31 - 1)
-    monkeypatch.setattr(chartab_mod, "class_constants", boom)
-    with pytest.raises(ValueError, match=r"\(p-1\)\^2 must stay below 2\^63"):
+@pytest.mark.parametrize("key", ["F20", "PGL(2,5)", "M11"])
+def test_off_by_one_proposal_raises(tables, key, monkeypatch):
+    eg, _ = tables(key)
+    propose = chartab_mod._propose
+    calls = []
+
+    def off_by_one(*args):
+        omega = propose(*args)
+        omega[-1, -1] += 1
+        calls.append(omega)
+        return omega
+
+    monkeypatch.setattr(chartab_mod, "_propose", off_by_one)
+    with pytest.raises(ValueError):
         character_table(eg)
+    assert len(calls) == chartab_mod.MAX_PROPOSALS
 
 
 # ---- inner products of the oracle ----
@@ -306,17 +325,22 @@ def test_row_orthonormality():
 # ---- determinism ----
 
 
-@pytest.mark.parametrize("key", ["A4", "F20"])
-def test_cross_prime_determinism(tables, key, monkeypatch):
-    eg, t1 = tables(key)
-    orig = chartab_mod.prime_one_mod
+def test_proposal_with_a_vanishing_identity_entry_raises(tables, monkeypatch):
+    # the unit vectors as eigenvectors: every row but the identity's is 0
+    # at the identity, so scaling it to 1 there is no finite row
+    eg, t = tables("F20")
+    A = _algebra(eg, t)
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: (np.zeros(len(M)), np.eye(len(M))))
+    with pytest.raises(ValueError, match="not bounded by the group order"):
+        chartab_mod._propose(A, t.sizes, t.order, np.random.default_rng(1))
 
-    def next_prime_up(e, lower):
-        return orig(e, orig(e, lower))
 
-    monkeypatch.setattr(chartab_mod, "prime_one_mod", next_prime_up)
-    t2 = character_table(eg, seed=99)
-    assert _fields(t2) == _fields(t1)
+@pytest.mark.parametrize("key", ["M12", "AGL(4,2)"])
+def test_seed_determinism(tables, key):
+    # AGL(4,2) has the largest entry (46,080) and the worst float rounding
+    # among the catalog groups of degree <= 21
+    eg, t = tables(key)
+    assert _fields(character_table(eg, seed=99)) == _fields(t)
 
 
 # ---- verification ----

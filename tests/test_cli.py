@@ -91,6 +91,14 @@ def test_bad_caps_key_exits_1():
     assert "bad --caps entry" in str(exc.value)
 
 
+@pytest.mark.parametrize("key", ["enumeration", "oracle"])
+def test_negative_cap_exits_1(capsys, key):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--group", "S3", "--caps", f"{key}=-1"])
+    assert exc.value.code == f"ekr: error: --caps {key} must not be negative"
+    assert capsys.readouterr().out == ""
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["classify"])
