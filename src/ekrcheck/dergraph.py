@@ -99,22 +99,15 @@ def least_analysis(spec: DerangementSpectrum, table: RationalTable):
     return tau, is_least, is_unique
 
 
-def complete_union_detect(spec: DerangementSpectrum):
-    """Detect the two-eigenvalue case {d, -1}: the graph is then a disjoint
-    union of complete graphs on n vertices.
-
-    Returns (flag, strict_verdict, independent_set_count).  With n > 3 the
-    count n^(|G|/n) of maximum independent sets exceeds the n^2 canonical
-    sets, so strict fails; at n = 3 the two counts coincide and strict holds.
-    """
+def complete_union_detect(spec: DerangementSpectrum) -> int | None:
+    """The number n^(|G|/n) of maximum independent sets when the spectrum
+    is {d, -1}, which makes the graph a disjoint union of complete graphs
+    on n vertices; otherwise None.  The n^2 canonical sets are all of them
+    only when n = 3."""
     vals = spec.entries
-    flag = len(vals) == 2 and vals[1].value == -1
-    if not flag:
-        return False, None, None
-    m = spec.order // spec.n
-    count = spec.n**m
-    strict = "yes" if spec.n == 3 else "no"
-    return True, strict, count
+    if len(vals) == 2 and vals[1].value == -1:
+        return spec.n ** (spec.order // spec.n)
+    return None
 
 
 # ---- brute-force oracle ----

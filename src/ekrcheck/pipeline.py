@@ -1,22 +1,27 @@
 """End-to-end classification of a 2-transitive group.
 
-The decision sequence per group: exact spectrum of the derangement graph,
-least-eigenvalue analysis, the ratio bound (least = -d/(n-1) settles the
-EKR property), otherwise an n-clique and the clique-coclique bound; then
-condition (b) from the spectrum alone: the standard character attains the
-least eigenvalue by itself, or a weighted ratio certificate holds; an exact
-rank certificate for the pair-incidence matrix, and finally the strict
-verdict.
-A group over the enumeration cap gets only the rank column, from the Gram
-matrix of one derangement class counted from a single class
-representative.
+`classify` only appends evidence to `report.certificates`: the
+derangement graph's exact spectrum as a `ratio` record, an n-clique
+search, a weighted ratio certificate when the ratio bound leaves
+condition (b) open, an exact rank certificate, a hyperplane witness and
+the complete-union count.  Over the enumeration cap only a `class-gram`
+rank record is made, from one derangement class.  `derive_columns`
+fills every column from the list and the degree n alone:
 
-Strict = yes is only emitted when all three module-method conditions are
-certified here.  Strict = no is only emitted constructively: either the
-derangement graph is a disjoint union of complete graphs on more than
-three vertices (counted exactly), or a verified maximum intersecting set
-that is not a point-to-point coset exists.  Everything else stays
-unknown; a report never asserts what was not derived in this process.
+    d, least, unique  `ratio` (weight 1 on each derangement class): d is
+                      its largest eta, least is Y when the smallest is
+                      -d/(n-1), unique is Y when that occurs once
+    n-clique          `n-clique` Y, `n-clique-exhausted` N,
+                      `n-clique-budget` ?, none --
+    EKR               least Y (ratio), else an `n-clique` (clique-coclique)
+    module-by-clique  -- always: condition (b) is read off the spectrum
+    rank              `rank` (full when claimed_rank = columns), `class-gram`
+    strict            Y: EKR, rank Y and a `ratio` or `weighted-ratio` record
+                      passing `weighted_ratio_holds` (condition (b)); N: a
+                      `complete-union` count above n^2, or a `witness` and EKR
+
+A module-method Y beside a refutation raises.  `EkrReport.validate`
+re-derives the columns and raises on any stored difference.
 """
 
 from __future__ import annotations
@@ -26,18 +31,14 @@ import json
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
-from .chartab import RationalTable, character_table_for
+from .chartab import character_table_for
 from .cliques import DEFAULT_NODE_BUDGET, SearchStats, find_n_clique
-from .dergraph import (
-    DerangementSpectrum,
-    complete_union_detect,
-    least_analysis,
-    spectrum,
-)
+from .dergraph import complete_union_detect, least_analysis, spectrum
 from .errors import CapExceeded
 from .group import (
     ENUMERATION_CAP,
@@ -64,23 +65,12 @@ from .cliques import module_by_clique  # noqa: F401
 from .group import conjugation_orbit  # noqa: F401
 from .modrank import class_gram  # noqa: F401
 from .perm import Permutation
-from .weighted import weighted_ratio_certificate, weighted_ratio_holds
+from .weighted import weighted_etas, weighted_ratio_certificate, weighted_ratio_holds
 
 ORACLE_CAP = 2000
 COUNT_CAP = 200
 
-CSV_COLUMNS = [
-    "n",
-    "Group",
-    "size",
-    "least",
-    "n-clique",
-    "EKR",
-    "unique",
-    "module-by-clique",
-    "rank",
-    "strict",
-]
+CSV_COLUMNS = "n,Group,size,least,n-clique,EKR,unique,module-by-clique,rank,strict".split(",")
 
 _CSV_MARK = {
     "yes": "Y",
@@ -107,6 +97,7 @@ class EkrReport:
     key: str
     degree: int
     order: int
+    # the verdict columns, filled by `derive_columns` from `certificates`
     d: int | None = None
     least_standard: str = "unknown"  # yes | no | unknown
     n_clique: str = "not-tried"  # yes | no | unknown | not-tried
@@ -122,42 +113,31 @@ class EkrReport:
     timings: dict[str, float] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def condition_b(self) -> bool:
-        """Maximum intersecting sets lie in trivial + standard: the standard
-        character alone attains the least eigenvalue, or a weighted-ratio
-        certificate holds."""
-        return (
-            self.unique == "yes"
-            or any(
-                c["kind"] == "weighted-ratio"
-                and weighted_ratio_holds(c["eta_by_row"], self.degree)
-                for c in self.certificates
-            )
-        )
-
     def validate(self) -> None:
-        if self.strict == "yes":
-            ok = self.ekr == "yes" and self.rank_full == "yes" and self.condition_b
-            if not ok:
-                raise AssertionError(f"{self.key}: strict=yes without all three conditions")
-        if self.strict == "no" and self.strict_reason not in ("complete-union", "witness"):
-            raise AssertionError(f"{self.key}: strict=no without a constructive reason")
-        if self.ekr == "yes" and self.ekr_reason not in ("ratio", "clique-coclique"):
-            raise AssertionError(f"{self.key}: ekr=yes without a reason")
-        kinds = {c["kind"] for c in self.certificates}
-        if self.ekr_reason == "clique-coclique" and "n-clique" not in kinds:
-            raise AssertionError(f"{self.key}: ekr by clique-coclique without a clique")
-        if self.rank_full in ("yes", "no") and not kinds & {"rank", "class-gram"}:
-            raise AssertionError(f"{self.key}: rank={self.rank_full} without a rank certificate")
-        if self.n_clique == "yes" and "n-clique" not in kinds:
-            raise AssertionError(f"{self.key}: n-clique=yes without a clique")
-        if self.n_clique == "no" and "n-clique-exhausted" not in kinds:
-            raise AssertionError(f"{self.key}: n-clique=no without an exhausted search")
-        if self.least_standard == "yes" and self.ekr != "yes":
-            raise AssertionError(f"{self.key}: standard least eigenvalue forces EKR")
-        if (self.unique in ("yes", "no")) != (self.least_standard == "yes"):
-            raise AssertionError(f"{self.key}: unique column inconsistent with least")
+        """Raise unless the arithmetic inside every record holds and every
+        column is what `derive_columns` gives from the records."""
+        n = self.degree
+        for c in self.certificates:
+            kind, bad = c["kind"], None
+            if kind in ("ratio", "weighted-ratio"):
+                if not max(map(Fraction, c["eta_by_row"]), default=0) > 0:
+                    bad = "the largest eigenvalue is not positive"
+            elif kind == "n-clique" and [len(row) for row in c["elements"]] != [n] * n:
+                bad = f"not {n} rows of length {n}"
+            elif kind == "rank" and c["claimed_rank"] > c["columns"]:
+                bad = "claimed rank exceeds the column count"
+            elif kind == "complete-union" and c["count"] != n ** c["components"]:
+                bad = "count is not degree ** components"
+            if bad:
+                raise AssertionError(f"{self.key}: {kind} record: {bad}")
+        stored, derived = self.to_json_dict(), derive_columns(replace(self)).to_json_dict()
+        wrong = [
+            f"{name}={stored[name]!r} but its certificates give {derived[name]!r}"
+            for name in stored
+            if stored[name] != derived[name]
+        ]
+        if wrong:
+            raise AssertionError(f"{self.key}: " + "; ".join(wrong))
 
     @property
     def partial(self) -> bool:
@@ -200,6 +180,69 @@ class EkrReport:
             m[self.rank_full],
             m[self.strict],
         ]
+
+
+# ---- verdict columns from the certificate list ----
+
+# the first of these records decides the n-clique column
+_N_CLIQUE = (("n-clique", "yes"), ("n-clique-exhausted", "no"), ("n-clique-budget", "unknown"))
+
+
+def derive_columns(report: EkrReport) -> EkrReport:
+    """Fill every verdict column of `report` from its certificate list
+    and its degree alone, by the table in the module docstring, and
+    return it.  A module-method yes beside a refutation raises."""
+    certs, n = report.certificates, report.degree
+    first = {}  # the first record of each kind
+    for c in reversed(certs):
+        first[c["kind"]] = c
+
+    ratio = first.get("ratio")
+    if ratio is None:
+        report.d, report.least_standard, report.unique = None, "unknown", "unknown"
+    else:
+        report.d = max(ratio["eta_by_row"])
+        least = min(ratio["eta_by_row"]) == Fraction(-report.d, n - 1)
+        report.least_standard = "yes" if least else "no"
+        holds = weighted_ratio_holds(ratio["eta_by_row"], n)
+        report.unique = ("yes" if holds else "no") if least else "not-applicable"
+
+    report.n_clique = next((mark for kind, mark in _N_CLIQUE if kind in first), "not-tried")
+    report.module_by_clique = "not-tried"
+    if report.least_standard == "yes":
+        report.ekr, report.ekr_reason = "yes", "ratio"
+    elif "n-clique" in first:
+        report.ekr, report.ekr_reason = "yes", "clique-coclique"
+    else:
+        report.ekr, report.ekr_reason = "unknown", None
+
+    rank, gram = first.get("rank"), first.get("class-gram")
+    if rank is not None:
+        report.rank_full = "yes" if rank["claimed_rank"] == rank["columns"] else "no"
+        report.rank_mode = rank["mode"]
+    elif gram is not None:
+        report.rank_full = "yes"
+        order, size = gram["element_order"], gram["class_size"]
+        report.rank_mode = f"class gram, order-{order} class of {size}"
+    else:
+        report.rank_full, report.rank_mode = "unknown", None
+
+    condition_b = any(
+        c["kind"] in ("ratio", "weighted-ratio") and weighted_ratio_holds(c["eta_by_row"], n)
+        for c in certs
+    )
+    mm = report.ekr == "yes" and report.rank_full == "yes" and condition_b
+    cu_no = any(c["kind"] == "complete-union" and c["count"] > n**2 for c in certs)
+    witness = report.ekr == "yes" and "witness" in first
+    if mm and (cu_no or witness):
+        raise AssertionError(f"{report.key}: strict certified yes and refuted at once")
+    report.strict, report.strict_reason = (
+        ("yes", "module-method") if mm
+        else ("no", "complete-union") if cu_no
+        else ("no", "witness") if witness
+        else ("unknown", "external-unproven")
+    )
+    return report
 
 
 def _digest(obj) -> str:
@@ -438,45 +481,6 @@ def brute_alpha(
 # ---- classification ----
 
 
-def _spectral_columns(report: EkrReport, table: RationalTable) -> DerangementSpectrum:
-    """Fill d, least, unique, and EKR when the ratio bound settles it."""
-    spc = spectrum(table)
-    report.d = spc.d
-    _, least_std, least_unique = least_analysis(spc, table)
-    report.least_standard = "yes" if least_std else "no"
-    if least_std:
-        report.ekr, report.ekr_reason = "yes", "ratio"
-        report.unique = "yes" if least_unique else "no"
-    else:
-        report.unique = "not-applicable"
-    return spc
-
-
-def _decide_strict(report: EkrReport, spc: DerangementSpectrum, witness_ok: bool) -> None:
-    mm = report.ekr == "yes" and report.rank_full == "yes" and report.condition_b
-    cu_no = False
-    flag, verdict, count = complete_union_detect(spc)
-    if flag:
-        report.notes.append(
-            f"derangement graph is {spc.order // spc.n} complete components; "
-            f"{count} maximum intersecting sets vs {spc.n ** 2} canonical"
-        )
-        report.certificates.append(
-            {"kind": "complete-union", "components": spc.order // spc.n, "count": count}
-        )
-        cu_no = verdict == "no"
-    if mm and (cu_no or witness_ok):
-        raise AssertionError(f"{report.key}: strict certified yes and refuted at once")
-    if mm:
-        report.strict, report.strict_reason = "yes", "module-method"
-    elif cu_no:
-        report.strict, report.strict_reason = "no", "complete-union"
-    elif witness_ok:
-        report.strict, report.strict_reason = "no", "witness"
-    else:
-        report.strict, report.strict_reason = "unknown", "external-unproven"
-
-
 @contextmanager
 def _timed(report: EkrReport, key: str):
     """Record the wall time of the block as `report.timings[key]`; a block
@@ -520,18 +524,12 @@ def mathieu_class_rank(report: EkrReport, group: PermutationGroup) -> None:
         cg = gram_pattern(N, report.degree, size)
     if not cg.psd_certified:
         report.notes.append("class Gram pattern did not certify positive-definiteness")
-        return
-    report.rank_full = "yes"
-    report.rank_mode = f"class gram, order-{order} class of {size}"
-    report.certificates.append(
-        {
-            "kind": "class-gram",
-            "class_size": int(size),
-            "lam": int(cg.lam),
-            "mu": int(cg.mu),
-            "least_bound": int(cg.least_bound),
-        }
-    )
+    else:
+        report.certificates.append(
+            {"kind": "class-gram", "element_order": order, "class_size": int(size),
+             "lam": int(cg.lam), "mu": int(cg.mu), "least_bound": int(cg.least_bound)}
+        )
+    derive_columns(report)
 
 
 def classify(key_or_spec, caps: Caps | None = None) -> EkrReport:
@@ -562,31 +560,36 @@ def classify(key_or_spec, caps: Caps | None = None) -> EkrReport:
                 table = character_table_for(group, eg=eg)
 
             with _timed(report, "spectrum"):
-                spc = _spectral_columns(report, table)
+                spc = spectrum(table)
+                _, least_std, least_unique = least_analysis(spc, table)
+                if weighted_etas(table, dict.fromkeys(table.der, Fraction(1))) != spc.eta_by_row:
+                    raise AssertionError(f"{report.key}: the spectrum disagrees with the table")
+            report.certificates.append({"kind": "ratio", "eta_by_row": spc.eta_by_row})
 
             with _timed(report, "clique"):
                 search = SearchStats()
                 clique = find_n_clique(eg, caps.clique_budget, search)
             if clique is not None:
-                report.n_clique = "yes"
                 report.certificates.append(
                     {"kind": "n-clique", "elements": [list(p.images) for p in clique.elements]}
                 )
             elif search.exhausted:
-                report.n_clique = "no"
                 report.certificates.append({"kind": "n-clique-exhausted", "nodes": search.nodes})
             else:
-                report.n_clique = "unknown"
+                report.certificates.append(
+                    {"kind": "n-clique-budget", "nodes": search.nodes, "budget": caps.clique_budget}
+                )
                 report.notes.append(
                     f"n-clique search stopped at the node budget: {search.nodes} of "
                     f"{caps.clique_budget} nodes"
                 )
 
-            if report.least_standard == "no":
-                if clique is not None:
-                    report.ekr, report.ekr_reason = "yes", "clique-coclique"
-                else:
-                    report.notes.append("no n-clique for the clique-coclique bound; EKR undecided")
+            derive_columns(report)
+            derived = (report.least_standard == "yes", report.unique == "yes")
+            if derived != (least_std, least_unique):
+                raise AssertionError(f"{report.key}: least_analysis and the ratio record differ")
+            if report.ekr != "yes":
+                report.notes.append("no n-clique for the clique-coclique bound; EKR undecided")
 
             if report.ekr == "yes" and report.unique != "yes":
                 with _timed(report, "weighted"):
@@ -596,21 +599,13 @@ def classify(key_or_spec, caps: Caps | None = None) -> EkrReport:
 
             with _timed(report, "rank"):
                 cert = rank_certificate(gram_M(eg), len(offdiag_pairs(spec.degree)))
-            report.rank_full = "yes" if cert.full else "no"
-            report.rank_mode = cert.mode
+            digest = _kernel_digest(cert.kernel) if len(cert.kernel) else None
             report.certificates.append(
-                {
-                    "kind": "rank",
-                    "columns": cert.columns,
-                    "gram": cert.gram,
-                    "claimed_rank": cert.claimed_rank,
-                    "mode": cert.mode,
-                    "primes": list(cert.primes),
-                    "kernel_digest": _kernel_digest(cert.kernel) if len(cert.kernel) else None,
-                }
+                {"kind": "rank", "columns": cert.columns, "gram": cert.gram,
+                 "claimed_rank": cert.claimed_rank, "mode": cert.mode,
+                 "primes": list(cert.primes), "kernel_digest": digest}
             )
 
-            witness_ok = False
             built = hyperplane_witness(spec, eg)
             if built is not None:
                 els, W = built
@@ -618,22 +613,28 @@ def classify(key_or_spec, caps: Caps | None = None) -> EkrReport:
                     inter, maximum, canonical = verify_witness(
                         group, els, ekr_established=report.ekr == "yes"
                     )
-                witness_ok = inter and maximum and not canonical
-                if witness_ok:
+                if inter and maximum and not canonical:
+                    digest = _digest(sorted(p.images for p in els))
                     report.certificates.append(
-                        {
-                            "kind": "witness",
-                            "size": len(els),
-                            "hyperplane": [int(x) for x in W],
-                            "digest": _digest(sorted(p.images for p in els)),
-                        }
+                        {"kind": "witness", "size": len(els),
+                         "hyperplane": [int(x) for x in W], "digest": digest}
                     )
                     report.notes.append(
                         f"hyperplane stabilizer of size {len(els)} is a maximum "
                         "intersecting set sharing no image pair"
                     )
 
-            _decide_strict(report, spc, witness_ok)
+            count = complete_union_detect(spc)
+            if count is not None:
+                components = spc.order // spc.n
+                report.notes.append(
+                    f"derangement graph is {components} complete components; "
+                    f"{count} maximum intersecting sets vs {spc.n ** 2} canonical"
+                )
+                report.certificates.append(
+                    {"kind": "complete-union", "components": components, "count": count}
+                )
+    derive_columns(report)
     report.validate()
     return report
 

@@ -22,6 +22,7 @@ from ekrcheck.dergraph import (
 )
 from ekrcheck.group import conjugacy_classes
 from ekrcheck.library import get_group
+from ekrcheck.pipeline import EkrReport, derive_columns
 
 from chartab_reference import omega_rows, oracle_table, to_int
 
@@ -56,27 +57,28 @@ def test_a4_complete_union(ctx):
     assert sp.d == 3
     vals = [e.value for e in sp.entries]
     assert vals == [3, -1]
-    flag, strict, count = complete_union_detect(sp)
-    assert flag and strict == "no" and count == 4**3
+    assert complete_union_detect(sp) == 4**3
 
 
 def test_f20_complete_union(ctx):
     _, _, sp = ctx("F20")
     assert sp.d == 4
-    flag, strict, count = complete_union_detect(sp)
-    assert flag and strict == "no" and count == 5**4
+    assert complete_union_detect(sp) == 5**4
 
 
 def test_s3_complete_union_is_strict(ctx):
     _, _, sp = ctx("S3")
-    flag, strict, count = complete_union_detect(sp)
-    assert flag and strict == "yes" and count == 3**2
+    # the 3^2 maximum independent sets are exactly the canonical ones, so
+    # the complete-union record refutes nothing
+    count = complete_union_detect(sp)
+    assert count == 3**2
+    record = {"kind": "complete-union", "components": 2, "count": count}
+    assert derive_columns(EkrReport("S3", 3, 6, certificates=[record])).strict == "unknown"
 
 
 def test_m11_not_complete_union(ctx):
     _, _, sp = ctx("M11")
-    flag, _, _ = complete_union_detect(sp)
-    assert not flag
+    assert complete_union_detect(sp) is None
 
 
 @pytest.mark.parametrize("key", ["S3", "A4", "F20", "PGL(2,5)", "M11", "M12"])

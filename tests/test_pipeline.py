@@ -4,6 +4,7 @@ import copy
 import json
 import pathlib
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ekrcheck.group import EnumeratedGroup
 from ekrcheck.library import GroupSpec, format_catalog, get_group, get_spec
 from ekrcheck.perm import Permutation
 from ekrcheck import pipeline as pl
-from ekrcheck.weighted import verify_weighted_ratio
+from ekrcheck.weighted import verify_weighted_ratio, weighted_etas
 from survey import BENCHMARK_ROWS, SURVEY, SURVEY_ROWS, row_problems
 
 
@@ -119,26 +120,39 @@ def test_m10_n_clique_no_by_exhaustion_and_unknown_at_the_budget(reports):
     short = pl.classify("M10", caps=pl.Caps(clique_budget=1))
     assert short.n_clique == "unknown" and short.csv_row()[4] == "?"
     assert "n-clique search stopped at the node budget: 1 of 1 nodes" in short.notes
-    assert not any(c["kind"].startswith("n-clique") for c in short.certificates)
+    (budget,) = [c for c in short.certificates if c["kind"].startswith("n-clique")]
+    assert budget == {"kind": "n-clique-budget", "nodes": 1, "budget": 1}
     short.validate()
 
 
+def test_m10_budget_report_is_deterministic():
+    runs = [pl.classify("M10", caps=pl.Caps(clique_budget=1)) for _ in range(2)]
+    a, b = (pl.strip_timings(pl.emit_json([r])) for r in runs)
+    assert a == b
+
+
 @pytest.mark.parametrize(
-    "key, kind, match",
+    "key, kind, match, derived",
     [
-        ("S3", "n-clique", "n-clique=yes"),
-        ("M10", "n-clique-exhausted", "n-clique=no"),
-        ("AGammaL(1,8)", "n-clique", "clique-coclique"),
-        ("S3", "rank", "rank=yes"),
+        ("S3", "n-clique", "n_clique='yes'", {"n_clique": "not-tried", "strict": "yes"}),
+        ("M10", "n-clique-exhausted", "n_clique='no'", {"n_clique": "not-tried"}),
+        ("AGammaL(1,8)", "n-clique", "clique-coclique", {"ekr": "unknown", "strict": "unknown"}),
+        ("S3", "rank", "rank=", {"rank_full": "unknown", "strict": "unknown"}),
     ],
     ids=["S3-n-clique", "M10-n-clique-exhausted", "AGammaL(1,8)-clique-coclique", "S3-rank"],
 )
-def test_validate_rejects_n_clique_verdict_without_certificate(reports, key, kind, match):
+def test_validate_rejects_n_clique_verdict_without_certificate(
+    reports, key, kind, match, derived
+):
+    # a dropped record leaves the stored columns without their evidence;
+    # derivation from what is left decides them again
     r = copy.deepcopy(reports(key))
     r.validate()
     r.certificates = [c for c in r.certificates if c["kind"] != kind]
     with pytest.raises(AssertionError, match=match):
         r.validate()
+    pl.derive_columns(r).validate()
+    assert {name: getattr(r, name) for name in derived} == derived
 
 
 def test_every_report_validates(reports):
@@ -146,43 +160,116 @@ def test_every_report_validates(reports):
         reports(key).validate()
 
 
+@pytest.mark.parametrize(
+    "key, kind, forge, match",
+    [
+        ("F20", "complete-union", lambda c: dict(c, count=c["count"] + 1), "count is not degree"),
+        ("S3", "n-clique", lambda c: dict(c, elements=c["elements"][:2]), "not 3 rows"),
+        ("S3", "rank", lambda c: dict(c, claimed_rank=c["columns"] + 1), "exceeds the column"),
+        ("S3", "ratio", lambda c: dict(c, eta_by_row=[0] * len(c["eta_by_row"])), "not positive"),
+        (
+            "PGL(2,5)",
+            "weighted-ratio",
+            lambda c: dict(c, eta_by_row=["-1"] * len(c["eta_by_row"])),
+            "not positive",
+        ),
+    ],
+    ids=["complete-union", "n-clique", "rank", "ratio", "weighted-ratio"],
+)
+def test_validate_rejects_forged_record_arithmetic(reports, key, kind, forge, match):
+    r = copy.deepcopy(reports(key))
+    r.certificates = [forge(c) if c["kind"] == kind else c for c in r.certificates]
+    with pytest.raises(AssertionError, match=match):
+        r.validate()
+
+
+def test_survey_ratio_records_are_the_weight_one_etas(reports):
+    # the ratio bound is the weighted ratio bound with weight 1 on every
+    # derangement rational class
+    for key in SURVEY:
+        r = reports(key)
+        (ratio,) = [c for c in r.certificates if c["kind"] == "ratio"]
+        _, g = get_group(key)
+        table = pl.character_table_for(g)
+        etas = weighted_etas(table, dict.fromkeys(table.der, Fraction(1)))
+        assert etas == ratio["eta_by_row"], key
+        tampered = copy.deepcopy(r)
+        (forged,) = [c for c in tampered.certificates if c["kind"] == "ratio"]
+        forged["eta_by_row"][table.trivial] += 1
+        assert etas != forged["eta_by_row"]
+        with pytest.raises(AssertionError, match="d="):
+            tampered.validate()
+
+
+def test_classify_raises_when_least_analysis_disagrees(monkeypatch):
+    # least_analysis stays a second opinion on the ratio record
+    real = pl.least_analysis
+
+    def flipped(spc, table):
+        tau, least, unique = real(spc, table)
+        return tau, least, not unique
+
+    monkeypatch.setattr(pl, "least_analysis", flipped)
+    with pytest.raises(AssertionError, match="least_analysis"):
+        pl.classify("S3")
+
+
 # ---- report invariants ----
 
 
 def test_validate_rejects_unsupported_strict_yes():
     r = pl.EkrReport(key="x", degree=5, order=20)
+    pl.derive_columns(r).validate()
     r.strict = "yes"
-    with pytest.raises(AssertionError, match="three conditions"):
+    with pytest.raises(AssertionError, match="strict="):
         r.validate()
+
+
+def _rank_record(columns, claimed_rank):
+    return {
+        "kind": "rank", "columns": columns, "gram": "column", "claimed_rank": claimed_rank,
+        "mode": "full-rank via prime 7", "primes": [7], "kernel_digest": None,
+    }
 
 
 def test_validate_rejects_strict_yes_without_condition_b():
-    # EKR and full rank, but unique = no, no clique witnesses, and the only
-    # weighted certificate ties a second row with the standard eigenvalue
-    r = pl.EkrReport(key="x", degree=10, order=720)
-    r.ekr, r.ekr_reason, r.least_standard = "yes", "ratio", "yes"
-    r.unique, r.module_by_clique, r.rank_full = "no", "unknown", "yes"
-    r.strict, r.strict_reason = "yes", "module-method"
+    # EKR by the ratio bound and full rank, but the least eigenvalue is
+    # shared and the only weighted certificate ties a second row with the
+    # standard eigenvalue: no condition (b), so strict stays unknown
+    ratio = {"kind": "ratio", "eta_by_row": [324, -36, -36, 0]}
     tie = {"kind": "weighted-ratio", "weights": [], "eta_by_row": ["324", "-36", "-36", "0"]}
-    r.certificates += [tie, {"kind": "rank"}]
-    with pytest.raises(AssertionError, match="three conditions"):
+    r = pl.EkrReport(key="x", degree=10, order=720, certificates=[ratio, tie, _rank_record(72, 72)])
+    pl.derive_columns(r)
+    assert (r.ekr, r.unique, r.rank_full, r.strict) == ("yes", "no", "yes", "unknown")
+    r.strict, r.strict_reason = "yes", "module-method"
+    with pytest.raises(AssertionError, match="strict="):
         r.validate()
-    r.certificates[0] = dict(tie, eta_by_row=["9", "0", "-1", "9/32"])
+    r.certificates[1] = dict(tie, eta_by_row=["9", "0", "-1", "9/32"])
     r.validate()
+    r.certificates[2] = _rank_record(72, 71)
+    assert pl.derive_columns(r).strict == "unknown" and r.rank_full == "no"
 
 
 def test_validate_rejects_strict_no_without_reason():
     r = pl.EkrReport(key="x", degree=5, order=20)
     r.strict = "no"
-    with pytest.raises(AssertionError, match="constructive"):
+    with pytest.raises(AssertionError, match="strict="):
         r.validate()
+    # a complete union of 4 components has 5^4 > 5^2 maximum sets
+    r.certificates.append({"kind": "complete-union", "components": 4, "count": 5**4})
+    pl.derive_columns(r).validate()
+    assert (r.strict, r.strict_reason) == ("no", "complete-union")
 
 
 def test_validate_rejects_unique_without_least():
     r = pl.EkrReport(key="x", degree=5, order=20)
     r.unique = "yes"
-    with pytest.raises(AssertionError, match="unique"):
+    with pytest.raises(AssertionError, match="unique="):
         r.validate()
+    # least eigenvalue -2 below -4/(5-1): unique does not apply
+    r.certificates.append({"kind": "ratio", "eta_by_row": [4, -1, -2]})
+    pl.derive_columns(r).validate()
+    assert (r.d, r.least_standard, r.unique, r.ekr) == (4, "no", "not-applicable", "unknown")
 
 
 # ---- witness checking ----
@@ -394,6 +481,7 @@ def test_m23_rank_by_streamed_class_gram(reports):
     (cert,) = [c for c in r.certificates if c["kind"] == "class-gram"]
     assert cert == {
         "kind": "class-gram",
+        "element_order": 23,
         "class_size": 443520,
         "lam": 20160,
         "mu": 960,
@@ -431,11 +519,13 @@ def _over_cap_report(key, degree, order, certificate, mode):
 @pytest.mark.parametrize("key, expected", [
     ("M23", _over_cap_report(
         "M23", 23, 10200960,
-        {"class_size": 443520, "lam": 20160, "mu": 960, "least_bound": 960},
+        {"element_order": 23, "class_size": 443520, "lam": 20160, "mu": 960,
+         "least_bound": 960},
         "class gram, order-23 class of 443520")),
     ("M24", _over_cap_report(
         "M24", 24, 244823040,
-        {"class_size": 20401920, "lam": 887040, "mu": 40320, "least_bound": 40320},
+        {"element_order": 12, "class_size": 20401920, "lam": 887040, "mu": 40320,
+         "least_bound": 40320},
         "class gram, order-12 class of 20401920")),
 ])
 def test_over_cap_json_report(reports, key, expected):
@@ -460,6 +550,7 @@ def test_m24_rank_by_orbit_counted_class_gram():
     (cert,) = [c for c in r.certificates if c["kind"] == "class-gram"]
     assert cert == {
         "kind": "class-gram",
+        "element_order": 12,
         "class_size": 20401920,
         "lam": 887040,
         "mu": 40320,
