@@ -14,10 +14,13 @@ in T.  Its r characters are the rows omega_O, one per Galois orbit, and
 A_R omega_O = omega_O(R) omega_O: Dixon-Schneider over Q with rational
 classes (Schneider, J. Symb. Comput. 9, 1990).
 
-The class constants come from sifting every product x * rep(C_l) in fixed
-row blocks, and are summed over rational classes.  One float
-eigendecomposition of a random real combination of the A_R, made
-symmetric by the class sizes, proposes every row at once (`_propose`).
+Each rational class is closed under inversion, so A_R[S, T] also counts
+the y in R with y z_T in S: `class_constants` sifts the N*r products
+y * z_T in fixed row blocks, labels each by its rational class, and
+checks the result is a commutative algebra, self-adjoint for the class
+sizes.  One float eigendecomposition of a random real combination of
+the A_R, made symmetric by the class sizes, proposes every row at once
+(`_propose`).
 
 Floats only propose.  The table is certified by exact integer checks, and
 a proposal they reject is redrawn:
@@ -46,49 +49,57 @@ MAX_PROPOSALS = 4
 SIFT_BLOCK = 1 << 15
 
 
-def class_constants(eg: EnumeratedGroup) -> np.ndarray:
-    """Structure constants a[i, j, l] = #{x in C_i : x^-1 * rep(C_l) in C_j}.
+def class_constants(eg: EnumeratedGroup, classes: list[list[int]]) -> np.ndarray:
+    """The rational class algebra A[R, S, T] = #{y in R : y z_T in S}, for
+    the rational classes `classes` and a fixed z_T in T.
 
-    As x runs over G so does y = x^-1, of class inverse_class[class(y)].
-    The N*k products y * rep(C_l), l-major, are sifted in fixed blocks of
-    `SIFT_BLOCK` rows, and each block's triples (class of y^-1, class of
-    the product, l) are counted by one bincount.  The fixed block bounds
+    R is closed under inversion, so this is #{x in R : x^-1 z_T in S}.
+    The N*r products y * z_T, T-major, are sifted in fixed blocks of
+    `SIFT_BLOCK` rows, and each block's triples (rational class of y, of
+    the product, T) are counted by one bincount.  The fixed block bounds
     the memory of the sift whatever the group order.
+
+    Raises ValueError unless A_1 = I, every sum over S is |R|, the A_R
+    commute pairwise, and |T| A[R, S, T] = |S| A[R, T, S] (what makes the
+    algebra self-adjoint for the class sizes).  The rational classes pass
+    them all; most partitions that merge or split rational classes fail
+    one, though one whose class sums also span an algebra passes.
     """
     eg.compute_classes()
-    k = eg.n_classes
+    r = len(classes)
     E = eg.E
     N = len(E)
-    class_of = eg.class_of
-    inv_class_of = np.array(eg.inverse_class, dtype=np.int64)[class_of]
-    reps = [E[s].astype(np.intp) for s in eg.class_seeds]
-    counts = np.zeros(k**3, dtype=np.int64)
+    rational = np.empty(eg.n_classes, dtype=np.int64)
+    for R, cls in enumerate(classes):
+        rational[cls] = R
+    rational_of = rational[eg.class_of]
+    reps = [E[eg.class_seeds[cls[0]]].astype(np.intp) for cls in classes]
+    counts = np.zeros(r**3, dtype=np.int64)
     block = np.empty((SIFT_BLOCK, E.shape[1]), dtype=E.dtype)
     keys = np.empty(SIFT_BLOCK, dtype=np.int64)
-    for start in range(0, N * k, SIFT_BLOCK):
-        stop = min(start + SIFT_BLOCK, N * k)
-        for l in range(start // N, (stop - 1) // N + 1):
-            y0, y1 = max(start - l * N, 0), min(stop - l * N, N)
-            at = slice(l * N + y0 - start, l * N + y1 - start)
+    for start in range(0, N * r, SIFT_BLOCK):
+        stop = min(start + SIFT_BLOCK, N * r)
+        for T in range(start // N, (stop - 1) // N + 1):
+            y0, y1 = max(start - T * N, 0), min(stop - T * N, N)
+            at = slice(T * N + y0 - start, T * N + y1 - start)
             # (y * z)(t) = y(z(t)): index each row by z's images
-            block[at] = E[y0:y1][:, reps[l]]
-            keys[at] = inv_class_of[y0:y1] * k * k + l
+            block[at] = E[y0:y1][:, reps[T]]
+            keys[at] = rational_of[y0:y1] * r * r + T
         rows = stop - start
-        labels = class_of[eg.group.element_index(block[:rows])]
-        counts += np.bincount(keys[:rows] + labels * k, minlength=k**3)
-    mats = counts.reshape(k, k, k)
-    sizes = np.array(eg.class_sizes, dtype=np.int64)
-    # each product x^-1 * z_l lands in exactly one class
-    if not np.array_equal(mats.sum(axis=1), np.repeat(sizes[:, None], k, axis=1)):
-        raise AssertionError("class constant row sums disagree with class sizes")
-    if not np.array_equal(mats[0], np.eye(k, dtype=np.int64)):
-        raise AssertionError("identity class matrix is not the identity")
-    # class sums commute; spot-check one nontrivial pair
-    if k > 2:
-        a, b = 1, k - 1
-        if not np.array_equal(mats[a] @ mats[b], mats[b] @ mats[a]):
-            raise AssertionError("class matrices do not commute")
-    return mats
+        labels = rational_of[eg.group.element_index(block[:rows])]
+        counts += np.bincount(keys[:rows] + labels * r, minlength=r**3)
+    A = counts.reshape(r, r, r)
+    sizes = np.bincount(rational_of, minlength=r)
+    if not np.array_equal(A[0], np.eye(r, dtype=np.int64)):
+        raise ValueError("the identity's matrix is not the identity")
+    if not np.array_equal(A.sum(axis=1), np.repeat(sizes[:, None], r, axis=1)):
+        raise ValueError("a sum over product classes is not the class size")
+    products = np.matmul(A[:, None], A[None, :])
+    if not np.array_equal(products, products.transpose(1, 0, 2, 3)):
+        raise ValueError("two rational class matrices do not commute")
+    if not np.array_equal(A * sizes, A.transpose(0, 2, 1) * sizes[:, None]):
+        raise ValueError("the algebra is not self-adjoint for the class sizes")
+    return A
 
 
 def rational_classes(eg: EnumeratedGroup) -> list[list[int]]:
@@ -108,24 +119,6 @@ def rational_classes(eg: EnumeratedGroup) -> list[list[int]]:
         seen.update(orbit)
         out.append(orbit)
     return out
-
-
-def rational_algebra(mats: np.ndarray, classes: list[list[int]]) -> np.ndarray:
-    """A[R, S, T] = sum over i in R, j in S of mats[i, j, l] for a class l
-    of T, from the class constants `mats`.  The sum does not depend on
-    which l of T is taken, because the product of two rational class sums
-    is fixed by every Galois automorphism; that is checked, and a failure
-    raises ValueError."""
-    k = mats.shape[0]
-    member = np.zeros((k, len(classes)), dtype=np.int64)
-    for S, cls in enumerate(classes):
-        member[cls, S] = 1
-    # full[R, S, l] for every class l
-    full = np.einsum("Rjl,jS->RSl", np.einsum("iR,ijl->Rjl", member, mats), member)
-    for cls in classes:
-        if not (full[:, :, cls] == full[:, :, cls[:1]]).all():
-            raise ValueError("rational class sums do not multiply into rational class sums")
-    return full[:, :, [cls[0] for cls in classes]]
 
 
 @dataclass
@@ -252,7 +245,7 @@ def character_table(eg: EnumeratedGroup, seed: int = 1) -> RationalTable:
     order = len(eg.E)
     n = eg.group.degree
     classes = rational_classes(eg)
-    A = rational_algebra(class_constants(eg), classes)
+    A = class_constants(eg, classes)
     sizes = [sum(eg.class_sizes[c] for c in cls) for cls in classes]
     fix = [eg.class_fix[cls[0]] for cls in classes]
     rng = np.random.default_rng(seed)

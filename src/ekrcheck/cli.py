@@ -183,7 +183,7 @@ def _cmd_oracle(args) -> int:
     caps = _parse_caps(args.caps)
     spec = get_spec(args.group)
     group = pipeline.build_group(spec)
-    alpha, members, count = brute_alpha(group, cap=caps.oracle, count_cap=caps.count)
+    alpha, members, count = brute_alpha(group)
     rep = classify(spec, caps=caps)
     eg = EnumeratedGroup(group, caps.enumeration)
     table = pipeline.character_table_for(group, eg=eg)
@@ -209,6 +209,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--caps",
         metavar="KEY=N",
         nargs="*",
+        action="extend",
         default=[],
         help="resource caps, e.g. enumeration=2000000 clique_budget=10000000",
     )

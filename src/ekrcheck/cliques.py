@@ -186,7 +186,7 @@ def _quotient_class_counts(eg: EnumeratedGroup, idx: list[int]) -> np.ndarray:
     rows = E[np.array(idx, dtype=np.int64)]
     counts = np.zeros(eg.n_classes, dtype=np.int64)
     for i in idx:
-        inv_row = E[eg.inv_index[i]].astype(np.intp)
+        inv_row = np.argsort(E[i])
         prod = inv_row[rows]  # (x^-1 y)(t) = x^-1(y(t))
         labels = eg.class_of[eg.group.element_index(prod)]
         counts += np.bincount(labels, minlength=eg.n_classes)

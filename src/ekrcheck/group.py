@@ -447,12 +447,6 @@ class EnumeratedGroup:
         self.group = group
         n = group.degree
         self.E = group.elements_array(cap)
-        N = len(self.E)
-        # inverse of every element, vectorized: inv[i, E[i, j]] = j
-        inv = np.empty_like(self.E)
-        rows = np.arange(N)[:, None]
-        inv[rows, self.E.astype(np.intp)] = np.arange(n, dtype=np.int8)[None, :]
-        self.inv_index = group.element_index(inv)
         self.fix_counts_all = (self.E == np.arange(n, dtype=np.int8)[None, :]).sum(axis=1)
         self._classes_done = False
         self._powers: list[np.ndarray] | None = None
@@ -501,9 +495,6 @@ class EnumeratedGroup:
         self.class_orders = [orders[old] for old in perm_labels]
         self.n_classes = len(seeds)
         self.class_fix = [int(self.fix_counts_all[s]) for s in self.class_seeds]
-        self.inverse_class = [
-            int(self.class_of[self.inv_index[s]]) for s in self.class_seeds
-        ]
         self._classes_done = True
 
     def class_rep(self, c: int) -> Permutation:

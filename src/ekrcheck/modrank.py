@@ -69,7 +69,7 @@ def gram_offdiag(rows: np.ndarray, n: int) -> np.ndarray:
     X = np.ascontiguousarray(rows[:, :m].T, dtype=np.int16)
     Xn = X * np.int16(n)
     # keep[i]: the images j != i among the first n-1 points, in column order
-    keep = [np.array([j for j in range(m) if j != i]) for i in range(m)]
+    keep = [np.array([j for j in range(m) if j != i], dtype=np.intp) for i in range(m)]
     N = np.zeros((m * (m - 1), m * (m - 1)), dtype=np.int64)
     for i in range(m):
         bi = slice(i * (m - 1), (i + 1) * (m - 1))

@@ -88,8 +88,6 @@ class Caps:
 
     enumeration: int = ENUMERATION_CAP
     clique_budget: int = DEFAULT_NODE_BUDGET
-    oracle: int = ORACLE_CAP
-    count: int = COUNT_CAP
 
 
 @dataclass

@@ -8,8 +8,9 @@ and lifts one (row, class) pair at a time to exact values in Q(zeta_e) by
 discrete Fourier inversion of the power map.  `_verify_table` certifies
 the result: the degrees, the trivial and fix-1 rows, and orthogonality by
 the batched F_p check `_orthogonality_failures`.  `class_constants` sifts
-the products of one class pair (i, l) per call, k^2 calls in all, the
-oracle for the blocked sift of `chartab.class_constants`.
+the products of one class pair (i, l) per call, k^2 calls in all, and
+`rational_class_constants` sums them over rational classes: the oracle
+for the blocked sift of `chartab.class_constants`.
 
 `inner_product` and `first_orthogonality_failure` check orthogonality one
 exact inner product at a time, the oracle for the batched check: each
@@ -286,11 +287,23 @@ def class_constants(eg: EnumeratedGroup) -> np.ndarray:
     reps = [eg.E[s].astype(np.intp) for s in eg.class_seeds]
     for i in range(k):
         members = np.nonzero(eg.class_of == i)[0]
-        Xinv = eg.E[eg.inv_index[members]]
+        # the inverse of an image row is its argsort
+        Xinv = np.argsort(eg.E[members], axis=1).astype(eg.E.dtype)
         for l in range(k):
             labels = eg.class_of[eg.group.element_index(Xinv[:, reps[l]])]
             mats[i, :, l] = np.bincount(labels, minlength=k)
     return mats
+
+
+def rational_class_constants(eg: EnumeratedGroup, classes: list[list[int]]) -> np.ndarray:
+    """A[R, S, T] = sum over i in R, j in S of a[i, j, l] for the first
+    class l of T: the class constants summed over the partition `classes`."""
+    mats = class_constants(eg)
+    member = np.zeros((eg.n_classes, len(classes)), dtype=np.int64)
+    for S, cls in enumerate(classes):
+        member[cls, S] = 1
+    full = np.einsum("iR,ijl,jS->RSl", member, mats, member)
+    return full[:, :, [cls[0] for cls in classes]]
 
 
 def character_table(eg: EnumeratedGroup, seed: int = 1) -> CharacterTable:
@@ -342,10 +355,11 @@ def character_table(eg: EnumeratedGroup, seed: int = 1) -> CharacterTable:
 
     z = element_of_order(p, e, list(factorize(e)))
     inv_sizes = [pow(s, -1, p) for s in sizes]
+    inverse = [eg.class_of[eg.index_of(eg.class_rep(c).inverse())] for c in range(k)]
     values: list[list[Cyc]] = []
     degrees: list[int] = []
     for v in vecs:
-        s = sum(int(v[i]) * int(v[eg.inverse_class[i]]) * inv_sizes[i] for i in range(k)) % p
+        s = sum(int(v[i]) * int(v[inverse[i]]) * inv_sizes[i] for i in range(k)) % p
         d_sq = order * pow(s, -1, p) % p
         deg = next(d for d in range(1, math.isqrt(order) + 1) if d * d % p == d_sq)
         f = [int(v[l]) * deg * inv_sizes[l] % p for l in range(k)]

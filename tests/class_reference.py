@@ -12,7 +12,7 @@ import numpy as np
 
 
 def bfs_class_labels(eg):
-    """(class_of, class_seeds, class_sizes, class_orders, inverse_class)
+    """(class_of, class_seeds, class_sizes, class_orders)
     for an EnumeratedGroup, labelled in the same canonical order."""
     E = eg.E
     N = len(E)
@@ -52,13 +52,11 @@ def bfs_class_labels(eg):
         relabel[old] = new
     class_of = relabel[class_of]
     class_seeds = [seeds[old] for old in perm_labels]
-    inv = {i: index[np.argsort(E[i]).astype(np.int8).tobytes()] for i in class_seeds}
     return (
         class_of,
         class_seeds,
         [sizes[old] for old in perm_labels],
         [orders[old] for old in perm_labels],
-        [int(class_of[inv[s]]) for s in class_seeds],
     )
 
 

@@ -81,7 +81,7 @@ def _fix_product_matrix(eg: EnumeratedGroup) -> np.ndarray:
     F = np.empty((o, o), dtype=np.int64)
     pts = np.arange(n, dtype=eg.E.dtype)
     for s in range(o):
-        inv_row = eg.E[eg.inv_index[s]]
+        inv_row = np.argsort(eg.E[s])
         F[:, s] = (eg.E[:, inv_row] == pts).sum(axis=1)
     return F
 

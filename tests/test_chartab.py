@@ -13,26 +13,36 @@ symmetric eigendecomposition valid.  A tampered table, or a proposal
 with a wrong entry, must be rejected.
 
 Degree multisets for the small groups are frozen from standard references
-and double-checked by the sum-of-squares identity; structure constants are
-cross-checked against a brute-force product count that shares no code with
-the vectorized path, and against the one-sift-per-class-pair oracle with
-the sift block cut below a class size.
+and double-checked by the sum-of-squares identity.  The rational class
+algebra is cross-checked against a brute-force count over rational
+classes that shares no code with the vectorized path, and against the
+conjugacy-class constants of the one-sift-per-class-pair oracle summed
+over rational classes, with the sift block cut below a class size.  A
+partition that merges two rational classes of A5, or splits one of A4,
+must be refused.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import ekrcheck.chartab as chartab_mod
-from ekrcheck.chartab import character_table, class_constants, rational_algebra
+from ekrcheck.chartab import character_table, class_constants
 from ekrcheck.cyclo import Cyc
 from ekrcheck.group import PermutationGroup, conjugacy_classes
 from ekrcheck.library import catalog_keys, get_spec
 from ekrcheck.perm import Permutation
 
 import chartab_reference
-from chartab_reference import enumerated, inner_product, omega_rows, oracle_table
+from chartab_reference import (
+    enumerated,
+    inner_product,
+    omega_rows,
+    oracle_table,
+    rational_class_constants,
+)
 from survey import SURVEY
 
 
@@ -161,15 +171,19 @@ def test_trivial_and_standard_rows(tables):
 # ---- class constants ----
 
 
-def brute_partition(group):
-    """Conjugacy classes by exhaustive conjugation; independent oracle."""
+def brute_rational_classes(group):
+    """Rational classes by exhaustive conjugation and powering: x with its
+    conjugates and those of every power x^t, t prime to the order of x.
+    An independent oracle."""
     elems = list(group.elements())
     classes = []
     seen = set()
     for x in elems:
         if x in seen:
             continue
-        cls = {g.inverse() * x * g for g in elems}
+        o = x.order()
+        powers = [x.power(t) for t in range(1, o + 1) if math.gcd(t, o) == 1]
+        cls = {g.inverse() * y * g for g in elems for y in powers}
         seen |= cls
         classes.append(cls)
     return classes
@@ -177,29 +191,30 @@ def brute_partition(group):
 
 @pytest.mark.parametrize("key", ["S3", "A4"])
 def test_class_constants_bruteforce(tables, key):
-    eg, _ = tables(key)
-    mats = class_constants(eg)
-    classes = brute_partition(eg.group)
+    eg, t = tables(key)
+    A = class_constants(eg, t.classes)
     label = {}
-    for cls in classes:
+    for cls in brute_rational_classes(eg.group):
         member = next(iter(cls))
-        lab = int(eg.class_of[eg.index_of(member)])
-        label[lab] = cls
-    k = eg.n_classes
-    for i in range(k):
-        for l in range(k):
-            z = eg.class_rep(l)
-            for j in range(k):
-                count = sum(1 for x in label[i] if x.inverse() * z in label[j])
-                assert mats[i, j, l] == count
+        R = next(R for R, c in enumerate(t.classes) if eg.class_of[eg.index_of(member)] in c)
+        label[R] = cls
+    assert sorted(label) == list(range(t.r))
+    for R in range(t.r):
+        for T in range(t.r):
+            z = eg.class_rep(t.classes[T][0])
+            for S in range(t.r):
+                count = sum(1 for x in label[R] if x.inverse() * z in label[S])
+                assert A[R, S, T] == count
 
 
 def test_s3_three_cycle_constant(tables):
-    eg, _ = tables("S3")
-    mats = class_constants(eg)
-    c3 = next(c for c in range(eg.n_classes) if eg.class_orders[c] == 3)
-    # both 3-cycles invert into the same class, landing on the identity
-    assert mats[c3, c3, 0] == 2
+    eg, t = tables("S3")
+    A = class_constants(eg, t.classes)
+    c3 = next(R for R, cls in enumerate(t.classes) if eg.class_orders[cls[0]] == 3)
+    # both 3-cycles y have y * e in their own class, and of the y * z for
+    # the representative z only y = z^-1 gives the identity
+    assert A[c3, c3, 0] == 2
+    assert A[c3, 0, c3] == 1
 
 
 def _scalar_round_order(values, degrees):
@@ -228,30 +243,31 @@ def test_sort_rows_matches_the_scalar_round_order(key):
 
 
 def test_identity_class_matrix(tables):
-    eg, _ = tables("F20")
-    mats = class_constants(eg)
-    assert np.array_equal(mats[0], np.eye(eg.n_classes, dtype=np.int64))
+    eg, t = tables("F20")
+    A = class_constants(eg, t.classes)
+    assert np.array_equal(A[0], np.eye(t.r, dtype=np.int64))
 
 
 def test_class_constant_row_sums(tables):
-    eg, _ = tables("PGL(2,5)")
-    mats = class_constants(eg)
-    for i in range(eg.n_classes):
-        for l in range(eg.n_classes):
-            assert mats[i, :, l].sum() == eg.class_sizes[i]
+    eg, t = tables("PGL(2,5)")
+    A = class_constants(eg, t.classes)
+    for R in range(t.r):
+        for T in range(t.r):
+            assert A[R, :, T].sum() == t.sizes[R]
 
 
-@pytest.mark.parametrize("key", ["PGL(2,5)", "M11"])
+@pytest.mark.parametrize("key", SURVEY)
 def test_blocked_class_constants_match_reference(tables, key, monkeypatch):
-    eg, _ = tables(key)
-    want = chartab_reference.class_constants(eg)
-    assert np.array_equal(class_constants(eg), want)
-    # a block smaller than the smallest nontrivial class splits every
-    # class, and with |G| not a multiple of it a block spans two classes l
-    block = min(eg.class_sizes[1:]) - 1
+    eg, t = tables(key)
+    want = rational_class_constants(eg, t.classes)
+    assert np.array_equal(class_constants(eg, t.classes), want)
+    # a block smaller than the smallest nontrivial rational class splits
+    # every class, and with |G| not a multiple of it (S3 has no such
+    # block but 1) a block spans two classes T
+    N = len(eg.E)
+    block = max([1] + [b for b in range(2, min(t.sizes[1:])) if N % b])
     monkeypatch.setattr(chartab_mod, "SIFT_BLOCK", block)
-    assert len(eg.E) % block
-    assert np.array_equal(class_constants(eg), want)
+    assert np.array_equal(class_constants(eg, t.classes), want)
 
 
 # ---- the proposal against the oracle ----
@@ -279,7 +295,7 @@ def test_rational_algebra_is_self_adjoint(tables, key):
     # |T| A[R, S, T] == |S| A[R, T, S], exactly: D^-1 A_R D is symmetric
     # for D = diag(sqrt|S|)
     eg, t = tables(key)
-    A = _algebra(eg, t)
+    A = class_constants(eg, t.classes)
     sizes = np.array(t.sizes, dtype=np.int64)
     assert np.array_equal(A * sizes, A.transpose(0, 2, 1) * sizes[:, None])
 
@@ -329,7 +345,7 @@ def test_proposal_with_a_vanishing_identity_entry_raises(tables, monkeypatch):
     # the unit vectors as eigenvectors: every row but the identity's is 0
     # at the identity, so scaling it to 1 there is no finite row
     eg, t = tables("F20")
-    A = _algebra(eg, t)
+    A = class_constants(eg, t.classes)
     monkeypatch.setattr(np.linalg, "eigh", lambda M: (np.zeros(len(M)), np.eye(len(M))))
     with pytest.raises(ValueError, match="not bounded by the group order"):
         chartab_mod._propose(A, t.sizes, t.order, np.random.default_rng(1))
@@ -346,10 +362,6 @@ def test_seed_determinism(tables, key):
 # ---- verification ----
 
 
-def _algebra(eg, t):
-    return rational_algebra(class_constants(eg), t.classes)
-
-
 def _with_omega(t, edit):
     omega = t.omega.copy()
     edit(omega)
@@ -358,7 +370,7 @@ def _with_omega(t, edit):
 
 def test_corrupted_tables_rejected(tables):
     eg, t = tables("F20")
-    A = _algebra(eg, t)
+    A = class_constants(eg, t.classes)
     chartab_mod._verify_table(t, A)
     # a first class of two elements
     bad = [dataclasses.replace(t, sizes=[2, *t.sizes[1:]])]
@@ -400,7 +412,7 @@ TAMPERS = {
 @pytest.mark.parametrize("key", ["PGL(2,5)", "M10", "PSL(3,2)"])
 def test_tampered_rational_table_rejected(tables, key, tamper):
     eg, t = tables(key)
-    A = _algebra(eg, t)
+    A = class_constants(eg, t.classes)
     chartab_mod._verify_table(t, A)
     with pytest.raises(ValueError):
         chartab_mod._verify_table(TAMPERS[tamper](t), A)
@@ -421,7 +433,7 @@ def test_negated_omega_entry_rejected_by_the_omega_identity(tables, key):
     tampered = _negate_one_entry(t)
     assert chartab_mod._dimensions(tampered.omega, t.sizes, t.order) == t.dims
     with pytest.raises(ValueError, match="not a central character"):
-        chartab_mod._verify_table(tampered, _algebra(eg, t))
+        chartab_mod._verify_table(tampered, class_constants(eg, t.classes))
 
 
 def test_omega_identity_refuses_entries_past_the_int64_guard(tables):
@@ -429,7 +441,7 @@ def test_omega_identity_refuses_entries_past_the_int64_guard(tables):
     O = next(O for O in range(t.r) if O not in (t.trivial, t.standard))
     huge = _with_omega(t, lambda w: w.__setitem__((O, 1), 2**40))
     with pytest.raises(ValueError, match="overflow int64"):
-        chartab_mod._verify_table(huge, _algebra(eg, t))
+        chartab_mod._verify_table(huge, class_constants(eg, t.classes))
 
 
 def test_duplicated_row_rejected(tables):
@@ -439,24 +451,38 @@ def test_duplicated_row_rejected(tables):
     a, b = [O for O in range(t.r) if t.dims[O] == 16]
     tampered = _with_omega(t, lambda w: w.__setitem__(a, w[b]))
     with pytest.raises(ValueError, match="two rows are equal"):
-        chartab_mod._verify_table(tampered, _algebra(eg, t))
+        chartab_mod._verify_table(tampered, class_constants(eg, t.classes))
 
 
-def test_rational_algebra_rejects_constants_that_split_a_rational_class(tables):
-    # A4's two classes of 3-cycles form one rational class; a product of
-    # two class sums that meets one of them and not the other is no
-    # product of rational class sums
+def test_class_constants_reject_a_merged_partition(tables):
+    # A5's involutions and 3-cycles taken as one class: the sums of the
+    # parts are no basis of an algebra, and the counts neither commute
+    # nor are self-adjoint for the sizes
+    eg, t = tables("A5@6")
+    orders = [eg.class_orders[cls[0]] for cls in t.classes]
+    assert orders[:3] == [1, 2, 3]
+    merged = [t.classes[0], t.classes[1] + t.classes[2], *t.classes[3:]]
+    A = rational_class_constants(eg, merged)
+    sizes = np.array([t.sizes[0], t.sizes[1] + t.sizes[2], *t.sizes[3:]])
+    products = np.matmul(A[:, None], A[None, :])
+    assert not np.array_equal(products, products.transpose(1, 0, 2, 3))
+    assert not np.array_equal(A * sizes, A.transpose(0, 2, 1) * sizes[:, None])
+    with pytest.raises(ValueError, match="do not commute"):
+        class_constants(eg, merged)
+
+
+def test_class_constants_reject_a_split_rational_class(tables):
+    # A4's two classes of 3-cycles are inverse to each other, so either
+    # one alone counts the products of the other: not self-adjoint
     eg, t = tables("A4")
-    mats = class_constants(eg)
     assert t.classes[2] == [2, 3]
-    mats[0, 0, 3] += 1
-    with pytest.raises(ValueError, match="rational class sums"):
-        rational_algebra(mats, t.classes)
+    with pytest.raises(ValueError, match="not self-adjoint"):
+        class_constants(eg, [[0], [1], [2], [3]])
 
 
 def test_swapped_distinguished_indices_rejected(tables):
     eg, t = tables("F20")
-    A = _algebra(eg, t)
+    A = class_constants(eg, t.classes)
     chartab_mod._verify_table(t, A)
     swapped = dataclasses.replace(t, trivial=t.standard, standard=t.trivial)
     with pytest.raises(ValueError, match="wrong row"):

@@ -10,7 +10,8 @@ import pytest
 
 import ekrcheck
 from ekrcheck.cli import main
-from ekrcheck.library import GroupSpec, format_catalog, get_spec
+from ekrcheck.library import GroupSpec, format_catalog, get_spec, parse_catalog
+from ekrcheck.pipeline import brute_alpha, build_group
 
 CSV_HEADER = "n,Group,size,least,n-clique,EKR,unique,module-by-clique,rank,strict"
 
@@ -53,6 +54,21 @@ def test_classify_group_file(capsys, tmp_path):
     assert out.strip().split("\n")[1].startswith("4,A4,12,")
 
 
+def test_classify_degree_two_group_file(capsys, tmp_path):
+    # S2 on two points: alpha = 1 = |G|/n, and both maximum intersecting
+    # sets, {e} and {(1,2)}, are the cosets {x : x(1) = j}
+    path = tmp_path / "s2.cat"
+    path.write_text("S2 | 2 | 2 | (1,2) |\n")
+    code, out, _ = run(capsys, "classify", "--group", str(path), "--format", "csv")
+    assert code == 0
+    assert out.strip().split("\n")[1] == "2,S2,2,Y,Y,Y,Y,--,Y,Y"
+    group = build_group(parse_catalog(path.read_text())["S2"])
+    alpha, _, count = brute_alpha(group)
+    assert (alpha, count) == (1, 2)
+    cosets = {frozenset(x for x in group.elements() if x(0) == j) for j in range(2)}
+    assert cosets == {frozenset([x]) for x in group.elements()}
+
+
 def test_classify_over_cap_group_without_streamed_class_is_partial(capsys, tmp_path):
     # PGL(2,23) on the projective line, points 0..22 and infinity as 1..24;
     # it has (12,12) elements but no streamed class is registered for it
@@ -85,13 +101,30 @@ def test_classify_caps_partial_exits_2(capsys):
     assert obj["least_standard"] == "unknown"
 
 
+def test_repeated_caps_flags_all_apply(capsys):
+    # the enumeration cap of the first flag still holds after the second
+    code, out, _ = run(
+        capsys, "classify", "--group", "M11",
+        "--caps", "enumeration=100", "--caps", "clique_budget=1", "--format", "csv",
+    )
+    assert code == 2
+    assert out.strip().split("\n")[1] == "11,M11,7920,?,--,?,?,--,?,?"
+
+
 def test_bad_caps_key_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--group", "S3", "--caps", "bogus=1"])
     assert "bad --caps entry" in str(exc.value)
 
 
-@pytest.mark.parametrize("key", ["enumeration", "oracle"])
+def test_oracle_knobs_are_not_caps():
+    # `ekr oracle` runs at the fixed ORACLE_CAP and COUNT_CAP
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--group", "S3", "--caps", "oracle=1"])
+    assert "(known keys: clique_budget, enumeration)" in str(exc.value)
+
+
+@pytest.mark.parametrize("key", ["enumeration", "clique_budget"])
 def test_negative_cap_exits_1(capsys, key):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--group", "S3", "--caps", f"{key}=-1"])
