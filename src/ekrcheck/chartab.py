@@ -39,6 +39,7 @@ a proposal they reject is redrawn:
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,9 +215,9 @@ def _verify_table(t: RationalTable, A: np.ndarray) -> None:
         raise ValueError("trivial or standard index names the wrong row")
 
 
-def _propose(A: np.ndarray, sizes: list[int], order: int, rng: np.random.Generator) -> np.ndarray:
+def _propose(A: np.ndarray, sizes: list[int], order: int, rng: random.Random) -> np.ndarray:
     """Integer rows proposed by one float eigendecomposition of a random
-    real combination L of the A_R.
+    real combination L of the A_R, with standard normal weights from rng.
 
     Rational classes are closed under inversion, so
     |T| A[R, S, T] = |S| A[R, T, S], and with D = diag(sqrt|S|) the matrix
@@ -226,7 +227,7 @@ def _propose(A: np.ndarray, sizes: list[int], order: int, rng: np.random.Generat
     |G| (or not finite) comes only from a wrong proposal and raises
     ValueError."""
     scale = np.sqrt(np.array(sizes, dtype=np.float64))
-    L = np.tensordot(rng.standard_normal(len(sizes)), A, axes=1)
+    L = np.tensordot([rng.gauss(0.0, 1.0) for _ in sizes], A, axes=1)
     _, U = np.linalg.eigh(L * scale / scale[:, None])
     V = U.T * scale
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -248,7 +249,7 @@ def character_table(eg: EnumeratedGroup, seed: int = 1) -> RationalTable:
     A = class_constants(eg, classes)
     sizes = [sum(eg.class_sizes[c] for c in cls) for cls in classes]
     fix = [eg.class_fix[cls[0]] for cls in classes]
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(MAX_PROPOSALS):
         try:
             omega = _propose(A, sizes, order, rng)

@@ -15,19 +15,24 @@ w^T M M^T w = |M^T w|^2 give ker M^T M = ker M and ker M M^T = ker M^T.
 A rank r mod p proves rank >= r, and exact integer kernel vectors of the
 Gram prove rank <= r.  Full column rank needs rank c, so a row Gram
 (d < c) always certifies deficiency; its certificate adds the exact rank.
-The column Gram is counted exactly in int64, one point pair at a time, or
-for one conjugacy class from a single representative by orbit counting.
+The column Gram is counted exactly in int64, one point pair at a time.
 
-The positive-definiteness shortcut for class Gram matrices uses the pairs
-graph X_n; its least eigenvalue is bounded below by -(n-3) exactly, via
-the integer characteristic polynomial of the 7-dimensional regular
-representation of the orbital algebra and a sign test on its Taylor shift.
+The Gram of one conjugacy class is counted from a single representative
+by orbit counting, one value per G-orbit of quadruples, and never laid
+out as a c x c matrix.  Its positive-definiteness shortcut tests the
+pattern lambda*I + mu*A(X_n) on those values, each beside the class of
+its vertex pair, and uses the pairs graph X_n: its least eigenvalue is
+bounded below by -(n-3) exactly, via the integer characteristic
+polynomial of the 7-dimensional regular representation of the orbital
+algebra, counted from a few rows of c entries, and a sign test on its
+Taylor shift.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -82,9 +87,26 @@ def gram_offdiag(rows: np.ndarray, n: int) -> np.ndarray:
     return N
 
 
-def quadruple_orbit_gram(group: PermutationGroup, z: Permutation, class_size: int) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class QuadrupleOrbits:
+    """The Gram N of `gram_offdiag` for one conjugacy class, one entry per
+    G-orbit of its column quadruples.
+
+    Orbit O holds the quadruple (b0, b1, c, d), c != d, where (b0, b1) is
+    the group's base pair and `pairs` holds the least (c, d) of O;
+    `values` is N_O and `classes` the `_PAIR_CLASS` of the vertex pair
+    ((b0, b1), (c, d)), which every quadruple of O shares."""
+
+    base: tuple[int, int]
+    pairs: np.ndarray
+    values: np.ndarray
+    classes: np.ndarray
+
+
+def quadruple_orbit_gram(group: PermutationGroup, z: Permutation, class_size: int) -> QuadrupleOrbits:
     """The N of `gram_offdiag` for the conjugacy class C of the derangement
-    z, which has `class_size` elements, counted from z alone.
+    z, which has `class_size` elements, counted from z alone, one value
+    per G-orbit of quadruples.
 
     N[(i,j),(k,l)] = #{x in C : x(i) = j, x(k) = l} is constant on each
     G-orbit O of quadruples, because x(i) = j exactly when g x g^-1 maps
@@ -100,14 +122,22 @@ def quadruple_orbit_gram(group: PermutationGroup, z: Permutation, class_size: in
     orbit is the orbit of the image (c', d') under the pointwise
     stabilizer G_{b0,b1}, of size n(n-1) times that suborbit's size.
     The suborbits are labelled on the n^2 pairs, never on the n^4
-    quadruples."""
+    quadruples.
+
+    The orbits with c != d are exactly those of N's entries: for n >= 5
+    a point y outside {a, b, c, d} exists, and an element mapping y to
+    n-1 carries the quadruple onto the first n-1 points.  Smaller
+    degrees raise ValueError."""
     n = group.degree
+    if n < 5:
+        raise ValueError(f"quadruple orbits cover the Gram entries only for degree >= 5, not {n}")
     zi = np.array(z.images, dtype=np.intp)
     if (zi == np.arange(n)).any():
         raise ValueError("non-derangement passed to quadruple_orbit_gram")
     carry, stab = group.pair_carriers()
-    # pair (c, d) has index c n + d; orbit[c n + d] numbers its suborbit
-    _, orbit, count = np.unique(
+    # pair (c, d) has index c n + d; orbit[c n + d] numbers its suborbit,
+    # whose least pair index is least[orbit]
+    least, orbit, count = np.unique(
         orbit_labels(n * n, [(g[:, None] * n + g[None, :]).ravel() for g in stab]),
         return_inverse=True, return_counts=True)
     orbit_size = n * (n - 1) * count
@@ -117,11 +147,12 @@ def quadruple_orbit_gram(group: PermutationGroup, z: Permutation, class_size: in
     total = class_size * f
     if (total % orbit_size).any():
         raise AssertionError(f"a quadruple orbit size does not divide {class_size} * f_O")
-    value = total // orbit_size
-    pairs = np.array(offdiag_pairs(n), dtype=np.intp)
-    # one carrying map per column pair (i, j), then every (k, l) through it
-    h = carry[pairs[:, 0], pairs[:, 1]]
-    return value[orbit[h[:, pairs[:, 0]] * n + h[:, pairs[:, 1]]]]
+    b0, b1 = group.base()[:2]
+    c, d = np.divmod(least, n)
+    column = c != d
+    return QuadrupleOrbits(
+        (b0, b1), np.stack([c, d], axis=1)[column], (total // orbit_size)[column],
+        _pair_classes(b0, b1, c, d)[column])
 
 
 def gram_rows(rows: np.ndarray, n: int) -> np.ndarray:
@@ -316,9 +347,11 @@ def rank_certificate(N: np.ndarray, columns: int | None = None) -> RankCertifica
 
 @dataclass
 class PairsGraph:
+    """The pairs graph X_n: its 7x7 orbital matrix (None for n = 4), the
+    characteristic polynomial that certifies its least eigenvalue, and
+    that bound, -(n-3)."""
+
     n: int
-    vertices: list[tuple[int, int]]
-    adjacency: np.ndarray
     orbital: tuple[tuple[int, ...], ...] | None
     charpoly: tuple[int, ...]
     least_lower_bound: int
@@ -372,6 +405,14 @@ _pairs_cache: dict[int, PairsGraph] = {}
 _PAIR_CLASS = np.array([6, 2, 3, 0, 4, -1, -1, -1, 5, -1, -1, -1, 1, -1, -1, -1], dtype=np.int8)
 
 
+def _pair_classes(u0, u1, w0, w1) -> np.ndarray:
+    """The `_PAIR_CLASS` of the vertex pairs ((u0, u1), (w0, w1)),
+    elementwise over the broadcast coordinates."""
+    # uint8 weights keep the code one byte wide
+    two, four, eight = np.uint8(2), np.uint8(4), np.uint8(8)
+    return _PAIR_CLASS[(u0 == w0) + two * (u1 == w1) + four * (u0 == w1) + eight * (u1 == w0)]
+
+
 def pairs_graph(n: int) -> PairsGraph:
     """The graph X_n on ordered pairs from the first n-1 points, with its
     least eigenvalue certified >= -(n-3) by the `_no_root_below` sign test
@@ -379,53 +420,68 @@ def pairs_graph(n: int) -> PairsGraph:
 
     For n > 4 the roots are those of the 7x7 integer matrix L of
     multiplication by A in the orbital algebra, whose basis is the seven
-    classes of vertex pairs in `_PAIR_CLASS`.  Entry L[s][t] counts the neighbours v
-    of u with (v, w) in class t, for a position (u, w) of class s, so row
-    s is one bincount; it is checked equal at up to 20 more positions of
-    the class.  Every check raises, so none is lost under `python -O`."""
+    classes of vertex pairs in `_PAIR_CLASS`.  Entry L[s][t] counts the
+    neighbours v of u with (v, w) in class t, for a position (u, w) of
+    class s.  Row s is counted from two class vectors of c = (n-1)(n-2)
+    entries, those of u and of w, at the first position of the class,
+    and checked equal at up to 20 more positions drawn from
+    `random.Random(7)`; no c x c matrix is built.  Every class vector
+    read is checked to hold each class as often as a vertex of X_n does.
+    For n = 4, which has no disjoint pairs, the polynomial is A's own.
+    Every check raises, so none is lost under `python -O`."""
     if n <= 3:
         raise ValueError("pairs graph needs n > 3")
     if n in _pairs_cache:
         return _pairs_cache[n]
     m = n - 1
-    verts = [(i, j) for i in range(m) for j in range(m) if i != j]
-    I = np.array([v[0] for v in verts], dtype=np.int16)
-    J = np.array([v[1] for v in verts], dtype=np.int16)
-    Iu, Ju, Iw, Jw = I[:, None], J[:, None], I[None, :], J[None, :]
-    # uint8 weights keep the n^4-entry temporaries one byte wide
-    w = np.array([1, 2, 4, 8], dtype=np.uint8)
-    code = (Iu == Iw) * w[0] + (Ju == Jw) * w[1] + (Iu == Jw) * w[2] + (Ju == Iw) * w[3]
-    T = _PAIR_CLASS[code]
-    A = (T >= 4).astype(np.int8)
-    regular = (T >= 0).all() and (A.sum(axis=1) == (n - 2) * (n - 3)).all()
-    if not (regular and np.array_equal(A, A.T) and not A[T == 1].any()):
-        raise AssertionError(f"X_{n} is not the pairs graph")
+    I, J = np.array(offdiag_pairs(n), dtype=np.intp).T
+    c = len(I)
+    # partners of each class that a vertex has: one same, one swapped,
+    # m-2 in each of classes 2 to 5 and (m-2)(m-3) disjoint
+    partners = np.array([1, 1] + [m - 2] * 4 + [(m - 2) * (m - 3)])
+
+    def class_counts(classes: np.ndarray, where=True) -> np.ndarray:
+        """How often each class occurs in each row of `classes`, over the
+        entries that `where` selects."""
+        keys = classes + 7 * np.arange(len(classes))[:, None]
+        return np.bincount(keys[where & (classes >= 0)], minlength=7 * len(classes)).reshape(-1, 7)
+
+    def checked(classes: np.ndarray) -> np.ndarray:
+        """The class vectors, one per row, once each is seen to hold every
+        class as often as a vertex of X_n does (a -1 leaves some short)."""
+        if (class_counts(classes) != partners).any():
+            raise AssertionError(f"X_{n} is not the pairs graph")
+        return classes
+
+    def rows_of(us: np.ndarray) -> np.ndarray:
+        """The class of (u, v), for each u in us and every vertex v."""
+        return checked(_pair_classes(I[us, None], J[us, None], I, J))
 
     if n == 4:
-        # no disjoint pairs among three points: take A's own polynomial
         L = None
-        cp = _charpoly_exact(A.astype(int).tolist())
+        cp = _charpoly_exact((rows_of(np.arange(c)) >= 4).astype(int).tolist())
     else:
-        nbrs = A.astype(bool)
-        # row-major positions of class 0, then of class 1, and so on
-        flat = np.argsort(T, axis=None, kind="stable")
-        counts = np.bincount(T.ravel(), minlength=7)
-        ends = np.cumsum(counts)
-        rng = np.random.default_rng(7)
+        rng = random.Random(7)
         rows = []
         for t in range(7):
-            u, w = np.divmod(flat[ends[t] - counts[t] : ends[t]], len(verts))
-            row = np.bincount(T[nbrs[u[0]], w[0]], minlength=7)
-            for k in rng.choice(len(u), size=min(20, len(u)), replace=False):
-                if not np.array_equal(np.bincount(T[nbrs[u[k]], w[k]], minlength=7), row):
-                    raise AssertionError(f"row {t} of the orbital matrix of X_{n} varies")
-            rows.append(tuple(row.tolist()))
+            # position p of class t is (u, w) for u = p // k and w the
+            # (p % k)-th partner of u in class t: the first, and up to 20
+            # drawn from the rest
+            k = int(partners[t])
+            us, ks = np.divmod([0] + rng.sample(range(1, c * k), min(20, c * k - 1)), k)
+            R = rows_of(us)
+            ws = np.nonzero(R == t)[1].reshape(len(us), k)[np.arange(len(us)), ks]
+            # the class of (v, w) for every vertex v, one row per w
+            counts = class_counts(checked(_pair_classes(I, J, I[ws, None], J[ws, None])), R >= 4)
+            if (counts != counts[0]).any():
+                raise AssertionError(f"row {t} of the orbital matrix of X_{n} varies")
+            rows.append(tuple(counts[0].tolist()))
         L = tuple(rows)
         cp = _charpoly_exact(L)
 
     if not _no_root_below(cp, -(n - 3)):
         raise AssertionError(f"least eigenvalue of X_{n} not certified >= {-(n - 3)}")
-    pg = PairsGraph(n, verts, A, L, tuple(cp), -(n - 3))
+    pg = PairsGraph(n, L, tuple(cp), -(n - 3))
     _pairs_cache[n] = pg
     return pg
 
@@ -437,7 +493,7 @@ def pairs_graph(n: int) -> PairsGraph:
 class ClassGram:
     n: int
     row_count: int
-    N: np.ndarray
+    N: np.ndarray | None
     pattern: bool
     lam: int | None
     mu: int | None
@@ -446,37 +502,46 @@ class ClassGram:
 
 
 def class_gram(rows: np.ndarray, n: int) -> ClassGram:
-    """Gram matrix of the M-block rows of a conjugation-closed set of
-    derangements, with the `gram_pattern` test."""
+    """Gram matrix N of the M-block rows of a conjugation-closed set of
+    derangements, with the `gram_pattern` test read entry by entry.  It
+    builds N and the class of every entry densely; the over-cap rank
+    route reads one entry per quadruple orbit instead."""
     rows = np.asarray(rows)
-    return gram_pattern(gram_offdiag(rows, n), n, rows.shape[0])
+    N = gram_offdiag(rows, n)
+    I, J = np.array(offdiag_pairs(n), dtype=np.intp).reshape(-1, 2).T
+    classes = _pair_classes(I[:, None], J[:, None], I, J)
+    return replace(gram_pattern(N, classes, n, rows.shape[0]), N=N)
 
 
-def gram_pattern(N: np.ndarray, n: int, row_count: int) -> ClassGram:
+def gram_pattern(values: np.ndarray, classes: np.ndarray, n: int, row_count: int) -> ClassGram:
     """The lambda*I + mu*A(X_n) pattern test on the Gram matrix N of the
-    M-block rows of a conjugation-closed set of `row_count` derangements.
+    M-block rows of a conjugation-closed set of `row_count` derangements,
+    read as (value, class) pairs: the entries of N beside the
+    `_PAIR_CLASS` of their vertex pair, or one value and class per
+    quadruple orbit (`quadruple_orbit_gram`), which hold the same values
+    in the same classes.  The pattern holds when every class-0 value is
+    one lambda, every value in classes 1 to 3 is 0, and every value in
+    the adjacency classes 4 to 6 is one mu.
 
     When the pattern holds with mu >= 0, the certified pairs-graph bound
     `least` gives least eigenvalue >= lambda + mu*least; a positive bound
     certifies positive definiteness, hence full column rank of M
-    restricted to these rows, hence full column rank of M itself."""
-    lam = int(N[0, 0])
-    if n > 3:
-        pg = pairs_graph(n)
-        A, least = pg.adjacency, pg.least_lower_bound
-    else:
-        # degree 3 has two column pairs and an edgeless pairs graph
-        A, least = np.zeros_like(N, dtype=np.int8), 0
-    off = (A == 0) & ~np.eye(N.shape[0], dtype=bool)
-    mu_vals = N[A == 1]
-    pattern = (
-        (np.diag(N) == lam).all()
-        and not N[off].any()
-        and (mu_vals.size == 0 or (mu_vals == mu_vals[0]).all())
+    restricted to these rows, hence full column rank of M itself.  The
+    result carries no N."""
+    values, classes = np.asarray(values), np.asarray(classes)
+    if values.shape != classes.shape or (classes < 0).any() or not (classes == 0).any():
+        raise ValueError("the pattern needs a valid class for every value and a diagonal one")
+    diagonal, adjacent = values[classes == 0], values[classes >= 4]
+    lam = int(diagonal[0])
+    mu = int(adjacent[0]) if adjacent.size else 0
+    pattern = bool(
+        (diagonal == lam).all()
+        and (adjacent == mu).all()
+        and not values[(classes >= 1) & (classes <= 3)].any()
     )
-    mu = int(mu_vals[0]) if pattern and mu_vals.size else (0 if pattern else None)
-    if pattern:
-        bound = lam + mu * least
-        return ClassGram(n, row_count, N, True, lam, mu, bound, mu >= 0 and bound > 0)
-    return ClassGram(n, row_count, N, False, None, None, None, False)
-
+    if not pattern:
+        return ClassGram(n, row_count, None, False, None, None, None, False)
+    # degree 3 has two column pairs and an edgeless pairs graph
+    least = pairs_graph(n).least_lower_bound if n > 3 else 0
+    bound = lam + mu * least
+    return ClassGram(n, row_count, None, True, lam, mu, bound, mu >= 0 and bound > 0)

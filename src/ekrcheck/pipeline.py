@@ -126,6 +126,15 @@ class EkrReport:
                 bad = "claimed rank exceeds the column count"
             elif kind == "complete-union" and c["count"] != n ** c["components"]:
                 bad = "count is not degree ** components"
+            elif kind == "class-gram":
+                bound, mu = c["least_bound"], c["mu"]
+                bad = (
+                    "least_bound is not lam - (n-3) mu" if bound != c["lam"] - (n - 3) * mu
+                    else "mu is negative" if mu < 0
+                    else "least_bound is not positive" if bound <= 0
+                    else "class size does not divide the group order" if self.order % c["class_size"]
+                    else None
+                )
             if bad:
                 raise AssertionError(f"{self.key}: {kind} record: {bad}")
         stored, derived = self.to_json_dict(), derive_columns(replace(self)).to_json_dict()
@@ -509,17 +518,19 @@ def _find_class_rep(group: PermutationGroup, order: int, shape: tuple, seed: int
 def mathieu_class_rank(report: EkrReport, group: PermutationGroup) -> None:
     """Rank certification for a group too large to enumerate: the Gram
     matrix of one derangement class, counted over quadruple orbits from
-    one representative z, and its positive-definite pattern.  The class
-    size |G|/|C_G(z)| comes from the sifted centraliser.  The three steps
-    are timed as `rank.class_size`, `rank.orbit_gram` and `rank.pattern`."""
+    one representative z, and its positive-definite pattern, tested on
+    one value per orbit; no matrix of the Gram's size is built.  The
+    class size |G|/|C_G(z)| comes from the sifted centraliser.  The three
+    steps are timed as `rank.class_size`, `rank.orbit_gram` and
+    `rank.pattern`."""
     order, shape = _CLASS_SHAPE[report.key]
     with _timed(report, "rank.class_size"):
         rep = _find_class_rep(group, order, shape)
         size = group.order() // centralizer_order(group, rep)
     with _timed(report, "rank.orbit_gram"):
-        N = quadruple_orbit_gram(group, rep, size)
+        orbits = quadruple_orbit_gram(group, rep, size)
     with _timed(report, "rank.pattern"):
-        cg = gram_pattern(N, report.degree, size)
+        cg = gram_pattern(orbits.values, orbits.classes, report.degree, size)
     if not cg.psd_certified:
         report.notes.append("class Gram pattern did not certify positive-definiteness")
     else:

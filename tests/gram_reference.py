@@ -6,7 +6,10 @@ matrix product over chunks of rows: the construction that
 labelling on all n^4 quadruples, the pairs graph's orbital algebra from
 dense products, and a Fraction characteristic polynomial are the oracles
 for `modrank.quadruple_orbit_gram`, `modrank.pairs_graph` and
-`modrank._charpoly_exact`.
+`modrank._charpoly_exact`; `expand_orbit_values` lays the per-orbit
+values of `quadruple_orbit_gram` out as the dense Gram that
+`gram_offdiag` counts, and `dense_pair_classes` gives the class of each
+of its entries.
 """
 
 from fractions import Fraction
@@ -54,20 +57,35 @@ def dense_gram(rows, n, chunk=16_384):
 # ---- class Gram matrices and the pairs graph, the straightforward way ----
 
 
-def min_label_quadruple_orbit_gram(group, z, class_size):
-    """`modrank.quadruple_orbit_gram` by labelling the G-orbits on all n^4
-    quadruples with min-label propagation over the generators' maps."""
+def _quadruple_labels(group):
+    """Orbit label of every quadruple (a, b, c, d), index
+    ((a n + b) n + c) n + d, by min-label propagation over the
+    generators' maps on all n^4 quadruples."""
     n = group.degree
-    zi = np.array(z.images, dtype=np.intp)
-    if (zi == np.arange(n)).any():
-        raise ValueError("non-derangement passed to min_label_quadruple_orbit_gram")
-    # quadruple (a, b, c, d) has index ((a n + b) n + c) n + d
     maps = []
     for g in group.generators:
         gi = np.array(g.images, dtype=np.intp)
         pair = (gi[:, None] * n + gi[None, :]).ravel()
         maps.append((pair[:, None] * n * n + pair[None, :]).ravel())
-    label = orbit_labels(n**4, maps)
+    return orbit_labels(n**4, maps)
+
+
+def _column_entries(n):
+    """Quadruple index of every entry ((i, j), (k, l)) of a c x c Gram."""
+    m = n - 1
+    cols = np.array([i * n + j for i in range(m) for j in range(m) if i != j], dtype=np.intp)
+    return cols[:, None] * n * n + cols[None, :]
+
+
+def min_label_quadruple_orbit_gram(group, z, class_size):
+    """The dense N of `modrank.quadruple_orbit_gram` by labelling the
+    G-orbits on all n^4 quadruples with min-label propagation over the
+    generators' maps."""
+    n = group.degree
+    zi = np.array(z.images, dtype=np.intp)
+    if (zi == np.arange(n)).any():
+        raise ValueError("non-derangement passed to min_label_quadruple_orbit_gram")
+    label = _quadruple_labels(group)
     orbit_size = np.bincount(label, minlength=n**4)[label]
     zpair = np.arange(n) * n + zi
     f = np.bincount(label[(zpair[:, None] * n * n + zpair[None, :]).ravel()],
@@ -75,9 +93,26 @@ def min_label_quadruple_orbit_gram(group, z, class_size):
     total = class_size * f
     if (total % orbit_size).any():
         raise AssertionError(f"a quadruple orbit size does not divide {class_size} * f_O")
-    m = n - 1
-    cols = np.array([i * n + j for i in range(m) for j in range(m) if i != j], dtype=np.intp)
-    return (total // orbit_size)[cols[:, None] * n * n + cols[None, :]]
+    return (total // orbit_size)[_column_entries(n)]
+
+
+def expand_orbit_values(group, orbits, values):
+    """A dense c x c matrix from one value per orbit of
+    `modrank.quadruple_orbit_gram`'s result `orbits`: each Gram entry
+    takes the value of the listed orbit that the n^4 labelling puts its
+    quadruple in.  Two listed representatives in one orbit, or an entry
+    in no listed orbit, fail."""
+    n = group.degree
+    label = _quadruple_labels(group)
+    b0, b1 = orbits.base
+    c, d = np.asarray(orbits.pairs).T
+    reps = label[((b0 * n + b1) * n + c) * n + d]
+    assert len(set(reps.tolist())) == len(reps), "two representatives share an orbit"
+    by_label = np.full(n**4, -1, dtype=np.int64)
+    by_label[reps] = np.arange(len(reps))
+    index = by_label[label[_column_entries(n)]]
+    assert (index >= 0).all(), "a Gram entry lies in no listed orbit"
+    return np.asarray(values)[index]
 
 
 def fraction_charpoly(A):
@@ -100,18 +135,16 @@ def fraction_charpoly(A):
     return [int(x) for x in coeffs]
 
 
-def dense_pairs_graph(n):
-    """(adjacency, orbital, charpoly) of the pairs graph X_n from dense
-    masks: `orbital` is the 7x7 matrix of A times each orbital class,
-    read off float products of the full masks (None for n = 4, which
-    has no disjoint pairs), and `charpoly` is that matrix's
-    characteristic polynomial, or A's own for n = 4."""
+def _class_masks(n):
+    """The seven classes of vertex pairs (u, w) of the pairs graph X_n, as
+    dense c x c masks: same, swapped, shared first point, shared second
+    point, u0 = w1 only, u1 = w0 only, disjoint."""
     m = n - 1
     verts = [(i, j) for i in range(m) for j in range(m) if i != j]
     I = np.array([v[0] for v in verts])[:, None]
     J = np.array([v[1] for v in verts])[:, None]
     same = (I == I.T) & (J == J.T)
-    types = [
+    return [
         same,
         (I == J.T) & (J == I.T) & ~same,
         (I == I.T) & (J != J.T),
@@ -120,6 +153,23 @@ def dense_pairs_graph(n):
         (J == I.T) & (I != J.T),
         (I != I.T) & (I != J.T) & (J != I.T) & (J != J.T),
     ]
+
+
+def dense_pair_classes(n):
+    """The class 0..6 of every vertex pair of X_n, as a dense c x c matrix;
+    every pair falls in exactly one class."""
+    masks = _class_masks(n)
+    assert (sum(mask.astype(int) for mask in masks) == 1).all()
+    return sum(t * mask.astype(np.int64) for t, mask in enumerate(masks))
+
+
+def dense_pairs_graph(n):
+    """(adjacency, orbital, charpoly) of the pairs graph X_n from dense
+    masks: `orbital` is the 7x7 matrix of A times each orbital class,
+    read off float products of the full masks (None for n = 4, which
+    has no disjoint pairs), and `charpoly` is that matrix's
+    characteristic polynomial, or A's own for n = 4."""
+    types = _class_masks(n)
     A = (types[4] | types[5] | types[6]).astype(np.int8)
     if n == 4:
         return A, None, fraction_charpoly(A.astype(int).tolist())

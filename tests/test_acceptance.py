@@ -48,6 +48,7 @@ from ekrcheck import modrank as mr
 from ekrcheck import pipeline as pl
 from ekrcheck.perm import Permutation
 from ekrcheck.weighted import verify_weighted_ratio
+from gram_reference import dense_pairs_graph
 from reference_rows import ROWS
 import lemma_reference as lr
 
@@ -301,7 +302,7 @@ def test_double_11_cycle_class_gram_identity():
 
     cg = mr.class_gram(rows, 22)
     assert cg.pattern and cg.lam == 1920 and cg.mu == 96
-    A = mr.pairs_graph(22).adjacency.astype(np.int64)
+    A = dense_pairs_graph(22)[0].astype(np.int64)
     expected = 1920 * np.eye(A.shape[0], dtype=np.int64) + 96 * A
     assert np.array_equal(cg.N, expected)
     assert cg.least_bound == 96 and cg.least_bound >= 96
@@ -333,7 +334,7 @@ def test_degree_23_class_gram_pattern():
     # a 23-cycle has no 2-cycle, so the ((1,2),(2,1)) entry vanishes
     pairs = mr.offdiag_pairs(23)
     assert cg.N[pairs.index((0, 1)), pairs.index((1, 0))] == 0
-    A = mr.pairs_graph(23).adjacency.astype(np.int64)
+    A = dense_pairs_graph(23)[0].astype(np.int64)
     expected = cg.lam * np.eye(A.shape[0], dtype=np.int64) + cg.mu * A
     assert np.array_equal(cg.N, expected)
     assert cg.least_bound == t // 22 - cg.mu * 20 > 0

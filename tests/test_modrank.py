@@ -25,8 +25,10 @@ from ekrcheck.pipeline import _find_class_rep
 
 from gram_reference import (
     dense_gram,
+    dense_pair_classes,
     dense_pairs_graph,
     derangement_block,
+    expand_orbit_values,
     fraction_charpoly,
     min_label_quadruple_orbit_gram,
 )
@@ -220,34 +222,40 @@ def test_reverify_rejects_a_zero_kernel_vector(groups):
 
 def test_pairs_graph_x5():
     pg = mr.pairs_graph(5)
-    assert len(pg.vertices) == 12
-    assert (pg.adjacency.sum(axis=1) == 6).all()
+    A = dense_pairs_graph(5)[0]
+    assert len(mr.offdiag_pairs(5)) == 12
+    assert (A.sum(axis=1) == 6).all()
     assert pg.least_lower_bound == -2
     # float oracle: least eigenvalue really is >= -2
-    assert np.linalg.eigvalsh(pg.adjacency.astype(float))[0] >= -2 - 1e-9
+    assert np.linalg.eigvalsh(A.astype(float))[0] >= -2 - 1e-9
 
 
 def test_pairs_graph_x22():
     pg = mr.pairs_graph(22)
-    assert len(pg.vertices) == 420
-    assert (pg.adjacency.sum(axis=1) == 380).all()
+    assert len(mr.offdiag_pairs(22)) == 420
+    assert (dense_pairs_graph(22)[0].sum(axis=1) == 380).all()
     assert pg.least_lower_bound == -19
 
 
 def test_pairs_graph_adjacency_cases():
-    pg = mr.pairs_graph(6)
-    vi = {v: k for k, v in enumerate(pg.vertices)}
-    assert pg.adjacency[vi[(0, 1)], vi[(2, 3)]] == 1  # disjoint
-    assert pg.adjacency[vi[(0, 1)], vi[(1, 0)]] == 0  # swapped, never adjacent
-    assert pg.adjacency[vi[(0, 1)], vi[(2, 0)]] == 1  # first equals second's image
-    assert pg.adjacency[vi[(0, 1)], vi[(1, 2)]] == 1  # second equals first's image
-    assert pg.adjacency[vi[(0, 1)], vi[(0, 2)]] == 0  # shared first coordinate
-    assert pg.adjacency[vi[(0, 1)], vi[(2, 1)]] == 0  # shared second coordinate
+    vi = {v: k for k, v in enumerate(mr.offdiag_pairs(6))}
+    A = dense_pairs_graph(6)[0]
+    for w, adjacent in [
+        ((2, 3), True),  # disjoint
+        ((1, 0), False),  # swapped, never adjacent
+        ((2, 0), True),  # first equals second's image
+        ((1, 2), True),  # second equals first's image
+        ((0, 2), False),  # shared first coordinate
+        ((2, 1), False),  # shared second coordinate
+    ]:
+        assert A[vi[(0, 1)], vi[w]] == adjacent
+        # adjacency is classes 4 to 6 of the class table
+        assert (mr._pair_classes(0, 1, *np.array(w)) >= 4) == adjacent
 
 
 def test_pairs_graph_charpoly_roots_cover_float_spectrum():
     pg = mr.pairs_graph(7)
-    eigs = np.linalg.eigvalsh(pg.adjacency.astype(float))
+    eigs = np.linalg.eigvalsh(dense_pairs_graph(7)[0].astype(float))
 
     def horner(x):
         acc = 0
@@ -264,7 +272,12 @@ def test_pairs_graph_charpoly_roots_cover_float_spectrum():
 def test_pairs_graph_matches_the_dense_reference(n):
     pg = mr.pairs_graph(n)
     A, orbital, charpoly = dense_pairs_graph(n)
-    assert np.array_equal(pg.adjacency, A)
+    # the class table behind the orbital rows is the reference's, entry
+    # by entry, and so is its adjacency
+    I, J = np.array(mr.offdiag_pairs(n)).T
+    classes = mr._pair_classes(I[:, None], J[:, None], I, J)
+    assert np.array_equal(classes, dense_pair_classes(n))
+    assert np.array_equal(classes >= 4, A.astype(bool))
     if orbital is None:
         assert pg.orbital is None
     else:
@@ -316,6 +329,17 @@ def test_charpoly_exact_matches_the_fraction_reference():
 def test_pairs_graph_rejects_small_n():
     with pytest.raises(ValueError):
         mr.pairs_graph(3)
+
+
+def test_pairs_graph_rejects_an_irregular_class_table(monkeypatch):
+    # disjoint vertex pairs read as class 5 leave every class vector with
+    # too few class-6 partners
+    table = mr._PAIR_CLASS.copy()
+    table[0] = 5
+    monkeypatch.setattr(mr, "_PAIR_CLASS", table)
+    monkeypatch.setattr(mr, "_pairs_cache", {})
+    with pytest.raises(AssertionError, match="X_9 is not the pairs graph"):
+        mr.pairs_graph(9)
 
 
 # ---- class Gram matrices ----
@@ -370,6 +394,30 @@ def test_class_gram_no_two_cycles_entry(groups):
 # ---- class Gram matrices by quadruple orbits ----
 
 
+def _pattern_fields(cg):
+    return cg.pattern, cg.lam, cg.mu, cg.least_bound, cg.psd_certified
+
+
+def _check_orbit_gram(group, rep, rows):
+    """The per-orbit result for the class `rows` of rep against the n^4
+    reference: laid out densely it is the min-label Gram and
+    `gram_offdiag` of the rows, its classes are the reference classes of
+    the entries, and the per-orbit pattern test gives what the dense
+    test gives.  Returns the per-orbit pattern result."""
+    n, size = group.degree, len(rows)
+    orbits = mr.quadruple_orbit_gram(group, rep, size)
+    want = min_label_quadruple_orbit_gram(group, rep, size)
+    N = expand_orbit_values(group, orbits, orbits.values)
+    assert N.dtype == want.dtype and N.tobytes() == want.tobytes()
+    assert N.tobytes() == mr.gram_offdiag(rows, n).tobytes()
+    classes = dense_pair_classes(n)
+    assert np.array_equal(expand_orbit_values(group, orbits, orbits.classes), classes)
+    per_orbit = mr.gram_pattern(orbits.values, orbits.classes, n, size)
+    assert per_orbit.N is None
+    assert _pattern_fields(per_orbit) == _pattern_fields(mr.gram_pattern(want, classes, n, size))
+    return per_orbit
+
+
 @pytest.mark.m23
 @pytest.mark.parametrize("key, order, cycle_type", [("M23", 23, (23,)), ("M22", 11, (11, 11))])
 def test_quadruple_orbit_gram_matches_the_streamed_class(key, order, cycle_type):
@@ -377,11 +425,10 @@ def test_quadruple_orbit_gram_matches_the_streamed_class(key, order, cycle_type)
     rep = _find_class_rep(g, order, cycle_type)
     rows = conjugation_orbit(g, rep)
     assert g.order() // centralizer_order(g, rep) == len(rows)
-    N = mr.quadruple_orbit_gram(g, rep, len(rows))
-    want = mr.gram_offdiag(rows, g.degree)
-    assert N.dtype == want.dtype and N.shape == want.shape
-    assert N.tobytes() == want.tobytes()
-    assert N.tobytes() == min_label_quadruple_orbit_gram(g, rep, len(rows)).tobytes()
+    cg = _check_orbit_gram(g, rep, rows)
+    assert cg.psd_certified
+    if key == "M23":
+        assert (cg.lam, cg.mu, cg.least_bound) == (20160, 960, 960)
 
 
 def _symmetric_centralizer_order(cycle_type):
@@ -394,17 +441,29 @@ def _symmetric_centralizer_order(cycle_type):
 @pytest.mark.parametrize("key", ["M11", "PSL(2,19)", "2^4:A7", "AGL(1,8)"])
 def test_quadruple_orbit_gram_matches_every_derangement_class(groups, key):
     eg = groups(key)
-    n = eg.group.degree
     classes = [c for c in range(eg.n_classes) if eg.class_fix[c] == 0]
     assert classes
     for c in classes:
         rows = eg.E[eg.class_of == c]
         rep = eg.class_rep(c)
-        N = mr.quadruple_orbit_gram(eg.group, rep, len(rows))
-        assert N.tobytes() == mr.gram_offdiag(rows, n).tobytes()
-        assert N.tobytes() == min_label_quadruple_orbit_gram(eg.group, rep, len(rows)).tobytes()
+        _check_orbit_gram(eg.group, rep, rows)
         if _symmetric_centralizer_order(rep.cycle_type()) <= 5000:
             assert eg.group.order() // centralizer_order(eg.group, rep) == len(rows)
+
+
+@pytest.mark.parametrize("tamper", ["class-4 plus one", "class-2 nonzero"])
+def test_a_tampered_orbit_value_breaks_both_pattern_tests(groups, tamper):
+    eg = groups("M11")
+    c = eg.class_orders.index(11)
+    size = eg.class_sizes[c]
+    orbits = mr.quadruple_orbit_gram(eg.group, eg.class_rep(c), size)
+    assert mr.gram_pattern(orbits.values, orbits.classes, 11, size).psd_certified
+    values = orbits.values.copy()
+    target = 4 if tamper == "class-4 plus one" else 2
+    values[np.flatnonzero(orbits.classes == target)[0]] += 1
+    assert not mr.gram_pattern(values, orbits.classes, 11, size).pattern
+    N = expand_orbit_values(eg.group, orbits, values)
+    assert not mr.gram_pattern(N, dense_pair_classes(11), 11, size).pattern
 
 
 def test_quadruple_orbit_gram_rejects_a_wrong_class_size(groups):
@@ -414,6 +473,16 @@ def test_quadruple_orbit_gram_rejects_a_wrong_class_size(groups):
         mr.quadruple_orbit_gram(eg.group, eg.class_rep(c), eg.class_sizes[c] + 1)
     with pytest.raises(ValueError, match="non-derangement"):
         mr.quadruple_orbit_gram(eg.group, eg.element(0), 1)
+
+
+def test_quadruple_orbit_gram_rejects_a_degree_below_5():
+    # A4's double transpositions are derangements, but degree 4 leaves no
+    # point outside a quadruple to carry it onto the Gram's columns
+    _, g = get_group("A4")
+    z = Permutation((1, 0, 3, 2))
+    assert z in g
+    with pytest.raises(ValueError, match="degree >= 5"):
+        mr.quadruple_orbit_gram(g, z, 3)
 
 
 def test_quadruple_orbit_gram_rejects_a_group_that_is_not_2_transitive():

@@ -2,8 +2,12 @@
 
 import copy
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +18,7 @@ from ekrcheck.errors import CapExceeded
 from ekrcheck.group import EnumeratedGroup
 from ekrcheck.library import GroupSpec, format_catalog, get_group, get_spec
 from ekrcheck.perm import Permutation
+from ekrcheck import modrank as mr
 from ekrcheck import pipeline as pl
 from ekrcheck.weighted import verify_weighted_ratio, weighted_etas
 from survey import BENCHMARK_ROWS, SURVEY, SURVEY_ROWS, row_problems
@@ -570,3 +575,75 @@ def test_class_rank_streams_no_class(monkeypatch):
     assert r.rank_full == "yes"
     (cert,) = [c for c in r.certificates if c["kind"] == "class-gram"]
     assert cert["class_size"] == 443520
+
+
+# M24: n = 24, lam = 887040, mu = 40320, least_bound = lam - 21 mu
+@pytest.mark.parametrize(
+    "forge, match",
+    [
+        (lambda c: dict(c, least_bound=c["least_bound"] + 1), "least_bound is not lam"),
+        (lambda c: dict(c, mu=-1, least_bound=c["lam"] + 21), "mu is negative"),
+        (lambda c: dict(c, lam=21 * c["mu"], least_bound=0), "least_bound is not positive"),
+        (lambda c: dict(c, lam=20 * c["mu"], least_bound=-c["mu"]), "least_bound is not positive"),
+        (lambda c: dict(c, class_size=c["class_size"] + 1), "class size does not divide"),
+    ],
+    ids=["bound", "negative-mu", "zero-bound", "negative-bound", "class-size"],
+)
+def test_validate_rejects_a_forged_class_gram_record(forge, match):
+    r = pl.classify("M24")
+    r.validate()
+    r.certificates = [forge(c) if c["kind"] == "class-gram" else c for c in r.certificates]
+    with pytest.raises(AssertionError, match=match):
+        r.validate()
+
+
+@pytest.mark.m23
+@pytest.mark.parametrize("target, tamper", [(4, 1), (2, 5)], ids=["class-4-plus-one", "class-2-nonzero"])
+def test_tampered_orbit_value_leaves_the_rank_unknown(monkeypatch, target, tamper):
+    real = pl.quadruple_orbit_gram
+
+    def tampered(*args):
+        orbits = real(*args)
+        orbits.values[np.flatnonzero(orbits.classes == target)[0]] += tamper
+        return orbits
+
+    monkeypatch.setattr(pl, "quadruple_orbit_gram", tampered)
+    spec, g = get_group("M23")
+    r = pl.EkrReport(key="M23", degree=spec.degree, order=spec.expected_order)
+    pl.mathieu_class_rank(r, g)
+    assert not [c for c in r.certificates if c["kind"] == "class-gram"]
+    assert r.rank_full == "unknown" and r.csv_row()[pl.CSV_COLUMNS.index("rank")] == "?"
+    assert r.notes == ["class Gram pattern did not certify positive-definiteness"]
+    r.validate()
+
+
+@pytest.mark.m23
+def test_class_rank_builds_no_gram_sized_array(monkeypatch):
+    # a c x c int64 Gram for M23 (c = 462) alone takes 1.7 MB; the route's
+    # peak stays below 1 MB, the pairs graph included
+    monkeypatch.setattr(mr, "_pairs_cache", {})
+    spec, g = get_group("M23")
+    r = pl.EkrReport(key="M23", degree=spec.degree, order=spec.expected_order)
+    tracemalloc.start()
+    try:
+        pl.mathieu_class_rank(r, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.rank_full == "yes"
+    assert peak < 1_000_000, peak
+
+
+@pytest.mark.m23
+def test_classify_never_loads_numpy_random():
+    script = (
+        "import sys\n"
+        "from ekrcheck.pipeline import classify\n"
+        "for key in ('S3', 'M23'):\n"
+        "    assert classify(key).rank_full == 'yes', key\n"
+        "sys.exit('numpy.random' in sys.modules)\n"
+    )
+    src = pathlib.Path(pl.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
