@@ -15,12 +15,12 @@ A_R omega_O = omega_O(R) omega_O: Dixon-Schneider over Q with rational
 classes (Schneider, J. Symb. Comput. 9, 1990).
 
 Each rational class is closed under inversion, so A_R[S, T] also counts
-the y in R with y z_T in S: `class_constants` sifts the N*r products
-y * z_T in fixed row blocks, labels each by its rational class, and
-checks the result is a commutative algebra, self-adjoint for the class
-sizes.  One float eigendecomposition of a random real combination of
-the A_R, made symmetric by the class sizes, proposes every row at once
-(`_propose`).
+the y in R with y z_T in S: `class_constants` looks up the N*r products
+y * z_T by their base images alone (`EnumeratedGroup.base_index`), labels
+each by its rational class, and checks the result is a commutative
+algebra, self-adjoint for the class sizes.  One float eigendecomposition
+of a random real combination of the A_R, made symmetric by the class
+sizes, proposes every row at once (`_propose`).
 
 Floats only propose.  The table is certified by exact integer checks, and
 a proposal they reject is redrawn:
@@ -47,7 +47,6 @@ import numpy as np
 from .group import EnumeratedGroup, PermutationGroup, conjugacy_classes
 
 MAX_PROPOSALS = 4
-SIFT_BLOCK = 1 << 15
 
 
 def class_constants(eg: EnumeratedGroup, classes: list[list[int]]) -> np.ndarray:
@@ -55,10 +54,10 @@ def class_constants(eg: EnumeratedGroup, classes: list[list[int]]) -> np.ndarray
     the rational classes `classes` and a fixed z_T in T.
 
     R is closed under inversion, so this is #{x in R : x^-1 z_T in S}.
-    The N*r products y * z_T, T-major, are sifted in fixed blocks of
-    `SIFT_BLOCK` rows, and each block's triples (rational class of y, of
-    the product, T) are counted by one bincount.  The fixed block bounds
-    the memory of the sift whatever the group order.
+    For each T, the products y * z_T have base images y(z_T(b)), the
+    columns z_T(b) of `E`; `base_index` names them, and one bincount
+    counts the pairs (rational class of y, of the product).  Each T
+    holds O(N) transient arrays.
 
     Raises ValueError unless A_1 = I, every sum over S is |R|, the A_R
     commute pairwise, and |T| A[R, S, T] = |S| A[R, T, S] (what makes the
@@ -69,27 +68,16 @@ def class_constants(eg: EnumeratedGroup, classes: list[list[int]]) -> np.ndarray
     eg.compute_classes()
     r = len(classes)
     E = eg.E
-    N = len(E)
     rational = np.empty(eg.n_classes, dtype=np.int64)
     for R, cls in enumerate(classes):
         rational[cls] = R
     rational_of = rational[eg.class_of]
-    reps = [E[eg.class_seeds[cls[0]]].astype(np.intp) for cls in classes]
-    counts = np.zeros(r**3, dtype=np.int64)
-    block = np.empty((SIFT_BLOCK, E.shape[1]), dtype=E.dtype)
-    keys = np.empty(SIFT_BLOCK, dtype=np.int64)
-    for start in range(0, N * r, SIFT_BLOCK):
-        stop = min(start + SIFT_BLOCK, N * r)
-        for T in range(start // N, (stop - 1) // N + 1):
-            y0, y1 = max(start - T * N, 0), min(stop - T * N, N)
-            at = slice(T * N + y0 - start, T * N + y1 - start)
-            # (y * z)(t) = y(z(t)): index each row by z's images
-            block[at] = E[y0:y1][:, reps[T]]
-            keys[at] = rational_of[y0:y1] * r * r + T
-        rows = stop - start
-        labels = rational_of[eg.group.element_index(block[:rows])]
-        counts += np.bincount(keys[:rows] + labels * r, minlength=r**3)
-    A = counts.reshape(r, r, r)
+    A = np.empty((r, r, r), dtype=np.int64)
+    for T, cls in enumerate(classes):
+        # (y * z)(b) = y(z(b)): the products' base images are E's columns z(b)
+        z = E[eg.class_seeds[cls[0]]].astype(np.intp)
+        labels = rational_of[eg.base_index(E[:, z[eg.base]])]
+        A[:, :, T] = np.bincount(rational_of * r + labels, minlength=r * r).reshape(r, r)
     sizes = np.bincount(rational_of, minlength=r)
     if not np.array_equal(A[0], np.eye(r, dtype=np.int64)):
         raise ValueError("the identity's matrix is not the identity")

@@ -183,12 +183,12 @@ def find_n_clique(
 def _quotient_class_counts(eg: EnumeratedGroup, idx: list[int]) -> np.ndarray:
     """Histogram over conjugacy classes of all quotients x^-1 y, x,y in C."""
     E = eg.E
-    rows = E[np.array(idx, dtype=np.int64)]
+    rows = E[np.array(idx, dtype=np.int64)][:, eg.base]
     counts = np.zeros(eg.n_classes, dtype=np.int64)
     for i in idx:
         inv_row = np.argsort(E[i])
-        prod = inv_row[rows]  # (x^-1 y)(t) = x^-1(y(t))
-        labels = eg.class_of[eg.group.element_index(prod)]
+        prod = inv_row[rows]  # (x^-1 y)(b) = x^-1(y(b)), on the base points b
+        labels = eg.class_of[eg.base_index(prod)]
         counts += np.bincount(labels, minlength=eg.n_classes)
     return counts
 

@@ -10,6 +10,7 @@ runs.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -322,7 +323,10 @@ class PermutationGroup:
         and stripping that transversal element maps the remaining base
         images on.  An element is fixed by its base images, so the index
         is exact for members; a row whose base images leave an orbit gets
-        -1, and other non-members are not detected (check the row)."""
+        -1, and other non-members are not detected (check the row).
+        It needs no enumeration, so streamed classes use it; on an
+        enumerated group `EnumeratedGroup.base_index` is one table
+        lookup instead."""
         if self._order >= 2**63:
             raise ValueError(f"group order {self._order} does not fit an int64 index")
         B = np.asarray(rows)[:, self.base()].astype(np.intp)
@@ -407,11 +411,11 @@ def conjugation_orbit(group: PermutationGroup, rep: Permutation,
 
 
 def centralizer_order(group: PermutationGroup, z: Permutation) -> int:
-    """|C_G(z)|, by sifting every element of the symmetric-group centraliser
-    C_{S_n}(z).  That centraliser is the product over cycle lengths k of
-    C_k wr S_{m_k}, of order prod k^{m_k} m_k!, where m_k cycles of z have
-    length k; every element of it is listed, so keep to elements for which
-    that product is small."""
+    """|C_G(z)|, by one `contains_rows` sift of every element of the
+    symmetric-group centraliser C_{S_n}(z).  That centraliser is the
+    product over cycle lengths k of C_k wr S_{m_k}, of order
+    prod k^{m_k} m_k!, where m_k cycles of z have length k; every element
+    of it is listed, so keep to elements for which that product is small."""
     by_length: dict[int, list[tuple[int, ...]]] = {}
     for cyc in z.cycles():
         by_length.setdefault(len(cyc), []).append(cyc)
@@ -422,7 +426,7 @@ def centralizer_order(group: PermutationGroup, z: Permutation) -> int:
          for rots in itertools.product(range(k), repeat=len(cycs))]
         for k, cycs in by_length.items()
     ]
-    count = 0
+    rows = []
     for pick in itertools.product(*choices):
         images = [0] * group.degree
         for cycs, targets, rots in pick:
@@ -431,8 +435,8 @@ def centralizer_order(group: PermutationGroup, z: Permutation) -> int:
                 k = len(src)
                 for t in range(k):
                     images[src[t]] = dst[(t + r) % k]
-        count += Permutation(tuple(images)) in group
-    return count
+        rows.append(images)
+    return int(group.contains_rows(np.array(rows, dtype=np.intp)).sum())
 
 
 class EnumeratedGroup:
@@ -441,7 +445,13 @@ class EnumeratedGroup:
     Heavy companion object for the character-table and rank computations.
     Elements are indexed by their row in `E`; conjugacy classes are labeled
     0..k-1 with class 0 = identity, the rest sorted by (representative order,
-    class size, first-found element index)."""
+    class size, first-found element index).
+
+    An element is fixed by its images of the L base points, and every
+    library sift on an enumerated group reads only those: `base_index`
+    sifts the first s base images through the chain and looks the rest up
+    in one table of n^(L-s) entries, with s the fewest levels for which
+    that is at most |G|·n, the cells of `E`."""
 
     def __init__(self, group: PermutationGroup, cap: int = ENUMERATION_CAP):
         self.group = group
@@ -450,13 +460,56 @@ class EnumeratedGroup:
         self.fix_counts_all = (self.E == np.arange(n, dtype=np.int8)[None, :]).sum(axis=1)
         self._classes_done = False
         self._powers: list[np.ndarray] | None = None
+        self.base = np.array(group.base(), dtype=np.intp)
+        L = len(self.base)
+        s = 0
+        while n ** (L - s) > len(self.E) * n:
+            s += 1
+        self._prefix = group._sift_table()[:s]
+        # `elements_array` lists the stabilizer of the first s base points
+        # first, so its rows are those with a zero prefix
+        self._stab_order = math.prod(len(lv.orbit_list) for lv in group.levels[s:])
+        self._table = np.full(n ** (L - s), -1, dtype=np.int32)
+        self._table[self._key(self.E[: self._stab_order, self.base[s:]])] = np.arange(
+            self._stab_order, dtype=np.int32
+        )
+
+    def _key(self, B: np.ndarray) -> np.ndarray:
+        """The base images in B (m, columns) read as base-n numbers."""
+        key = np.zeros(len(B), dtype=np.intp)
+        for col in B.T:
+            key = key * self.group.degree + col
+        return key
+
+    def base_index(self, B: np.ndarray) -> np.ndarray:
+        """Index in `E` of each element given by its base images B (m, L):
+        the first s images are sifted as in `PermutationGroup.element_index`
+        and give the mixed-radix prefix, and the table names the element of
+        the stabilizer that the remaining images pick.  Raises ValueError
+        when some row of B is the base images of no element."""
+        B = np.asarray(B)
+        idx = np.zeros(len(B), dtype=np.intp)
+        for pos_of, uinv in self._prefix:
+            pos = pos_of[B[:, 0]]
+            if (pos < 0).any():
+                raise ValueError("base images of no element")
+            idx = idx * len(uinv) + pos
+            B = uinv[pos[:, None], B[:, 1:]]
+        found = self._table[self._key(B)]
+        if (found < 0).any():
+            raise ValueError("base images of no element")
+        return idx * self._stab_order + found
 
     def index_of(self, p: Permutation) -> int:
         row = np.array(p.images, dtype=np.int8)
         if row.shape != self.E.shape[1:]:
             raise ValueError("element not in group")
-        i = int(self.group.element_index(row[None, :])[0])
-        if i < 0 or not np.array_equal(self.E[i], row):
+        # a non-member can share a member's base images: compare the row
+        try:
+            i = int(self.base_index(row[None, self.base])[0])
+        except ValueError:
+            raise ValueError("element not in group") from None
+        if not np.array_equal(self.E[i], row):
             raise ValueError("element not in group")
         return i
 
@@ -471,9 +524,9 @@ class EnumeratedGroup:
         # generator; (g^-1 x g)(pt) = g^-1(x(g(pt)))
         conj = []
         for g in self.group.generators:
-            gi = np.array(g.images, dtype=np.intp)
+            gb = np.array(g.images, dtype=np.intp)[self.base]
             ginv = np.array(g.inverse().images, dtype=np.int8)
-            conj.append(self.group.element_index(ginv[self.E[:, gi]]))
+            conj.append(self.base_index(ginv[self.E[:, gb]]))
         # each class is labelled by its smallest index, which is the seed a
         # first-found BFS would pick
         label = orbit_labels(N, conj)
@@ -502,7 +555,8 @@ class EnumeratedGroup:
 
     def power_indices(self) -> list[np.ndarray]:
         """Per class c, the indices of rep(C_c)^t for t = 0..order-1, from
-        one sift of the stacked power rows of every representative."""
+        one `base_index` lookup of the stacked power rows of every
+        representative."""
         if self._powers is None:
             self.compute_classes()
             power_rows = []
@@ -513,7 +567,7 @@ class EnumeratedGroup:
                     power_rows.append(row)
                     row = rep[row]
             stacked = np.array(power_rows, dtype=self.E.dtype)
-            idx = self.group.element_index(stacked)
+            idx = self.base_index(stacked[:, self.base])
             if not np.array_equal(self.E[idx], stacked):
                 raise AssertionError("a class representative's power left the group")
             self._powers = np.split(idx, np.cumsum(self.class_orders)[:-1])

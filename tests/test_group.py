@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -5,15 +6,18 @@ import pytest
 
 from ekrcheck.errors import CapExceeded
 from ekrcheck.group import (
+    ENUMERATION_CAP,
     EnumeratedGroup,
     PermutationGroup,
+    centralizer_order,
     conjugacy_classes,
     conjugation_orbit,
 )
-from ekrcheck.library import get_group
+from ekrcheck.library import catalog_keys, get_group, get_spec
 from ekrcheck.perm import Permutation, parse_cycles
-from ekrcheck.pipeline import _find_class_rep
+from ekrcheck.pipeline import _CLASS_SHAPE, _find_class_rep
 
+from chartab_reference import enumerated
 from class_reference import bfs_class_labels, bfs_conjugation_orbit
 
 
@@ -287,6 +291,103 @@ def test_element_index_refuses_orders_past_int64():
         s21.element_index(np.arange(21, dtype=np.int8)[None, :])
     with pytest.raises(ValueError, match="int64"):
         conjugation_orbit(s21, parse_cycles(cycle, 21), cap=1)
+
+
+ENUMERABLE = [
+    key for key in catalog_keys()
+    if get_spec(key).degree <= 21 and get_spec(key).expected_order <= ENUMERATION_CAP
+]
+
+
+def _assert_base_index_is_the_sift(eg, seed):
+    E = eg.E
+    assert np.array_equal(eg.base_index(E[:, eg.base]), eg.group.element_index(E))
+    # (x * y)(t) = x(y(t)) for seeded pairs of elements
+    rng = random.Random(seed)
+    x = E[[rng.randrange(len(E)) for _ in range(300)]]
+    y = E[[rng.randrange(len(E)) for _ in range(300)]].astype(np.intp)
+    prod = x[np.arange(len(x))[:, None], y]
+    assert np.array_equal(eg.base_index(prod[:, eg.base]), eg.group.element_index(prod))
+
+
+@pytest.mark.parametrize("key", ENUMERABLE)
+def test_base_index_matches_the_chain_sift(key):
+    eg = enumerated(key)
+    _assert_base_index_is_the_sift(eg, 24)
+    n, levels = eg.group.degree, len(eg.base)
+    assert len(eg._table) == n ** (levels - len(eg._prefix)) <= len(eg.E) * n
+
+
+@pytest.mark.parametrize("key", ["A5@6", "PSigmaL(2,9)"])
+def test_base_index_rejects_base_images_of_no_element(key):
+    # A5@6 looks every base image up in the table; PSigmaL(2,9) sifts its
+    # first one through the chain
+    eg = enumerated(key)
+    n, levels = eg.group.degree, len(eg.base)
+    members = {tuple(row) for row in eg.E[:, eg.base].tolist()}
+    for images in itertools.islice(itertools.product(range(n), repeat=levels), 3000):
+        B = np.array([images])
+        if images in members:
+            assert eg.E[eg.base_index(B)[0], eg.base].tolist() == list(images)
+        else:
+            with pytest.raises(ValueError, match="no element"):
+                eg.base_index(B)
+    assert len(members) == len(eg.E)
+
+
+def test_base_index_sifts_a_prefix_when_the_base_is_long():
+    # A9 has base length 7, and 9^7 entries would exceed the 9 |G| cells
+    # of its element array
+    a9 = PermutationGroup(gens_of("(1,2,3)", "(1,2,3,4,5,6,7,8,9)", degree=9))
+    eg = EnumeratedGroup(a9)
+    assert a9.order() == 181_440 and len(eg.base) == 7
+    assert len(eg._prefix) >= 1
+    assert len(eg._table) == 9 ** (7 - len(eg._prefix)) <= len(eg.E) * 9
+    _assert_base_index_is_the_sift(eg, 9)
+
+
+def _m24_symmetric_centralizer(z):
+    """C_{S_24}(z) for z of cycle type 12^2, from z's two cycles and the
+    swap that lines them up, one Permutation at a time."""
+    a, b = z.cycles()
+    ident = Permutation.identity(24)
+
+    def on_cycle(cyc):
+        images = list(range(24))
+        for t, x in enumerate(cyc):
+            images[x] = cyc[(t + 1) % len(cyc)]
+        return Permutation(images)
+
+    swap = list(range(24))
+    for x, y in zip(a, b):
+        swap[x], swap[y] = y, x
+    za, zb, sigma = on_cycle(a), on_cycle(b), Permutation(swap)
+    for i in range(12):
+        for j in range(12):
+            for flip in (ident, sigma):
+                yield za.power(i) * zb.power(j) * flip
+
+
+@pytest.mark.m23
+@pytest.mark.parametrize("key", ["M23", "M24"])
+def test_centralizer_order_counts_the_route_class_one_element_at_a_time(key):
+    _, g = get_group(key)
+    order, shape = _CLASS_SHAPE[key]
+    z = _find_class_rep(g, order, shape)
+    if key == "M23":
+        candidates = [z.power(t) for t in range(23)]
+    else:
+        candidates = list(_m24_symmetric_centralizer(z))
+    assert len(set(candidates)) == len(candidates)
+    assert all(c * z == z * c for c in candidates)
+    assert centralizer_order(g, z) == sum(c in g for c in candidates)
+
+
+@pytest.mark.parametrize("key", ["F20", "PGL(2,5)", "PGL(3,2)", "AGL(1,8)"])
+def test_centralizer_order_of_every_class(key):
+    eg = enumerated(key)
+    for c in range(eg.n_classes):
+        assert centralizer_order(eg.group, eg.class_rep(c)) * eg.class_sizes[c] == len(eg.E)
 
 
 def test_rejects_nonmember_conjugation_seed():
