@@ -23,12 +23,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cyclo import Cyc
 from .group import EnumeratedGroup, PermutationGroup, agreeing_rows, member_rows
 from .perm import Permutation
+
+if TYPE_CHECKING:
+    from .cyclo import Cyc
 
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_CLIQUE_ATTEMPTS = 50
@@ -115,7 +118,8 @@ def iter_n_cliques(
     # cells[i * n + v]: the derangements d with d(i) = v
     cells = [b for i in points for b in _bitsets(D[:, i][:, None] == points[None, :])]
     labels = eg.class_of[der]
-    classes = np.unique(labels)
+    # the sorted distinct labels; np.unique would import numpy.ma here
+    classes = np.flatnonzero(np.bincount(labels))
     class_bits = _bitsets(labels[:, None] == classes[None, :])
     chosen: list[int] = []
 
@@ -202,7 +206,11 @@ def projection_norm(eg: EnumeratedGroup, table, idx, row: int) -> Cyc:
 
     Non-negative for any vertex subset (the projector is PSD); positive
     exactly when the subset's characteristic vector meets the module.
+    `cyclo` is imported here, so that `classify`, which never calls this,
+    does not load it.
     """
+    from .cyclo import Cyc
+
     counts = _quotient_class_counts(eg, list(idx))
     acc = Cyc.zero(1)
     for c in range(eg.n_classes):

@@ -12,8 +12,10 @@ for primes whose product P exceeds B, then either x = 0 or
 P^phi(e) <= |N(x)| <= B^phi(e), which is impossible.  Reduction modulo the
 e-th cyclotomic polynomial is kept for the coordinate form (`canonical`).
 The sign of a real value comes from certified interval evaluation at
-escalating precision, after the exact zero test.  Operands of different
-conductors are embedded into their lcm, so mixing is always exact.
+escalating precision, after the exact zero test; `mpmath` is imported only
+when a sign gets that far, so arithmetic and zero tests run without it.
+Operands of different conductors are embedded into their lcm, so mixing is
+always exact.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 import numpy as np
-from mpmath import iv
 
 from .fields import factorize
 from .modmath import element_of_order, prime_one_mod
@@ -385,6 +386,8 @@ class Cyc:
         return self._interval_sign()
 
     def _interval_sign(self) -> int:
+        from mpmath import iv
+
         saved = iv.prec
         try:
             prec = 128

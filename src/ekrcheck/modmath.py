@@ -121,7 +121,7 @@ def finish_rref(R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
     by back substitution from the last pivot row: clearing column
     pivots[i] above row i leaves the earlier pivot columns unchanged."""
     rank = len(pivots)
-    free = np.setdiff1d(np.arange(R.shape[1]), pivots)
+    free = np.delete(np.arange(R.shape[1]), pivots)
     if free.size:
         U = R[:rank, pivots]
         F = R[:rank, free]
@@ -140,7 +140,7 @@ def kernel_from_rref(R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
     """Basis of the right kernel mod p from a reduced row echelon form, one
     vector per free column, with a 1 in that column."""
     cols = R.shape[1]
-    free = np.setdiff1d(np.arange(cols), pivots)
+    free = np.delete(np.arange(cols), pivots)
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = (-R[: len(pivots)][:, free].T) % p

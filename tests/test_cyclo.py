@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -112,6 +116,31 @@ def test_sign_real_zero_and_exact_paths():
     # difference of conjugate pairs is zero despite nontrivial support
     v = Cyc.root_sum(5, [(1, 1), (4, 1)]) - Cyc.root_sum(5, [(4, 1), (1, 1)])
     assert v.sign_real() == 0
+
+
+def test_mpmath_loads_only_for_an_interval_sign():
+    # F_{k+1} - F_k * phi = psi^k with phi = 1 + z5 + z5^4 the golden ratio
+    # and psi = -1/phi: about 4e-9 in size, below the float filter's reach
+    # for coefficients near 1e8, so only the interval test settles its sign
+    script = (
+        "import sys\n"
+        "from ekrcheck.cyclo import Cyc\n"
+        "phi = 1 + Cyc.zeta(5) + Cyc.zeta(5, 4)\n"
+        "fib = [0, 1]\n"
+        "while len(fib) < 43:\n"
+        "    fib.append(fib[-1] + fib[-2])\n"
+        "assert (phi * phi - phi - 1).is_zero()\n"
+        "assert (phi - 1).sign_real() == 1 and (1 - 2 * phi).sign_real() == -1\n"
+        "even, odd = fib[41] - fib[40] * phi, fib[42] - fib[41] * phi\n"
+        "assert not even.is_zero() and even.is_real()\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath loaded before an interval sign'\n"
+        "print(even.sign_real(), 'mpmath' in sys.modules, odd.sign_real())\n"
+    )
+    src = pathlib.Path(cyclo.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "True", "-1"]
 
 
 def test_sign_real_rejects_imaginary():

@@ -634,6 +634,13 @@ def test_class_rank_builds_no_gram_sized_array(monkeypatch):
     assert peak < 1_000_000, peak
 
 
+def _run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run `script` in a new interpreter that imports this checkout's ekrcheck."""
+    src = pathlib.Path(pl.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+
+
 @pytest.mark.m23
 def test_classify_never_loads_numpy_random():
     script = (
@@ -643,7 +650,35 @@ def test_classify_never_loads_numpy_random():
         "    assert classify(key).rank_full == 'yes', key\n"
         "sys.exit('numpy.random' in sys.modules)\n"
     )
-    src = pathlib.Path(pl.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    done = _run_fresh(script)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.m23
+def test_classify_loads_only_what_it_runs():
+    # the cyclotomic layer and mpmath serve the tests' oracle only, and
+    # numpy.ma and numpy.random serve no step of classify; A4 runs the
+    # clique search, PGL(3,2) the rank kernel and M23 the over-cap route
+    script = (
+        "import sys\n"
+        "import ekrcheck\n"
+        "from ekrcheck import cliques\n"
+        "from ekrcheck.pipeline import classify\n"
+        "def loaded(names):\n"
+        "    return [m for m in names if m in sys.modules]\n"
+        "assert not loaded(['mpmath', 'ekrcheck.cyclo']), loaded(['mpmath', 'ekrcheck.cyclo'])\n"
+        "searched = []\n"
+        "search = cliques.iter_n_cliques\n"
+        "def counted(*args, **kwargs):\n"
+        "    searched.append(1)\n"
+        "    return search(*args, **kwargs)\n"
+        "cliques.iter_n_cliques = counted\n"
+        "assert classify('A4').n_clique == 'yes'\n"
+        "assert searched, 'A4 did not reach the clique search'\n"
+        "assert classify('PGL(3,2)').rank_full == 'no'\n"
+        "assert classify('M23').rank_full == 'yes'\n"
+        "print(loaded(['mpmath', 'ekrcheck.cyclo', 'numpy.ma', 'numpy.random']))\n"
+    )
+    done = _run_fresh(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
