@@ -19,20 +19,18 @@ The column Gram is counted exactly in int64, one point pair at a time.
 
 The Gram of one conjugacy class is counted from a single representative
 by orbit counting, one value per G-orbit of quadruples, and never laid
-out as a c x c matrix.  Its positive-definiteness shortcut tests the
-pattern lambda*I + mu*A(X_n) on those values, each beside the class of
-its vertex pair, and uses the pairs graph X_n: its least eigenvalue is
-bounded below by -(n-3) exactly, via the integer characteristic
-polynomial of the 7-dimensional regular representation of the orbital
-algebra, counted from a few rows of c entries, and a sign test on its
-Taylor shift.
+out as a c x c matrix.  Its invertibility is read in the pairs algebra:
+the seven classes of vertex pairs are the orbitals of S_{n-1} on the
+column pairs, their 0/1 matrices span an algebra that holds I, and a
+Gram constant on each class lies in it and is invertible exactly when
+its 7x7 matrix of multiplication is, counted from a few class vectors
+of c entries.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -228,7 +226,7 @@ class RankCertificate:
         if not W.any(axis=1).all() or not _killed(N, W).all():
             return False
         if self.mode == "exact elimination":
-            return _fraction_kernel(N)[0] == self.claimed_rank
+            return len(_fraction_rref(N)[1]) == self.claimed_rank
         p = self.primes[0]
         return rank_mod(N % p, p) == self.claimed_rank and rank_mod(W % p, p) == len(W)
 
@@ -268,17 +266,14 @@ def _lift_kernel(N: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray | None:
     return None if failing.size else W
 
 
-def _fraction_kernel(N: np.ndarray) -> tuple[int, np.ndarray]:
-    """Plain rational row reduction; the correctness backstop when modular
-    reconstruction fails.  Returns the rank and a kernel basis, each vector
-    scaled to integers by the lcm of its denominators, as int64 rows; a
-    vector whose integers leave int64 raises OverflowError.  Quadratic
-    memory, cubic time in the column count."""
+def _fraction_rref(N: np.ndarray) -> tuple[list[list[Fraction]], list[int]]:
+    """Plain rational row reduction of an integer matrix: its reduced row
+    echelon form and pivot columns.  Quadratic memory, cubic time in the
+    column count."""
     rows = [[Fraction(int(x)) for x in row] for row in N]
-    cols = N.shape[1]
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c in range(N.shape[1]):
         pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pr is None:
             continue
@@ -293,6 +288,16 @@ def _fraction_kernel(N: np.ndarray) -> tuple[int, np.ndarray]:
         r += 1
         if r == len(rows):
             break
+    return rows, pivots
+
+
+def _fraction_kernel(N: np.ndarray) -> tuple[int, np.ndarray]:
+    """The correctness backstop when modular reconstruction fails: the
+    rank and a kernel basis by `_fraction_rref`, each vector scaled to
+    integers by the lcm of its denominators, as int64 rows; a vector
+    whose integers leave int64 raises OverflowError."""
+    rows, pivots = _fraction_rref(N)
+    cols = N.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     W = np.zeros((len(free), cols), dtype=np.int64)
     for w, f in zip(W, free):
@@ -342,66 +347,13 @@ def rank_certificate(N: np.ndarray, columns: int | None = None) -> RankCertifica
     return RankCertificate(columns, rank, rank == columns, mode, (p,), kernel)
 
 
-# ---- pairs graph and its exact least-eigenvalue bound ----
-
-
-@dataclass
-class PairsGraph:
-    """The pairs graph X_n: its 7x7 orbital matrix (None for n = 4), the
-    characteristic polynomial that certifies its least eigenvalue, and
-    that bound, -(n-3)."""
-
-    n: int
-    orbital: tuple[tuple[int, ...], ...] | None
-    charpoly: tuple[int, ...]
-    least_lower_bound: int
-
-
-def _charpoly_exact(A: list[list[int]]) -> list[int]:
-    """Characteristic polynomial det(xI - A) of an integer matrix, lowest
-    degree first, by the Faddeev-LeVerrier recurrence in Python ints:
-    M_j = A M_{j-1} + c_{k-j+1} I and c_{k-j} = -tr(A M_j)/j, each
-    division exact because the coefficients are integers."""
-    k = len(A)
-    coeffs = [0] * k + [1]
-    AM = [[0] * k for _ in range(k)]
-    for j in range(1, k + 1):
-        M = [row[:] for row in AM]
-        for i in range(k):
-            M[i][i] += coeffs[k - j + 1]
-        AM = [[sum(A[i][t] * M[t][s] for t in range(k)) for s in range(k)] for i in range(k)]
-        trace = sum(AM[i][i] for i in range(k))
-        if trace % j:
-            raise AssertionError("Faddeev-LeVerrier trace not divisible")
-        coeffs[k - j] = -trace // j
-    return coeffs
-
-
-def _no_root_below(coeffs: list[int], a: int) -> bool:
-    """True proves that the integer polynomial p (coefficients lowest
-    degree first) has no real root below a.
-
-    The Taylor shift q(y) = p(y + a) is taken in Python ints.  If its
-    leading coefficient is positive and (-1)^(k-i) b_i >= 0 for its other
-    coefficients, every nonzero term of q has the sign (-1)^k for y < 0.
-    For a real-rooted p, such as a symmetric matrix's characteristic
-    polynomial, the test is exact: the b_i are then signed elementary
-    symmetric functions of the shifted roots."""
-    b = list(coeffs)
-    k = len(b) - 1
-    for i in range(k):
-        for j in range(k - 1, i - 1, -1):
-            b[j] += a * b[j + 1]
-    return b[k] > 0 and all((-1) ** (k - i) * b[i] >= 0 for i in range(k))
-
-
-_pairs_cache: dict[int, PairsGraph] = {}
+# ---- the pairs algebra ----
 
 # class of a vertex pair (u, w), indexed by the coincidence code
 # [u0 = w0] + 2 [u1 = w1] + 4 [u0 = w1] + 8 [u1 = w0]: 0 same, 1 swapped,
 # 2 shared first point, 3 shared second point, 4 u0 = w1 only, 5 u1 = w0
-# only, 6 disjoint; -1 marks codes that no two vertices have.  A joins
-# classes 4, 5 and 6.
+# only, 6 disjoint; -1 marks codes that no two vertices have.  The pairs
+# graph X_n joins classes 4, 5 and 6.
 _PAIR_CLASS = np.array([6, 2, 3, 0, 4, -1, -1, -1, 5, -1, -1, -1, 1, -1, -1, -1], dtype=np.int8)
 
 
@@ -413,135 +365,84 @@ def _pair_classes(u0, u1, w0, w1) -> np.ndarray:
     return _PAIR_CLASS[(u0 == w0) + two * (u1 == w1) + four * (u0 == w1) + eight * (u1 == w0)]
 
 
-def pairs_graph(n: int) -> PairsGraph:
-    """The graph X_n on ordered pairs from the first n-1 points, with its
-    least eigenvalue certified >= -(n-3) by the `_no_root_below` sign test
-    on an exact characteristic polynomial.
+def _pairs_algebra_matrix(x: list[int], n: int) -> list[list[int]]:
+    """The matrix L of multiplication by N = sum_t x[t] B_t, where B_t is
+    the 0/1 matrix of the vertex pairs of class t: N B_t = sum_s L[s][t] B_s.
 
-    For n > 4 the roots are those of the 7x7 integer matrix L of
-    multiplication by A in the orbital algebra, whose basis is the seven
-    classes of vertex pairs in `_PAIR_CLASS`.  Entry L[s][t] counts the
-    neighbours v of u with (v, w) in class t, for a position (u, w) of
-    class s.  Row s is counted from two class vectors of c = (n-1)(n-2)
-    entries, those of u and of w, at the first position of the class,
-    and checked equal at up to 20 more positions drawn from
-    `random.Random(7)`; no c x c matrix is built.  Every class vector
-    read is checked to hold each class as often as a vertex of X_n does.
-    For n = 4, which has no disjoint pairs, the polynomial is A's own.
-    Every check raises, so none is lost under `python -O`."""
-    if n <= 3:
-        raise ValueError("pairs graph needs n > 3")
-    if n in _pairs_cache:
-        return _pairs_cache[n]
+    At a position (u, w) of class s, L[s][t] = sum_v N[u, v] [class(v, w) = t]
+    = sum_r x[r] p[r][t], where p[r][t] counts the vertices v with
+    class(u, v) = r and class(v, w) = t, read off u's row and w's column
+    of c = (n-1)(n-2) classes.  u is the vertex (0, 1), and p is counted
+    at its first and its last partner w in class s and must agree there;
+    every class vector read must hold each class as often as a vertex has
+    partners in it.  Both checks raise, so neither is lost under
+    `python -O`."""
+    if n < 3:
+        raise ValueError(f"the pairs algebra needs degree >= 3, not {n}")
     m = n - 1
+    # partners of one vertex with the code -1 and in classes 0 to 6: none,
+    # one same, one swapped, m-2 in each of classes 2 to 5, (m-2)(m-3) disjoint
+    partners = [0, 1, 1] + [m - 2] * 4 + [(m - 2) * (m - 3)]
+    k = sum(p > 0 for p in partners)
+    if len(x) != k:
+        raise ValueError(f"degree {n} has {k} pair classes, not {len(x)}")
     I, J = np.array(offdiag_pairs(n), dtype=np.intp).T
-    c = len(I)
-    # partners of each class that a vertex has: one same, one swapped,
-    # m-2 in each of classes 2 to 5 and (m-2)(m-3) disjoint
-    partners = np.array([1, 1] + [m - 2] * 4 + [(m - 2) * (m - 3)])
-
-    def class_counts(classes: np.ndarray, where=True) -> np.ndarray:
-        """How often each class occurs in each row of `classes`, over the
-        entries that `where` selects."""
-        keys = classes + 7 * np.arange(len(classes))[:, None]
-        return np.bincount(keys[where & (classes >= 0)], minlength=7 * len(classes)).reshape(-1, 7)
 
     def checked(classes: np.ndarray) -> np.ndarray:
-        """The class vectors, one per row, once each is seen to hold every
-        class as often as a vertex of X_n does (a -1 leaves some short)."""
-        if (class_counts(classes) != partners).any():
-            raise AssertionError(f"X_{n} is not the pairs graph")
+        if np.bincount(classes + 1, minlength=8).tolist() != partners:
+            raise AssertionError(f"the pair classes of degree {n} are not the pairs algebra's")
         return classes
 
-    def rows_of(us: np.ndarray) -> np.ndarray:
-        """The class of (u, v), for each u in us and every vertex v."""
-        return checked(_pair_classes(I[us, None], J[us, None], I, J))
-
-    if n == 4:
-        L = None
-        cp = _charpoly_exact((rows_of(np.arange(c)) >= 4).astype(int).tolist())
-    else:
-        rng = random.Random(7)
-        rows = []
-        for t in range(7):
-            # position p of class t is (u, w) for u = p // k and w the
-            # (p % k)-th partner of u in class t: the first, and up to 20
-            # drawn from the rest
-            k = int(partners[t])
-            us, ks = np.divmod([0] + rng.sample(range(1, c * k), min(20, c * k - 1)), k)
-            R = rows_of(us)
-            ws = np.nonzero(R == t)[1].reshape(len(us), k)[np.arange(len(us)), ks]
-            # the class of (v, w) for every vertex v, one row per w
-            counts = class_counts(checked(_pair_classes(I, J, I[ws, None], J[ws, None])), R >= 4)
-            if (counts != counts[0]).any():
-                raise AssertionError(f"row {t} of the orbital matrix of X_{n} varies")
-            rows.append(tuple(counts[0].tolist()))
-        L = tuple(rows)
-        cp = _charpoly_exact(L)
-
-    if not _no_root_below(cp, -(n - 3)):
-        raise AssertionError(f"least eigenvalue of X_{n} not certified >= {-(n - 3)}")
-    pg = PairsGraph(n, L, tuple(cp), -(n - 3))
-    _pairs_cache[n] = pg
-    return pg
+    row = checked(_pair_classes(I[0], J[0], I, J))
+    L = []
+    for s in range(k):
+        first, last = (
+            np.bincount(row * 7 + checked(_pair_classes(I, J, I[w], J[w])), minlength=49)
+            for w in np.flatnonzero(row == s)[[0, -1]]
+        )
+        if (first != last).any():
+            raise AssertionError(f"row {s} of the pairs algebra of degree {n} varies")
+        p = first.reshape(7, 7).tolist()
+        L.append([sum(x[r] * p[r][t] for r in range(k)) for t in range(k)])
+    return L
 
 
-# ---- class Gram matrices ----
+def pairs_algebra_rank(values, classes, n: int) -> tuple[list[int], bool] | None:
+    """Whether the Gram N of a class of derangements is invertible, read
+    in the pairs algebra: None when N is not in it, else (x, full), x[t]
+    being N's value on pair class t.
+
+    `values` and `classes` are N's entries beside the `_PAIR_CLASS` of
+    their vertex pair, or one value and class per quadruple orbit
+    (`quadruple_orbit_gram`).  The classes are the orbitals of S_{n-1} on
+    vertex pairs, so their 0/1 matrices B_t span an algebra that holds I.
+    When each class holds one value, N = sum_t x[t] B_t lies in it and is
+    invertible exactly when the L of `_pairs_algebra_matrix` is, because
+    X -> N X is faithful and an inverse of N is a polynomial in N.  Full
+    rank of L at `_RANK_PRIME` proves it over Q; short of it, rational
+    elimination decides.  An invertible N gives the class's rows of M,
+    and so M, full column rank.  A class of the algebra without a value,
+    or one outside it, raises ValueError."""
+    values, classes = np.asarray(values), np.asarray(classes)
+    if values.shape != classes.shape or classes.min() < 0:
+        raise ValueError("every value needs a pair class")
+    x = []
+    for t in range(int(classes.max()) + 1):
+        held = values[classes == t]
+        if not held.size:
+            raise ValueError(f"no value in pair class {t}")
+        if (held != held[0]).any():
+            return None
+        x.append(int(held[0]))
+    L, p = np.array(_pairs_algebra_matrix(x, n), dtype=object), _RANK_PRIME
+    return x, rank_mod(L % p, p) == len(x) or len(_fraction_rref(L)[1]) == len(x)
 
 
-@dataclass
-class ClassGram:
-    n: int
-    row_count: int
-    N: np.ndarray | None
-    pattern: bool
-    lam: int | None
-    mu: int | None
-    least_bound: int | None
-    psd_certified: bool
-
-
-def class_gram(rows: np.ndarray, n: int) -> ClassGram:
-    """Gram matrix N of the M-block rows of a conjugation-closed set of
-    derangements, with the `gram_pattern` test read entry by entry.  It
+def class_gram(rows: np.ndarray, n: int) -> tuple[np.ndarray, tuple[list[int], bool] | None]:
+    """The Gram N of the M-block rows of a conjugation-closed set of
+    derangements, beside `pairs_algebra_rank` read entry by entry.  It
     builds N and the class of every entry densely; the over-cap rank
     route reads one entry per quadruple orbit instead."""
-    rows = np.asarray(rows)
     N = gram_offdiag(rows, n)
     I, J = np.array(offdiag_pairs(n), dtype=np.intp).reshape(-1, 2).T
-    classes = _pair_classes(I[:, None], J[:, None], I, J)
-    return replace(gram_pattern(N, classes, n, rows.shape[0]), N=N)
-
-
-def gram_pattern(values: np.ndarray, classes: np.ndarray, n: int, row_count: int) -> ClassGram:
-    """The lambda*I + mu*A(X_n) pattern test on the Gram matrix N of the
-    M-block rows of a conjugation-closed set of `row_count` derangements,
-    read as (value, class) pairs: the entries of N beside the
-    `_PAIR_CLASS` of their vertex pair, or one value and class per
-    quadruple orbit (`quadruple_orbit_gram`), which hold the same values
-    in the same classes.  The pattern holds when every class-0 value is
-    one lambda, every value in classes 1 to 3 is 0, and every value in
-    the adjacency classes 4 to 6 is one mu.
-
-    When the pattern holds with mu >= 0, the certified pairs-graph bound
-    `least` gives least eigenvalue >= lambda + mu*least; a positive bound
-    certifies positive definiteness, hence full column rank of M
-    restricted to these rows, hence full column rank of M itself.  The
-    result carries no N."""
-    values, classes = np.asarray(values), np.asarray(classes)
-    if values.shape != classes.shape or (classes < 0).any() or not (classes == 0).any():
-        raise ValueError("the pattern needs a valid class for every value and a diagonal one")
-    diagonal, adjacent = values[classes == 0], values[classes >= 4]
-    lam = int(diagonal[0])
-    mu = int(adjacent[0]) if adjacent.size else 0
-    pattern = bool(
-        (diagonal == lam).all()
-        and (adjacent == mu).all()
-        and not values[(classes >= 1) & (classes <= 3)].any()
-    )
-    if not pattern:
-        return ClassGram(n, row_count, None, False, None, None, None, False)
-    # degree 3 has two column pairs and an edgeless pairs graph
-    least = pairs_graph(n).least_lower_bound if n > 3 else 0
-    bound = lam + mu * least
-    return ClassGram(n, row_count, None, True, lam, mu, bound, mu >= 0 and bound > 0)
+    return N, pairs_algebra_rank(N, _pair_classes(I[:, None], J[:, None], I, J), n)

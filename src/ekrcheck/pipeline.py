@@ -15,7 +15,8 @@ fills every column from the list and the degree n alone:
                       `n-clique-budget` ?, none --
     EKR               least Y (ratio), else an `n-clique` (clique-coclique)
     module-by-clique  -- always: condition (b) is read off the spectrum
-    rank              `rank` (full when claimed_rank = columns), `class-gram`
+    rank              `rank` (full when claimed_rank = columns), or Y by a
+                      `class-gram` whose Gram is invertible in the pairs algebra
     strict            Y: EKR, rank Y and a `ratio` or `weighted-ratio` record
                       passing `weighted_ratio_holds` (condition (b)); N: a
                       `complete-union` count above n^2, or a `witness` and EKR
@@ -26,7 +27,9 @@ re-derives the columns and raises on any stored difference.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import random
 import time
@@ -52,8 +55,8 @@ from .group import (
 from .library import GroupSpec, ProjectiveModel, build_group, get_spec
 from .modrank import (
     gram_M,
-    gram_pattern,
     offdiag_pairs,
+    pairs_algebra_rank,
     quadruple_orbit_gram,
     rank_certificate,
 )
@@ -127,12 +130,17 @@ class EkrReport:
             elif kind == "complete-union" and c["count"] != n ** c["components"]:
                 bad = "count is not degree ** components"
             elif kind == "class-gram":
-                bound, mu = c["least_bound"], c["mu"]
+                values = c["values"]
                 bad = (
-                    "least_bound is not lam - (n-3) mu" if bound != c["lam"] - (n - 3) * mu
-                    else "mu is negative" if mu < 0
-                    else "least_bound is not positive" if bound <= 0
-                    else "class size does not divide the group order" if self.order % c["class_size"]
+                    "class size does not divide the group order" if self.order % c["class_size"]
+                    # seven pair classes for n >= 5, the degrees quadruple_orbit_gram serves
+                    else "values are not one per pair class" if len(values) != 7
+                    else "a value is negative, so it counts no elements" if min(values) < 0
+                    # G_i is transitive on the other points: x(i) = j on |C|/(n-1) of C
+                    else "the diagonal value is not class_size / (n-1)"
+                    if values[0] * (n - 1) != c["class_size"]
+                    else "the class Gram is singular in the pairs algebra"
+                    if not pairs_algebra_rank(values, range(7), n)[1]
                     else None
                 )
             if bad:
@@ -518,25 +526,25 @@ def _find_class_rep(group: PermutationGroup, order: int, shape: tuple, seed: int
 def mathieu_class_rank(report: EkrReport, group: PermutationGroup) -> None:
     """Rank certification for a group too large to enumerate: the Gram
     matrix of one derangement class, counted over quadruple orbits from
-    one representative z, and its positive-definite pattern, tested on
-    one value per orbit; no matrix of the Gram's size is built.  The
-    class size |G|/|C_G(z)| comes from the sifted centraliser.  The three
-    steps are timed as `rank.class_size`, `rank.orbit_gram` and
-    `rank.pattern`."""
+    one representative z, and its invertibility in the pairs algebra,
+    read from one value per orbit; no matrix of the Gram's size is built.
+    The class size |G|/|C_G(z)| comes from the sifted centraliser.  The
+    three steps are timed as `rank.class_size`, `rank.orbit_gram` and
+    `rank.algebra`."""
     order, shape = _CLASS_SHAPE[report.key]
     with _timed(report, "rank.class_size"):
         rep = _find_class_rep(group, order, shape)
         size = group.order() // centralizer_order(group, rep)
     with _timed(report, "rank.orbit_gram"):
         orbits = quadruple_orbit_gram(group, rep, size)
-    with _timed(report, "rank.pattern"):
-        cg = gram_pattern(orbits.values, orbits.classes, report.degree, size)
-    if not cg.psd_certified:
-        report.notes.append("class Gram pattern did not certify positive-definiteness")
+    with _timed(report, "rank.algebra"):
+        algebra = pairs_algebra_rank(orbits.values, orbits.classes, report.degree)
+    if algebra is None or not algebra[1]:
+        report.notes.append("the class Gram is not certified invertible in the pairs algebra")
     else:
         report.certificates.append(
             {"kind": "class-gram", "element_order": order, "class_size": int(size),
-             "lam": int(cg.lam), "mu": int(cg.mu), "least_bound": int(cg.least_bound)}
+             "values": algebra[0]}
         )
     derive_columns(report)
 
@@ -666,10 +674,11 @@ def emit_json(reports: list[EkrReport]) -> str:
 
 
 def emit_csv(reports: list[EkrReport]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in reports:
-        lines.append(",".join(r.csv_row()))
-    return "\n".join(lines) + "\n"
+    """The header and one row per report, quoted where a field holds a
+    comma, as in the group name PGL(2,5)."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([CSV_COLUMNS] + [r.csv_row() for r in reports])
+    return out.getvalue()
 
 
 def strip_timings(json_text: str):

@@ -3,16 +3,13 @@
 Each derangement row becomes its 0/1 row of M, and N = M^T M is a float64
 matrix product over chunks of rows: the construction that
 `modrank.gram_offdiag` must reproduce exactly.  The class Gram by orbit
-labelling on all n^4 quadruples, the pairs graph's orbital algebra from
-dense products, and a Fraction characteristic polynomial are the oracles
-for `modrank.quadruple_orbit_gram`, `modrank.pairs_graph` and
-`modrank._charpoly_exact`; `expand_orbit_values` lays the per-orbit
+labelling on all n^4 quadruples and the pairs graph's orbital matrix
+from dense products are the oracles for `modrank.quadruple_orbit_gram`
+and `modrank._pairs_algebra_matrix`; `expand_orbit_values` lays the per-orbit
 values of `quadruple_orbit_gram` out as the dense Gram that
 `gram_offdiag` counts, and `dense_pair_classes` gives the class of each
 of its entries.
 """
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -115,26 +112,6 @@ def expand_orbit_values(group, orbits, values):
     return np.asarray(values)[index]
 
 
-def fraction_charpoly(A):
-    """det(xI - A), lowest degree first, by Faddeev-LeVerrier over Fractions."""
-    k = len(A)
-    Af = [[Fraction(x) for x in row] for row in A]
-    M = [[Fraction(0)] * k for _ in range(k)]
-    coeffs = [Fraction(0)] * (k + 1)
-    coeffs[k] = Fraction(1)
-    c = Fraction(1)
-    for j in range(1, k + 1):
-        AM = [[sum(Af[i][t] * M[t][s] for t in range(k)) for s in range(k)] for i in range(k)]
-        for i in range(k):
-            AM[i][i] += c
-        M = AM
-        AM2 = [[sum(Af[i][t] * M[t][s] for t in range(k)) for s in range(k)] for i in range(k)]
-        c = -sum(AM2[i][i] for i in range(k)) / j
-        coeffs[k - j] = c
-    assert all(x.denominator == 1 for x in coeffs)
-    return [int(x) for x in coeffs]
-
-
 def _class_masks(n):
     """The seven classes of vertex pairs (u, w) of the pairs graph X_n, as
     dense c x c masks: same, swapped, shared first point, shared second
@@ -164,15 +141,14 @@ def dense_pair_classes(n):
 
 
 def dense_pairs_graph(n):
-    """(adjacency, orbital, charpoly) of the pairs graph X_n from dense
-    masks: `orbital` is the 7x7 matrix of A times each orbital class,
-    read off float products of the full masks (None for n = 4, which
-    has no disjoint pairs), and `charpoly` is that matrix's
-    characteristic polynomial, or A's own for n = 4."""
+    """(adjacency, orbital) of the pairs graph X_n from dense masks:
+    `orbital` is the 7x7 matrix of A times each orbital class, read off
+    float products of the full masks (None for n = 4, which has no
+    disjoint pairs)."""
     types = _class_masks(n)
     A = (types[4] | types[5] | types[6]).astype(np.int8)
     if n == 4:
-        return A, None, fraction_charpoly(A.astype(int).tolist())
+        return A, None
     Afl = A.astype(np.float64)
     reps = [tuple(np.argwhere(t)[0]) for t in types]
     L = [[0] * 7 for _ in range(7)]
@@ -181,4 +157,4 @@ def dense_pairs_graph(n):
         for s in range(7):
             assert P[reps[s]] == np.rint(P[reps[s]])
             L[s][t] = int(P[reps[s]])
-    return A, L, fraction_charpoly(L)
+    return A, L

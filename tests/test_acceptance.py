@@ -300,13 +300,11 @@ def test_double_11_cycle_class_gram_identity():
     rows = conjugation_orbit(g, rep, cap=100_000)
     assert rows.shape[0] == 40320
 
-    cg = mr.class_gram(rows, 22)
-    assert cg.pattern and cg.lam == 1920 and cg.mu == 96
+    N, algebra = mr.class_gram(rows, 22)
+    assert algebra == ([1920, 0, 0, 0, 96, 96, 96], True)
     A = dense_pairs_graph(22)[0].astype(np.int64)
     expected = 1920 * np.eye(A.shape[0], dtype=np.int64) + 96 * A
-    assert np.array_equal(cg.N, expected)
-    assert cg.least_bound == 96 and cg.least_bound >= 96
-    assert cg.psd_certified
+    assert np.array_equal(N, expected)
     assert time.perf_counter() - t0 < 1200
 
 
@@ -327,18 +325,15 @@ def test_degree_23_class_gram_pattern():
     t = rows.shape[0]
     assert t == 443520
 
-    cg = mr.class_gram(rows, 23)
-    assert cg.pattern
-    assert cg.lam == t // 22
-    assert cg.mu == t // (22 * 21)
+    N, algebra = mr.class_gram(rows, 23)
+    lam, mu = t // 22, t // (22 * 21)
+    assert algebra == ([lam, 0, 0, 0, mu, mu, mu], True)
     # a 23-cycle has no 2-cycle, so the ((1,2),(2,1)) entry vanishes
     pairs = mr.offdiag_pairs(23)
-    assert cg.N[pairs.index((0, 1)), pairs.index((1, 0))] == 0
+    assert N[pairs.index((0, 1)), pairs.index((1, 0))] == 0
     A = dense_pairs_graph(23)[0].astype(np.int64)
-    expected = cg.lam * np.eye(A.shape[0], dtype=np.int64) + cg.mu * A
-    assert np.array_equal(cg.N, expected)
-    assert cg.least_bound == t // 22 - cg.mu * 20 > 0
-    assert cg.psd_certified
+    expected = lam * np.eye(A.shape[0], dtype=np.int64) + mu * A
+    assert np.array_equal(N, expected)
 
 
 # ---- criterion 5: spectral identities on every processed group ----

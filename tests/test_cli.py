@@ -1,5 +1,7 @@
 """Command surface: argument handling, output formats, exit codes."""
 
+import csv
+import io
 import json
 import os
 import pathlib
@@ -42,8 +44,8 @@ def test_classify_multiple_groups_sorted(capsys):
         capsys, "classify", "--group", "F20", "--group", "S3", "--format", "csv"
     )
     assert code == 0
-    rows = out.strip().split("\n")[1:]
-    assert [r.split(",")[1] for r in rows] == ["S3", "F20"]
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [r[1] for r in rows] == ["S3", "F20"]
 
 
 def test_classify_group_file(capsys, tmp_path):
@@ -151,10 +153,11 @@ def test_out_file(capsys, tmp_path):
 def test_table_small_degrees(capsys):
     code, out, _ = run(capsys, "table", "--degree-max", "4", "--format", "csv")
     assert code == 0
-    rows = out.strip().split("\n")[1:]
-    keys = [r.split(",")[1] for r in rows]
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert all(len(r) == 10 for r in rows)
+    keys = [r[1] for r in rows]
     assert "S3" in keys and "A4" in keys
-    degrees = [int(r.split(",")[0]) for r in rows]
+    degrees = [int(r[0]) for r in rows]
     assert degrees == sorted(degrees) and max(degrees) <= 4
 
 

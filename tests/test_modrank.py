@@ -1,4 +1,4 @@
-"""Coset-incidence matrices, rank certificates, and the pairs graph."""
+"""Coset-incidence matrices, rank certificates, and the pairs algebra."""
 
 import dataclasses
 import math
@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ekrcheck import modrank as mr
 from ekrcheck.group import (
@@ -19,7 +18,7 @@ from ekrcheck.group import (
     centralizer_order,
     conjugation_orbit,
 )
-from ekrcheck.library import get_group
+from ekrcheck.library import catalog_keys, get_group, get_spec
 from ekrcheck.perm import Permutation
 from ekrcheck.pipeline import _find_class_rep
 
@@ -29,7 +28,6 @@ from gram_reference import (
     dense_pairs_graph,
     derangement_block,
     expand_orbit_values,
-    fraction_charpoly,
     min_label_quadruple_orbit_gram,
 )
 from lemma_reference import (
@@ -217,24 +215,41 @@ def test_reverify_rejects_a_zero_kernel_vector(groups):
     assert not dataclasses.replace(cert, kernel=altered).reverify(N)
 
 
-# ---- pairs graph ----
+# ---- pairs graph and pairs algebra ----
+
+
+def _graph_matrix(n):
+    """The pairs algebra's matrix of multiplication by the adjacency A of
+    the pairs graph X_n, which is 1 on classes 4 to 6 (degree 4 has no
+    class 6)."""
+    return mr._pairs_algebra_matrix([0, 0, 0, 0, 1, 1, 1][: 6 if n == 4 else 7], n)
+
+
+def _same_spectrum(L, A):
+    """Whether L and the symmetric A have the same eigenvalues, ignoring
+    multiplicities, in floats."""
+    ev = np.linalg.eigvals(np.array(L, dtype=float))
+    close = np.abs(ev[:, None] - np.linalg.eigvalsh(A.astype(float))[None, :]) < 1e-6
+    return bool(close.any(axis=1).all() and close.any(axis=0).all())
 
 
 def test_pairs_graph_x5():
-    pg = mr.pairs_graph(5)
+    L = _graph_matrix(5)
     A = dense_pairs_graph(5)[0]
     assert len(mr.offdiag_pairs(5)) == 12
     assert (A.sum(axis=1) == 6).all()
-    assert pg.least_lower_bound == -2
-    # float oracle: least eigenvalue really is >= -2
-    assert np.linalg.eigvalsh(A.astype(float))[0] >= -2 - 1e-9
+    # A J = 6 J read in the algebra, J being the sum of the class matrices
+    assert [sum(row) for row in L] == [6] * 7
+    # the faithful representation keeps A's least eigenvalue, -(n-3)
+    assert _same_spectrum(L, A)
+    assert abs(min(np.linalg.eigvals(np.array(L, dtype=float)).real) + 2) < 1e-9
 
 
 def test_pairs_graph_x22():
-    pg = mr.pairs_graph(22)
+    L = _graph_matrix(22)
     assert len(mr.offdiag_pairs(22)) == 420
     assert (dense_pairs_graph(22)[0].sum(axis=1) == 380).all()
-    assert pg.least_lower_bound == -19
+    assert [sum(row) for row in L] == [380] * 7
 
 
 def test_pairs_graph_adjacency_cases():
@@ -254,60 +269,49 @@ def test_pairs_graph_adjacency_cases():
 
 
 def test_pairs_graph_charpoly_roots_cover_float_spectrum():
-    pg = mr.pairs_graph(7)
-    eigs = np.linalg.eigvalsh(dense_pairs_graph(7)[0].astype(float))
-
-    def horner(x):
-        acc = 0
-        for c in reversed(pg.charpoly):
-            acc = acc * x + c
-        return acc
-
-    for lam in {round(float(e), 6) for e in eigs}:
-        if lam == round(lam):
-            assert horner(round(lam)) == 0
+    # L and A share their minimal polynomial, so every eigenvalue of
+    # X_7 is one of L's and the other way round
+    assert _same_spectrum(_graph_matrix(7), dense_pairs_graph(7)[0])
 
 
 @pytest.mark.parametrize("n", range(4, 25))
 def test_pairs_graph_matches_the_dense_reference(n):
-    pg = mr.pairs_graph(n)
-    A, orbital, charpoly = dense_pairs_graph(n)
-    # the class table behind the orbital rows is the reference's, entry
-    # by entry, and so is its adjacency
+    A, orbital = dense_pairs_graph(n)
+    # the class table behind the algebra is the reference's, entry by
+    # entry, and so is its adjacency
     I, J = np.array(mr.offdiag_pairs(n)).T
     classes = mr._pair_classes(I[:, None], J[:, None], I, J)
     assert np.array_equal(classes, dense_pair_classes(n))
     assert np.array_equal(classes >= 4, A.astype(bool))
     if orbital is None:
-        assert pg.orbital is None
+        assert _same_spectrum(_graph_matrix(n), A)
     else:
-        assert [list(row) for row in pg.orbital] == orbital
-    assert list(pg.charpoly) == charpoly
-    # the certified bound -(n-3) is the least eigenvalue: one above fails
-    assert pg.least_lower_bound == -(n - 3)
-    assert not mr._no_root_below(list(pg.charpoly), -(n - 4))
+        assert _graph_matrix(n) == orbital
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(-30, 30), min_size=1, max_size=10), st.integers(-30, 30))
-def test_sign_test_decides_integer_rooted_polynomials(roots, a):
-    coeffs = [1]
-    for r in roots:
-        # multiply by x - r, lowest degree first
-        coeffs = [lo - r * c for lo, c in zip([0] + coeffs, coeffs + [0])]
-    assert mr._no_root_below(coeffs, a) == (min(roots) >= a)
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_pairs_algebra_matrix_multiplies_like_the_dense_classes(n):
+    # N B_t = sum_s L[s][t] B_s for N = sum_r x[r] B_r, on dense 0/1
+    # class matrices B and values x that no pattern ties together
+    classes = dense_pair_classes(n)
+    B = [(classes == t).astype(np.int64) for t in range(int(classes.max()) + 1)]
+    x = [3, -1, 4, 1, -5, 9, 2][: len(B)]
+    N = sum(v * b for v, b in zip(x, B))
+    L = mr._pairs_algebra_matrix(x, n)
+    for t, b in enumerate(B):
+        assert np.array_equal(N @ b, sum(L[s][t] * B[s] for s in range(len(B))))
 
 
 def test_pairs_graph_checks_survive_python_O():
-    # x^6 (x + 5) has the root -5 below the bound -4 of X_7; under -O an
-    # assert would be stripped and the bound accepted
+    # disjoint vertex pairs read as class 5 break the class counts; under
+    # -O an assert would be stripped and the labelling accepted
     script = (
         "import sys\n"
         "from ekrcheck import modrank as mr\n"
         "if __debug__:\n"
         "    sys.exit('not optimized')\n"
-        "mr._charpoly_exact = lambda A: [0] * 6 + [5, 1]\n"
-        "mr.pairs_graph(7)\n"
+        "mr._PAIR_CLASS[0] = 5\n"
+        "mr.pairs_algebra_rank([1, 0, 0, 0, 0, 0, 0], range(7), 7)\n"
     )
     src = pathlib.Path(mr.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
@@ -315,20 +319,16 @@ def test_pairs_graph_checks_survive_python_O():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
     )
     assert done.returncode == 1
-    assert "least eigenvalue of X_7 not certified >= -4" in done.stderr
-
-
-def test_charpoly_exact_matches_the_fraction_reference():
-    rng = np.random.default_rng(3)
-    for k in range(1, 9):
-        A = rng.integers(-50, 50, size=(k, k)).tolist()
-        assert mr._charpoly_exact(A) == fraction_charpoly(A)
-    assert mr._charpoly_exact([[0, 1], [1, 0]]) == [-1, 0, 1]
+    assert "the pair classes of degree 7 are not the pairs algebra's" in done.stderr
 
 
 def test_pairs_graph_rejects_small_n():
-    with pytest.raises(ValueError):
-        mr.pairs_graph(3)
+    with pytest.raises(ValueError, match="degree >= 3"):
+        mr._pairs_algebra_matrix([1], 2)
+    with pytest.raises(ValueError, match="degree 9 has 7 pair classes, not 6"):
+        mr._pairs_algebra_matrix([1, 0, 0, 0, 0, 0], 9)
+    with pytest.raises(ValueError, match="no value in pair class 1"):
+        mr.pairs_algebra_rank([1, 2], [0, 2], 9)
 
 
 def test_pairs_graph_rejects_an_irregular_class_table(monkeypatch):
@@ -337,9 +337,23 @@ def test_pairs_graph_rejects_an_irregular_class_table(monkeypatch):
     table = mr._PAIR_CLASS.copy()
     table[0] = 5
     monkeypatch.setattr(mr, "_PAIR_CLASS", table)
-    monkeypatch.setattr(mr, "_pairs_cache", {})
-    with pytest.raises(AssertionError, match="X_9 is not the pairs graph"):
-        mr.pairs_graph(9)
+    with pytest.raises(AssertionError, match="the pair classes of degree 9 are not the pairs algebra's"):
+        mr._pairs_algebra_matrix([1, 0, 0, 0, 0, 0, 0], 9)
+
+
+def test_pairs_algebra_rejects_a_labelling_that_varies_along_a_class(monkeypatch):
+    # each column vector rotated by its vertex's first point keeps its
+    # class counts, but the counts p then differ between two positions
+    # of one class
+    real = mr._pair_classes
+
+    def rotated(u0, u1, w0, w1):
+        classes = real(u0, u1, w0, w1)
+        return np.roll(classes, int(w0)) if np.ndim(w0) == 0 else classes
+
+    monkeypatch.setattr(mr, "_pair_classes", rotated)
+    with pytest.raises(AssertionError, match="of the pairs algebra of degree 9 varies"):
+        mr._pairs_algebra_matrix([1, 0, 0, 0, 0, 0, 0], 9)
 
 
 # ---- class Gram matrices ----
@@ -347,20 +361,21 @@ def test_pairs_graph_rejects_an_irregular_class_table(monkeypatch):
 
 def test_class_gram_s3(groups):
     eg = groups("S3")
-    cg = mr.class_gram(eg.E[eg.fix_counts_all == 0], 3)
-    assert cg.pattern and cg.lam == 1 and cg.mu == 0
-    assert cg.psd_certified and cg.least_bound == 1
-    assert np.array_equal(cg.N, np.eye(2, dtype=np.int64))
+    N, algebra = mr.class_gram(eg.E[eg.fix_counts_all == 0], 3)
+    # degree 3 has two pair classes, same and swapped
+    assert algebra == ([1, 0], True)
+    assert np.array_equal(N, np.eye(2, dtype=np.int64))
 
 
 def test_class_gram_f20_matches_brute(groups):
     eg = groups("F20")
     der = eg.E[eg.fix_counts_all == 0]
-    cg = mr.class_gram(der, 5)
+    N, algebra = mr.class_gram(der, 5)
     blk = derangement_block(der, 5).astype(np.int64)
-    assert np.array_equal(cg.N, blk.T @ blk)
-    # sharply 2-transitive: 0/1 entries, no lambda*I + mu*A structure
-    assert not cg.pattern and not cg.psd_certified
+    assert np.array_equal(N, blk.T @ blk)
+    # sharply 2-transitive: 0/1 entries that vary inside a pair class,
+    # so N is not in the pairs algebra
+    assert algebra is None
 
 
 def test_class_gram_m11_pattern(groups):
@@ -371,12 +386,13 @@ def test_class_gram_m11_pattern(groups):
     )
     rows = eg.E[sel]
     t = rows.shape[0]
-    cg = mr.class_gram(rows, 11)
-    assert cg.pattern
-    assert cg.lam == t // 10 and cg.mu == t // (10 * 9)
-    assert cg.psd_certified and cg.least_bound == cg.lam - cg.mu * 8
+    N, algebra = mr.class_gram(rows, 11)
+    lam, mu = t // 10, t // (10 * 9)
+    assert algebra == ([lam, 0, 0, 0, mu, mu, mu], True)
+    A = dense_pairs_graph(11)[0].astype(np.int64)
+    assert np.array_equal(N, lam * np.eye(len(A), dtype=np.int64) + mu * A)
     # a full-rank verdict from the class rows implies one for all of M
-    assert mr.rank_certificate(cg.N).full
+    assert mr.rank_certificate(N).full
     assert mr.rank_certificate(mr.gram_M(eg)).full
 
 
@@ -386,24 +402,63 @@ def test_class_gram_no_two_cycles_entry(groups):
     sel = np.isin(
         eg.class_of, [c for c in range(eg.n_classes) if orders[c] == 11]
     )
-    cg = mr.class_gram(eg.E[sel], 11)
+    N, _ = mr.class_gram(eg.E[sel], 11)
     pairs = mr.offdiag_pairs(11)
-    assert cg.N[pairs.index((0, 1)), pairs.index((1, 0))] == 0
+    assert N[pairs.index((0, 1)), pairs.index((1, 0))] == 0
+
+
+ALGEBRA_KEYS = [k for k in catalog_keys() if 5 <= get_spec(k).degree <= 12]
+
+
+@pytest.mark.parametrize("key", ALGEBRA_KEYS)
+def test_pairs_algebra_agrees_with_the_rank_certificate(groups, key):
+    # every derangement class: the per-entry and the per-orbit reading
+    # agree, the Gram is in the algebra exactly when each dense pair
+    # class holds one value, and then the verdict is the dense one
+    eg = groups(key)
+    n = eg.group.degree
+    classes = dense_pair_classes(n)
+    for c in range(eg.n_classes):
+        if eg.class_fix[c]:
+            continue
+        rows = eg.E[eg.class_of == c]
+        N, algebra = mr.class_gram(rows, n)
+        orbits = mr.quadruple_orbit_gram(eg.group, eg.class_rep(c), len(rows))
+        assert mr.pairs_algebra_rank(orbits.values, orbits.classes, n) == algebra
+        in_algebra = all(len(set(N[classes == t].tolist())) == 1 for t in range(7))
+        assert (algebra is not None) == in_algebra
+        if algebra is not None:
+            assert algebra[1] == mr.rank_certificate(N).full
+
+
+@pytest.mark.parametrize("key", ["M11", "M12"])
+def test_pairs_algebra_holds_every_mathieu_class_gram(groups, key):
+    eg = groups(key)
+    verdicts = {
+        eg.class_orders[c]: mr.class_gram(eg.E[eg.class_of == c], eg.group.degree)[1]
+        for c in range(eg.n_classes) if eg.class_fix[c] == 0
+    }
+    assert None not in verdicts.values()
+    # M12's involutions alone leave M short of full rank
+    assert [order for order, (_, full) in verdicts.items() if not full] == ([2] if key == "M12" else [])
+
+
+def test_pairs_algebra_leaves_out_every_pgl27_class_gram(groups):
+    eg = groups("PGL(2,7)")
+    ders = [c for c in range(eg.n_classes) if eg.class_fix[c] == 0]
+    assert ders
+    assert all(mr.class_gram(eg.E[eg.class_of == c], 8)[1] is None for c in ders)
 
 
 # ---- class Gram matrices by quadruple orbits ----
-
-
-def _pattern_fields(cg):
-    return cg.pattern, cg.lam, cg.mu, cg.least_bound, cg.psd_certified
 
 
 def _check_orbit_gram(group, rep, rows):
     """The per-orbit result for the class `rows` of rep against the n^4
     reference: laid out densely it is the min-label Gram and
     `gram_offdiag` of the rows, its classes are the reference classes of
-    the entries, and the per-orbit pattern test gives what the dense
-    test gives.  Returns the per-orbit pattern result."""
+    the entries, and the per-orbit algebra verdict is the dense one.
+    Returns the per-orbit verdict."""
     n, size = group.degree, len(rows)
     orbits = mr.quadruple_orbit_gram(group, rep, size)
     want = min_label_quadruple_orbit_gram(group, rep, size)
@@ -412,9 +467,8 @@ def _check_orbit_gram(group, rep, rows):
     assert N.tobytes() == mr.gram_offdiag(rows, n).tobytes()
     classes = dense_pair_classes(n)
     assert np.array_equal(expand_orbit_values(group, orbits, orbits.classes), classes)
-    per_orbit = mr.gram_pattern(orbits.values, orbits.classes, n, size)
-    assert per_orbit.N is None
-    assert _pattern_fields(per_orbit) == _pattern_fields(mr.gram_pattern(want, classes, n, size))
+    per_orbit = mr.pairs_algebra_rank(orbits.values, orbits.classes, n)
+    assert per_orbit == mr.pairs_algebra_rank(want, classes, n)
     return per_orbit
 
 
@@ -425,10 +479,10 @@ def test_quadruple_orbit_gram_matches_the_streamed_class(key, order, cycle_type)
     rep = _find_class_rep(g, order, cycle_type)
     rows = conjugation_orbit(g, rep)
     assert g.order() // centralizer_order(g, rep) == len(rows)
-    cg = _check_orbit_gram(g, rep, rows)
-    assert cg.psd_certified
+    values, full = _check_orbit_gram(g, rep, rows)
+    assert full
     if key == "M23":
-        assert (cg.lam, cg.mu, cg.least_bound) == (20160, 960, 960)
+        assert values == [20160, 0, 0, 0, 960, 960, 960]
 
 
 def _symmetric_centralizer_order(cycle_type):
@@ -451,19 +505,33 @@ def test_quadruple_orbit_gram_matches_every_derangement_class(groups, key):
             assert eg.group.order() // centralizer_order(eg.group, rep) == len(rows)
 
 
-@pytest.mark.parametrize("tamper", ["class-4 plus one", "class-2 nonzero"])
-def test_a_tampered_orbit_value_breaks_both_pattern_tests(groups, tamper):
-    eg = groups("M11")
-    c = eg.class_orders.index(11)
+# M11's two-point stabilizer is transitive on each pair class, M11@12's
+# is not on the disjoint pairs
+@pytest.mark.parametrize(
+    "key, order, tamper, expected",
+    [("M11", 11, "swapped", False), ("M11@12", 8, "disjoint", None)],
+    ids=["swapped-equals-diagonal", "one-disjoint-orbit-plus-one"],
+)
+def test_a_tampered_orbit_value_gives_both_readings_one_verdict(groups, key, order, tamper, expected):
+    eg = groups(key)
+    n = eg.group.degree
+    c = eg.class_orders.index(order)
     size = eg.class_sizes[c]
     orbits = mr.quadruple_orbit_gram(eg.group, eg.class_rep(c), size)
-    assert mr.gram_pattern(orbits.values, orbits.classes, 11, size).psd_certified
+    assert mr.pairs_algebra_rank(orbits.values, orbits.classes, n)[1]
     values = orbits.values.copy()
-    target = 4 if tamper == "class-4 plus one" else 2
-    values[np.flatnonzero(orbits.classes == target)[0]] += 1
-    assert not mr.gram_pattern(values, orbits.classes, 11, size).pattern
+    if tamper == "swapped":
+        # N = lam (I + S) for the swap S, which kills (0,1) - (1,0)
+        values[orbits.classes >= 2] = 0
+        values[orbits.classes == 1] = values[orbits.classes == 0]
+    else:
+        values[np.flatnonzero(orbits.classes == 6)[0]] += 1
+    per_orbit = mr.pairs_algebra_rank(values, orbits.classes, n)
     N = expand_orbit_values(eg.group, orbits, values)
-    assert not mr.gram_pattern(N, dense_pair_classes(11), 11, size).pattern
+    assert mr.pairs_algebra_rank(N, dense_pair_classes(n), n) == per_orbit
+    assert (per_orbit if expected is None else per_orbit[1]) is expected
+    if expected is not None:
+        assert not mr.rank_certificate(N).full
 
 
 def test_quadruple_orbit_gram_rejects_a_wrong_class_size(groups):

@@ -1,6 +1,8 @@
 """End-to-end classification: verdicts, reports, witnesses, oracles."""
 
 import copy
+import csv
+import io
 import json
 import os
 import pathlib
@@ -18,7 +20,6 @@ from ekrcheck.errors import CapExceeded
 from ekrcheck.group import EnumeratedGroup
 from ekrcheck.library import GroupSpec, format_catalog, get_group, get_spec
 from ekrcheck.perm import Permutation
-from ekrcheck import modrank as mr
 from ekrcheck import pipeline as pl
 from ekrcheck.weighted import verify_weighted_ratio, weighted_etas
 from survey import BENCHMARK_ROWS, SURVEY, SURVEY_ROWS, row_problems
@@ -427,6 +428,13 @@ def test_csv_empty_reports_is_header_only():
     assert pl.emit_csv([]) == "n,Group,size,least,n-clique,EKR,unique,module-by-clique,rank,strict\n"
 
 
+def test_csv_quotes_a_group_name_with_a_comma(reports):
+    r = reports("PGL(2,5)")
+    text = pl.emit_csv([r])
+    assert text.split("\n")[1].startswith('6,"PGL(2,5)",120,')
+    assert list(csv.reader(io.StringIO(text))) == [pl.CSV_COLUMNS, r.csv_row()]
+
+
 def test_csv_partial_marks():
     r = pl.classify("M11", caps=pl.Caps(enumeration=100))
     row = pl.emit_csv([r]).strip().split("\n")[1]
@@ -488,9 +496,7 @@ def test_m23_rank_by_streamed_class_gram(reports):
         "kind": "class-gram",
         "element_order": 23,
         "class_size": 443520,
-        "lam": 20160,
-        "mu": 960,
-        "least_bound": 960,
+        "values": [20160, 0, 0, 0, 960, 960, 960],
     }
     assert cert["class_size"] == r.order // 23
     assert r.least_standard == "unknown" and r.strict == "unknown"
@@ -524,13 +530,13 @@ def _over_cap_report(key, degree, order, certificate, mode):
 @pytest.mark.parametrize("key, expected", [
     ("M23", _over_cap_report(
         "M23", 23, 10200960,
-        {"element_order": 23, "class_size": 443520, "lam": 20160, "mu": 960,
-         "least_bound": 960},
+        {"element_order": 23, "class_size": 443520,
+         "values": [20160, 0, 0, 0, 960, 960, 960]},
         "class gram, order-23 class of 443520")),
     ("M24", _over_cap_report(
         "M24", 24, 244823040,
-        {"element_order": 12, "class_size": 20401920, "lam": 887040, "mu": 40320,
-         "least_bound": 40320},
+        {"element_order": 12, "class_size": 20401920,
+         "values": [887040, 0, 0, 0, 40320, 40320, 40320]},
         "class gram, order-12 class of 20401920")),
 ])
 def test_over_cap_json_report(reports, key, expected):
@@ -540,7 +546,7 @@ def test_over_cap_json_report(reports, key, expected):
 @pytest.mark.m23
 def test_class_rank_times_its_steps(reports):
     r = reports("M23")
-    steps = {"rank.class_size", "rank.orbit_gram", "rank.pattern"}
+    steps = {"rank.class_size", "rank.orbit_gram", "rank.algebra"}
     assert steps <= r.timings.keys()
     assert all(r.timings[k] >= 0 for k in steps)
     assert "timings" not in pl.strip_timings(pl.emit_json([r]))[0]
@@ -557,9 +563,7 @@ def test_m24_rank_by_orbit_counted_class_gram():
         "kind": "class-gram",
         "element_order": 12,
         "class_size": 20401920,
-        "lam": 887040,
-        "mu": 40320,
-        "least_bound": 40320,
+        "values": [887040, 0, 0, 0, 40320, 40320, 40320],
     }
     assert r.least_standard == "unknown" and r.strict == "unknown"
 
@@ -577,17 +581,33 @@ def test_class_rank_streams_no_class(monkeypatch):
     assert cert["class_size"] == 443520
 
 
-# M24: n = 24, lam = 887040, mu = 40320, least_bound = lam - 21 mu
+def _swapped_equals_diagonal(values):
+    """Values of N = lam (I + S) for the swap S, which kills
+    (0,1) - (1,0): lam on the same and the swapped class, 0 elsewhere."""
+    return [values[0], values[0]] + [0] * (len(values) - 2)
+
+
+def _adjacent(values, mu):
+    """The values with mu on the three classes of the pairs graph."""
+    return values[:4] + [mu] * 3
+
+
+# M24: n = 24, seven pair classes, values lam = 887040 on the diagonal
+# and mu = 40320 on the pairs graph; lam I + mu A has the least
+# eigenvalue lam - 21 mu
 @pytest.mark.parametrize(
     "forge, match",
     [
-        (lambda c: dict(c, least_bound=c["least_bound"] + 1), "least_bound is not lam"),
-        (lambda c: dict(c, mu=-1, least_bound=c["lam"] + 21), "mu is negative"),
-        (lambda c: dict(c, lam=21 * c["mu"], least_bound=0), "least_bound is not positive"),
-        (lambda c: dict(c, lam=20 * c["mu"], least_bound=-c["mu"]), "least_bound is not positive"),
+        (lambda c: dict(c, values=_swapped_equals_diagonal(c["values"])), "singular in the pairs algebra"),
+        (lambda c: dict(c, values=_adjacent(c["values"], c["values"][0] // 21)), "singular in the pairs algebra"),
+        (lambda c: dict(c, values=_adjacent(c["values"], -1)), "a value is negative"),
+        (lambda c: dict(c, values=[20 * c["values"][4]] + c["values"][1:]), "diagonal value is not"),
+        (lambda c: dict(c, values=c["values"][:-1]), "not one per pair class"),
+        (lambda c: dict(c, values=c["values"] + [0]), "not one per pair class"),
         (lambda c: dict(c, class_size=c["class_size"] + 1), "class size does not divide"),
     ],
-    ids=["bound", "negative-mu", "zero-bound", "negative-bound", "class-size"],
+    ids=["singular", "zero-bound", "negative-mu", "negative-bound", "short-values", "long-values",
+         "class-size"],
 )
 def test_validate_rejects_a_forged_class_gram_record(forge, match):
     r = pl.classify("M24")
@@ -598,13 +618,17 @@ def test_validate_rejects_a_forged_class_gram_record(forge, match):
 
 
 @pytest.mark.m23
-@pytest.mark.parametrize("target, tamper", [(4, 1), (2, 5)], ids=["class-4-plus-one", "class-2-nonzero"])
-def test_tampered_orbit_value_leaves_the_rank_unknown(monkeypatch, target, tamper):
+@pytest.mark.parametrize("sign", [1, -1], ids=["swapped-equals-diagonal", "swapped-negates-diagonal"])
+def test_tampered_orbit_value_leaves_the_rank_unknown(monkeypatch, sign):
+    # N = lam (I + sign S) for the swap S is singular; M23 has one
+    # quadruple orbit per pair class
     real = pl.quadruple_orbit_gram
 
     def tampered(*args):
         orbits = real(*args)
-        orbits.values[np.flatnonzero(orbits.classes == target)[0]] += tamper
+        assert len(orbits.values) == 7
+        lam = orbits.values[orbits.classes == 0][0]
+        orbits.values[:] = lam * ((orbits.classes == 0) + sign * (orbits.classes == 1))
         return orbits
 
     monkeypatch.setattr(pl, "quadruple_orbit_gram", tampered)
@@ -613,15 +637,14 @@ def test_tampered_orbit_value_leaves_the_rank_unknown(monkeypatch, target, tampe
     pl.mathieu_class_rank(r, g)
     assert not [c for c in r.certificates if c["kind"] == "class-gram"]
     assert r.rank_full == "unknown" and r.csv_row()[pl.CSV_COLUMNS.index("rank")] == "?"
-    assert r.notes == ["class Gram pattern did not certify positive-definiteness"]
+    assert r.notes == ["the class Gram is not certified invertible in the pairs algebra"]
     r.validate()
 
 
 @pytest.mark.m23
-def test_class_rank_builds_no_gram_sized_array(monkeypatch):
+def test_class_rank_builds_no_gram_sized_array():
     # a c x c int64 Gram for M23 (c = 462) alone takes 1.7 MB; the route's
-    # peak stays below 1 MB, the pairs graph included
-    monkeypatch.setattr(mr, "_pairs_cache", {})
+    # peak stays below 1 MB
     spec, g = get_group("M23")
     r = pl.EkrReport(key="M23", degree=spec.degree, order=spec.expected_order)
     tracemalloc.start()
