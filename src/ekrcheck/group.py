@@ -9,7 +9,6 @@ runs.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -408,35 +407,6 @@ def conjugation_orbit(group: PermutationGroup, rep: Permutation,
         total += len(frontier)
         seen = np.sort(np.concatenate((seen, keys[new])))
     return np.concatenate(found)
-
-
-def centralizer_order(group: PermutationGroup, z: Permutation) -> int:
-    """|C_G(z)|, by one `contains_rows` sift of every element of the
-    symmetric-group centraliser C_{S_n}(z).  That centraliser is the
-    product over cycle lengths k of C_k wr S_{m_k}, of order
-    prod k^{m_k} m_k!, where m_k cycles of z have length k; every element
-    of it is listed, so keep to elements for which that product is small."""
-    by_length: dict[int, list[tuple[int, ...]]] = {}
-    for cyc in z.cycles():
-        by_length.setdefault(len(cyc), []).append(cyc)
-    # per length: which cycle each cycle goes to, and the rotation it lands at
-    choices = [
-        [(cycs, targets, rots)
-         for targets in itertools.permutations(cycs)
-         for rots in itertools.product(range(k), repeat=len(cycs))]
-        for k, cycs in by_length.items()
-    ]
-    rows = []
-    for pick in itertools.product(*choices):
-        images = [0] * group.degree
-        for cycs, targets, rots in pick:
-            for src, dst, r in zip(cycs, targets, rots):
-                # c(z^t x) = z^t c(x) with x = src[0] and c(x) = dst[r]
-                k = len(src)
-                for t in range(k):
-                    images[src[t]] = dst[(t + r) % k]
-        rows.append(images)
-    return int(group.contains_rows(np.array(rows, dtype=np.intp)).sum())
 
 
 class EnumeratedGroup:

@@ -17,14 +17,15 @@ Gram prove rank <= r.  Full column rank needs rank c, so a row Gram
 (d < c) always certifies deficiency; its certificate adds the exact rank.
 The column Gram is counted exactly in int64, one point pair at a time.
 
-The Gram of one conjugacy class is counted from a single representative
-by orbit counting, one value per G-orbit of quadruples, and never laid
-out as a c x c matrix.  Its invertibility is read in the pairs algebra:
-the seven classes of vertex pairs are the orbitals of S_{n-1} on the
-column pairs, their 0/1 matrices span an algebra that holds I, and a
-Gram constant on each class lies in it and is invertible exactly when
-its 7x7 matrix of multiplication is, counted from a few class vectors
-of c entries.
+The Gram of the conjugates g z g^-1 of one derangement z, over g in G,
+is |C_G(z)| times the Gram of z's class and has its rank, so no class
+size is needed.  It is counted from z by orbit counting, one value per
+G-orbit of quadruples, and never laid out as a c x c matrix.  Its
+invertibility is read in the pairs algebra: the seven classes of vertex
+pairs are the orbitals of S_{n-1} on the column pairs, their 0/1
+matrices span an algebra that holds I, and a Gram constant on each
+class lies in it and is invertible exactly when its 7x7 matrix of
+multiplication is, counted from a few class vectors of c entries.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ def gram_offdiag(rows: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuadrupleOrbits:
-    """The Gram N of `gram_offdiag` for one conjugacy class, one entry per
-    G-orbit of its column quadruples.
+    """The Gram N of `gram_offdiag` for the conjugates of one derangement,
+    one entry per G-orbit of its column quadruples.
 
     Orbit O holds the quadruple (b0, b1, c, d), c != d, where (b0, b1) is
     the group's base pair and `pairs` holds the least (c, d) of O;
@@ -101,18 +102,21 @@ class QuadrupleOrbits:
     classes: np.ndarray
 
 
-def quadruple_orbit_gram(group: PermutationGroup, z: Permutation, class_size: int) -> QuadrupleOrbits:
-    """The N of `gram_offdiag` for the conjugacy class C of the derangement
-    z, which has `class_size` elements, counted from z alone, one value
-    per G-orbit of quadruples.
+def quadruple_orbit_gram(group: PermutationGroup, z: Permutation) -> QuadrupleOrbits:
+    """The N of `gram_offdiag` for the multiset {g z g^-1 : g in G} of
+    conjugates of the derangement z, counted from z alone, one value per
+    G-orbit of quadruples.  The multiset holds each element of z's class
+    |C_G(z)| times, so N is |C_G(z)| times the class Gram and has its
+    rank; no class size is needed.
 
-    N[(i,j),(k,l)] = #{x in C : x(i) = j, x(k) = l} is constant on each
-    G-orbit O of quadruples, because x(i) = j exactly when g x g^-1 maps
-    g(i) to g(j).  Counting the pairs (x, q) with x in C and q in O twice
-    gives N_O |O| = |C| f_O, where f_O = #{(i,k) : (i, z i, k, z k) in O}
-    is the same for every x in C.  Every orbit is checked for |O|
-    dividing |C| f_O, which rejects many wrong class sizes but not all:
-    a multiple of every |O|/gcd(|O|, f_O) passes.
+    N[(i,j),(k,l)] = #{g in G : g z g^-1 maps i to j and k to l} is
+    constant on each G-orbit O of quadruples, because x maps i to j
+    exactly when h x h^-1 maps h(i) to h(j).  Counting the pairs (g, q), q =
+    (i, j, k, l) in O with g z g^-1 mapping i to j and k to l, once by q
+    and once by g gives N_O |O| = |G| f_O, where
+    f_O = #{(i,k) : (i, z i, k, z k) in O}.  Every orbit is checked for
+    |O| dividing |G| f_O, a check on the orbit labelling.  The values are
+    Python ints, since |G| f_O may leave int64.
 
     Only quadruples (a, b, c, d) with a != b occur, since z moves every
     point.  The group is 2-transitive, so an element of the stabilizer
@@ -142,9 +146,9 @@ def quadruple_orbit_gram(group: PermutationGroup, z: Permutation, class_size: in
     # (i, z i, k, z k) is carried to (b0, b1, hz[i, k], hz[i, z k])
     hz = carry[np.arange(n), zi]
     f = np.bincount(orbit[hz * n + hz[:, zi]].ravel(), minlength=len(count))
-    total = class_size * f
+    total = group.order() * f.astype(object)
     if (total % orbit_size).any():
-        raise AssertionError(f"a quadruple orbit size does not divide {class_size} * f_O")
+        raise AssertionError("a quadruple orbit size does not divide |G| f_O")
     b0, b1 = group.base()[:2]
     c, d = np.divmod(least, n)
     column = c != d

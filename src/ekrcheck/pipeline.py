@@ -5,8 +5,9 @@ derangement graph's exact spectrum as a `ratio` record, an n-clique
 search, a weighted ratio certificate when the ratio bound leaves
 condition (b) open, an exact rank certificate, a hyperplane witness and
 the complete-union count.  Over the enumeration cap only a `class-gram`
-rank record is made, from one derangement class.  `derive_columns`
-fills every column from the list and the degree n alone:
+rank record is made, from the class of the first derangement drawn.
+`derive_columns` fills every column from the list and the degree n
+alone:
 
     d, least, unique  `ratio` (weight 1 on each derangement class): d is
                       its largest eta, least is Y when the smallest is
@@ -48,7 +49,6 @@ from .group import (
     EnumeratedGroup,
     PermutationGroup,
     agreeing_rows,
-    centralizer_order,
     conjugacy_classes,
     member_rows,
 )
@@ -130,15 +130,19 @@ class EkrReport:
             elif kind == "complete-union" and c["count"] != n ** c["components"]:
                 bad = "count is not degree ** components"
             elif kind == "class-gram":
-                values = c["values"]
+                z, values = c["representative"], c["values"]
                 bad = (
-                    "class size does not divide the group order" if self.order % c["class_size"]
+                    "the representative is not a permutation of 0..n-1"
+                    if sorted(z) != list(range(n))
+                    else "the representative fixes a point"
+                    if any(x == i for i, x in enumerate(z))
                     # seven pair classes for n >= 5, the degrees quadruple_orbit_gram serves
                     else "values are not one per pair class" if len(values) != 7
                     else "a value is negative, so it counts no elements" if min(values) < 0
-                    # G_i is transitive on the other points: x(i) = j on |C|/(n-1) of C
-                    else "the diagonal value is not class_size / (n-1)"
-                    if values[0] * (n - 1) != c["class_size"]
+                    # G_i is transitive on the other points: g z g^-1 maps i
+                    # to j for |G|/(n-1) of the g in G
+                    else "the diagonal value is not |G| / (n-1)"
+                    if values[0] * (n - 1) != self.order
                     else "the class Gram is singular in the pairs algebra"
                     if not pairs_algebra_rank(values, range(7), n)[1]
                     else None
@@ -237,8 +241,8 @@ def derive_columns(report: EkrReport) -> EkrReport:
         report.rank_mode = rank["mode"]
     elif gram is not None:
         report.rank_full = "yes"
-        order, size = gram["element_order"], gram["class_size"]
-        report.rank_mode = f"class gram, order-{order} class of {size}"
+        shape = ",".join(map(str, Permutation(gram["representative"]).cycle_type()))
+        report.rank_mode = f"class gram, cycle type ({shape})"
     else:
         report.rank_full, report.rank_mode = "unknown", None
 
@@ -507,44 +511,36 @@ def _timed(report: EkrReport, key: str):
 
 # ---- groups over the enumeration cap ----
 
-_CLASS_SHAPE = {
-    # catalog key: (element order, cycle type) of the certifying class
-    "M23": (23, (23,)),
-    "M24": (12, (12, 12)),
-}
-
-
-def _find_class_rep(group: PermutationGroup, order: int, shape: tuple, seed: int = 11):
-    rng = random.Random(seed)
-    for _ in range(20000):
-        g = group.random_element(rng)
-        if g.order() == order and g.cycle_type() == shape:
-            return g
-    raise RuntimeError(f"no element of order {order} with cycle type {shape} found")
-
 
 def mathieu_class_rank(report: EkrReport, group: PermutationGroup) -> None:
-    """Rank certification for a group too large to enumerate: the Gram
-    matrix of one derangement class, counted over quadruple orbits from
-    one representative z, and its invertibility in the pairs algebra,
-    read from one value per orbit; no matrix of the Gram's size is built.
-    The class size |G|/|C_G(z)| comes from the sifted centraliser.  The
-    three steps are timed as `rank.class_size`, `rank.orbit_gram` and
-    `rank.algebra`."""
-    order, shape = _CLASS_SHAPE[report.key]
-    with _timed(report, "rank.class_size"):
-        rep = _find_class_rep(group, order, shape)
-        size = group.order() // centralizer_order(group, rep)
+    """Rank certification for a group too large to enumerate, from the
+    first derangement z that a fixed-seed draw gives.  The Gram of its
+    conjugates g z g^-1 over g in G is |C_G(z)| times the Gram of z's
+    class, so it has that Gram's rank and, when invertible, gives M full
+    column rank.  It is counted over quadruple orbits from z alone, and
+    its invertibility is read in the pairs algebra from one value per
+    orbit; no matrix of the Gram's size is built.  The two steps are
+    timed as `rank.orbit_gram` and `rank.algebra`.  A degree below 5,
+    where quadruple orbits miss Gram entries, gets a note instead."""
+    if report.degree < 5:
+        report.notes.append("the class Gram route needs degree >= 5")
+        derive_columns(report)
+        return
+    rng = random.Random(11)
+    # a transitive group of degree n > 1 holds a derangement (Jordan), so
+    # the draw ends
+    z = group.random_element(rng)
+    while not z.is_derangement():
+        z = group.random_element(rng)
     with _timed(report, "rank.orbit_gram"):
-        orbits = quadruple_orbit_gram(group, rep, size)
+        orbits = quadruple_orbit_gram(group, z)
     with _timed(report, "rank.algebra"):
         algebra = pairs_algebra_rank(orbits.values, orbits.classes, report.degree)
     if algebra is None or not algebra[1]:
         report.notes.append("the class Gram is not certified invertible in the pairs algebra")
     else:
         report.certificates.append(
-            {"kind": "class-gram", "element_order": order, "class_size": int(size),
-             "values": algebra[0]}
+            {"kind": "class-gram", "representative": list(z.images), "values": algebra[0]}
         )
     derive_columns(report)
 
@@ -552,8 +548,8 @@ def mathieu_class_rank(report: EkrReport, group: PermutationGroup) -> None:
 def classify(key_or_spec, caps: Caps | None = None) -> EkrReport:
     """Full decision sequence for one catalogued group.
 
-    A group over the enumeration cap gets its rank from a class Gram when
-    a class is registered for it in `_CLASS_SHAPE`, and no other column.
+    A group over the enumeration cap gets its rank from the class Gram of
+    one derangement, by `mathieu_class_rank`, and no other column.
     Resource caps produce partial reports with unknown columns; no column
     is ever filled with an unverified value.
     """
@@ -567,11 +563,8 @@ def classify(key_or_spec, caps: Caps | None = None) -> EkrReport:
                 eg = conjugacy_classes(group, caps.enumeration)
         except CapExceeded as exc:
             report.notes.append(f"enumeration cap: {exc}")
-            if report.key in _CLASS_SHAPE:
-                with _timed(report, "rank"):
-                    mathieu_class_rank(report, group)
-            else:
-                report.notes.append("no streamed-class route registered for this group")
+            with _timed(report, "rank"):
+                mathieu_class_rank(report, group)
         else:
             with _timed(report, "table"):
                 table = character_table_for(group, eg=eg)

@@ -1,5 +1,5 @@
 """Reference conjugacy class labelling and class streaming by
-breadth-first search.
+breadth-first search, and a class representative by random draws.
 
 A per-element BFS under conjugation by the generators, seeded at the
 smallest unlabelled index: the straightforward labelling that
@@ -7,6 +7,8 @@ smallest unlabelled index: the straightforward labelling that
 from one representative, keyed by row bytes: the class stream that
 `group.conjugation_orbit` must reproduce row for row.
 """
+
+import random
 
 import numpy as np
 
@@ -82,3 +84,14 @@ def bfs_conjugation_orbit(group, rep):
                 seen.add(key)
                 rows.append(conj)
     return np.array(rows, dtype=np.int8)
+
+
+def find_class_rep(group, order, cycle_type, seed=11, tries=20000):
+    """The first element of the given order and cycle type (fixed points
+    included) that a seeded draw of uniform elements gives."""
+    rng = random.Random(seed)
+    for _ in range(tries):
+        g = group.random_element(rng)
+        if g.order() == order and g.cycle_type() == cycle_type:
+            return g
+    raise AssertionError(f"no element of order {order} with cycle type {cycle_type} drawn")

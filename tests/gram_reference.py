@@ -6,9 +6,9 @@ matrix product over chunks of rows: the construction that
 labelling on all n^4 quadruples and the pairs graph's orbital matrix
 from dense products are the oracles for `modrank.quadruple_orbit_gram`
 and `modrank._pairs_algebra_matrix`; `expand_orbit_values` lays the per-orbit
-values of `quadruple_orbit_gram` out as the dense Gram that
-`gram_offdiag` counts, and `dense_pair_classes` gives the class of each
-of its entries.
+values of `quadruple_orbit_gram` out as a dense Gram, |G|/|C| times the
+one that `gram_offdiag` counts on z's class C, and `dense_pair_classes`
+gives the class of each of its entries.
 """
 
 import numpy as np
@@ -74,10 +74,10 @@ def _column_entries(n):
     return cols[:, None] * n * n + cols[None, :]
 
 
-def min_label_quadruple_orbit_gram(group, z, class_size):
-    """The dense N of `modrank.quadruple_orbit_gram` by labelling the
-    G-orbits on all n^4 quadruples with min-label propagation over the
-    generators' maps."""
+def min_label_quadruple_orbit_gram(group, z):
+    """The dense N of `modrank.quadruple_orbit_gram`, the Gram of the
+    conjugates g z g^-1 over g in G, by labelling the G-orbits on all n^4
+    quadruples with min-label propagation over the generators' maps."""
     n = group.degree
     zi = np.array(z.images, dtype=np.intp)
     if (zi == np.arange(n)).any():
@@ -87,9 +87,9 @@ def min_label_quadruple_orbit_gram(group, z, class_size):
     zpair = np.arange(n) * n + zi
     f = np.bincount(label[(zpair[:, None] * n * n + zpair[None, :]).ravel()],
                     minlength=n**4)[label]
-    total = class_size * f
+    total = group.order() * f
     if (total % orbit_size).any():
-        raise AssertionError(f"a quadruple orbit size does not divide {class_size} * f_O")
+        raise AssertionError("a quadruple orbit size does not divide |G| f_O")
     return (total // orbit_size)[_column_entries(n)]
 
 

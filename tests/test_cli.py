@@ -73,7 +73,8 @@ def test_classify_degree_two_group_file(capsys, tmp_path):
 
 def test_classify_over_cap_group_without_streamed_class_is_partial(capsys, tmp_path):
     # PGL(2,23) on the projective line, points 0..22 and infinity as 1..24;
-    # it has (12,12) elements but no streamed class is registered for it
+    # the Gram of its first drawn derangement's class is outside the pairs
+    # algebra, so its rank stays unknown
     gens = (
         "(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23)",
         "(2,6,3,11,5,21,9,18,17,12,10,23,19,22,14,20,4,16,7,8,13,15)",
@@ -87,7 +88,18 @@ def test_classify_over_cap_group_without_streamed_class_is_partial(capsys, tmp_p
     assert code == 2
     (obj,) = json.loads(out)
     assert obj["rank"]["full"] == "unknown"
-    assert "no streamed-class route registered for this group" in obj["notes"]
+    assert obj["notes"][-1] == "the class Gram is not certified invertible in the pairs algebra"
+
+
+def test_classify_over_cap_group_file_reusing_a_catalog_name(capsys, tmp_path):
+    # S12 under the name M23: the over-cap rank route reads the group, not
+    # its name, and certifies S12's rank
+    path = tmp_path / "s12.cat"
+    path.write_text("M23 | 12 | 479001600 | (1,2); (1,2,3,4,5,6,7,8,9,10,11,12) | sets=extra\n")
+    code, out, _ = run(capsys, "classify", "--group", str(path), "--format", "csv")
+    assert code == 2
+    (row,) = list(csv.DictReader(io.StringIO(out)))
+    assert (row["Group"], row["size"], row["rank"]) == ("M23", "479001600", "Y")
 
 
 def test_classify_unknown_group_exits_1(capsys):
@@ -104,13 +116,14 @@ def test_classify_caps_partial_exits_2(capsys):
 
 
 def test_repeated_caps_flags_all_apply(capsys):
-    # the enumeration cap of the first flag still holds after the second
+    # the enumeration cap of the first flag still holds after the second:
+    # over it only the rank is decided, by the class Gram route
     code, out, _ = run(
         capsys, "classify", "--group", "M11",
         "--caps", "enumeration=100", "--caps", "clique_budget=1", "--format", "csv",
     )
     assert code == 2
-    assert out.strip().split("\n")[1] == "11,M11,7920,?,--,?,?,--,?,?"
+    assert out.strip().split("\n")[1] == "11,M11,7920,?,--,?,?,--,Y,?"
 
 
 def test_bad_caps_key_exits_1():

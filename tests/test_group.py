@@ -9,16 +9,14 @@ from ekrcheck.group import (
     ENUMERATION_CAP,
     EnumeratedGroup,
     PermutationGroup,
-    centralizer_order,
     conjugacy_classes,
     conjugation_orbit,
 )
 from ekrcheck.library import catalog_keys, get_group, get_spec
 from ekrcheck.perm import Permutation, parse_cycles
-from ekrcheck.pipeline import _CLASS_SHAPE, _find_class_rep
 
 from chartab_reference import enumerated
-from class_reference import bfs_class_labels, bfs_conjugation_orbit
+from class_reference import bfs_class_labels, bfs_conjugation_orbit, find_class_rep
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +244,7 @@ def test_conjugation_orbit_cap():
 )
 def test_conjugation_orbit_matches_the_bfs_reference(key, order, cycle_type):
     _, g = get_group(key)
-    rep = _find_class_rep(g, order, cycle_type)
+    rep = find_class_rep(g, order, cycle_type)
     rows = conjugation_orbit(g, rep)
     want = bfs_conjugation_orbit(g, rep)
     assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
@@ -344,50 +342,6 @@ def test_base_index_sifts_a_prefix_when_the_base_is_long():
     assert len(eg._prefix) >= 1
     assert len(eg._table) == 9 ** (7 - len(eg._prefix)) <= len(eg.E) * 9
     _assert_base_index_is_the_sift(eg, 9)
-
-
-def _m24_symmetric_centralizer(z):
-    """C_{S_24}(z) for z of cycle type 12^2, from z's two cycles and the
-    swap that lines them up, one Permutation at a time."""
-    a, b = z.cycles()
-    ident = Permutation.identity(24)
-
-    def on_cycle(cyc):
-        images = list(range(24))
-        for t, x in enumerate(cyc):
-            images[x] = cyc[(t + 1) % len(cyc)]
-        return Permutation(images)
-
-    swap = list(range(24))
-    for x, y in zip(a, b):
-        swap[x], swap[y] = y, x
-    za, zb, sigma = on_cycle(a), on_cycle(b), Permutation(swap)
-    for i in range(12):
-        for j in range(12):
-            for flip in (ident, sigma):
-                yield za.power(i) * zb.power(j) * flip
-
-
-@pytest.mark.m23
-@pytest.mark.parametrize("key", ["M23", "M24"])
-def test_centralizer_order_counts_the_route_class_one_element_at_a_time(key):
-    _, g = get_group(key)
-    order, shape = _CLASS_SHAPE[key]
-    z = _find_class_rep(g, order, shape)
-    if key == "M23":
-        candidates = [z.power(t) for t in range(23)]
-    else:
-        candidates = list(_m24_symmetric_centralizer(z))
-    assert len(set(candidates)) == len(candidates)
-    assert all(c * z == z * c for c in candidates)
-    assert centralizer_order(g, z) == sum(c in g for c in candidates)
-
-
-@pytest.mark.parametrize("key", ["F20", "PGL(2,5)", "PGL(3,2)", "AGL(1,8)"])
-def test_centralizer_order_of_every_class(key):
-    eg = enumerated(key)
-    for c in range(eg.n_classes):
-        assert centralizer_order(eg.group, eg.class_rep(c)) * eg.class_sizes[c] == len(eg.E)
 
 
 def test_rejects_nonmember_conjugation_seed():

@@ -1,7 +1,6 @@
 """Coset-incidence matrices, rank certificates, and the pairs algebra."""
 
 import dataclasses
-import math
 import os
 import pathlib
 import subprocess
@@ -12,16 +11,11 @@ import numpy as np
 import pytest
 
 from ekrcheck import modrank as mr
-from ekrcheck.group import (
-    EnumeratedGroup,
-    PermutationGroup,
-    centralizer_order,
-    conjugation_orbit,
-)
+from ekrcheck.group import EnumeratedGroup, PermutationGroup, conjugation_orbit
 from ekrcheck.library import catalog_keys, get_group, get_spec
 from ekrcheck.perm import Permutation
-from ekrcheck.pipeline import _find_class_rep
 
+from class_reference import find_class_rep
 from gram_reference import (
     dense_gram,
     dense_pair_classes,
@@ -423,8 +417,11 @@ def test_pairs_algebra_agrees_with_the_rank_certificate(groups, key):
             continue
         rows = eg.E[eg.class_of == c]
         N, algebra = mr.class_gram(rows, n)
-        orbits = mr.quadruple_orbit_gram(eg.group, eg.class_rep(c), len(rows))
-        assert mr.pairs_algebra_rank(orbits.values, orbits.classes, n) == algebra
+        orbits = mr.quadruple_orbit_gram(eg.group, eg.class_rep(c))
+        per_orbit = mr.pairs_algebra_rank(orbits.values, orbits.classes, n)
+        # the per-orbit Gram counts each class element |G|/|C| times
+        scale = eg.group.order() // len(rows)
+        assert per_orbit == (algebra and ([scale * v for v in algebra[0]], algebra[1]))
         in_algebra = all(len(set(N[classes == t].tolist())) == 1 for t in range(7))
         assert (algebra is not None) == in_algebra
         if algebra is not None:
@@ -455,16 +452,18 @@ def test_pairs_algebra_leaves_out_every_pgl27_class_gram(groups):
 
 def _check_orbit_gram(group, rep, rows):
     """The per-orbit result for the class `rows` of rep against the n^4
-    reference: laid out densely it is the min-label Gram and
-    `gram_offdiag` of the rows, its classes are the reference classes of
-    the entries, and the per-orbit algebra verdict is the dense one.
-    Returns the per-orbit verdict."""
-    n, size = group.degree, len(rows)
-    orbits = mr.quadruple_orbit_gram(group, rep, size)
-    want = min_label_quadruple_orbit_gram(group, rep, size)
-    N = expand_orbit_values(group, orbits, orbits.values)
-    assert N.dtype == want.dtype and N.tobytes() == want.tobytes()
-    assert N.tobytes() == mr.gram_offdiag(rows, n).tobytes()
+    reference: its values are Python ints, laid out densely they are the
+    min-label Gram and |G|/|C| times `gram_offdiag` of the rows, its
+    classes are the reference classes of the entries, and the per-orbit
+    algebra verdict is the dense one.  Returns the per-orbit verdict."""
+    n, order = group.degree, group.order()
+    assert order % len(rows) == 0
+    orbits = mr.quadruple_orbit_gram(group, rep)
+    assert all(type(v) is int for v in orbits.values)
+    want = min_label_quadruple_orbit_gram(group, rep)
+    N = expand_orbit_values(group, orbits, orbits.values).astype(np.int64)
+    assert N.tobytes() == want.astype(np.int64).tobytes()
+    assert np.array_equal(N, order // len(rows) * mr.gram_offdiag(rows, n))
     classes = dense_pair_classes(n)
     assert np.array_equal(expand_orbit_values(group, orbits, orbits.classes), classes)
     per_orbit = mr.pairs_algebra_rank(orbits.values, orbits.classes, n)
@@ -476,18 +475,13 @@ def _check_orbit_gram(group, rep, rows):
 @pytest.mark.parametrize("key, order, cycle_type", [("M23", 23, (23,)), ("M22", 11, (11, 11))])
 def test_quadruple_orbit_gram_matches_the_streamed_class(key, order, cycle_type):
     _, g = get_group(key)
-    rep = _find_class_rep(g, order, cycle_type)
+    rep = find_class_rep(g, order, cycle_type)
     rows = conjugation_orbit(g, rep)
-    assert g.order() // centralizer_order(g, rep) == len(rows)
     values, full = _check_orbit_gram(g, rep, rows)
     assert full
     if key == "M23":
-        assert values == [20160, 0, 0, 0, 960, 960, 960]
-
-
-def _symmetric_centralizer_order(cycle_type):
-    lengths = [(k, cycle_type.count(k)) for k in set(cycle_type)]
-    return math.prod(k**m * math.factorial(m) for k, m in lengths)
+        # the 23-cycle's class Gram, counted 23 times by its centraliser
+        assert values == [23 * v for v in [20160, 0, 0, 0, 960, 960, 960]]
 
 
 # AGL(1,8) is sharply 2-transitive (no level-2 stabilizer); the base of
@@ -498,11 +492,7 @@ def test_quadruple_orbit_gram_matches_every_derangement_class(groups, key):
     classes = [c for c in range(eg.n_classes) if eg.class_fix[c] == 0]
     assert classes
     for c in classes:
-        rows = eg.E[eg.class_of == c]
-        rep = eg.class_rep(c)
-        _check_orbit_gram(eg.group, rep, rows)
-        if _symmetric_centralizer_order(rep.cycle_type()) <= 5000:
-            assert eg.group.order() // centralizer_order(eg.group, rep) == len(rows)
+        _check_orbit_gram(eg.group, eg.class_rep(c), eg.E[eg.class_of == c])
 
 
 # M11's two-point stabilizer is transitive on each pair class, M11@12's
@@ -516,8 +506,7 @@ def test_a_tampered_orbit_value_gives_both_readings_one_verdict(groups, key, ord
     eg = groups(key)
     n = eg.group.degree
     c = eg.class_orders.index(order)
-    size = eg.class_sizes[c]
-    orbits = mr.quadruple_orbit_gram(eg.group, eg.class_rep(c), size)
+    orbits = mr.quadruple_orbit_gram(eg.group, eg.class_rep(c))
     assert mr.pairs_algebra_rank(orbits.values, orbits.classes, n)[1]
     values = orbits.values.copy()
     if tamper == "swapped":
@@ -534,13 +523,29 @@ def test_a_tampered_orbit_value_gives_both_readings_one_verdict(groups, key, ord
         assert not mr.rank_certificate(N).full
 
 
-def test_quadruple_orbit_gram_rejects_a_wrong_class_size(groups):
+def test_quadruple_orbit_gram_rejects_a_non_derangement(groups):
     eg = groups("M11")
-    c = eg.class_orders.index(11)
-    with pytest.raises(AssertionError, match="does not divide"):
-        mr.quadruple_orbit_gram(eg.group, eg.class_rep(c), eg.class_sizes[c] + 1)
     with pytest.raises(ValueError, match="non-derangement"):
-        mr.quadruple_orbit_gram(eg.group, eg.element(0), 1)
+        mr.quadruple_orbit_gram(eg.group, eg.element(0))
+
+
+def test_quadruple_orbit_gram_rejects_a_wrong_orbit_labelling(groups, monkeypatch):
+    # M11's two-point stabilizer has order 72 and one regular suborbit;
+    # moving one of its pairs to a suborbit of its own leaves an orbit of
+    # 110 * 71 quadruples, which does not divide |G| f_O
+    eg = groups("M11")
+    real = mr.orbit_labels
+
+    def split(size, maps):
+        labels = real(size, maps).copy()
+        labels[np.flatnonzero(labels == np.bincount(labels).argmax())[-1]] = size
+        return labels
+
+    rep = eg.class_rep(eg.class_orders.index(11))
+    mr.quadruple_orbit_gram(eg.group, rep)
+    monkeypatch.setattr(mr, "orbit_labels", split)
+    with pytest.raises(AssertionError, match="does not divide"):
+        mr.quadruple_orbit_gram(eg.group, rep)
 
 
 def test_quadruple_orbit_gram_rejects_a_degree_below_5():
@@ -550,7 +555,7 @@ def test_quadruple_orbit_gram_rejects_a_degree_below_5():
     z = Permutation((1, 0, 3, 2))
     assert z in g
     with pytest.raises(ValueError, match="degree >= 5"):
-        mr.quadruple_orbit_gram(g, z, 3)
+        mr.quadruple_orbit_gram(g, z)
 
 
 def test_quadruple_orbit_gram_rejects_a_group_that_is_not_2_transitive():
@@ -558,7 +563,7 @@ def test_quadruple_orbit_gram_rejects_a_group_that_is_not_2_transitive():
     dihedral = PermutationGroup([z, Permutation((0, 4, 3, 2, 1))])
     assert dihedral.transitivity_degree() == 1
     with pytest.raises(ValueError, match="2-transitive"):
-        mr.quadruple_orbit_gram(dihedral, z, 2)
+        mr.quadruple_orbit_gram(dihedral, z)
 
 
 # ---- standard-module checks ----

@@ -2,8 +2,10 @@
 
 import copy
 import csv
+import dataclasses
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -18,7 +20,7 @@ import pytest
 from ekrcheck.cyclo import Cyc
 from ekrcheck.errors import CapExceeded
 from ekrcheck.group import EnumeratedGroup
-from ekrcheck.library import GroupSpec, format_catalog, get_group, get_spec
+from ekrcheck.library import GroupSpec, catalog_keys, format_catalog, get_group, get_spec
 from ekrcheck.perm import Permutation
 from ekrcheck import pipeline as pl
 from ekrcheck.weighted import verify_weighted_ratio, weighted_etas
@@ -436,9 +438,10 @@ def test_csv_quotes_a_group_name_with_a_comma(reports):
 
 
 def test_csv_partial_marks():
+    # over the cap only the rank is decided, by the class Gram route
     r = pl.classify("M11", caps=pl.Caps(enumeration=100))
     row = pl.emit_csv([r]).strip().split("\n")[1]
-    assert row == "11,M11,7920,?,--,?,?,--,?,?"
+    assert row == "11,M11,7920,?,--,?,?,--,Y,?"
 
 
 def test_json_schema_fields(reports):
@@ -485,20 +488,31 @@ def test_classify_from_spec_matches_key():
 
 # ---- groups over the enumeration cap ----
 
+# the first derangement that the route's seeded draw gives, of cycle type
+# (14,7,2) in M23 and (10,10,2,2) in M24, and the values of the Gram of
+# its conjugates g z g^-1 over the group, the diagonal one |G|/(n-1)
+M23_GRAM = {
+    "kind": "class-gram",
+    "representative": [21, 4, 6, 7, 1, 10, 12, 18, 0, 19, 11, 20, 13, 16, 17, 14, 3, 8, 15,
+                       22, 9, 2, 5],
+    "values": [463680, 40320, 0, 0, 20160, 20160, 22176],
+}
+M24_GRAM = {
+    "kind": "class-gram",
+    "representative": [16, 18, 4, 23, 6, 14, 8, 13, 17, 20, 7, 5, 1, 15, 2, 19, 10, 3, 0, 12,
+                       9, 22, 21, 11],
+    "values": [10644480, 1774080, 0, 0, 403200, 403200, 487680],
+}
+
 
 @pytest.mark.m23
 def test_m23_rank_by_streamed_class_gram(reports):
     r = reports("M23")
     assert r.rank_full == "yes"
-    assert r.rank_mode == "class gram, order-23 class of 443520"
+    assert r.rank_mode == "class gram, cycle type (14,7,2)"
     (cert,) = [c for c in r.certificates if c["kind"] == "class-gram"]
-    assert cert == {
-        "kind": "class-gram",
-        "element_order": 23,
-        "class_size": 443520,
-        "values": [20160, 0, 0, 0, 960, 960, 960],
-    }
-    assert cert["class_size"] == r.order // 23
+    assert cert == M23_GRAM
+    assert cert["values"][0] * 22 == r.order
     assert r.least_standard == "unknown" and r.strict == "unknown"
     assert r.strict_reason == "external-unproven"
 
@@ -507,7 +521,7 @@ def _over_cap_report(key, degree, order, certificate, mode):
     """The JSON report, without timings, of a group over the enumeration
     cap whose rank is certified by a class Gram."""
     return {
-        "certificates": [{"kind": "class-gram", **certificate}],
+        "certificates": [certificate],
         "d": None,
         "degree": degree,
         "ekr": {"reason": None, "verdict": "unknown"},
@@ -529,15 +543,9 @@ def _over_cap_report(key, degree, order, certificate, mode):
 @pytest.mark.m23
 @pytest.mark.parametrize("key, expected", [
     ("M23", _over_cap_report(
-        "M23", 23, 10200960,
-        {"element_order": 23, "class_size": 443520,
-         "values": [20160, 0, 0, 0, 960, 960, 960]},
-        "class gram, order-23 class of 443520")),
+        "M23", 23, 10200960, M23_GRAM, "class gram, cycle type (14,7,2)")),
     ("M24", _over_cap_report(
-        "M24", 24, 244823040,
-        {"element_order": 12, "class_size": 20401920,
-         "values": [887040, 0, 0, 0, 40320, 40320, 40320]},
-        "class gram, order-12 class of 20401920")),
+        "M24", 24, 244823040, M24_GRAM, "class gram, cycle type (10,10,2,2)")),
 ])
 def test_over_cap_json_report(reports, key, expected):
     assert pl.strip_timings(pl.emit_json([reports(key)])) == [expected]
@@ -546,10 +554,45 @@ def test_over_cap_json_report(reports, key, expected):
 @pytest.mark.m23
 def test_class_rank_times_its_steps(reports):
     r = reports("M23")
-    steps = {"rank.class_size", "rank.orbit_gram", "rank.algebra"}
-    assert steps <= r.timings.keys()
+    steps = {"rank.orbit_gram", "rank.algebra"}
+    assert {k for k in r.timings if k.startswith("rank.")} == steps
     assert all(r.timings[k] >= 0 for k in steps)
     assert "timings" not in pl.strip_timings(pl.emit_json([r]))[0]
+
+
+def test_class_rank_reads_the_group_not_its_name():
+    r = pl.classify(dataclasses.replace(get_spec("M23"), name="X"))
+    assert (r.key, r.rank_full) == ("X", "yes")
+
+
+def test_class_rank_counts_past_int64():
+    # |G| = 21! exceeds int64, and so does |G| f_O for S21's orbits
+    cycle = "(" + ",".join(map(str, range(1, 22))) + ")"
+    r = pl.classify(GroupSpec("S21", 21, math.factorial(21), ("(1,2)", cycle)))
+    (cert,) = [c for c in r.certificates if c["kind"] == "class-gram"]
+    assert r.rank_full == "yes" and cert["values"][0] * 20 == math.factorial(21)
+
+
+# every catalog group of degree <= 21 enumerates under the default cap
+SMALL_KEYS = [k for k in catalog_keys() if get_spec(k).degree <= 21]
+
+
+@pytest.fixture(scope="module")
+def over_cap_reports():
+    """The report of every SMALL_KEYS group with enumeration capped at 0,
+    so each takes the over-cap rank route."""
+    return {key: pl.classify(key, pl.Caps(enumeration=0)) for key in SMALL_KEYS}
+
+
+def test_class_rank_route_is_sound_on_the_catalog(over_cap_reports, reports):
+    assert all(r.partial for r in over_cap_reports.values())
+    for key in ("S3", "A4"):
+        assert "the class Gram route needs degree >= 5" in over_cap_reports[key].notes
+        assert over_cap_reports[key].rank_full == "unknown"
+    certified = sorted(k for k, r in over_cap_reports.items() if r.rank_full != "unknown")
+    assert certified == sorted(["AGL(3,2)", "M11", "M12", "M11@12", "AGL(4,2)", "2^4:A7"])
+    assert {over_cap_reports[k].rank_full for k in certified} == {"yes"}
+    assert all(reports(k).rank_full == "yes" for k in certified)
 
 
 def test_m24_rank_by_orbit_counted_class_gram():
@@ -557,14 +600,9 @@ def test_m24_rank_by_orbit_counted_class_gram():
     r = pl.classify("M24")
     assert time.perf_counter() - t0 < 2
     assert r.rank_full == "yes"
-    assert r.rank_mode == "class gram, order-12 class of 20401920"
+    assert r.rank_mode == "class gram, cycle type (10,10,2,2)"
     (cert,) = [c for c in r.certificates if c["kind"] == "class-gram"]
-    assert cert == {
-        "kind": "class-gram",
-        "element_order": 12,
-        "class_size": 20401920,
-        "values": [887040, 0, 0, 0, 40320, 40320, 40320],
-    }
+    assert cert == M24_GRAM
     assert r.least_standard == "unknown" and r.strict == "unknown"
 
 
@@ -578,7 +616,7 @@ def test_class_rank_streams_no_class(monkeypatch):
     pl.mathieu_class_rank(r, g)
     assert r.rank_full == "yes"
     (cert,) = [c for c in r.certificates if c["kind"] == "class-gram"]
-    assert cert["class_size"] == 443520
+    assert cert == M23_GRAM
 
 
 def _swapped_equals_diagonal(values):
@@ -588,13 +626,21 @@ def _swapped_equals_diagonal(values):
 
 
 def _adjacent(values, mu):
-    """The values with mu on the three classes of the pairs graph."""
-    return values[:4] + [mu] * 3
+    """Values of lam I + mu A for the pairs graph's adjacency A, lam the
+    diagonal value: mu on its three classes, 0 on the swapped class and
+    the two of a shared point.  Its least eigenvalue is lam - 21 mu."""
+    return [values[0], 0, 0, 0] + [mu] * 3
 
 
-# M24: n = 24, seven pair classes, values lam = 887040 on the diagonal
-# and mu = 40320 on the pairs graph; lam I + mu A has the least
-# eigenvalue lam - 21 mu
+def _fixing_zero(z):
+    """z with the images of 0 and of z^-1(0) swapped, so 0 is fixed."""
+    z = list(z)
+    back = z.index(0)
+    z[0], z[back] = 0, z[0]
+    return z
+
+
+# M24: n = 24, seven pair classes, the diagonal value lam = |G|/23
 @pytest.mark.parametrize(
     "forge, match",
     [
@@ -604,10 +650,12 @@ def _adjacent(values, mu):
         (lambda c: dict(c, values=[20 * c["values"][4]] + c["values"][1:]), "diagonal value is not"),
         (lambda c: dict(c, values=c["values"][:-1]), "not one per pair class"),
         (lambda c: dict(c, values=c["values"] + [0]), "not one per pair class"),
-        (lambda c: dict(c, class_size=c["class_size"] + 1), "class size does not divide"),
+        (lambda c: dict(c, representative=_fixing_zero(c["representative"])), "fixes a point"),
+        (lambda c: dict(c, representative=c["representative"][:-1] + [c["representative"][0]]),
+         "not a permutation"),
     ],
     ids=["singular", "zero-bound", "negative-mu", "negative-bound", "short-values", "long-values",
-         "class-size"],
+         "fixed-point", "not-permutation"],
 )
 def test_validate_rejects_a_forged_class_gram_record(forge, match):
     r = pl.classify("M24")
@@ -615,6 +663,33 @@ def test_validate_rejects_a_forged_class_gram_record(forge, match):
     r.certificates = [forge(c) if c["kind"] == "class-gram" else c for c in r.certificates]
     with pytest.raises(AssertionError, match=match):
         r.validate()
+
+
+def _recounted(record, key):
+    """A class-gram record's values counted again from its representative
+    alone, with the group rebuilt from the catalog; None when that Gram
+    is not in the pairs algebra."""
+    group = pl.build_group(get_spec(key))
+    orbits = pl.quadruple_orbit_gram(group, Permutation(record["representative"]))
+    algebra = pl.pairs_algebra_rank(orbits.values, orbits.classes, group.degree)
+    return algebra and algebra[0]
+
+
+def test_a_class_gram_record_is_recounted_from_its_representative():
+    r = pl.classify("M24")
+    (report,) = json.loads(pl.emit_json([r]))
+    (record,) = [c for c in report["certificates"] if c["kind"] == "class-gram"]
+    assert _recounted(record, "M24") == record["values"]
+    # lam I + mu A with lam - 21 mu < 0 keeps the diagonal and is
+    # invertible but indefinite, so it is no Gram: validate, which holds
+    # no group, passes it, and only a recount from the representative
+    # tells it apart
+    lam = record["values"][0]
+    forged = dict(record, values=_adjacent(record["values"], lam // 20))
+    assert lam - 21 * forged["values"][-1] < 0
+    r.certificates = [forged if c["kind"] == "class-gram" else c for c in r.certificates]
+    r.validate()
+    assert _recounted(forged, "M24") != forged["values"]
 
 
 @pytest.mark.m23
