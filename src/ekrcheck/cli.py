@@ -155,10 +155,10 @@ def _cmd_witness(args) -> int:
         elements = _read_witness_file(args.set, spec.degree)
     else:
         eg = EnumeratedGroup(group, caps.enumeration)
-        found = pipeline.hyperplane_witness(spec, eg)
+        found = pipeline.hyperplane_witness(eg)
         if found is None:
             raise SystemExit(
-                f"ekr: error: no registered witness for {args.group!r}; pass --set"
+                f"ekr: error: no symmetric-design witness for {args.group!r}; pass --set"
             )
         elements, _ = found
     intersecting, maximum, canonical = pipeline.verify_witness(
@@ -249,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--set",
         metavar="FILE",
         help="one permutation per line: 1-based cycle notation as in the "
-        "catalog, or a 0-based image row; omit to use the registered witness",
+        "catalog, or a 0-based image row; omit to use the stabilizer of a "
+        "block of a symmetric design the group preserves",
     )
     _add_common(p)
     p.set_defaults(func=_cmd_witness)

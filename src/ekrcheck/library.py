@@ -3,8 +3,8 @@
 Groups are shipped as explicit generator lists in cycle notation
 (src/ekrcheck/data/catalog.txt) so that loading a group never depends on
 matrix machinery being correct; the machinery in this module is what
-generated those lists and is kept for tests, witnesses and user-built
-groups.
+generated those lists and is kept for the catalog generator
+(tools/make_catalog.py), tests and user-built groups.
 
 Two point models are used.  Affine: the vectors of GF(q)^d, indexed by
 the little-endian base-q integer encoding of their coordinates.  Projective:
@@ -15,7 +15,6 @@ coefficient 1, indexed by lexicographic order of the normalized tuples.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -62,15 +61,8 @@ def _normalize(F: GF, vec: tuple[int, ...]) -> tuple[int, ...]:
     raise ValueError("zero vector has no projective normalization")
 
 
-def _dot(F: GF, u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    acc = 0
-    for a, b in zip(u, v):
-        acc = F.add(acc, F.mul(a, b))
-    return acc
-
-
 class ProjectiveModel:
-    """PG(d-1, q) with its point indexing and hyperplane list."""
+    """PG(d-1, q) with its point indexing."""
 
     def __init__(self, q: int, d: int):
         self.q = q
@@ -94,16 +86,6 @@ class ProjectiveModel:
                 w = tuple(F.frob(c) for c in w)
             img.append(self.index[_normalize(F, w)])
         return Permutation(tuple(img))
-
-    def hyperplanes(self) -> list[frozenset[int]]:
-        """Hyperplanes as point-index sets, one per normalized functional."""
-        out = []
-        for f in self.points:
-            hp = frozenset(
-                i for i, v in enumerate(self.points) if _dot(self.F, f, v) == 0
-            )
-            out.append(hp)
-        return out
 
 
 class AffineModel:
@@ -261,18 +243,6 @@ class GroupSpec:
 
     def in_set(self, name: str) -> bool:
         return name in self.note_tokens().get("sets", "").split(",")
-
-    def model(self) -> tuple[str, int, int] | None:
-        """Parsed model token: ("PG"|"AG", q, d) with d the vector dimension."""
-        tok = self.note_tokens().get("model")
-        if not tok:
-            return None
-        m = re.fullmatch(r"(PG|AG)\((\d+),(\d+)\)", tok)
-        if not m:
-            return None
-        kind, a, q = m.group(1), int(m.group(2)), int(m.group(3))
-        d = a + 1 if kind == "PG" else a
-        return kind, q, d
 
 
 def parse_catalog(text: str) -> dict[str, GroupSpec]:

@@ -62,13 +62,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
-    def fixed_points(self):
-        """0-indexed fixed points, ascending."""
-        return tuple(i for i, j in enumerate(self.images) if i == j)
-
-    def num_fixed(self) -> int:
-        return sum(1 for i, j in enumerate(self.images) if i == j)
-
     def is_derangement(self) -> bool:
         return all(i != j for i, j in enumerate(self.images))
 
@@ -96,18 +89,6 @@ class Permutation:
 
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles()))
-
-    def power(self, k: int) -> "Permutation":
-        n = len(self.images)
-        k %= self.order()
-        result = list(range(n))
-        base = list(self.images)
-        while k:
-            if k & 1:
-                result = [base[j] for j in result]
-            base = [base[j] for j in base]
-            k >>= 1
-        return Permutation(tuple(result))
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:

@@ -3,9 +3,10 @@
 `classify` only appends evidence to `report.certificates`: the
 derangement graph's exact spectrum as a `ratio` record, an n-clique
 search, a weighted ratio certificate when the ratio bound leaves
-condition (b) open, an exact rank certificate, a hyperplane witness and
-the complete-union count.  Over the enumeration cap only a `class-gram`
-rank record is made, from the class of the first derangement drawn.
+condition (b) open, an exact rank certificate, the stabilizer of a
+symmetric design's block as a witness, and the complete-union count.
+Over the enumeration cap only a `class-gram` rank record is made, from
+the class of the first derangement drawn.
 `derive_columns` fills every column from the list and the degree n
 alone:
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import random
 import time
@@ -52,7 +54,7 @@ from .group import (
     conjugacy_classes,
     member_rows,
 )
-from .library import GroupSpec, ProjectiveModel, build_group, get_spec
+from .library import build_group, get_spec
 from .modrank import (
     gram_M,
     offdiag_pairs,
@@ -129,6 +131,16 @@ class EkrReport:
                 bad = "claimed rank exceeds the column count"
             elif kind == "complete-union" and c["count"] != n ** c["components"]:
                 bad = "count is not degree ** components"
+            elif kind == "witness":
+                B, k = c["hyperplane"], len(c["hyperplane"])
+                bad = (
+                    "size times degree is not the order" if c["size"] * n != self.order
+                    else f"the block is not {k} distinct points of 0..n-1"
+                    if len(set(B)) != k or not set(B) <= set(range(n))
+                    else f"no symmetric 2-({n},{k},lambda) design has 1 < k < n-1"
+                    if not (1 < k < n - 1 and k * (k - 1) % (n - 1) == 0)
+                    else None
+                )
             elif kind == "class-gram":
                 z, values = c["representative"], c["values"]
                 bad = (
@@ -301,29 +313,43 @@ def verify_witness(
     return intersecting, maximum, canonical
 
 
-def hyperplane_witness(spec: GroupSpec, eg: EnumeratedGroup):
-    """Stabilizer of one hyperplane, for groups catalogued with a
-    projective-space model of projective dimension at least 2.
+def hyperplane_witness(eg: EnumeratedGroup):
+    """Stabilizer of a block of a symmetric 2-(n,k,lambda) design with
+    1 < k < n-1 that the group preserves, found from the group alone; the
+    hyperplanes of PG(d-1,q) are the blocks of one such design.
 
-    Every element stabilizing a hyperplane scales its defining functional,
-    so it has an eigenvector and fixes a projective point; the stabilizer
-    is therefore intersecting.  In projective dimension 1 hyperplanes are
-    points and the construction only reproduces canonical sets, so those
-    models are skipped.  Returns (elements, hyperplane) or None.
+    The design's incidence matrix A is invertible and P_g A = A Q_g, so
+    every g fixes as many blocks as points.  The group is transitive on
+    the n blocks, so a block stabilizer G_B has |G|/n elements, and each
+    of them fixes a block, hence a point: G_B is intersecting.  An element
+    with a fixed point fixes a block, a union of its cycles.  So the
+    unions of the cycles of one such element, the class representative
+    with the fewest cycles, are tried in `itertools.combinations` order
+    where their size k <= n/2 has (n-1) | k(k-1); the first whose
+    stabilizer has |G|/n elements is returned as (elements, block).  None
+    means the group preserves no such design.
     """
-    model = spec.model()
-    if model is None or model[0] != "PG" or model[2] < 3:
+    n = eg.group.degree
+    sizes = {k for k in range(2, n // 2 + 1) if k * (k - 1) % (n - 1) == 0}
+    if not sizes:
         return None
-    _, q, dim = model
-    pm = ProjectiveModel(q, dim)
-    if pm.n_points != spec.degree:
-        return None
-    W = sorted(pm.hyperplanes()[0])
-    mask = np.isin(eg.E[:, W], np.array(W, dtype=np.int8)).all(axis=1)
-    idx = np.nonzero(mask)[0]
-    if len(idx) * spec.degree != eg.group.order():
-        return None  # labeling mismatch; never guess
-    return [eg.element(int(i)) for i in idx], W
+    eg.compute_classes()
+    rep = min(
+        (eg.class_rep(c) for c in range(1, eg.n_classes) if eg.class_fix[c]),
+        key=lambda p: len(p.cycles()),
+    )
+    cycles = rep.cycles()
+    for r in range(1, len(cycles) + 1):
+        for chosen in itertools.combinations(cycles, r):
+            B = sorted(x for cyc in chosen for x in cyc)
+            if len(B) not in sizes:
+                continue
+            inside = np.zeros(n, dtype=bool)
+            inside[B] = True
+            idx = np.flatnonzero(inside[eg.E[:, B]].all(axis=1))
+            if len(idx) * n == len(eg.E):
+                return [eg.element(int(i)) for i in idx], B
+    return None
 
 
 # ---- brute-force oracle ----
@@ -616,7 +642,7 @@ def classify(key_or_spec, caps: Caps | None = None) -> EkrReport:
                  "primes": list(cert.primes), "kernel_digest": digest}
             )
 
-            built = hyperplane_witness(spec, eg)
+            built = hyperplane_witness(eg)
             if built is not None:
                 els, W = built
                 with _timed(report, "witness"):
@@ -629,9 +655,11 @@ def classify(key_or_spec, caps: Caps | None = None) -> EkrReport:
                         {"kind": "witness", "size": len(els),
                          "hyperplane": [int(x) for x in W], "digest": digest}
                     )
+                    k = len(W)
                     report.notes.append(
-                        f"hyperplane stabilizer of size {len(els)} is a maximum "
-                        "intersecting set sharing no image pair"
+                        f"stabilizer of a block of a symmetric 2-({spec.degree},{k},"
+                        f"{k * (k - 1) // (spec.degree - 1)}) design, size {len(els)}, "
+                        "is a maximum intersecting set sharing no image pair"
                     )
 
             count = complete_union_detect(spc)

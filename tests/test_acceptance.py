@@ -258,7 +258,7 @@ def test_mathieu_core_strict_yes(key, mathieu_core, request):
     if rep.strict == "no":
         # corrected for M21: the line stabilizer, re-checked element by element
         spec, g, eg = request.getfixturevalue("m21_enumerated")
-        elements, _ = pl.hyperplane_witness(spec, eg)
+        elements, _ = pl.hyperplane_witness(eg)
         assert len(elements) == 960 == g.order() // spec.degree
         inter, maximum, canonical = pl.verify_witness(g, elements)
         assert inter and maximum and not canonical
@@ -403,7 +403,7 @@ def test_fano_line_stabilizer_refutation(survey):
     assert rep.strict == "no" and rep.strict_reason == "witness"
     spec, g = get_group("PGL(3,2)")
     eg = EnumeratedGroup(g)
-    elements, _ = pl.hyperplane_witness(spec, eg)
+    elements, _ = pl.hyperplane_witness(eg)
     assert len(elements) == 24 == 168 // 7
     inter, maximum, canonical = pl.verify_witness(g, elements)
     assert inter and maximum and not canonical

@@ -44,6 +44,7 @@ from chartab_reference import (
     oracle_table,
     rational_class_constants,
 )
+from perm_reference import power
 from survey import SURVEY
 
 
@@ -183,7 +184,7 @@ def brute_rational_classes(group):
         if x in seen:
             continue
         o = x.order()
-        powers = [x.power(t) for t in range(1, o + 1) if math.gcd(t, o) == 1]
+        powers = [power(x, t) for t in range(1, o + 1) if math.gcd(t, o) == 1]
         cls = {g.inverse() * y * g for g in elems for y in powers}
         seen |= cls
         classes.append(cls)

@@ -205,7 +205,16 @@ def test_witness_file_image_rows(capsys, tmp_path):
 def test_witness_unregistered_needs_set():
     with pytest.raises(SystemExit) as exc:
         main(["witness", "--group", "S3"])
-    assert "no registered witness" in str(exc.value)
+    assert "no symmetric-design witness for 'S3'; pass --set" in str(exc.value)
+
+
+def test_witness_from_a_design_the_catalog_does_not_name(capsys):
+    # PSL(2,11) on 11 points preserves the 2-(11,5,2) biplane; its
+    # catalog entry names no point model
+    code, out, _ = run(capsys, "witness", "--group", "PSL(2,11)@11")
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["size"] == 60 and verdict["refutes_strict"]
 
 
 def test_oracle(capsys):

@@ -22,6 +22,7 @@ from ekrcheck.library import get_group
 from ekrcheck.perm import Permutation, parse_cycles
 from chartab_reference import oracle_table
 from clique_reference import bucketed_n_cliques, reference_has_n_clique
+from perm_reference import fixed_points, power
 
 WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
 
@@ -179,7 +180,7 @@ def _clique_by_quotients(els) -> bool:
     """Whether every quotient of two of the elements is a derangement, one
     `Permutation` product per pair."""
     return all(
-        (x * y.inverse()).num_fixed() == 0 for i, x in enumerate(els) for y in els[i + 1 :]
+        not fixed_points(x * y.inverse()) for i, x in enumerate(els) for y in els[i + 1 :]
     )
 
 
@@ -207,7 +208,7 @@ def _shortcut_by_powers(eg):
     for c in range(eg.n_classes):
         rep = eg.class_rep(c)
         if eg.class_orders[c] == n and rep.cycle_type() == (n,):
-            idx = [eg.index_of(rep.power(t)) for t in range(n)]
+            idx = [eg.index_of(power(rep, t)) for t in range(n)]
             return idx[:1] + sorted(idx[1:])
     return None
 

@@ -17,6 +17,7 @@ from ekrcheck.perm import Permutation, parse_cycles
 
 from chartab_reference import enumerated
 from class_reference import bfs_class_labels, bfs_conjugation_orbit, find_class_rep
+from perm_reference import power
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +211,7 @@ def test_power_indices_are_the_powers_of_each_class_representative(key):
     assert eg.power_indices() is powers
     for c, idx in enumerate(powers):
         rep = eg.class_rep(c)
-        assert idx.tolist() == [eg.index_of(rep.power(t)) for t in range(eg.class_orders[c])]
+        assert idx.tolist() == [eg.index_of(power(rep, t)) for t in range(eg.class_orders[c])]
 
 
 def test_conjugation_orbit_covers_whole_class():

@@ -4,6 +4,7 @@ import copy
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -22,8 +23,9 @@ from ekrcheck.errors import CapExceeded
 from ekrcheck.group import EnumeratedGroup
 from ekrcheck.library import GroupSpec, catalog_keys, format_catalog, get_group, get_spec
 from ekrcheck.perm import Permutation
-from ekrcheck import pipeline as pl
+from ekrcheck import library, pipeline as pl
 from ekrcheck.weighted import verify_weighted_ratio, weighted_etas
+from design_reference import block_sizes, hyperplanes, scanned_block, set_orbit
 from survey import BENCHMARK_ROWS, SURVEY, SURVEY_ROWS, row_problems
 
 
@@ -95,11 +97,16 @@ def test_pgl25_strict_stays_unknown(reports):
 def test_survey_rows_need_no_sign_test_or_canonical_form(key, monkeypatch):
     # every spectral verdict rests on the integers of the rational table:
     # classify constructs no cyclotomic number at all, so in particular it
-    # runs no interval sign test and no reduction to the power basis
+    # runs no interval sign test and no reduction to the power basis; and
+    # its witness reads the group alone, so it builds no finite field
     def refuse(self, *args, **kwargs):
         raise AssertionError("classify constructed a Cyc")
 
+    def no_field(q):
+        raise AssertionError("classify built a finite field")
+
     monkeypatch.setattr(Cyc, "__init__", refuse)
+    monkeypatch.setattr(library, "gf", no_field)
     row = pl.classify(key).csv_row()
     assert row == SURVEY_ROWS[key]
     assert row_problems(BENCHMARK_ROWS[key], row) == []
@@ -181,8 +188,24 @@ def test_every_report_validates(reports):
             lambda c: dict(c, eta_by_row=["-1"] * len(c["eta_by_row"])),
             "not positive",
         ),
+        ("PSL(2,11)@11", "witness", lambda c: dict(c, size=c["size"] + 1), "size times degree"),
+        (
+            "PSL(2,11)@11",
+            "witness",
+            lambda c: dict(c, hyperplane=c["hyperplane"][:4]),
+            r"no symmetric 2-\(11,4,lambda\)",
+        ),
+        (
+            "PSL(2,11)@11",
+            "witness",
+            lambda c: dict(c, hyperplane=c["hyperplane"][:4] + c["hyperplane"][:1]),
+            "not 5 distinct points",
+        ),
     ],
-    ids=["complete-union", "n-clique", "rank", "ratio", "weighted-ratio"],
+    ids=[
+        "complete-union", "n-clique", "rank", "ratio", "weighted-ratio",
+        "witness-size", "witness-block-size", "witness-repeated-point",
+    ],
 )
 def test_validate_rejects_forged_record_arithmetic(reports, key, kind, forge, match):
     r = copy.deepcopy(reports(key))
@@ -309,8 +332,8 @@ def test_witness_rejects_foreign_element():
 def test_witness_rejects_an_outsider_with_a_members_base_images():
     # an element is fixed by its base images, so a sift of the base
     # columns alone would take this outsider for the member it copies
-    spec, g = get_group("PGL(3,2)")
-    elements, _ = pl.hyperplane_witness(spec, EnumeratedGroup(g))
+    _, g = get_group("PGL(3,2)")
+    elements, _ = pl.hyperplane_witness(EnumeratedGroup(g))
     images = list(elements[1].images)
     a, b = [p for p in range(g.degree) if p not in g.base()][:2]
     images[a], images[b] = images[b], images[a]
@@ -338,9 +361,9 @@ def _intersecting_by_quotients(rows):
 def test_witness_intersecting_matches_the_quotient_loop(key, seed):
     # the hyperplane stabilizer with some members swapped for other group
     # elements; PSL(3,3)'s 432 rows span two agreement blocks
-    spec, g = get_group(key)
+    _, g = get_group(key)
     eg = EnumeratedGroup(g)
-    elements, _ = pl.hyperplane_witness(spec, eg)
+    elements, _ = pl.hyperplane_witness(eg)
     rng = np.random.default_rng(seed)
     sets = [elements]
     for swaps in (1, 3):
@@ -375,21 +398,77 @@ def test_witness_rejects_an_empty_set():
         pl.verify_witness(g, iter(()))
 
 
-def test_hyperplane_witness_registered_groups():
-    for key in ("PGL(3,2)", "PSL(3,3)", "A8@15", "A7@15", "M21"):
-        spec, g = get_group(key)
-        eg = EnumeratedGroup(g)
-        found = pl.hyperplane_witness(spec, eg)
-        assert found is not None
+# the catalog groups of degree <= 21 that preserve a symmetric design,
+# with the projective ones' PG(d-1,q) as (q, d)
+DESIGN_GROUPS = {
+    "PGL(3,2)": (2, 3), "PSL(2,11)@11": None, "PSL(3,3)": (3, 3), "A8@15": (2, 4),
+    "A7@15": (2, 4), "2^4:S6": None, "2^4:A6": None, "ASigmaL(2,4)": None,
+    "ASL(2,4)": None, "M21": (4, 3),
+}
+
+
+@pytest.fixture(scope="module")
+def design_witness():
+    cache = {}
+
+    def load(key):
+        if key not in cache:
+            _, g = get_group(key)
+            cache[key] = g, pl.hyperplane_witness(EnumeratedGroup(g))
+        return cache[key]
+
+    return load
+
+
+def test_hyperplane_witness_registered_groups(design_witness):
+    for key in DESIGN_GROUPS:
+        g, found = design_witness(key)
+        assert found is not None, key
         elements, _ = found
-        assert len(elements) * spec.degree == spec.expected_order
+        assert len(elements) * g.degree == g.order()
         inter, maximum, canonical = pl.verify_witness(g, elements)
         assert inter and maximum and not canonical
 
 
+@pytest.mark.parametrize("key", DESIGN_GROUPS)
+def test_design_witness_block_orbit_is_a_symmetric_design(key, design_witness):
+    # the block's images under the generators are n sets with every pair
+    # of points in lambda of them, and the witness is all of B's stabilizer
+    g, (elements, B) = design_witness(key)
+    n, k = g.degree, len(B)
+    blocks = set_orbit(g.generators, B)
+    assert len(blocks) == n
+    lam = k * (k - 1) // (n - 1)
+    for i, j in itertools.combinations(range(n), 2):
+        assert sum(1 for S in blocks if i in S and j in S) == lam
+    rows = g.elements_array().tolist()
+    stabilizer = sorted(tuple(r) for r in rows if {r[x] for x in B} == set(B))
+    assert sorted(p.images for p in elements) == stabilizer
+
+
+def test_design_witness_found_exactly_when_a_subset_scan_finds_a_block():
+    degree = {k: get_spec(k).degree for k in catalog_keys()}
+    keys = [k for k, n in degree.items() if n <= 16 and block_sizes(n)]
+    assert len(keys) == 20
+    for key in keys:
+        _, g = get_group(key)
+        found = pl.hyperplane_witness(EnumeratedGroup(g))
+        assert (found is None) == (scanned_block(g.generators, g.degree) is None), key
+        assert (found is not None) == (key in DESIGN_GROUPS), key
+
+
+@pytest.mark.parametrize("key", [k for k, model in DESIGN_GROUPS.items() if model])
+def test_design_witness_projective_block_is_the_hyperplane(key, design_witness):
+    # the first hyperplane of the catalog's PG(d-1,q) model, x_{d-1} = 0
+    q, d = DESIGN_GROUPS[key]
+    assert f"model=PG({d - 1},{q})" in get_spec(key).notes
+    _, (_, B) = design_witness(key)
+    assert B == sorted(hyperplanes(q, d)[0])
+
+
 def test_hyperplane_witness_absent_for_non_projective():
-    spec, g = get_group("S3")
-    assert pl.hyperplane_witness(spec, EnumeratedGroup(g)) is None
+    _, g = get_group("S3")
+    assert pl.hyperplane_witness(EnumeratedGroup(g)) is None
 
 
 # ---- brute-force oracle ----

@@ -19,6 +19,7 @@ from ekrcheck.weighted import (
 )
 
 from chartab_reference import omega_rows, oracle_table, to_int
+from perm_reference import power
 from survey import SURVEY
 
 
@@ -188,7 +189,7 @@ def _rational_classes_by_powers(eg):
         rep = eg.class_rep(c)
         o = eg.class_orders[c]
         orbit = sorted(
-            {int(eg.class_of[eg.index_of(rep.power(t))]) for t in range(1, o) if math.gcd(t, o) == 1}
+            {int(eg.class_of[eg.index_of(power(rep, t))]) for t in range(1, o) if math.gcd(t, o) == 1}
             | {c}
         )
         seen.update(orbit)
