@@ -85,27 +85,26 @@ def echelon_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r == rows:
             break
-        col = R[r:, c] % p
-        R[r:, c] = col
-        nz = np.flatnonzero(col)
+        col = R[r:, c]
+        col %= p
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             # row r is zero in column c, so it lands among the cleared rows
             R[[r, i], c:] = R[[i, r], c:]
-        piv = R[r, c:] % p * pow(int(R[r, c]), -1, p) % p
-        R[r, c:] = piv
+        piv = R[r, c:]
+        piv %= p
+        piv *= pow(int(piv[0]), -1, p)
+        piv %= p
         if nz.size > 1:
             if pending == slack:
                 R[r + 1 :, c + 1 :] %= p
                 pending = 0
-            if nz.size == rows - r:
-                below = R[r + 1 :, c:]
-                below -= np.outer(below[:, 0], piv)
-            else:
-                rest = r + nz[1:]
-                R[rest, c:] -= np.outer(R[rest, c], piv)
+            # rows that are zero in column c lose 0 times the pivot row
+            below = R[r + 1 :, c:]
+            below -= below[:, :1] * piv
             pending += 1
         pivots.append(c)
         r += 1

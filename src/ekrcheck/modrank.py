@@ -17,6 +17,14 @@ Gram prove rank <= r.  Full column rank needs rank c, so a row Gram
 (d < c) always certifies deficiency; its certificate adds the exact rank.
 The column Gram is counted exactly in int64, one point pair at a time.
 
+Inversion maps the derangements onto themselves, so an involution pi of
+the Gram's indices fixes it (`gram_flip`): (i,j) <-> (j,i) on the column
+Gram, x <-> x^-1 on the row Gram.  The basis e_a + e_pi(a), e_a - e_pi(a)
+splits N into two halves N+ and N-, whose ranks add up to N's at every
+odd prime and whose kernels rebuild N's; `rank_certificate` eliminates
+the halves, for a pi without fixed points a quarter of the arithmetic of
+eliminating N.
+
 The Gram of the conjugates g z g^-1 of one derangement z, over g in G,
 is |C_G(z)| times the Gram of z's class and has its rank, so no class
 size is needed.  It is counted from z by orbit counting, one value per
@@ -177,6 +185,26 @@ def gram_M(eg: EnumeratedGroup) -> np.ndarray:
     return gram_offdiag(rows, n)
 
 
+def gram_flip(eg: EnumeratedGroup) -> np.ndarray:
+    """The involution pi of the indices of `gram_M(eg)` that inversion
+    induces, as an index array with N[pi][:, pi] = N.  On the column Gram
+    it maps pair (i,j) to (j,i), since x maps i to j and k to l exactly
+    when x^-1 maps j to i and l to k; on the row Gram it maps the row of
+    x to the row of x^-1, since x and y share column (i,j) exactly when
+    x^-1 and y^-1 share (j,i).  Both hold because inversion maps the
+    derangements onto themselves."""
+    n = eg.group.degree
+    der = eg.fix_counts_all == 0
+    pairs = np.array(offdiag_pairs(n), dtype=np.intp).reshape(-1, 2)
+    if der.sum() < len(pairs):
+        rows = eg.E[der]
+        # x^-1(b) is the position of b in x's row, for each base point b
+        inverse_base = (rows[:, None, :] == eg.base[None, :, None]).argmax(axis=2)
+        return (np.cumsum(der) - 1)[eg.base_index(inverse_base)]
+    I, J = pairs.T
+    return J * (n - 2) + I - (I > J)
+
+
 # ---- rank certification ----
 
 
@@ -241,7 +269,7 @@ _RANK_PRIME = next(p for p in range(2**29, 2**30) if is_prime(p))
 def _killed(N: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Whether N w = 0 exactly, for each integer row w of W.  The product
     runs in int64 when the entry bound fits, in Python ints otherwise."""
-    bound = N.shape[0] * int(np.abs(N).max()) * int(np.abs(W).max(initial=1))
+    bound = N.shape[0] * int(np.abs(N).max(initial=0)) * int(np.abs(W).max(initial=1))
     if bound < 2**62:
         return ~(N @ W.T.astype(np.int64)).any(axis=0)
     return ~(np.asarray(N, dtype=object) @ W.T.astype(object)).any(axis=0)
@@ -312,29 +340,65 @@ def _fraction_kernel(N: np.ndarray) -> tuple[int, np.ndarray]:
     return len(pivots), W
 
 
-def rank_certificate(N: np.ndarray, columns: int | None = None) -> RankCertificate:
+def rank_certificate(N: np.ndarray, columns: int | None = None,
+                     flip: np.ndarray | None = None) -> RankCertificate:
     """Certify the rational rank of a Gram matrix N of M at one prime p.
 
     M has `columns` columns, N.shape[1] by default; a smaller N is the
     row Gram.  Rank mod p never exceeds the rational rank, so r pivots at
     p prove rank >= r, and r = columns proves full rank.  Otherwise the
-    echelon form is finished to the RREF, whose kernel basis lifts to
-    integer vectors that N kills exactly (N w = 0 forces M w = 0, or
-    M^T w = 0 on the row side, over Q); they keep the basis's diagonal
-    pattern on the free columns, so they are independent and prove
-    rank <= r.  When a vector does not lift, exact rational elimination
-    decides."""
+    kernel basis of N's RREF lifts to integer vectors that N kills
+    exactly (N w = 0 forces M w = 0, or M^T w = 0 on the row side, over
+    Q); they keep the basis's diagonal pattern on the free columns, so
+    they are independent and prove rank <= r.  When a vector does not
+    lift, exact rational elimination decides.
+
+    The elimination runs on the two halves of N under `flip`, an
+    involution pi of N's indices with N[pi][:, pi] = N (`gram_flip`;
+    None means the identity).  With R = {a : a <= pi(a)} and
+    S = {a : a < pi(a)}, the columns e_a + e_pi(a), a in R, and
+    e_a - e_pi(a), a in S, form a matrix Q = [Q+ Q-] that is invertible
+    over Q and mod every odd p, and Q^T N Q = 2 diag(N+, N-) with
+    N+ = N[R,R] + N[R,pi(R)] and N- = N[S,S] - N[S,pi(S)].  So rank N =
+    rank N+ + rank N- at p, and ker(N mod p) = Q+ ker N+ + Q- ker N-.
+    N's RREF kernel basis is the basis of that kernel that is the
+    identity on N's free columns, which are the last nonzero places of
+    the kernel's vectors; one echelon of the stacked half kernels with
+    the columns reversed, finished to the RREF, gives it exactly.  A flip
+    that is not an involution fixing N raises ValueError."""
     N = np.asarray(N, dtype=np.int64)
     size = N.shape[1]
     columns = size if columns is None else columns
     if size > columns:
         raise ValueError(f"a Gram matrix of size {size} for {columns} columns")
+    if N.shape != (size, size):
+        raise ValueError(f"a Gram matrix of shape {N.shape} is not square")
+    index = np.arange(size)
+    flip = index if flip is None else np.asarray(flip, dtype=np.intp)
+    in_range = flip.shape == (size,) and ((flip >= 0) & (flip < size)).all()
+    if not in_range or (flip[flip] != index).any():
+        raise ValueError("the flip is not an involution of the Gram's indices")
+    if (N[np.ix_(flip, flip)] != N).any():
+        raise ValueError("the flip does not fix the Gram matrix")
     p = _RANK_PRIME
-    R, pivots = echelon_mod(N % p, p)
-    if len(pivots) == size:
+    halves = []
+    for part, sign in ((index[index <= flip], 1), (index[index < flip], -1)):
+        H = N[np.ix_(part, part)] + sign * N[np.ix_(part, flip[part])]
+        R, pivots = echelon_mod(H, p)
+        if len(pivots) < len(part):
+            half = kernel_from_rref(finish_rref(R, pivots, p), pivots, p)
+            K = np.zeros((len(half), size), dtype=np.int64)
+            K[:, part] += half
+            K[:, flip[part]] += sign * half
+            halves.append(K)
+    if not halves:
         kernel = np.zeros((0, size), dtype=np.int64)
     else:
-        basis = kernel_from_rref(finish_rref(R, pivots, p), pivots, p)
+        K = np.concatenate(halves)
+        R, pivots = echelon_mod(K[:, ::-1], p)
+        if len(pivots) < len(K):
+            raise AssertionError("the half kernels of the Gram are dependent")
+        basis = np.ascontiguousarray(finish_rref(R, pivots, p)[::-1, ::-1])
         kernel = _lift_kernel(N, basis, p)
     if kernel is None:
         _, kernel = _fraction_kernel(N)

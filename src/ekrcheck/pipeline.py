@@ -56,6 +56,7 @@ from .group import (
 )
 from .library import build_group, get_spec
 from .modrank import (
+    gram_flip,
     gram_M,
     offdiag_pairs,
     pairs_algebra_rank,
@@ -634,7 +635,7 @@ def classify(key_or_spec, caps: Caps | None = None) -> EkrReport:
                     report.certificates.append(weighted)
 
             with _timed(report, "rank"):
-                cert = rank_certificate(gram_M(eg), len(offdiag_pairs(spec.degree)))
+                cert = rank_certificate(gram_M(eg), len(offdiag_pairs(spec.degree)), gram_flip(eg))
             digest = _kernel_digest(cert.kernel) if len(cert.kernel) else None
             report.certificates.append(
                 {"kind": "rank", "columns": cert.columns, "gram": cert.gram,

@@ -1,6 +1,7 @@
 """Gauss-Jordan elimination mod p and the two-pass rank certificate built
 on it: the oracles for `modmath`'s forward elimination and for
-`modrank.rank_certificate`, which finishes one echelon form to the RREF.
+`modrank.rank_certificate`, which eliminates the two halves of N under a
+flip and rebuilds the kernel basis of N's RREF from theirs.
 
 `rref_mod` clears above and below each pivot in one sweep; `rank_certificate`
 eliminates afresh for the rank at the rank prime and again for the kernel,
@@ -90,7 +91,7 @@ def rank_certificate(N: np.ndarray, columns: int | None = None) -> RankCertifica
         else:
             break
     if len(verified) == len(basis):
-        kernel = np.array(verified, dtype=np.int64).reshape(-1, size)
+        kernel = np.array(verified, dtype=np.int64).reshape(len(verified), size)
         return RankCertificate(columns, rank, rank == columns, mode, (p,), kernel)
 
     rank, kernel = _fraction_kernel(N)

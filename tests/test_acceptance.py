@@ -27,7 +27,9 @@ The Mathieu core tests carry per-key expectations for the same reason:
   certificate finds rank 360 of 380 with 20 integer kernel vectors.
 """
 
+import csv
 import hashlib
+import pathlib
 import random
 import time
 
@@ -282,6 +284,49 @@ def test_n_clique_decided_up_to_degree_21(survey, mathieu_core):
     for key in ("M21", "PSL(2,17)"):
         assert reports[key].n_clique == "no"
         assert any(c["kind"] == "n-clique-exhausted" for c in reports[key].certificates)
+
+
+# ---- the rank records ----
+
+# classify's rank record of each survey and Mathieu core group: gram,
+# columns, claimed rank, mode and kernel digest, written when each Gram
+# was eliminated whole, so the halves must give the same records
+RANK_RECORDS = pathlib.Path(__file__).resolve().parent / "rank_records.csv"
+RANK_FIELDS = ("gram", "columns", "claimed_rank", "mode", "kernel_digest")
+
+
+def _rank_records() -> dict[str, dict[str, str]]:
+    with RANK_RECORDS.open(newline="") as fh:
+        return {row.pop("key"): row for row in csv.DictReader(fh)}
+
+
+def _rank_fields(record: dict) -> dict[str, str]:
+    return {f: "" if record[f] is None else str(record[f]) for f in RANK_FIELDS}
+
+
+def test_rank_records_match_the_committed_table(survey, mathieu_core):
+    reports = {k: rep for k, (rep, _) in {**survey, **mathieu_core}.items()}
+    found = {}
+    for key, rep in reports.items():
+        (record,) = [c for c in rep.certificates if c["kind"] == "rank"]
+        found[key] = _rank_fields(record)
+    assert found == _rank_records()
+
+
+@pytest.mark.parametrize("key", list(_rank_records()))
+def test_rank_record_reverifies_on_the_whole_gram(key):
+    # the certificate behind each committed record, re-checked by plain
+    # elimination of the whole Gram, not of its two halves
+    _, g = get_group(key)
+    eg = EnumeratedGroup(g)
+    n = g.degree
+    N = mr.gram_M(eg)
+    cert = mr.rank_certificate(N, (n - 1) * (n - 2), mr.gram_flip(eg))
+    assert cert.reverify(N)
+    digest = pl._kernel_digest(cert.kernel) if len(cert.kernel) else None
+    record = {"gram": cert.gram, "columns": cert.columns, "claimed_rank": cert.claimed_rank,
+              "mode": cert.mode, "kernel_digest": digest}
+    assert _rank_fields(record) == _rank_records()[key]
 
 
 # ---- criterion 3: the degree-22 double-11-cycle class Gram identity ----

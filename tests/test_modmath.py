@@ -1,8 +1,9 @@
 """Forward elimination mod p, finished to the RREF and read off as a kernel
 basis, against the Gauss-Jordan oracle in `modmath_reference`, and the
-one-elimination rank certificate with its batched kernel lift against the
-two-elimination one with a per-vector lift, on random matrices and on
-survey Gram matrices."""
+rank certificate, eliminated in two halves under a flip with a batched
+kernel lift, against the two-elimination one of the whole matrix with a
+per-vector lift, on random matrices, on planted flip-symmetric matrices
+and on the Gram matrices of every catalog group of degree <= 21."""
 
 import dataclasses
 
@@ -75,17 +76,25 @@ def test_echelon_does_not_modify_its_input():
     assert np.array_equal(A, before)
 
 
-@pytest.mark.parametrize("key", SURVEY)
+# the survey groups and the catalog groups of degree <= 21 left out of it:
+# M12, M21, AGL(4,2), PGL(2,q) for q = 13, 17, 19 and PSL(2,q) for q = 13, 17
+DEGREE_21 = SURVEY + [k for k in catalog_keys() if load_catalog()[k].degree <= 21 and k not in SURVEY]
+
+
+@pytest.mark.parametrize("key", DEGREE_21)
 def test_rank_certificate_matches_reference_on_grams(key):
     # 24 of the survey groups are deficient, 14 of them on the row Gram;
     # the kernels of PSL(2,11)@11, A7@15, A8@15 and AGammaL(1,16) need the
-    # multipliers 2 to 4 that the batched lift tries after 1
+    # multipliers 2 to 4 that the batched lift tries after 1; M21 has rank
+    # 360 of 380.  The halves under the pipeline's flip give the
+    # certificate that eliminating N whole gives
     _, g = get_group(key)
     eg = EnumeratedGroup(g)
-    eg.compute_classes()
     N = mr.gram_M(eg)
     columns = (g.degree - 1) * (g.degree - 2)
-    assert ref.same_certificate(mr.rank_certificate(N, columns), ref.rank_certificate(N, columns))
+    expected = ref.rank_certificate(N, columns)
+    assert ref.same_certificate(mr.rank_certificate(N, columns), expected)
+    assert ref.same_certificate(mr.rank_certificate(N, columns, mr.gram_flip(eg)), expected)
 
 
 def _few_derangement_candidates() -> list[str]:
@@ -121,6 +130,7 @@ def test_row_gram_certificate_matches_the_column_gram(key):
     assert row.gram == "row" and row.mode == "deficient: fewer rows than columns"
     assert row.reverify(N)
     assert ref.same_certificate(row, ref.rank_certificate(N, c))
+    assert ref.same_certificate(mr.rank_certificate(N, c, mr.gram_flip(eg)), row)
 
 
 def test_rank_certificate_matches_reference_on_fallback():
@@ -190,3 +200,77 @@ def test_reverify_rejects_tampered_int64_kernels(key):
             assert not forged.reverify(N)
         # an object-dtype or Fraction kernel is not a certificate
         assert not dataclasses.replace(cert, kernel=cert.kernel.astype(object)).reverify(N)
+
+
+@st.composite
+def flip_symmetric(draw):
+    """An integer matrix N of up to 24 x 24, empty too, with
+    N[pi][:, pi] = N for an involution pi: the identity, one without
+    fixed points, or one with both fixed points and 2-cycles.  N = S + S[pi][:, pi] for the Gram S
+    of a few small integer rows, some of them combinations of others, so
+    the rank falls short of the size and the kernel is planted."""
+    kind = draw(st.sampled_from(["identity", "fixed-point-free", "mixed"]))
+    half = 0 if kind == "identity" else draw(st.integers(kind == "mixed", 11))
+    size = 2 * half if kind == "fixed-point-free" else draw(st.integers(2 * half + 1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flip = np.arange(size)
+    if kind != "identity":
+        order = rng.permutation(size)
+        a, b = order[:half], order[half : 2 * half]
+        flip[a], flip[b] = b, a
+    B = rng.integers(-3, 4, size=(draw(st.integers(0, size)), size), dtype=np.int64)
+    for _ in range(draw(st.integers(0, len(B)))):
+        i, j, t = rng.integers(0, len(B), size=3)
+        B[i] = rng.integers(-2, 3) * B[j] + rng.integers(-2, 3) * B[t]
+    S = B.T @ B
+    return S + S[flip][:, flip], flip
+
+
+@settings(max_examples=150, deadline=None)
+@given(flip_symmetric())
+def test_rank_certificate_halves_match_reference_on_planted_flips(case):
+    N, flip = case
+    assert np.array_equal(N[flip][:, flip], N)
+    expected = ref.rank_certificate(N)
+    assert ref.same_certificate(mr.rank_certificate(N, None, flip), expected)
+    assert ref.same_certificate(mr.rank_certificate(N), expected)
+
+
+def test_rank_certificate_rejects_a_flip_that_is_not_an_involution_fixing_n():
+    N = np.array([[2, 1, 0], [1, 2, 0], [0, 0, 5]], dtype=np.int64)
+    assert mr.rank_certificate(N, None, [1, 0, 2]).full
+    # a 3-cycle, an index out of range and a wrong length are no involution
+    for flip in ([1, 2, 0], [1, 0, 3], [1, 0]):
+        with pytest.raises(ValueError, match="involution"):
+            mr.rank_certificate(N, None, flip)
+    # (0 2) is an involution, but it moves N's entries
+    with pytest.raises(ValueError, match="does not fix"):
+        mr.rank_certificate(N, None, [2, 1, 0])
+    with pytest.raises(ValueError, match="not square"):
+        mr.rank_certificate(N[:2], 3)
+
+
+@pytest.mark.parametrize("key", ["AGL(1,7)", "F20", "AGammaL(1,9)", "PGL(2,5)", "M11"])
+def test_gram_flip_maps_each_index_to_its_inverse(key):
+    # the first three take the row Gram, the last two the column Gram
+    _, g = get_group(key)
+    eg = EnumeratedGroup(g)
+    n = g.degree
+    rows = eg.E[eg.fix_counts_all == 0]
+    N, flip = mr.gram_M(eg), mr.gram_flip(eg)
+    assert sorted(flip.tolist()) == list(range(len(N))) and np.array_equal(flip[flip], np.arange(len(N)))
+    if len(rows) < (n - 1) * (n - 2):
+        assert np.array_equal(rows[flip], np.argsort(rows, axis=1))
+    else:
+        pairs = mr.offdiag_pairs(n)
+        assert [pairs[a] for a in flip] == [(j, i) for i, j in pairs]
+    assert np.array_equal(N[flip][:, flip], N)
+
+
+def test_reverify_accepts_the_empty_gram_of_degree_two():
+    # a degree-2 group has no column pairs, so M and its Gram are empty
+    N = np.zeros((0, 0), dtype=np.int64)
+    cert = mr.rank_certificate(N, 0)
+    assert cert.full and cert.claimed_rank == 0 and cert.kernel.shape == (0, 0)
+    assert cert.reverify(N)
+    assert ref.same_certificate(mr.rank_certificate(N, 0, np.zeros(0, dtype=np.intp)), cert)
