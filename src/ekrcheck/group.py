@@ -1,10 +1,20 @@
 """Permutation groups via a deterministic Schreier-Sims stabilizer chain.
 
+Level i of the chain holds a base point, strong generators that fix the
+earlier base points, and the transversal of its orbit under them, all as
+arrays: the orbit in discovery order, the image rows of the transversal
+elements and of their inverses, and each point's place in the orbit.  The
+loop closes one level at a time: all of a level's Schreier generators are
+formed as one array and sifted through the lower levels together, and the
+first one in (orbit point, generator) order that fails to sift becomes a
+new strong generator of the level where it stopped.  A level whose
+generators did not change since its orbit was built keeps its arrays.
+
 A new level's base point is the smallest point moved by the residue that
 opens it, so the base need not start 0, 1, 2 (M11's is 0, 2, 1, 3);
 transitivity is read off the orbit sizes.  All iteration orders are fixed,
-making element enumeration and conjugacy class labeling reproducible across
-runs.
+so the chain, and with it element enumeration, conjugacy class labeling
+and every random draw through the transversals, is the same in every run.
 """
 
 from __future__ import annotations
@@ -46,29 +56,71 @@ def orbit_labels(size: int, maps) -> np.ndarray:
 
 
 class _Level:
-    __slots__ = ("base_point", "gens", "transversal", "orbit_list")
+    """One level of the chain: its base point, its strong generators (they
+    fix every earlier base point), and the transversal of the base point's
+    orbit under them, as arrays.
+
+    `orbit` lists the orbit points in discovery order; T[a] is the image
+    row of the transversal element u that maps the base point to orbit[a],
+    Tinv[a] the row of its inverse, and pos[p] is p's place in `orbit`
+    (-1 off it).  G holds the generator rows the arrays were built from,
+    so the arrays are stale exactly when `gens` has grown past G.
+    `schreier` holds the Schreier generators u_q^-1 g u_p (q = g(p)) that
+    are not the identity, in (orbit point, generator) order."""
+
+    __slots__ = ("base_point", "gens", "G", "orbit", "T", "Tinv", "pos", "schreier")
 
     def __init__(self, base_point: int, degree: int):
         self.base_point = base_point
         self.gens: list[Permutation] = []
-        self.transversal = {base_point: Permutation.identity(degree)}
-        self.orbit_list = [base_point]
+        self.G = np.empty((0, degree), dtype=np.intp)
+        self.orbit = np.array([base_point], dtype=np.intp)
+        self.T = self.Tinv = np.arange(degree, dtype=np.intp)[None, :]
+        self.schreier = self.G  # none until the orbit is built
+        self.pos = np.full(degree, -1, dtype=np.intp)
+        self.pos[base_point] = 0
 
-    def recompute_orbit(self, degree: int) -> None:
-        self.transversal = {self.base_point: Permutation.identity(degree)}
-        self.orbit_list = [self.base_point]
-        frontier = [self.base_point]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                u = self.transversal[p]
-                for g in self.gens:
-                    q = g(p)
-                    if q not in self.transversal:
-                        self.transversal[q] = g * u
-                        self.orbit_list.append(q)
-                        nxt.append(q)
-            frontier = nxt
+    def recompute_orbit(self) -> None:
+        """Breadth-first orbit of the base point: each orbit point in turn
+        is mapped by each generator, and a new point q = g(p) gets
+        u_q = g * u_p.  The points are found by a scalar pass; the rows
+        are then composed one breadth-first layer at a time, since every
+        row's parent lies in the layer before."""
+        images = [g.images for g in self.gens]
+        G = self.G = np.array(images, dtype=np.intp)
+        k, n = G.shape
+        orbit, parent, via = [self.base_point], [0], [0]
+        pos = [-1] * n
+        pos[self.base_point] = 0
+        # where the breadth-first layers after the base point's start: when
+        # point a starts a layer, the points found so far end the next one
+        layers = [1]
+        for a, p in enumerate(orbit):
+            if a == layers[-1]:
+                layers.append(len(orbit))
+            for j, g in enumerate(images):
+                q = g[p]
+                if pos[q] < 0:
+                    pos[q] = len(orbit)
+                    orbit.append(q)
+                    parent.append(a)
+                    via.append(j)
+        m = len(orbit)
+        layers.append(m)
+        parent = np.array(parent, dtype=np.intp)
+        via = np.array(via, dtype=np.intp)
+        T = np.empty((m, n), dtype=np.intp)
+        T[0] = np.arange(n)
+        for lo, hi in zip(layers, layers[1:]):
+            T[lo:hi] = G[via[lo:hi, None], T[parent[lo:hi]]]
+        self.orbit = np.array(orbit, dtype=np.intp)
+        self.T = T
+        self.Tinv = np.argsort(T, axis=1)
+        self.pos = np.array(pos, dtype=np.intp)
+        # S[a, j] = u_q^-1 g_j u_p for p = orbit[a], q = g_j(p)
+        S = self.Tinv[self.pos[G[:, self.orbit].T][:, :, None],
+                      G[np.arange(k)[:, None], T[:, None, :]]].reshape(-1, n)
+        self.schreier = S[(S != np.arange(n)).any(axis=1)]
 
 
 class PermutationGroup:
@@ -94,7 +146,7 @@ class PermutationGroup:
             self._schreier_sims(gens)
         self._order = 1
         for lv in self.levels:
-            self._order *= len(lv.orbit_list)
+            self._order *= len(lv.orbit)
 
     # ---- chain construction ----
 
@@ -112,7 +164,10 @@ class PermutationGroup:
         i = 0
         while i >= 0:
             lv = self.levels[i]
-            lv.recompute_orbit(self.degree)
+            # a level whose generators did not change since its orbit was
+            # built would get the same orbit again
+            if len(lv.gens) != len(lv.G):
+                lv.recompute_orbit()
             new_strong = self._close_level(i)
             if new_strong is None:
                 i -= 1
@@ -125,26 +180,30 @@ class PermutationGroup:
             i = j
 
     def _close_level(self, i: int):
-        """Test all Schreier generators of level i; on a failed sift return
-        (residue, level it belongs to), else None."""
-        lv = self.levels[i]
-        idx = 0
-        while idx < len(lv.orbit_list):
-            p = lv.orbit_list[idx]
-            u_p = lv.transversal[p]
-            for g in lv.gens:
-                q = g(p)
-                if q not in lv.transversal:
-                    lv.transversal[q] = g * u_p
-                    lv.orbit_list.append(q)
-                s = lv.transversal[q].inverse() * (g * u_p)
-                if s.is_identity():
-                    continue
-                residue, j = self._sift_from(i + 1, s)
-                if residue is not None:
-                    return residue, j
-            idx += 1
-        return None
+        """Sift the Schreier generators of level i, whose orbit is closed,
+        through levels[i+1:]; return (residue, level it belongs to) for the
+        first one that does not sift, else None.
+
+        They are sifted together: per lower level, the base-point image
+        picks the inverse transversal row applied to the whole row, and a
+        row whose image leaves the orbit stops there, with every row after
+        it dropped.  The first failure is sifted once more as a Permutation
+        for its residue and level."""
+        S = self.levels[i].schreier
+        R = S
+        failed = len(S)
+        for lower in self.levels[i + 1 :]:
+            at = lower.pos[R[:, lower.base_point]]
+            if at.min(initial=0) < 0:
+                failed = int(np.argmax(at < 0))
+                R, at = R[:failed], at[:failed]
+            R = lower.Tinv[at[:, None], R]
+        unfinished = (R != np.arange(self.degree)).any(axis=1)
+        if unfinished.any():
+            failed = int(np.argmax(unfinished))
+        if failed == len(S):
+            return None
+        return self._sift_from(i + 1, Permutation(S[failed].tolist()))
 
     def _sift_from(self, start: int, g: Permutation):
         """Sift g through levels[start:].  Returns (None, _) on success, or
@@ -153,10 +212,10 @@ class PermutationGroup:
         j = start
         while j < len(self.levels):
             lv = self.levels[j]
-            p = residue(lv.base_point)
-            if p not in lv.transversal:
+            a = lv.pos[residue(lv.base_point)]
+            if a < 0:
                 return residue, j
-            residue = lv.transversal[p].inverse() * residue
+            residue = Permutation(lv.Tinv[a].tolist()) * residue
             j += 1
         if residue.is_identity():
             return None, j
@@ -205,7 +264,7 @@ class PermutationGroup:
         """
         t = 0
         for i, lv in enumerate(self.levels):
-            if len(lv.orbit_list) != self.degree - i:
+            if len(lv.orbit) != self.degree - i:
                 break
             t += 1
         else:
@@ -221,8 +280,7 @@ class PermutationGroup:
         level i's transversal, so independent uniform picks are uniform."""
         g = Permutation.identity(self.degree)
         for lv in self.levels:
-            p = lv.orbit_list[rng.randrange(len(lv.orbit_list))]
-            g = g * lv.transversal[p]
+            g = g * Permutation(lv.T[rng.randrange(len(lv.orbit))].tolist())
         return g
 
     def point_stabilizer(self, x: int) -> "PermutationGroup":
@@ -233,7 +291,7 @@ class PermutationGroup:
             return rebuilt
         stab_gens = rebuilt.levels[1].gens if len(rebuilt.levels) > 1 else []
         stab = PermutationGroup(stab_gens, self.degree)
-        if stab.order() * len(rebuilt.levels[0].orbit_list) != self.order():
+        if stab.order() * len(rebuilt.levels[0].orbit) != self.order():
             raise AssertionError(f"stabilizer of {x} times its orbit is not the group order")
         return stab
 
@@ -250,9 +308,8 @@ class PermutationGroup:
             raise ValueError("degree too large for int8 rows")
         E = np.arange(self.degree, dtype=np.int8)[None, :]
         for lv in reversed(self.levels):
-            reps = [np.array(lv.transversal[p].images, dtype=np.int8)
-                    for p in lv.orbit_list]
-            E = np.vstack([u[E] for u in reps]) if len(reps) > 1 else E
+            # the rows u[E] for each transversal row u, in orbit order
+            E = lv.T.astype(np.int8)[:, E].reshape(-1, self.degree)
         # levels were applied bottom-up: element = u_0 ∘ u_1 ∘ ... ∘ id
         return E
 
@@ -260,20 +317,6 @@ class PermutationGroup:
         """Yield all elements as Permutations, identity first."""
         for row in self.elements_array(cap):
             yield Permutation(tuple(int(x) for x in row))
-
-    def _sift_table(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per level: each point's position in the level's orbit (-1 off
-        it), and the inverse of the transversal element of each orbit
-        point as an image row."""
-        if not hasattr(self, "_sift_tables"):
-            self._sift_tables = []
-            for lv in self.levels:
-                pos_of = np.full(self.degree, -1, dtype=np.intp)
-                pos_of[lv.orbit_list] = np.arange(len(lv.orbit_list))
-                uinv = np.array([lv.transversal[p].inverse().images
-                                 for p in lv.orbit_list], dtype=np.intp)
-                self._sift_tables.append((pos_of, uinv))
-        return self._sift_tables
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         """Membership of each permutation image row (m, degree), by one
@@ -283,12 +326,15 @@ class PermutationGroup:
         identity row; a row whose base-point image leaves an orbit, or
         whose residue is not the identity, is not a member."""
         R = np.asarray(rows).astype(np.intp)
-        ok = np.ones(len(R), dtype=bool)
-        for lv, (pos_of, uinv) in zip(self.levels, self._sift_table()):
-            pos = pos_of[R[:, lv.base_point]]
+        # an image outside 0..degree-1 is no point; the sift would read a
+        # negative one from the end of a row
+        ok = ((R >= 0) & (R < self.degree)).all(axis=1)
+        R[~ok] = np.arange(self.degree)
+        for lv in self.levels:
+            pos = lv.pos[R[:, lv.base_point]]
             ok &= pos >= 0
             pos[~ok] = 0
-            R = uinv[pos[:, None], R]
+            R = lv.Tinv[pos[:, None], R]
         return ok & (R == np.arange(self.degree)).all(axis=1)
 
     def pair_carriers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -305,10 +351,10 @@ class PermutationGroup:
         if self.transitivity_degree() < 2 or len(self.levels) < 2:
             raise ValueError("pair carriers need a 2-transitive group of degree > 2")
         n = self.degree
-        (pos0, inv0), (pos1, inv1) = self._sift_table()[:2]
+        lv0, lv1 = self.levels[:2]
         # to_b0[a] maps a to b0; to_b1[x] maps x != b0 to b1 and fixes b0
-        to_b0 = inv0[pos0]
-        to_b1 = inv1[pos1]
+        to_b0 = lv0.Tinv[lv0.pos]
+        to_b1 = lv1.Tinv[lv1.pos]
         to_b1[self.levels[0].base_point] = np.arange(n)
         carry = to_b1[to_b0[:, :, None], to_b0[:, None, :]]
         stab = [g.images for g in self.levels[2].gens] if len(self.levels) > 2 else []
@@ -331,13 +377,13 @@ class PermutationGroup:
         B = np.asarray(rows)[:, self.base()].astype(np.intp)
         idx = np.zeros(len(B), dtype=np.int64)
         ok = np.ones(len(B), dtype=bool)
-        for pos_of, uinv in self._sift_table():
-            pos = pos_of[B[:, 0]]
+        for lv in self.levels:
+            pos = lv.pos[B[:, 0]]
             ok &= pos >= 0
             pos[~ok] = 0
-            idx = idx * len(uinv) + pos
+            idx = idx * len(lv.orbit) + pos
             # element = u_pos * rest: the rest maps base images through u_pos^-1
-            B = uinv[pos[:, None], B[:, 1:]]
+            B = lv.Tinv[pos[:, None], B[:, 1:]]
         idx[~ok] = -1
         return idx
 
@@ -435,10 +481,10 @@ class EnumeratedGroup:
         s = 0
         while n ** (L - s) > len(self.E) * n:
             s += 1
-        self._prefix = group._sift_table()[:s]
+        self._prefix = group.levels[:s]
         # `elements_array` lists the stabilizer of the first s base points
         # first, so its rows are those with a zero prefix
-        self._stab_order = math.prod(len(lv.orbit_list) for lv in group.levels[s:])
+        self._stab_order = math.prod(len(lv.orbit) for lv in group.levels[s:])
         self._table = np.full(n ** (L - s), -1, dtype=np.int32)
         self._table[self._key(self.E[: self._stab_order, self.base[s:]])] = np.arange(
             self._stab_order, dtype=np.int32
@@ -459,12 +505,12 @@ class EnumeratedGroup:
         when some row of B is the base images of no element."""
         B = np.asarray(B)
         idx = np.zeros(len(B), dtype=np.intp)
-        for pos_of, uinv in self._prefix:
-            pos = pos_of[B[:, 0]]
+        for lv in self._prefix:
+            pos = lv.pos[B[:, 0]]
             if (pos < 0).any():
                 raise ValueError("base images of no element")
-            idx = idx * len(uinv) + pos
-            B = uinv[pos[:, None], B[:, 1:]]
+            idx = idx * len(lv.orbit) + pos
+            B = lv.Tinv[pos[:, None], B[:, 1:]]
         found = self._table[self._key(B)]
         if (found < 0).any():
             raise ValueError("base images of no element")

@@ -41,8 +41,7 @@ class Permutation:
             raise ValueError(
                 f"degree mismatch: {len(self.images)} vs {len(other.images)}"
             )
-        im = self.images
-        return Permutation(tuple(im[j] for j in other.images))
+        return Permutation(map(self.images.__getitem__, other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)

@@ -176,6 +176,16 @@ def test_verify_clique_rejects_an_outsider_with_a_members_base_images(enumerated
         verify_clique(g, clique[:1] + (outsider,) + clique[2:])
 
 
+def test_verify_clique_rejects_images_outside_the_points(ctx):
+    # the second element is the identity spelled with negative images; it
+    # disagrees with the first at every point, but it is no permutation
+    # of 0..2
+    g = ctx("S3")[0].group
+    els = [Permutation((0, 1, 2)), Permutation((-3, -2, -1)), Permutation((1, 2, 0))]
+    with pytest.raises(ValueError, match="not in the group"):
+        verify_clique(g, els)
+
+
 def _clique_by_quotients(els) -> bool:
     """Whether every quotient of two of the elements is a derangement, one
     `Permutation` product per pair."""

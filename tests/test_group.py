@@ -1,8 +1,11 @@
+import csv
 import itertools
+import pathlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ekrcheck.errors import CapExceeded
 from ekrcheck.group import (
@@ -12,11 +15,12 @@ from ekrcheck.group import (
     conjugacy_classes,
     conjugation_orbit,
 )
-from ekrcheck.library import catalog_keys, get_group, get_spec
+from ekrcheck.library import build_group, catalog_keys, get_group, get_spec
 from ekrcheck.perm import Permutation, parse_cycles
 
 from chartab_reference import enumerated
 from class_reference import bfs_class_labels, bfs_conjugation_orbit, find_class_rep
+from group_reference import RECORD_FIELDS, ReferenceChain, chain_record, library_levels
 from perm_reference import power
 
 
@@ -354,3 +358,84 @@ def test_orbit():
     g = PermutationGroup(gens_of("(1,2)", "(3,4,5)", degree=5))
     assert sorted(g.orbit(0)) == [0, 1]
     assert sorted(g.orbit(2)) == [2, 3, 4]
+
+
+# ---------------------------------------------------------------------------
+# the stabilizer chain against the scalar reference and the committed records
+
+CHAIN_RECORDS = pathlib.Path(__file__).with_name("chain_records.csv")
+
+
+def _chain_records():
+    with CHAIN_RECORDS.open(newline="") as fh:
+        return {row["key"]: row for row in csv.DictReader(fh)}
+
+
+def test_chain_records_cover_the_catalog():
+    assert sorted(_chain_records()) == sorted(catalog_keys())
+
+
+@pytest.mark.parametrize("key", catalog_keys())
+def test_chain_matches_the_committed_record(key):
+    # the records were written from the chains of the scalar builder
+    # before the level arrays replaced it
+    record = _chain_records()[key]
+    g = build_group(get_spec(key))
+    assert g.order() == int(record["order"])
+    assert chain_record(library_levels(g)) == {f: record[f] for f in RECORD_FIELDS}
+
+
+@st.composite
+def generator_sets(draw):
+    """Generators of degree <= 9: random permutations, or permutations of
+    two blocks apart (an intransitive set), with the identity and repeats
+    mixed in, possibly none at all (the trivial group), and a base hint."""
+    n = draw(st.integers(1, 9))
+    cut = draw(st.integers(0, n)) if draw(st.booleans()) else n
+    block = st.tuples(st.permutations(range(cut)), st.permutations(range(cut, n)))
+    gens = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["perm", "perm", "identity", "repeat"]))
+        if kind == "identity":
+            gens.append(Permutation.identity(n))
+        elif kind == "repeat" and gens:
+            gens.append(draw(st.sampled_from(gens)))
+        else:
+            low, high = draw(block)
+            gens.append(Permutation(tuple(low) + tuple(high)))
+    hint = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+    return n, gens, hint
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets(), st.randoms(use_true_random=False))
+def test_chain_and_sifts_match_the_reference_builder(case, rnd):
+    n, gens, hint = case
+    g = PermutationGroup(gens, n, base_hint=hint)
+    ref = ReferenceChain(gens, n, base_hint=hint)
+    assert library_levels(g) == ref.level_records()
+    assert g.order() == ref.order()
+    members = [g.random_element(rnd) for _ in range(6)]
+    others = [Permutation(tuple(rnd.sample(range(n), n))) for _ in range(6)]
+    rows = np.array([x.images for x in members + others], dtype=np.int8)
+    assert g.contains_rows(rows).tolist() == [ref.contains(x) for x in members + others]
+    assert all(ref.contains(x) for x in members)
+    index = g.element_index(rows).tolist()
+    for x, i in zip(members + others, index):
+        residue, stop = ref.sift_from(0, x)
+        if residue is None:
+            assert i == ref.index(x)
+        elif stop < len(ref.levels):
+            # the sift left an orbit at a base point
+            assert i == -1
+    if g.order() <= 2000:
+        E = g.elements_array()
+        assert [ref.index(Permutation(tuple(int(v) for v in row))) for row in E] == list(range(len(E)))
+
+
+def test_contains_rows_rejects_images_outside_the_points():
+    # the identity spelled with negative images, and an image past the
+    # last point: numpy would wrap the first and fail on the second
+    g = PermutationGroup(S3)
+    rows = np.array([[0, 1, 2], [-3, -2, -1], [1, 2, 0], [0, 1, 5]])
+    assert g.contains_rows(rows).tolist() == [True, False, True, False]
