@@ -367,8 +367,9 @@ class PermutationGroup:
         each level the row's base-point image gives its orbit position,
         and stripping that transversal element maps the remaining base
         images on.  An element is fixed by its base images, so the index
-        is exact for members; a row whose base images leave an orbit gets
-        -1, and other non-members are not detected (check the row).
+        is exact for members; a row whose base images leave an orbit, or
+        lie outside 0..degree-1, gets -1, and other non-members are not
+        detected (check the row).
         It needs no enumeration, so streamed classes use it; on an
         enumerated group `EnumeratedGroup.base_index` is one table
         lookup instead."""
@@ -376,7 +377,10 @@ class PermutationGroup:
             raise ValueError(f"group order {self._order} does not fit an int64 index")
         B = np.asarray(rows)[:, self.base()].astype(np.intp)
         idx = np.zeros(len(B), dtype=np.int64)
-        ok = np.ones(len(B), dtype=bool)
+        # an image outside 0..degree-1 is no point; a negative one would
+        # read `pos` from its end
+        ok = ((B >= 0) & (B < self.degree)).all(axis=1)
+        B[~ok] = 0
         for lv in self.levels:
             pos = lv.pos[B[:, 0]]
             ok &= pos >= 0
@@ -504,6 +508,10 @@ class EnumeratedGroup:
         the stabilizer that the remaining images pick.  Raises ValueError
         when some row of B is the base images of no element."""
         B = np.asarray(B)
+        # an image outside 0..degree-1 is no point; a negative one would
+        # read `pos` or the table from its end
+        if B.size and (B.min() < 0 or B.max() >= self.group.degree):
+            raise ValueError("base images of no element")
         idx = np.zeros(len(B), dtype=np.intp)
         for lv in self._prefix:
             pos = lv.pos[B[:, 0]]

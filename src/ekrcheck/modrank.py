@@ -8,21 +8,21 @@ lemmas about that matrix are checked in the tests.  The question that
 decides strictness is whether M has full column rank c = (n-1)(n-2) over
 the rationals.
 
-Rank is certified at one prime on the smaller of M's two Gram matrices:
-the column Gram M^T M, or the row Gram M M^T when M has fewer rows d than
-columns.  Over Q each has the rank of M, since w^T M^T M w = |Mw|^2 and
-w^T M M^T w = |M^T w|^2 give ker M^T M = ker M and ker M M^T = ker M^T.
-A rank r mod p proves rank >= r, and exact integer kernel vectors of the
-Gram prove rank <= r.  Full column rank needs rank c, so a row Gram
-(d < c) always certifies deficiency; its certificate adds the exact rank.
-The column Gram is counted exactly in int64, one point pair at a time.
+When M has fewer rows d than columns, its rank is at most d < c, so the
+shape alone answers the question and no Gram is built.  Otherwise rank
+is certified at one prime on the column Gram N = M^T M, which has the
+rank of M over Q, since w^T M^T M w = |Mw|^2 gives ker M^T M = ker M.  A
+rank r mod p proves rank >= r, and exact integer kernel vectors of N
+prove rank <= r.  N is counted exactly in int64, one point pair at a
+time.
 
-Inversion maps the derangements onto themselves, so an involution pi of
-the Gram's indices fixes it (`gram_flip`): (i,j) <-> (j,i) on the column
-Gram, x <-> x^-1 on the row Gram.  The basis e_a + e_pi(a), e_a - e_pi(a)
-splits N into two halves N+ and N-, whose ranks add up to N's at every
-odd prime and whose kernels rebuild N's; `rank_certificate` eliminates
-the halves, for a pi without fixed points a quarter of the arithmetic of
+Inversion maps the derangements onto themselves, and x maps i to j and
+k to l exactly when x^-1 maps j to i and l to k, so the involution
+pi: (i,j) <-> (j,i) of the column pairs fixes N; it has no fixed points.
+The basis e_a + e_pi(a), e_a - e_pi(a), over the pairs a = (i,j) with
+i < j, splits N into two halves N+ and N-, whose ranks add up to N's at
+every odd prime and whose kernels, mapped back, span N's;
+`rank_certificate` eliminates the halves, a quarter of the arithmetic of
 eliminating N.
 
 The Gram of the conjugates g z g^-1 of one derangement z, over g in G,
@@ -165,44 +165,10 @@ def quadruple_orbit_gram(group: PermutationGroup, z: Permutation) -> QuadrupleOr
         _pair_classes(b0, b1, c, d)[column])
 
 
-def gram_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """Exact M M^T for the derangement rows: entry (x, y) counts the points
-    i < n-1 with x(i) = y(i) < n-1, the columns (i, x(i)) that rows x and y
-    share.  It takes d x d x (n-1) bytes for d rows."""
-    X = _derangement_rows(rows, n)[:, : n - 1]
-    shared = (X[:, None, :] == X[None, :, :]) & (X < n - 1)[:, None, :]
-    return shared.sum(axis=2, dtype=np.int64)
-
-
 def gram_M(eg: EnumeratedGroup) -> np.ndarray:
-    """The smaller Gram matrix of the full derangement block M: the row
-    Gram when M has fewer rows than columns, else the column Gram.  Both
-    have the rank of M; the enumeration cap already bounds the rows."""
-    n = eg.group.degree
-    rows = eg.E[eg.fix_counts_all == 0]
-    if len(rows) < len(offdiag_pairs(n)):
-        return gram_rows(rows, n)
-    return gram_offdiag(rows, n)
-
-
-def gram_flip(eg: EnumeratedGroup) -> np.ndarray:
-    """The involution pi of the indices of `gram_M(eg)` that inversion
-    induces, as an index array with N[pi][:, pi] = N.  On the column Gram
-    it maps pair (i,j) to (j,i), since x maps i to j and k to l exactly
-    when x^-1 maps j to i and l to k; on the row Gram it maps the row of
-    x to the row of x^-1, since x and y share column (i,j) exactly when
-    x^-1 and y^-1 share (j,i).  Both hold because inversion maps the
-    derangements onto themselves."""
-    n = eg.group.degree
-    der = eg.fix_counts_all == 0
-    pairs = np.array(offdiag_pairs(n), dtype=np.intp).reshape(-1, 2)
-    if der.sum() < len(pairs):
-        rows = eg.E[der]
-        # x^-1(b) is the position of b in x's row, for each base point b
-        inverse_base = (rows[:, None, :] == eg.base[None, :, None]).argmax(axis=2)
-        return (np.cumsum(der) - 1)[eg.base_index(inverse_base)]
-    I, J = pairs.T
-    return J * (n - 2) + I - (I > J)
+    """The column Gram M^T M of the full derangement block M; the
+    enumeration cap already bounds the rows."""
+    return gram_offdiag(eg.E[eg.fix_counts_all == 0], eg.group.degree)
 
 
 # ---- rank certification ----
@@ -210,30 +176,27 @@ def gram_flip(eg: EnumeratedGroup) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RankCertificate:
-    """The rank of M, certified on one of its Gram matrices N at a prime.
+    """The rank of M, certified on its column Gram N at a prime.
 
-    `columns` is the column count c of M.  N is the c x c Gram M^T M, or
-    the d x d Gram M M^T when M has d < c rows.  `kernel` holds integer
-    vectors that N kills, one int64 row of N's size each, so `claimed_rank`
-    is that size less their number, and `full` means rank c, which only a
-    column Gram can reach.  `mode` says how the rank was proven: at the
-    prime in `primes`, with the kernel as the upper bound ("full-rank via
-    prime p", "deficient via exact kernel", or, on the row side,
-    "deficient: fewer rows than columns"), or by rational elimination
-    ("exact elimination")."""
+    `kernel` holds integer vectors that N kills, one int64 row of N's size
+    each, so `claimed_rank` is that size, `columns`, less their number,
+    and `full` means rank `columns`.  `mode` says how the rank was proven:
+    at the prime in `primes`, with the kernel as the upper bound
+    ("full-rank via prime p" or "deficient via exact kernel"), or by
+    rational elimination ("exact elimination")."""
 
-    columns: int
     claimed_rank: int
-    full: bool
     mode: str
     primes: tuple[int, ...]
     kernel: np.ndarray
 
     @property
-    def gram(self) -> str:
-        """The side of M whose Gram carries the certificate: "row" when
-        that Gram is smaller than the column count, else "column"."""
-        return "row" if self.kernel.shape[1] < self.columns else "column"
+    def columns(self) -> int:
+        return self.kernel.shape[1]
+
+    @property
+    def full(self) -> bool:
+        return self.claimed_rank == self.columns
 
     def reverify(self, N: np.ndarray) -> bool:
         """Re-check the certificate against the Gram matrix, independently
@@ -245,15 +208,8 @@ class RankCertificate:
         N = np.asarray(N, dtype=np.int64)
         W = np.asarray(self.kernel)
         size = N.shape[1]
-        shape_ok = (
-            N.shape == (size, size)
-            and size <= self.columns
-            and W.dtype == np.int64
-            and W.shape == (len(W), size)
-        )
+        shape_ok = N.shape == (size, size) and W.dtype == np.int64 and W.shape == (len(W), size)
         if not shape_ok or self.claimed_rank != size - len(W):
-            return False
-        if self.full != (self.claimed_rank == self.columns):
             return False
         if not W.any(axis=1).all() or not _killed(N, W).all():
             return False
@@ -340,79 +296,63 @@ def _fraction_kernel(N: np.ndarray) -> tuple[int, np.ndarray]:
     return len(pivots), W
 
 
-def rank_certificate(N: np.ndarray, columns: int | None = None,
-                     flip: np.ndarray | None = None) -> RankCertificate:
-    """Certify the rational rank of a Gram matrix N of M at one prime p.
+def _pair_flip(size: int) -> np.ndarray:
+    """The index of (j,i) at the index of each pair (i,j) of `offdiag_pairs`
+    order, for the m(m-1) = `size` pairs of m points; a size that no m
+    gives raises ValueError.  The index of (i,j) is below that of (j,i)
+    exactly when i < j."""
+    m = (1 + math.isqrt(1 + 4 * size)) // 2
+    if m * (m - 1) != size:
+        raise ValueError(f"no m has m(m-1) = {size}, so a Gram of size {size} has no pair indices")
+    I, J = np.array(offdiag_pairs(m + 1), dtype=np.intp).reshape(-1, 2).T
+    return J * (m - 1) + I - (I > J)
 
-    M has `columns` columns, N.shape[1] by default; a smaller N is the
-    row Gram.  Rank mod p never exceeds the rational rank, so r pivots at
-    p prove rank >= r, and r = columns proves full rank.  Otherwise the
-    kernel basis of N's RREF lifts to integer vectors that N kills
-    exactly (N w = 0 forces M w = 0, or M^T w = 0 on the row side, over
-    Q); they keep the basis's diagonal pattern on the free columns, so
-    they are independent and prove rank <= r.  When a vector does not
-    lift, exact rational elimination decides.
 
-    The elimination runs on the two halves of N under `flip`, an
-    involution pi of N's indices with N[pi][:, pi] = N (`gram_flip`;
-    None means the identity).  With R = {a : a <= pi(a)} and
-    S = {a : a < pi(a)}, the columns e_a + e_pi(a), a in R, and
-    e_a - e_pi(a), a in S, form a matrix Q = [Q+ Q-] that is invertible
-    over Q and mod every odd p, and Q^T N Q = 2 diag(N+, N-) with
-    N+ = N[R,R] + N[R,pi(R)] and N- = N[S,S] - N[S,pi(S)].  So rank N =
-    rank N+ + rank N- at p, and ker(N mod p) = Q+ ker N+ + Q- ker N-.
-    N's RREF kernel basis is the basis of that kernel that is the
-    identity on N's free columns, which are the last nonzero places of
-    the kernel's vectors; one echelon of the stacked half kernels with
-    the columns reversed, finished to the RREF, gives it exactly.  A flip
-    that is not an involution fixing N raises ValueError."""
+def rank_certificate(N: np.ndarray) -> RankCertificate:
+    """Certify the rational rank of the column Gram N of M at one prime p.
+
+    N is indexed by the pairs (i,j), i != j, of m points in
+    `offdiag_pairs` order, so its size is m(m-1).  The flip
+    pi: (i,j) <-> (j,i) must fix N, or ValueError is raised.  With R the
+    pairs i < j, the columns e_a + e_pi(a) and e_a - e_pi(a), a in R,
+    form a matrix Q = [Q+ Q-] that is invertible over Q and mod every odd
+    p, and Q^T N Q = 2 diag(N+, N-) with N+- = N[R,R] +- N[R,pi(R)].  So
+    rank N = rank N+ + rank N- at p, which proves rank >= that over Q.
+    Each half's RREF kernel basis lifts to integer vectors that the half
+    kills exactly; mapped back by Q+ or Q-, they are killed by N (Q^T N
+    Q+ w = 0 and Q is invertible), independent, and prove the rank at p
+    is the rank.  When a vector does not lift, exact rational elimination
+    of N decides."""
     N = np.asarray(N, dtype=np.int64)
     size = N.shape[1]
-    columns = size if columns is None else columns
-    if size > columns:
-        raise ValueError(f"a Gram matrix of size {size} for {columns} columns")
     if N.shape != (size, size):
         raise ValueError(f"a Gram matrix of shape {N.shape} is not square")
-    index = np.arange(size)
-    flip = index if flip is None else np.asarray(flip, dtype=np.intp)
-    in_range = flip.shape == (size,) and ((flip >= 0) & (flip < size)).all()
-    if not in_range or (flip[flip] != index).any():
-        raise ValueError("the flip is not an involution of the Gram's indices")
+    flip = _pair_flip(size)
     if (N[np.ix_(flip, flip)] != N).any():
-        raise ValueError("the flip does not fix the Gram matrix")
+        raise ValueError("the flip (i,j) <-> (j,i) does not fix the Gram matrix")
     p = _RANK_PRIME
+    R = np.flatnonzero(np.arange(size) < flip)
     halves = []
-    for part, sign in ((index[index <= flip], 1), (index[index < flip], -1)):
-        H = N[np.ix_(part, part)] + sign * N[np.ix_(part, flip[part])]
-        R, pivots = echelon_mod(H, p)
-        if len(pivots) < len(part):
-            half = kernel_from_rref(finish_rref(R, pivots, p), pivots, p)
+    for sign in (1, -1):
+        H = N[np.ix_(R, R)] + sign * N[np.ix_(R, flip[R])]
+        E, pivots = echelon_mod(H, p)
+        if len(pivots) < len(R):
+            half = _lift_kernel(H, kernel_from_rref(finish_rref(E, pivots, p), pivots, p), p)
+            if half is None:
+                halves = None
+                break
             K = np.zeros((len(half), size), dtype=np.int64)
-            K[:, part] += half
-            K[:, flip[part]] += sign * half
+            K[:, R], K[:, flip[R]] = half, sign * half
             halves.append(K)
-    if not halves:
-        kernel = np.zeros((0, size), dtype=np.int64)
-    else:
-        K = np.concatenate(halves)
-        R, pivots = echelon_mod(K[:, ::-1], p)
-        if len(pivots) < len(K):
-            raise AssertionError("the half kernels of the Gram are dependent")
-        basis = np.ascontiguousarray(finish_rref(R, pivots, p)[::-1, ::-1])
-        kernel = _lift_kernel(N, basis, p)
-    if kernel is None:
+    if halves is None:
         _, kernel = _fraction_kernel(N)
         if not _killed(N, kernel).all():
             raise AssertionError("rational elimination gave a vector outside the kernel")
         mode = "exact elimination"
-    elif size < columns:
-        mode = "deficient: fewer rows than columns"
-    elif len(kernel):
-        mode = "deficient via exact kernel"
     else:
-        mode = f"full-rank via prime {p}"
-    rank = size - len(kernel)
-    return RankCertificate(columns, rank, rank == columns, mode, (p,), kernel)
+        kernel = np.concatenate([np.zeros((0, size), dtype=np.int64), *halves])
+        mode = "deficient via exact kernel" if len(kernel) else f"full-rank via prime {p}"
+    return RankCertificate(size - len(kernel), mode, (p,), kernel)
 
 
 # ---- the pairs algebra ----

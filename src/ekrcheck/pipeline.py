@@ -17,8 +17,9 @@ alone:
                       `n-clique-budget` ?, none --
     EKR               least Y (ratio), else an `n-clique` (clique-coclique)
     module-by-clique  -- always: condition (b) is read off the spectrum
-    rank              `rank` (full when claimed_rank = columns), or Y by a
-                      `class-gram` whose Gram is invertible in the pairs algebra
+    rank              `rank`: N when rows < columns, else Y exactly when
+                      claimed_rank = columns; or Y by a `class-gram` whose
+                      Gram is invertible in the pairs algebra
     strict            Y: EKR, rank Y and a `ratio` or `weighted-ratio` record
                       passing `weighted_ratio_holds` (condition (b)); N: a
                       `complete-union` count above n^2, or a `witness` and EKR
@@ -56,9 +57,7 @@ from .group import (
 )
 from .library import build_group, get_spec
 from .modrank import (
-    gram_flip,
     gram_M,
-    offdiag_pairs,
     pairs_algebra_rank,
     quadruple_orbit_gram,
     rank_certificate,
@@ -128,8 +127,18 @@ class EkrReport:
                     bad = "the largest eigenvalue is not positive"
             elif kind == "n-clique" and [len(row) for row in c["elements"]] != [n] * n:
                 bad = f"not {n} rows of length {n}"
-            elif kind == "rank" and c["claimed_rank"] > c["columns"]:
-                bad = "claimed rank exceeds the column count"
+            elif kind == "rank":
+                claimed = c.get("claimed_rank", 0)
+                bad = (
+                    # M has a row per derangement; the column check below
+                    # holds d to the ratio record
+                    "rows is not d, the number of derangements" if c["rows"] != self.d
+                    else "claimed rank exceeds the column count" if claimed > c["columns"]
+                    else "claimed rank exceeds the row count" if claimed > c["rows"]
+                    else "no claimed rank, yet no fewer rows than columns"
+                    if "claimed_rank" not in c and c["rows"] >= c["columns"]
+                    else None
+                )
             elif kind == "complete-union" and c["count"] != n ** c["components"]:
                 bad = "count is not degree ** components"
             elif kind == "witness":
@@ -250,7 +259,9 @@ def derive_columns(report: EkrReport) -> EkrReport:
 
     rank, gram = first.get("rank"), first.get("class-gram")
     if rank is not None:
-        report.rank_full = "yes" if rank["claimed_rank"] == rank["columns"] else "no"
+        # fewer rows than columns settle rank N with no claimed rank
+        full = rank["rows"] >= rank["columns"] and rank["claimed_rank"] == rank["columns"]
+        report.rank_full = "yes" if full else "no"
         report.rank_mode = rank["mode"]
     elif gram is not None:
         report.rank_full = "yes"
@@ -635,13 +646,17 @@ def classify(key_or_spec, caps: Caps | None = None) -> EkrReport:
                     report.certificates.append(weighted)
 
             with _timed(report, "rank"):
-                cert = rank_certificate(gram_M(eg), len(offdiag_pairs(spec.degree)), gram_flip(eg))
-            digest = _kernel_digest(cert.kernel) if len(cert.kernel) else None
-            report.certificates.append(
-                {"kind": "rank", "columns": cert.columns, "gram": cert.gram,
-                 "claimed_rank": cert.claimed_rank, "mode": cert.mode,
-                 "primes": list(cert.primes), "kernel_digest": digest}
-            )
+                rows = int((eg.fix_counts_all == 0).sum())
+                columns = (spec.degree - 1) * (spec.degree - 2)
+                record = {"kind": "rank", "columns": columns, "rows": rows}
+                if rows < columns:
+                    record["mode"] = "deficient: fewer rows than columns"
+                else:
+                    cert = rank_certificate(gram_M(eg))
+                    digest = _kernel_digest(cert.kernel) if len(cert.kernel) else None
+                    record.update(claimed_rank=cert.claimed_rank, mode=cert.mode,
+                                  primes=list(cert.primes), kernel_digest=digest)
+            report.certificates.append(record)
 
             built = hyperplane_witness(eg)
             if built is not None:

@@ -1,7 +1,8 @@
 """Gauss-Jordan elimination mod p and the two-pass rank certificate built
 on it: the oracles for `modmath`'s forward elimination and for
-`modrank.rank_certificate`, which eliminates the two halves of N under a
-flip and rebuilds the kernel basis of N's RREF from theirs.
+`modrank.rank_certificate`, which eliminates the two halves of a
+pair-indexed Gram N under the flip (i,j) <-> (j,i) and maps their
+kernels back.
 
 `rref_mod` clears above and below each pivot in one sweep; `rank_certificate`
 eliminates afresh for the rank at the rank prime and again for the kernel,
@@ -62,21 +63,15 @@ def _verify_integer_kernel(N: np.ndarray, w: np.ndarray) -> bool:
     return not (np.asarray(N, dtype=object) @ w.astype(object)).any()
 
 
-def rank_certificate(N: np.ndarray, columns: int | None = None) -> RankCertificate:
-    """The rank certificate as two separate eliminations at one prime
-    produce it, for a Gram matrix N of a matrix with `columns` columns
-    (N.shape[1] by default; fewer on the row side)."""
+def rank_certificate(N: np.ndarray) -> RankCertificate:
+    """The rank certificate as two separate eliminations of the whole
+    Gram N at one prime produce it: the rank, then N's RREF kernel basis,
+    lifted one vector at a time."""
     N = np.asarray(N, dtype=np.int64)
     size = N.shape[1]
-    columns = size if columns is None else columns
     p = _RANK_PRIME
     rank = rank_mod(N % p, p)
-    if size < columns:
-        mode = "deficient: fewer rows than columns"
-    elif rank == size:
-        mode = f"full-rank via prime {p}"
-    else:
-        mode = "deficient via exact kernel"
+    mode = f"full-rank via prime {p}" if rank == size else "deficient via exact kernel"
 
     basis = nullspace_mod(N % p, p)
     verified = []
@@ -92,15 +87,22 @@ def rank_certificate(N: np.ndarray, columns: int | None = None) -> RankCertifica
             break
     if len(verified) == len(basis):
         kernel = np.array(verified, dtype=np.int64).reshape(len(verified), size)
-        return RankCertificate(columns, rank, rank == columns, mode, (p,), kernel)
+        return RankCertificate(rank, mode, (p,), kernel)
 
     rank, kernel = _fraction_kernel(N)
-    return RankCertificate(columns, rank, rank == columns, "exact elimination", (p,), kernel)
+    return RankCertificate(rank, "exact elimination", (p,), kernel)
 
 
-def same_certificate(a: RankCertificate, b: RankCertificate) -> bool:
-    """Field-by-field equality, with the kernels compared as arrays."""
-    fields = ("columns", "claimed_rank", "full", "mode", "primes")
-    return all(getattr(a, f) == getattr(b, f) for f in fields) and (
-        a.kernel.dtype == b.kernel.dtype and np.array_equal(a.kernel, b.kernel)
-    )
+def same_certificate(a: RankCertificate, b: RankCertificate, N: np.ndarray) -> bool:
+    """Whether two certificates of the Gram N agree: equal rank, `full`,
+    mode and primes, both re-verify on N, and their kernels span one
+    space mod p.  The kernel arrays themselves may differ, since the
+    kernel of N's two halves is not the basis of N's RREF."""
+    fields = ("claimed_rank", "full", "mode", "primes")
+    if not all(getattr(a, f) == getattr(b, f) for f in fields):
+        return False
+    if not (a.reverify(N) and b.reverify(N)):
+        return False
+    p = a.primes[0]
+    both = np.concatenate([a.kernel, b.kernel]) % p
+    return rank_mod(both, p) == len(a.kernel) == len(b.kernel)

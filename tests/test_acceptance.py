@@ -242,7 +242,7 @@ def test_mathieu_core_rank_full(key, mathieu_core, request):
         assert not cert.full and cert.claimed_rank == 360
         assert cert.kernel.shape == (20, 380) and cert.kernel.dtype == np.int64
         (recorded,) = [c for c in rep.certificates if c["kind"] == "rank"]
-        assert recorded["claimed_rank"] == 360 and recorded["gram"] == "column"
+        assert recorded["claimed_rank"] == 360 and recorded["rows"] == rep.d >= 380
         W = np.ascontiguousarray(cert.kernel, dtype="<i8")
         blob = repr(W.shape).encode() + W.tobytes()
         assert recorded["kernel_digest"] == hashlib.sha256(blob).hexdigest()[:16]
@@ -288,11 +288,11 @@ def test_n_clique_decided_up_to_degree_21(survey, mathieu_core):
 
 # ---- the rank records ----
 
-# classify's rank record of each survey and Mathieu core group: gram,
-# columns, claimed rank, mode and kernel digest, written when each Gram
-# was eliminated whole, so the halves must give the same records
+# classify's rank record of each survey and Mathieu core group: rows,
+# columns, claimed rank, mode and kernel digest.  A record with fewer rows
+# than columns holds no claimed rank and no digest
 RANK_RECORDS = pathlib.Path(__file__).resolve().parent / "rank_records.csv"
-RANK_FIELDS = ("gram", "columns", "claimed_rank", "mode", "kernel_digest")
+RANK_FIELDS = ("rows", "columns", "claimed_rank", "mode", "kernel_digest")
 
 
 def _rank_records() -> dict[str, dict[str, str]]:
@@ -301,7 +301,7 @@ def _rank_records() -> dict[str, dict[str, str]]:
 
 
 def _rank_fields(record: dict) -> dict[str, str]:
-    return {f: "" if record[f] is None else str(record[f]) for f in RANK_FIELDS}
+    return {f: "" if record.get(f) is None else str(record[f]) for f in RANK_FIELDS}
 
 
 def test_rank_records_match_the_committed_table(survey, mathieu_core):
@@ -316,16 +316,20 @@ def test_rank_records_match_the_committed_table(survey, mathieu_core):
 @pytest.mark.parametrize("key", list(_rank_records()))
 def test_rank_record_reverifies_on_the_whole_gram(key):
     # the certificate behind each committed record, re-checked by plain
-    # elimination of the whole Gram, not of its two halves
+    # elimination of the whole Gram, not of its two halves; a record with
+    # fewer rows than columns is re-checked by counting the derangements
     _, g = get_group(key)
     eg = EnumeratedGroup(g)
     n = g.degree
-    N = mr.gram_M(eg)
-    cert = mr.rank_certificate(N, (n - 1) * (n - 2), mr.gram_flip(eg))
-    assert cert.reverify(N)
-    digest = pl._kernel_digest(cert.kernel) if len(cert.kernel) else None
-    record = {"gram": cert.gram, "columns": cert.columns, "claimed_rank": cert.claimed_rank,
-              "mode": cert.mode, "kernel_digest": digest}
+    record = {"rows": int((eg.fix_counts_all == 0).sum()), "columns": (n - 1) * (n - 2)}
+    if record["rows"] < record["columns"]:
+        record["mode"] = "deficient: fewer rows than columns"
+    else:
+        N = mr.gram_M(eg)
+        cert = mr.rank_certificate(N)
+        assert cert.reverify(N)
+        digest = pl._kernel_digest(cert.kernel) if len(cert.kernel) else None
+        record.update(claimed_rank=cert.claimed_rank, mode=cert.mode, kernel_digest=digest)
     assert _rank_fields(record) == _rank_records()[key]
 
 

@@ -48,12 +48,11 @@ def test_streamed_class_entry_points_keep_their_call_forms():
 
 
 def test_certificate_layer_entry_points_keep_their_call_forms():
-    # the traced wrappers forward rank_certificate(N, columns, flip) and
-    # count `.primes` on its result; character_table_for calls
+    # the traced wrappers forward rank_certificate(N) and gram_M(eg), and
+    # count `.primes` on the certificate; character_table_for calls
     # character_table as (eg), and the tests as (eg, seed=...)
     inspect.signature(pl.rank_certificate).bind(object())
-    inspect.signature(pl.rank_certificate).bind(object(), 2)
-    inspect.signature(pl.rank_certificate).bind(object(), 2, object())
+    inspect.signature(pl.gram_M).bind(object())
     assert "primes" in {f.name for f in dataclasses.fields(pl.rank_certificate(np.eye(2)))}
     inspect.signature(chartab.character_table).bind(object())
     inspect.signature(chartab.character_table).bind(object(), seed=1)

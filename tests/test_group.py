@@ -286,6 +286,15 @@ def test_contains_rows_matches_the_sift(key):
     assert all(want[:30]) and not any(want[30:60])
 
 
+def test_element_index_gives_minus_one_for_images_outside_the_points():
+    # a negative base image must not wrap to a point from the end of a row,
+    # nor an image past the degree stop the sift
+    s3 = PermutationGroup([Permutation((1, 0, 2)), Permutation((1, 2, 0))])
+    E = s3.elements_array().tolist()
+    rows = np.array([[-3, -2, -1], [0, -1, 2], [3, 1, 2], [0, 1, 2], [1, 2, 0]])
+    assert s3.element_index(rows).tolist() == [-1, -1, -1, E.index([0, 1, 2]), E.index([1, 2, 0])]
+
+
 def test_element_index_refuses_orders_past_int64():
     cycle = "(" + ",".join(str(i) for i in range(1, 22)) + ")"
     s21 = PermutationGroup(gens_of(cycle, "(1,2)", degree=21))
@@ -336,6 +345,10 @@ def test_base_index_rejects_base_images_of_no_element(key):
             with pytest.raises(ValueError, match="no element"):
                 eg.base_index(B)
     assert len(members) == len(eg.E)
+    # images outside 0..n-1 are no points, not points counted from the end
+    for images in ([-1] * levels, [n] + [0] * (levels - 1), [0] * (levels - 1) + [-n]):
+        with pytest.raises(ValueError, match="no element"):
+            eg.base_index(np.array([images]))
 
 
 def test_base_index_sifts_a_prefix_when_the_base_is_long():

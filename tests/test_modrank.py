@@ -120,8 +120,7 @@ def test_f20_deficient(groups):
     der = eg.E[eg.fix_counts_all == 0]
     N = mr.gram_offdiag(der, 5)
     cert = mr.rank_certificate(N)
-    assert not cert.full and cert.gram == "column"
-    assert cert.mode == "deficient via exact kernel"
+    assert not cert.full and cert.mode == "deficient via exact kernel"
     assert cert.columns == 12 and cert.claimed_rank == 4
     assert cert.kernel.shape == (8, 12) and cert.kernel.dtype == np.int64
     assert cert.reverify(N)
@@ -129,43 +128,15 @@ def test_f20_deficient(groups):
     M = derangement_block(der, 5).astype(np.int64)
     assert not (M @ cert.kernel.T).any()
     assert np.linalg.matrix_rank(M.astype(float)) == 4
-    # four derangements: gram_M takes the 4 x 4 row Gram, of the same rank
-    A = mr.gram_M(eg)
-    assert np.array_equal(A, M @ M.T)
-    row = mr.rank_certificate(A, 12)
-    assert row.gram == "row" and row.mode == "deficient: fewer rows than columns"
-    assert (row.columns, row.claimed_rank, row.full) == (12, 4, False)
-    assert row.kernel.shape == (0, 4) and row.reverify(A)
 
 
-@pytest.mark.parametrize("key", ["A4", "F20", "AGL(1,8)", "AGammaL(1,9)", "ASL(2,4)"])
-def test_gram_rows_matches_the_dense_reference(key):
-    _, g = get_group(key)
-    E = g.elements_array()
-    der = E[(E != np.arange(g.degree, dtype=E.dtype)).all(axis=1)]
-    M = derangement_block(der, g.degree).astype(np.int64)
-    A = mr.gram_rows(der, g.degree)
-    assert A.dtype == np.int64 and np.array_equal(A, M @ M.T)
-
-
-def test_gram_rows_rejects_fixed_points(groups):
+def test_gram_offdiag_rejects_fixed_points(groups):
     eg = groups("S3")
     with pytest.raises(ValueError, match="non-derangement"):
-        mr.gram_rows(eg.E[:1], 3)
-
-
-def test_reverify_holds_a_row_certificate_to_the_column_count(groups):
-    eg = groups("F20")
-    A = mr.gram_M(eg)
-    row = mr.rank_certificate(A, 12)
-    # rank 4 of 12 columns: neither full, nor a Gram wider than M
-    assert not dataclasses.replace(row, full=True).reverify(A)
-    assert not dataclasses.replace(row, claimed_rank=5).reverify(A)
-    assert not dataclasses.replace(row, columns=3).reverify(A)
-    with pytest.raises(ValueError):
-        mr.rank_certificate(A, 3)
-    # the same Gram read as a column Gram is a claim about a 4-column M
-    assert dataclasses.replace(row, columns=4, full=True).gram == "column"
+        mr.gram_offdiag(eg.E[:1], 3)
+    # no row of a permutation sends two points to the last point
+    with pytest.raises(ValueError, match="exactly one point"):
+        mr.gram_offdiag(np.array([[2, 2, 0]], dtype=np.int8), 3)
 
 
 def test_m11_full_column_rank(groups):
@@ -176,18 +147,20 @@ def test_m11_full_column_rank(groups):
 
 
 def test_rank_certificate_matches_float_oracle():
+    # pair-indexed Grams S + S[pi][:, pi] of S = B^T B over the 12 pairs
+    # of 4 points: their kernel is that of B and of B with flipped columns
     rng = np.random.default_rng(5)
+    flip = mr._pair_flip(12)
     for _ in range(12):
-        rows = rng.integers(2, 7)
-        cols = rng.integers(rows + 1, 12)
-        B = rng.integers(-3, 4, size=(rows, cols))
-        N = (B.T @ B).astype(np.int64)
+        B = rng.integers(-3, 4, size=(rng.integers(1, 6), 12))
+        both = np.concatenate([B, B[:, flip]]).astype(np.int64)
+        N = both.T @ both
         cert = mr.rank_certificate(N)
-        assert cert.claimed_rank == np.linalg.matrix_rank(B.astype(float))
+        assert cert.claimed_rank == np.linalg.matrix_rank(both.astype(float))
         assert not cert.full
         assert cert.reverify(N)
         assert cert.kernel.dtype == np.int64
-        assert not (B @ cert.kernel.T).any()
+        assert not (both @ cert.kernel.T).any()
 
 
 def test_reverify_rejects_wrong_matrix(groups):

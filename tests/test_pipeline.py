@@ -214,6 +214,31 @@ def test_validate_rejects_forged_record_arithmetic(reports, key, kind, forge, ma
         r.validate()
 
 
+def _as_row_side(c):
+    """A column-side rank record cut to the fields of a row-side one."""
+    mode = "deficient: fewer rows than columns"
+    return {"kind": "rank", "columns": c["columns"], "rows": c["rows"], "mode": mode}
+
+
+@pytest.mark.parametrize(
+    "key, forge, match",
+    [
+        # S3 has d = 2 = c, so a record without a claimed rank proves nothing
+        ("S3", _as_row_side, "no fewer rows than columns"),
+        ("A4", lambda c: dict(c, rows=c["rows"] + 1), "rows is not d"),
+        ("A4", lambda c: dict(c, rows=c["columns"]), "rows is not d"),
+        # 3 rows give rank at most 3 of 6 columns
+        ("A4", lambda c: dict(c, claimed_rank=c["columns"]), "exceeds the row count"),
+    ],
+    ids=["rows-not-fewer", "rows-not-d", "rows-as-columns", "row-side-full"],
+)
+def test_validate_rejects_a_forged_row_side_rank_record(reports, key, forge, match):
+    r = copy.deepcopy(reports(key))
+    r.certificates = [forge(c) if c["kind"] == "rank" else c for c in r.certificates]
+    with pytest.raises(AssertionError, match=match):
+        r.validate()
+
+
 def test_survey_ratio_records_are_the_weight_one_etas(reports):
     # the ratio bound is the weighted ratio bound with weight 1 on every
     # derangement rational class
@@ -256,9 +281,9 @@ def test_validate_rejects_unsupported_strict_yes():
         r.validate()
 
 
-def _rank_record(columns, claimed_rank):
+def _rank_record(columns, rows, claimed_rank):
     return {
-        "kind": "rank", "columns": columns, "gram": "column", "claimed_rank": claimed_rank,
+        "kind": "rank", "columns": columns, "rows": rows, "claimed_rank": claimed_rank,
         "mode": "full-rank via prime 7", "primes": [7], "kernel_digest": None,
     }
 
@@ -269,7 +294,8 @@ def test_validate_rejects_strict_yes_without_condition_b():
     # standard eigenvalue: no condition (b), so strict stays unknown
     ratio = {"kind": "ratio", "eta_by_row": [324, -36, -36, 0]}
     tie = {"kind": "weighted-ratio", "weights": [], "eta_by_row": ["324", "-36", "-36", "0"]}
-    r = pl.EkrReport(key="x", degree=10, order=720, certificates=[ratio, tie, _rank_record(72, 72)])
+    certificates = [ratio, tie, _rank_record(72, 324, 72)]
+    r = pl.EkrReport(key="x", degree=10, order=720, certificates=certificates)
     pl.derive_columns(r)
     assert (r.ekr, r.unique, r.rank_full, r.strict) == ("yes", "no", "yes", "unknown")
     r.strict, r.strict_reason = "yes", "module-method"
@@ -277,7 +303,7 @@ def test_validate_rejects_strict_yes_without_condition_b():
         r.validate()
     r.certificates[1] = dict(tie, eta_by_row=["9", "0", "-1", "9/32"])
     r.validate()
-    r.certificates[2] = _rank_record(72, 71)
+    r.certificates[2] = _rank_record(72, 324, 71)
     assert pl.derive_columns(r).strict == "unknown" and r.rank_full == "no"
 
 
