@@ -65,7 +65,6 @@ def class_constants(eg: EnumeratedGroup, classes: list[list[int]]) -> np.ndarray
     them all; most partitions that merge or split rational classes fail
     one, though one whose class sums also span an algebra passes.
     """
-    eg.compute_classes()
     r = len(classes)
     E = eg.E
     rational = np.empty(eg.n_classes, dtype=np.int64)
@@ -230,7 +229,6 @@ def character_table(eg: EnumeratedGroup, seed: int = 1) -> RationalTable:
 
     Floats only propose the rows; a proposal the exact checks reject is
     redrawn, up to `MAX_PROPOSALS` times, and the last rejection raises."""
-    eg.compute_classes()
     order = len(eg.E)
     n = eg.group.degree
     classes = rational_classes(eg)

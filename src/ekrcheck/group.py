@@ -6,13 +6,15 @@ arrays: the orbit in discovery order, the image rows of the transversal
 elements and of their inverses, and each point's place in the orbit.  The
 loop closes one level at a time: all of a level's Schreier generators are
 formed as one array and sifted through the lower levels together, and the
-first one in (orbit point, generator) order that fails to sift becomes a
-new strong generator of the level where it stopped.  A level whose
-generators did not change since its orbit was built keeps its arrays.
+first one in (orbit point, generator) order that fails to sift becomes,
+with the residue that pass left it, a new strong generator of the level
+where it stopped.  A level whose generators did not change since its
+orbit was built keeps its arrays.  Membership is the same array sift.
 
 A new level's base point is the smallest point moved by the residue that
 opens it, so the base need not start 0, 1, 2 (M11's is 0, 2, 1, 3);
-transitivity is read off the orbit sizes.  All iteration orders are fixed,
+transitivity is read off the orbit sizes.  An `EnumeratedGroup` labels
+its conjugacy classes when it is built.  All iteration orders are fixed,
 so the chain, and with it element enumeration, conjugacy class labeling
 and every random draw through the transversals, is the same in every run.
 """
@@ -128,18 +130,19 @@ class PermutationGroup:
 
     def __init__(self, generators, degree: int | None = None,
                  base_hint: list[int] | None = None):
-        gens = [g for g in generators if not g.is_identity()]
+        given = list(generators)
         if degree is None:
-            if not gens:
+            if not given:
                 raise ValueError("degree required for the trivial group")
-            degree = gens[0].degree
-        for g in gens:
+            degree = given[0].degree
+        for g in given:
             if g.degree != degree:
                 raise ValueError(
                     f"generator degree {g.degree} does not match {degree}"
                 )
+        gens = [g for g in given if not g.is_identity()]
         self.degree = degree
-        self.generators = list(gens)
+        self.generators = gens
         self.levels: list[_Level] = []
         self._base_hint = list(base_hint or [])
         if gens:
@@ -185,41 +188,27 @@ class PermutationGroup:
         first one that does not sift, else None.
 
         They are sifted together: per lower level, the base-point image
-        picks the inverse transversal row applied to the whole row, and a
-        row whose image leaves the orbit stops there, with every row after
-        it dropped.  The first failure is sifted once more as a Permutation
-        for its residue and level."""
-        S = self.levels[i].schreier
-        R = S
-        failed = len(S)
-        for lower in self.levels[i + 1 :]:
+        picks the inverse transversal row applied to the whole row.  A row
+        whose image leaves the orbit stops there, with every row after it
+        dropped, and its residue so far is kept with that level; a row that
+        passes every level but is not the identity belongs to a new level."""
+        R = self.levels[i].schreier
+        stopped = None
+        for j in range(i + 1, len(self.levels)):
+            lower = self.levels[j]
             at = lower.pos[R[:, lower.base_point]]
             if at.min(initial=0) < 0:
                 failed = int(np.argmax(at < 0))
+                stopped = R[failed], j
                 R, at = R[:failed], at[:failed]
             R = lower.Tinv[at[:, None], R]
         unfinished = (R != np.arange(self.degree)).any(axis=1)
         if unfinished.any():
-            failed = int(np.argmax(unfinished))
-        if failed == len(S):
+            stopped = R[int(np.argmax(unfinished))], len(self.levels)
+        if stopped is None:
             return None
-        return self._sift_from(i + 1, Permutation(S[failed].tolist()))
-
-    def _sift_from(self, start: int, g: Permutation):
-        """Sift g through levels[start:].  Returns (None, _) on success, or
-        (residue, level_index) where the residue could not be expressed."""
-        residue = g
-        j = start
-        while j < len(self.levels):
-            lv = self.levels[j]
-            a = lv.pos[residue(lv.base_point)]
-            if a < 0:
-                return residue, j
-            residue = Permutation(lv.Tinv[a].tolist()) * residue
-            j += 1
-        if residue.is_identity():
-            return None, j
-        return residue, j
+        residue, j = stopped
+        return Permutation(residue.tolist()), j
 
     # ---- queries ----
 
@@ -227,33 +216,14 @@ class PermutationGroup:
         return self._order
 
     def __contains__(self, g) -> bool:
-        if not isinstance(g, Permutation) or g.degree != self.degree:
-            return False
-        residue, _ = self._sift_from(0, g)
-        return residue is None
+        return (isinstance(g, Permutation) and g.degree == self.degree
+                and bool(self.contains_rows(np.array([g.images]))[0]))
 
     def base(self) -> list[int]:
         return [lv.base_point for lv in self.levels]
 
-    def orbit(self, point: int) -> list[int]:
-        """Orbit of a point under the whole group, in BFS discovery order."""
-        seen = {point: True}
-        out = [point]
-        frontier = [point]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in self.generators:
-                    q = g(p)
-                    if q not in seen:
-                        seen[q] = True
-                        out.append(q)
-                        nxt.append(q)
-            frontier = nxt
-        return out
-
     def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self.degree
+        return self.transitivity_degree() >= 1
 
     def transitivity_degree(self) -> int:
         """Largest t with the action t-transitive (0 for intransitive).
@@ -463,9 +433,9 @@ class EnumeratedGroup:
     """A fully enumerated group with conjugacy class data.
 
     Heavy companion object for the character-table and rank computations.
-    Elements are indexed by their row in `E`; conjugacy classes are labeled
-    0..k-1 with class 0 = identity, the rest sorted by (representative order,
-    class size, first-found element index).
+    Elements are indexed by their row in `E`; conjugacy classes are computed
+    at construction and labeled 0..k-1 with class 0 = identity, the rest
+    sorted by (representative order, class size, first-found element index).
 
     An element is fixed by its images of the L base points, and every
     library sift on an enumerated group reads only those: `base_index`
@@ -478,7 +448,6 @@ class EnumeratedGroup:
         n = group.degree
         self.E = group.elements_array(cap)
         self.fix_counts_all = (self.E == np.arange(n, dtype=np.int8)[None, :]).sum(axis=1)
-        self._classes_done = False
         self._powers: list[np.ndarray] | None = None
         self.base = np.array(group.base(), dtype=np.intp)
         L = len(self.base)
@@ -493,6 +462,7 @@ class EnumeratedGroup:
         self._table[self._key(self.E[: self._stab_order, self.base[s:]])] = np.arange(
             self._stab_order, dtype=np.int32
         )
+        self._label_classes()
 
     def _key(self, B: np.ndarray) -> np.ndarray:
         """The base images in B (m, columns) read as base-n numbers."""
@@ -540,9 +510,8 @@ class EnumeratedGroup:
     def element(self, i: int) -> Permutation:
         return Permutation(tuple(int(x) for x in self.E[i]))
 
-    def compute_classes(self) -> None:
-        if self._classes_done:
-            return
+    def _label_classes(self) -> None:
+        """class_of, and per class its seed, size, order and fixed points."""
         N = len(self.E)
         # conj[i] = index of g^-1 E[i] g, one permutation of the indices per
         # generator; (g^-1 x g)(pt) = g^-1(x(g(pt)))
@@ -572,7 +541,6 @@ class EnumeratedGroup:
         self.class_orders = [orders[old] for old in perm_labels]
         self.n_classes = len(seeds)
         self.class_fix = [int(self.fix_counts_all[s]) for s in self.class_seeds]
-        self._classes_done = True
 
     def class_rep(self, c: int) -> Permutation:
         return self.element(self.class_seeds[c])
@@ -582,7 +550,6 @@ class EnumeratedGroup:
         one `base_index` lookup of the stacked power rows of every
         representative."""
         if self._powers is None:
-            self.compute_classes()
             power_rows = []
             for s, o in zip(self.class_seeds, self.class_orders):
                 rep = self.E[s].astype(np.intp)
@@ -599,7 +566,5 @@ class EnumeratedGroup:
 
 
 def conjugacy_classes(group: PermutationGroup, cap: int = ENUMERATION_CAP) -> EnumeratedGroup:
-    """Enumerate the group and compute its conjugacy classes (full mode)."""
-    eg = EnumeratedGroup(group, cap)
-    eg.compute_classes()
-    return eg
+    """Enumerate the group with its conjugacy classes (full mode)."""
+    return EnumeratedGroup(group, cap)

@@ -305,16 +305,15 @@ def get_spec(key: str) -> GroupSpec:
     return cat[key]
 
 
-def build_group(spec: GroupSpec, check: bool = True) -> PermutationGroup:
+def build_group(spec: GroupSpec) -> PermutationGroup:
     group = PermutationGroup(spec.generator_perms(), spec.degree)
-    if check:
-        if group.order() != spec.expected_order:
-            raise CatalogError(
-                f"{spec.name}: catalog order {spec.expected_order}, "
-                f"computed {group.order()}"
-            )
-        if group.transitivity_degree() < 2:
-            raise CatalogError(f"{spec.name}: action is not 2-transitive")
+    if group.order() != spec.expected_order:
+        raise CatalogError(
+            f"{spec.name}: catalog order {spec.expected_order}, "
+            f"computed {group.order()}"
+        )
+    if group.transitivity_degree() < 2:
+        raise CatalogError(f"{spec.name}: action is not 2-transitive")
     return group
 
 

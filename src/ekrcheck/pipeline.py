@@ -345,7 +345,6 @@ def hyperplane_witness(eg: EnumeratedGroup):
     sizes = {k for k in range(2, n // 2 + 1) if k * (k - 1) % (n - 1) == 0}
     if not sizes:
         return None
-    eg.compute_classes()
     rep = min(
         (eg.class_rep(c) for c in range(1, eg.n_classes) if eg.class_fix[c]),
         key=lambda p: len(p.cycles()),

@@ -281,7 +281,6 @@ def first_orthogonality_failure(table: CharacterTable):
 def class_constants(eg: EnumeratedGroup) -> np.ndarray:
     """a[i, j, l] = #{x in C_i : x^-1 * rep(C_l) in C_j}, one sift and one
     histogram per class pair (i, l)."""
-    eg.compute_classes()
     k = eg.n_classes
     mats = np.zeros((k, k, k), dtype=np.int64)
     reps = [eg.E[s].astype(np.intp) for s in eg.class_seeds]
@@ -308,7 +307,6 @@ def rational_class_constants(eg: EnumeratedGroup, classes: list[list[int]]) -> n
 
 def character_table(eg: EnumeratedGroup, seed: int = 1) -> CharacterTable:
     """The exact character table by a split one eigenvalue at a time."""
-    eg.compute_classes()
     k = eg.n_classes
     order = len(eg.E)
     sizes = eg.class_sizes

@@ -2,8 +2,8 @@
 breadth-first search, and a class representative by random draws.
 
 A per-element BFS under conjugation by the generators, seeded at the
-smallest unlabelled index: the straightforward labelling that
-`EnumeratedGroup.compute_classes` must reproduce exactly.  A per-row BFS
+smallest unlabelled index: the straightforward labelling that an
+`EnumeratedGroup` must reproduce exactly when it is built.  A per-row BFS
 from one representative, keyed by row bytes: the class stream that
 `group.conjugation_orbit` must reproduce row for row.
 """

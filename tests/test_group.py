@@ -107,6 +107,12 @@ def test_transitivity_degree(gens, tdeg):
     assert PermutationGroup(gens).transitivity_degree() == tdeg
 
 
+def test_identity_generators_give_and_check_the_degree():
+    assert PermutationGroup([Permutation((0, 1, 2))]).degree == 3
+    with pytest.raises(ValueError, match="does not match"):
+        PermutationGroup([Permutation((0, 1, 2)), Permutation((1, 0))])
+
+
 def test_transitivity_degree_intransitive():
     g = PermutationGroup(gens_of("(1,2)", degree=4))
     assert not g.is_transitive()
@@ -281,7 +287,8 @@ def test_contains_rows_matches_the_sift(key):
     swapped[:, [a, b]] = swapped[:, [b, a]]
     shuffled = np.array([rng.permutation(g.degree) for _ in range(30)])
     rows = np.concatenate([members, swapped, shuffled])
-    want = [Permutation(tuple(int(x) for x in r)) in g for r in rows]
+    ref = ReferenceChain(g.generators, g.degree)
+    want = [ref.contains(Permutation(tuple(int(x) for x in r))) for r in rows]
     assert g.contains_rows(rows).tolist() == want
     assert all(want[:30]) and not any(want[30:60])
 
@@ -367,12 +374,6 @@ def test_rejects_nonmember_conjugation_seed():
         conjugation_orbit(PermutationGroup(A4), parse_cycles("(1,2)", 4))
 
 
-def test_orbit():
-    g = PermutationGroup(gens_of("(1,2)", "(3,4,5)", degree=5))
-    assert sorted(g.orbit(0)) == [0, 1]
-    assert sorted(g.orbit(2)) == [2, 3, 4]
-
-
 # ---------------------------------------------------------------------------
 # the stabilizer chain against the scalar reference and the committed records
 
@@ -431,8 +432,16 @@ def test_chain_and_sifts_match_the_reference_builder(case, rnd):
     members = [g.random_element(rnd) for _ in range(6)]
     others = [Permutation(tuple(rnd.sample(range(n), n))) for _ in range(6)]
     rows = np.array([x.images for x in members + others], dtype=np.int8)
-    assert g.contains_rows(rows).tolist() == [ref.contains(x) for x in members + others]
+    want = [ref.contains(x) for x in members + others]
+    assert g.contains_rows(rows).tolist() == want
+    assert [x in g for x in members + others] == want
     assert all(ref.contains(x) for x in members)
+    # point 0's orbit by breadth-first search over the generators
+    reached, frontier = {0}, [0]
+    while frontier:
+        frontier = [x(p) for p in frontier for x in gens if x(p) not in reached]
+        reached.update(frontier)
+    assert g.is_transitive() == (len(reached) == n)
     index = g.element_index(rows).tolist()
     for x, i in zip(members + others, index):
         residue, stop = ref.sift_from(0, x)

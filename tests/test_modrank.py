@@ -43,9 +43,7 @@ def groups():
     def load(key):
         if key not in cache:
             _, g = get_group(key)
-            eg = EnumeratedGroup(g)
-            eg.compute_classes()
-            cache[key] = eg
+            cache[key] = EnumeratedGroup(g)
         return cache[key]
 
     return load
