@@ -26,8 +26,20 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .fields import factorize
 from .modmath import element_of_order, prime_one_mod
+
+
+def factorize(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def divisors(n: int) -> list[int]:

@@ -482,20 +482,18 @@ def _union_of_complete_components(E: np.ndarray, adj: list[int]) -> int | None:
     return comps
 
 
-def brute_alpha(
-    group: PermutationGroup, cap: int = ORACLE_CAP, count_cap: int = COUNT_CAP
-) -> tuple[int, list[Permutation], int | None]:
+def brute_alpha(group: PermutationGroup) -> tuple[int, list[Permutation], int | None]:
     """(alpha, one maximum intersecting set, exact count or None).
 
     Exhaustive branch-and-bound over the agreement graph, fixing the
     identity (left translation is an automorphism of the derangement
     graph, so some maximum independent set contains it).  The count is
-    attempted only for orders up to `count_cap`: structurally when the
+    attempted only for orders up to `COUNT_CAP`: structurally when the
     graph is a union of complete components, otherwise by enumerating the
     identity-containing maxima and rescaling by order/alpha.
     """
-    if group.order() > cap:
-        raise CapExceeded("brute-force oracle", group.order(), cap)
+    if group.order() > ORACLE_CAP:
+        raise CapExceeded("brute-force oracle", group.order(), ORACLE_CAP)
     E = group.elements_array()
     N, n = E.shape
     adj = _agreement_bitsets(E)
@@ -520,7 +518,7 @@ def brute_alpha(
         w &= w - 1
 
     count: int | None = None
-    if N <= count_cap:
+    if N <= COUNT_CAP:
         comps = _union_of_complete_components(E, adj)
         if comps is not None:
             if alpha != comps:

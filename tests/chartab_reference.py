@@ -30,8 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ekrcheck.cyclo import _EVAL_BLOCK, Cyc, _split_prime, _units
-from ekrcheck.fields import factorize
+from ekrcheck.cyclo import _EVAL_BLOCK, Cyc, _split_prime, _units, factorize
 from ekrcheck.group import EnumeratedGroup, conjugacy_classes
 from ekrcheck.library import get_group
 from ekrcheck.modmath import element_of_order, prime_one_mod

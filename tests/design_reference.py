@@ -10,8 +10,7 @@ here reads the group's conjugacy classes or its enumeration.
 
 import itertools
 
-from ekrcheck.fields import gf
-from ekrcheck.library import projective_points
+from catalog_models import gf, projective_points
 
 
 def block_sizes(n: int) -> list[int]:

@@ -10,8 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ekrcheck import cyclo
-from ekrcheck.cyclo import Cyc, _reduce_mod_cyclo, cyclotomic_poly, divisors, euler_phi
-from ekrcheck.fields import factorize
+from ekrcheck.cyclo import (
+    Cyc,
+    _reduce_mod_cyclo,
+    cyclotomic_poly,
+    divisors,
+    euler_phi,
+    factorize,
+)
 
 from chartab_reference import to_int
 

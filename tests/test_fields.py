@@ -7,8 +7,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ekrcheck import fields
-from ekrcheck.fields import gf, mat_vec, prime_power
+import catalog_models
+from catalog_models import gf, mat_vec, prime_power
 
 ALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -114,19 +114,18 @@ def test_poly_table_rejects_a_bad_line_under_python_O():
     # line 2 claims q = 8 = 2^3 with a degree-3 polynomial that is not monic;
     # under -O an assert would be stripped and the line accepted
     script = (
-        "import sys, types\n"
-        "from ekrcheck import fields\n"
+        "import sys\n"
+        "import catalog_models\n"
         "if __debug__:\n"
         "    sys.exit('not optimized')\n"
-        "text = '4 2 2 1 1 1\\n8 2 3 1 1 0 2\\n'\n"
-        "data = types.SimpleNamespace(joinpath=lambda name: data, read_text=lambda: text)\n"
-        "fields.resources = types.SimpleNamespace(files=lambda package: data)\n"
-        "fields._poly_table()\n"
+        "catalog_models.polynomials('4 2 2 1 1 1\\n8 2 3 1 1 0 2\\n')\n"
     )
-    src = pathlib.Path(fields.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    tools = pathlib.Path(catalog_models.__file__).resolve().parent
+    src = tools.parent / "src"
+    path = [str(tools), str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
     )
     assert done.returncode == 1
-    assert "ValueError: data/field_polys.txt line 2: '8 2 3 1 1 0 2'" in done.stderr
+    assert "ValueError: field polynomial line 2: '8 2 3 1 1 0 2'" in done.stderr

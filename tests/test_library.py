@@ -6,21 +6,21 @@ against brute-force closure.  The projective models are checked against
 counting identities that do not depend on the implementation.
 """
 
+import importlib.util
 import itertools
+import pathlib
 
 import pytest
 
+from catalog_models import Model as AffineModel, projective_points, restriction
 from ekrcheck.errors import CatalogError
 from ekrcheck.library import (
-    AffineModel,
     build_group,
     catalog_keys,
     get_group,
     get_spec,
     load_catalog,
     parse_catalog,
-    projective_points,
-    restriction,
 )
 from ekrcheck.perm import Permutation
 
@@ -85,6 +85,19 @@ def test_mathieu_rows_match_published_facts():
 def test_small_rows_against_brute_closure(key):
     spec, group = get_group(key)
     assert len(brute_closure(spec.generator_perms())) == group.order()
+
+
+def test_shipped_catalog_is_what_the_generator_writes(tmp_path, monkeypatch):
+    # tools/make_catalog.py rebuilt into a scratch file, never the shipped one
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("make_catalog", root / "tools" / "make_catalog.py")
+    make_catalog = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_catalog)
+    shipped = root / "src" / "ekrcheck" / "data" / "catalog.txt"
+    written = tmp_path / "catalog.txt"
+    monkeypatch.setattr(make_catalog, "OUT", written)
+    make_catalog.main()
+    assert written.read_bytes() == shipped.read_bytes()
 
 
 # ---- point models ----

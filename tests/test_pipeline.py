@@ -1,5 +1,6 @@
 """End-to-end classification: verdicts, reports, witnesses, oracles."""
 
+import ast
 import copy
 import csv
 import dataclasses
@@ -14,6 +15,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from ekrcheck.errors import CapExceeded
 from ekrcheck.group import EnumeratedGroup
 from ekrcheck.library import GroupSpec, catalog_keys, format_catalog, get_group, get_spec
 from ekrcheck.perm import Permutation
-from ekrcheck import library, pipeline as pl
+from ekrcheck import pipeline as pl
 from ekrcheck.weighted import verify_weighted_ratio, weighted_etas
 from design_reference import block_sizes, hyperplanes, scanned_block, set_orbit
 from survey import BENCHMARK_ROWS, SURVEY, SURVEY_ROWS, row_problems
@@ -93,20 +95,31 @@ def test_pgl25_strict_stays_unknown(reports):
     assert alpha == 20 and count == 36 == 6**2
 
 
+@cache
+def _finite_field_definitions() -> list[str]:
+    """The package's files and top-level names that define a finite field:
+    the old `fields` module or its polynomial table, or a `GF` or `gf`."""
+    package = pathlib.Path(pl.__file__).resolve().parent
+    found = [p.name for p in (package / "fields.py", package / "data" / "field_polys.txt") if p.exists()]
+    for path in sorted(package.glob("*.py")):
+        for st in ast.parse(path.read_text()).body:
+            if getattr(st, "name", None) in ("GF", "gf"):
+                found.append(f"{path.name}:{st.name}")
+    return found
+
+
 @pytest.mark.parametrize("key", SURVEY)
 def test_survey_rows_need_no_sign_test_or_canonical_form(key, monkeypatch):
     # every spectral verdict rests on the integers of the rational table:
     # classify constructs no cyclotomic number at all, so in particular it
     # runs no interval sign test and no reduction to the power basis; and
-    # its witness reads the group alone, so it builds no finite field
+    # its witness reads the group alone: no module of the package defines
+    # a finite field for it to build
     def refuse(self, *args, **kwargs):
         raise AssertionError("classify constructed a Cyc")
 
-    def no_field(q):
-        raise AssertionError("classify built a finite field")
-
+    assert not _finite_field_definitions()
     monkeypatch.setattr(Cyc, "__init__", refuse)
-    monkeypatch.setattr(library, "gf", no_field)
     row = pl.classify(key).csv_row()
     assert row == SURVEY_ROWS[key]
     assert row_problems(BENCHMARK_ROWS[key], row) == []
@@ -237,6 +250,17 @@ def test_validate_rejects_a_forged_row_side_rank_record(reports, key, forge, mat
     r.certificates = [forge(c) if c["kind"] == "rank" else c for c in r.certificates]
     with pytest.raises(AssertionError, match=match):
         r.validate()
+
+
+def test_agl_1_19_gets_rank_n_from_its_row_count(reports):
+    # 18 derangements for 306 columns: the record holds the two counts and
+    # no claimed rank, and it passes validation
+    r = reports("AGL(1,19)")
+    r.validate()
+    (record,) = [c for c in r.certificates if c["kind"] == "rank"]
+    mode = "deficient: fewer rows than columns"
+    assert record == {"kind": "rank", "rows": 18, "columns": 306, "mode": mode}
+    assert r.rank_full == "no"
 
 
 def test_survey_ratio_records_are_the_weight_one_etas(reports):
@@ -517,7 +541,7 @@ def test_brute_alpha_small(key, alpha, count):
 def test_brute_alpha_respects_cap():
     _, g = get_group("M11")
     with pytest.raises(CapExceeded):
-        pl.brute_alpha(g, cap=2000)
+        pl.brute_alpha(g)
 
 
 # ---- emission ----
@@ -837,11 +861,45 @@ def test_class_rank_builds_no_gram_sized_array():
     assert peak < 1_000_000, peak
 
 
-def _run_fresh(script: str) -> subprocess.CompletedProcess:
-    """Run `script` in a new interpreter that imports this checkout's ekrcheck."""
+def _run_fresh(script: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run `script` in a new interpreter, given `flags`, that imports this
+    checkout's ekrcheck."""
     src = pathlib.Path(pl.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.m23
+def test_over_cap_route_under_python_O():
+    # M23 and M24 in one process with assertions stripped: every check on
+    # the route raises, so both ranks are decided, each report carries one
+    # class-gram record with one value per pair class and a fixed-point-free
+    # representative on 0..n-1 and passes its own validation, and nothing
+    # loads numpy.random, numpy.ma, mpmath or the cyclotomic layer
+    script = (
+        "import json, sys\n"
+        "from ekrcheck.pipeline import classify\n"
+        "out = {'optimized': not __debug__}\n"
+        "for key in ('M23', 'M24'):\n"
+        "    r = classify(key)\n"
+        "    r.validate()\n"
+        "    grams = [c for c in r.certificates if c['kind'] == 'class-gram']\n"
+        "    out[key] = [r.rank_full, [len(c['values']) for c in grams],\n"
+        "                [sorted(c['representative']) == list(range(r.degree))\n"
+        "                 and all(x != i for i, x in enumerate(c['representative']))\n"
+        "                 for c in grams]]\n"
+        "unused = ['numpy.random', 'numpy.ma', 'mpmath', 'ekrcheck.cyclo']\n"
+        "out['loaded'] = [m for m in unused if m in sys.modules]\n"
+        "print(json.dumps(out))\n"
+    )
+    done = _run_fresh(script, "-O")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "optimized": True,
+        "M23": ["yes", [7], [True]],
+        "M24": ["yes", [7], [True]],
+        "loaded": [],
+    }
 
 
 @pytest.mark.m23

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate src/ekrcheck/data/catalog.txt.
 
-Every entry is rebuilt from first principles (matrix models, Galois twists,
-seeded subgroup searches) and validated against its expected order and exact
-transitivity degree before being written.  All searches use fixed seeds, so
-rerunning this script reproduces the shipped file byte for byte.
+Every entry is rebuilt from first principles (the finite fields and point
+models of catalog_models.py, Galois twists, seeded subgroup searches) and
+checked against its expected order and exact transitivity degree before it
+is written; the checks raise, so they hold under python -O too.  All
+searches use fixed seeds, so rerunning this script reproduces the shipped
+file byte for byte.
 """
 
 from __future__ import annotations
@@ -15,20 +17,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ekrcheck.fields import gf
-from ekrcheck.group import PermutationGroup
-from ekrcheck.library import (
-    AffineModel,
-    GroupSpec,
-    ProjectiveModel,
-    affine_index,
-    format_catalog,
+from catalog_models import (
+    Model,
+    diagonal,
     one_dim_affine_generators,
-    projective_line_generators,
-    projective_space_generators,
+    projective_generators,
     restriction,
     sl_generator_matrices,
 )
+from ekrcheck.group import PermutationGroup
+from ekrcheck.library import GroupSpec, format_catalog
 from ekrcheck.perm import Permutation, format_cycles, parse_cycles
 
 SEED = 0x5EED
@@ -37,12 +35,18 @@ OUT = Path(__file__).resolve().parent.parent / "src" / "ekrcheck" / "data" / "ca
 specs: list[GroupSpec] = []
 
 
+def check(ok: bool, message: str) -> None:
+    """Raise unless ok; unlike assert, it survives python -O."""
+    if not ok:
+        raise RuntimeError(message)
+
+
 def add(name: str, degree: int, order: int, perms: list[Permutation],
         trans: int, structure: str, sets: str, model: str | None = None) -> PermutationGroup:
     group = PermutationGroup(perms, degree)
-    assert group.order() == order, f"{name}: order {group.order()} != {order}"
+    check(group.order() == order, f"{name}: order {group.order()} != {order}")
     got_t = group.transitivity_degree()
-    assert got_t == trans, f"{name}: transitivity {got_t} != {trans}"
+    check(got_t == trans, f"{name}: transitivity {got_t} != {trans}")
     notes = f"structure={structure} sets={sets} trans={trans}"
     if model:
         notes += f" model={model}"
@@ -118,14 +122,10 @@ def cubing_twist_search(q: int, psl_gens: list[Permutation], target: int) -> Per
     raise RuntimeError(f"no cubing twist reaches order {target} for q={q}")
 
 
-def proj_to_affine16(model: ProjectiveModel, p: Permutation) -> Permutation:
-    """Extend a PG(3,2)-point permutation to the 16 vectors (0 fixed)."""
-    img = [0] * 16
-    for i, v in enumerate(model.points):
-        a = affine_index(2, v)
-        w = model.points[p(i)]
-        img[a] = affine_index(2, w)
-    return Permutation(tuple(img))
+def proj_to_affine16(pg: Model, ag: Model, p: Permutation) -> Permutation:
+    """Extend a PG(3,2)-point permutation to the 16 vectors of AG(4,2), 0
+    fixed: over GF(2) the projective points are the nonzero vectors."""
+    return ag.perm(lambda v: pg.points[p(pg.index[v])] if any(v) else v)
 
 
 def main() -> None:
@@ -164,7 +164,7 @@ def main() -> None:
         "(Z19:Z9):Z2", "smalldeg", "AG(1,19)")
 
     print("two-dimensional affine")
-    m32 = AffineModel(3, 2)
+    m32 = Model(3, 2)
     t32 = m32.translation_perms()
     sl23 = [m32.matrix_perm(M) for M in sl_generator_matrices(3, 2)]
     # Q8 as the quaternion pair inside GL(2,3)
@@ -172,14 +172,14 @@ def main() -> None:
     qj = m32.matrix_perm(((1, 1), (1, 2)))
     add("3^2:Q8", 9, 72, t32 + [qi, qj], 2, "(Z3^2):Q8", "smalldeg", "AG(2,3)")
     add("ASL(2,3)", 9, 216, t32 + sl23, 2, "((Z3^2):Q8):Z3", "smalldeg", "AG(2,3)")
-    gl23 = m32.matrix_perm(((gf(3).primitive, 0), (0, 1)))
+    gl23 = m32.matrix_perm(diagonal(2, m32.F.primitive))
     add("AGL(2,3)", 9, 432, t32 + sl23 + [gl23], 2,
         "(((Z3^2):Q8):Z3):Z2", "smalldeg", "AG(2,3)")
 
-    m42 = AffineModel(4, 2)
+    m42 = Model(4, 2)
     t42 = m42.translation_perms()
     sl24 = [m42.matrix_perm(M) for M in sl_generator_matrices(4, 2)]
-    gl24 = m42.matrix_perm(((gf(4).primitive, 0), (0, 1)))
+    gl24 = m42.matrix_perm(diagonal(2, m42.F.primitive))
     fr4 = m42.frobenius_perm(1)
     add("ASL(2,4)", 16, 960, t42 + sl24, 2, "(Z2^4):alt(5)", "smalldeg", "AG(2,4)")
     add("ASigmaL(2,4)", 16, 1920, t42 + sl24 + [fr4], 2,
@@ -190,85 +190,85 @@ def main() -> None:
         "(((Z2^4):alt(5)):Z3):Z2", "smalldeg", "AG(2,4)")
 
     print("binary affine")
-    m23_ = AffineModel(2, 3)
+    m23_ = Model(2, 3)
     add("AGL(3,2)", 8, 1344,
         m23_.translation_perms() + [m23_.matrix_perm(M) for M in sl_generator_matrices(2, 3)],
         3, "(Z2^3):PSL(3,2)", "smalldeg", "AG(3,2)")
-    m24_ = AffineModel(2, 4)
+    m24_ = Model(2, 4)
     t16 = m24_.translation_perms()
     gl42_aff = [m24_.matrix_perm(M) for M in sl_generator_matrices(2, 4)]
     add("AGL(4,2)", 16, 322560, t16 + gl42_aff, 3,
         "(Z2^4):alt(8)", "smalldeg", "AG(4,2)")
 
     print("projective lines")
-    add("A5@6", 6, 60, projective_line_generators(5), 2, "alt(5)", "smalldeg",
+    add("A5@6", 6, 60, projective_generators(5, 2), 2, "alt(5)", "smalldeg",
         "PG(1,5)")
-    add("PGL(2,5)", 6, 120, projective_line_generators(5, pgl=True), 3,
+    add("PGL(2,5)", 6, 120, projective_generators(5, 2, pgl=True), 3,
         "PGL(2,5)", "smalldeg", "PG(1,5)")
-    add("PSL(3,2)", 8, 168, projective_line_generators(7), 2, "PSL(3,2)",
+    add("PSL(3,2)", 8, 168, projective_generators(7, 2), 2, "PSL(3,2)",
         "smalldeg", "PG(1,7)")
-    add("PGL(2,7)", 8, 336, projective_line_generators(7, pgl=True), 3,
+    add("PGL(2,7)", 8, 336, projective_generators(7, 2, pgl=True), 3,
         "PGL(2,7)", "smalldeg", "PG(1,7)")
-    add("PSL(2,8)", 9, 504, projective_line_generators(8), 3, "PSL(2,8)",
+    add("PSL(2,8)", 9, 504, projective_generators(8, 2), 3, "PSL(2,8)",
         "smalldeg", "PG(1,8)")
-    add("PGammaL(2,8)", 9, 1512, projective_line_generators(8, frob_power=1), 3,
+    add("PGammaL(2,8)", 9, 1512, projective_generators(8, 2, frob_power=1), 3,
         "PSL(2,8):Z3", "smalldeg", "PG(1,8)")
 
-    psl9 = projective_line_generators(9)
+    psl9 = projective_generators(9, 2)
     add("A6@10", 10, 360, psl9, 2, "alt(6)", "smalldeg", "PG(1,9)")
-    add("PGL(2,9)", 10, 720, projective_line_generators(9, pgl=True), 3,
+    add("PGL(2,9)", 10, 720, projective_generators(9, 2, pgl=True), 3,
         "PGL(2,9)", "smalldeg", "PG(1,9)")
-    add("PSigmaL(2,9)", 10, 720, projective_line_generators(9, frob_power=1), 2,
+    add("PSigmaL(2,9)", 10, 720, projective_generators(9, 2, frob_power=1), 2,
         "alt(6).Z2", "smalldeg", "PG(1,9)")
     add("PGammaL(2,9)", 10, 1440,
-        projective_line_generators(9, pgl=True, frob_power=1), 3,
+        projective_generators(9, 2, pgl=True, frob_power=1), 3,
         "(alt(6)xZ2):Z2", "smalldeg", "PG(1,9)")
-    pm9 = ProjectiveModel(9, 2)
+    pm9 = Model(9, 2, projective=True)
     nu = pm9.F.primitive
     m10_twist = pm9.matrix_perm(((1, 0), (0, nu))) * pm9.frobenius_perm(1)
     m10 = add("M10", 10, 720, psl9 + [m10_twist], 3, "M10",
               "smalldeg,mathieu", "PG(1,9)")
     n_invol = sum(1 for g in m10.elements() if g.order() == 2)
-    assert n_invol == 45, f"M10 twist wrong: {n_invol} involutions"
+    check(n_invol == 45, f"M10 twist wrong: {n_invol} involutions")
 
-    add("PSL(2,11)", 12, 660, projective_line_generators(11), 2,
+    add("PSL(2,11)", 12, 660, projective_generators(11, 2), 2,
         "PSL(2,11)", "smalldeg", "PG(1,11)")
-    add("PGL(2,11)", 12, 1320, projective_line_generators(11, pgl=True), 3,
+    add("PGL(2,11)", 12, 1320, projective_generators(11, 2, pgl=True), 3,
         "PGL(2,11)", "smalldeg", "PG(1,11)")
-    add("PSL(2,13)", 14, 1092, projective_line_generators(13), 2,
+    add("PSL(2,13)", 14, 1092, projective_generators(13, 2), 2,
         "PSL(2,13)", "smalldeg", "PG(1,13)")
-    add("PGL(2,13)", 14, 2184, projective_line_generators(13, pgl=True), 3,
+    add("PGL(2,13)", 14, 2184, projective_generators(13, 2, pgl=True), 3,
         "PGL(2,13)", "smalldeg", "PG(1,13)")
-    add("PSL(2,16)", 17, 4080, projective_line_generators(16), 3,
+    add("PSL(2,16)", 17, 4080, projective_generators(16, 2), 3,
         "PSL(2,16)", "smalldeg", "PG(1,16)")
-    add("PSigmaL(2,16)", 17, 8160, projective_line_generators(16, frob_power=2),
+    add("PSigmaL(2,16)", 17, 8160, projective_generators(16, 2, frob_power=2),
         3, "PSL(2,16):Z2", "smalldeg", "PG(1,16)")
-    add("PGammaL(2,16)", 17, 16320, projective_line_generators(16, frob_power=1),
+    add("PGammaL(2,16)", 17, 16320, projective_generators(16, 2, frob_power=1),
         3, "PSL(2,16):Z4", "smalldeg", "PG(1,16)")
-    add("PSL(2,17)", 18, 2448, projective_line_generators(17), 2,
+    add("PSL(2,17)", 18, 2448, projective_generators(17, 2), 2,
         "PSL(2,17)", "smalldeg", "PG(1,17)")
-    add("PGL(2,17)", 18, 4896, projective_line_generators(17, pgl=True), 3,
+    add("PGL(2,17)", 18, 4896, projective_generators(17, 2, pgl=True), 3,
         "PGL(2,17)", "smalldeg", "PG(1,17)")
-    add("PSL(2,19)", 20, 3420, projective_line_generators(19), 2,
+    add("PSL(2,19)", 20, 3420, projective_generators(19, 2), 2,
         "PSL(2,19)", "smalldeg", "PG(1,19)")
-    add("PGL(2,19)", 20, 6840, projective_line_generators(19, pgl=True), 3,
+    add("PGL(2,19)", 20, 6840, projective_generators(19, 2, pgl=True), 3,
         "PGL(2,19)", "smalldeg", "PG(1,19)")
 
     print("projective planes and PG(3,2)")
-    add("PGL(3,2)", 7, 168, projective_space_generators(2, 3), 2,
+    add("PGL(3,2)", 7, 168, projective_generators(2, 3), 2,
         "PGL(3,2)", "smalldeg", "PG(2,2)")
-    add("PSL(3,3)", 13, 5616, projective_space_generators(3, 3), 2,
+    add("PSL(3,3)", 13, 5616, projective_generators(3, 3), 2,
         "PSL(3,3)", "smalldeg", "PG(2,3)")
-    m21 = add("M21", 21, 20160, projective_space_generators(4, 3), 2,
+    m21 = add("M21", 21, 20160, projective_generators(4, 3), 2,
               "PSL(3,4)", "mathieu", "PG(2,4)")
-    a8 = add("A8@15", 15, 20160, projective_space_generators(2, 4), 2,
+    a8 = add("A8@15", 15, 20160, projective_generators(2, 4), 2,
              "alt(8)", "smalldeg", "PG(3,2)")
 
     print("searched subgroups at degree 15/16")
     a7_gens = search_subgroup(a8, 2520, SEED + 1)
     add("A7@15", 15, 2520, a7_gens, 2, "alt(7)", "smalldeg", "PG(3,2)")
 
-    pg32 = ProjectiveModel(2, 4)
+    pg32 = Model(2, 4, projective=True)
     # symplectic transvections x -> x + B(x,v) v for the standard form
     J = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
     tvs = []
@@ -280,11 +280,11 @@ def main() -> None:
         )
         tvs.append(pg32.matrix_perm(M))
     sp = PermutationGroup(tvs, 15)
-    assert sp.order() == 720, sp.order()
+    check(sp.order() == 720, f"Sp(4,2): order {sp.order()} != 720")
     comms = [a.inverse() * b.inverse() * a * b for a in tvs for b in tvs]
     a6_gens = normal_closure(tvs, dedupe(comms))
     a6_full = PermutationGroup(a6_gens, 15)
-    assert a6_full.order() == 360
+    check(a6_full.order() == 360, f"A6 in Sp(4,2): order {a6_full.order()} != 360")
     rng = random.Random(SEED + 3)
     while True:
         a, b = a6_full.random_element(rng), a6_full.random_element(rng)
@@ -292,9 +292,9 @@ def main() -> None:
             a6_gens = [a, b]
             break
 
-    sp16 = [proj_to_affine16(pg32, p) for p in tvs]
-    a6_16 = [proj_to_affine16(pg32, p) for p in a6_gens]
-    a7_16 = [proj_to_affine16(pg32, p) for p in a7_gens]
+    sp16 = [proj_to_affine16(pg32, m24_, p) for p in tvs]
+    a6_16 = [proj_to_affine16(pg32, m24_, p) for p in a6_gens]
+    a7_16 = [proj_to_affine16(pg32, m24_, p) for p in a7_gens]
     add("2^4:A6", 16, 5760, t16 + a6_16, 2, "(Z2^4):alt(6)", "smalldeg",
         "AG(4,2)")
     add("2^4:S6", 16, 11520, t16 + sp16, 2, "((Z2^4):alt(6)):Z2", "smalldeg",
@@ -306,11 +306,11 @@ def main() -> None:
     m11_gens = [parse_cycles("(1,2,3,4,5,6,7,8,9,10,11)", 11),
                 parse_cycles("(3,7,11,8)(4,10,5,6)", 11)]
     m11 = add("M11", 11, 7920, m11_gens, 4, "M11", "smalldeg,mathieu")
-    assert m11.point_stabilizer(10).order() == 720  # M10 again
+    check(m11.point_stabilizer(10).order() == 720, "M11: a point stabilizer is not of order 720 (M10)")
 
     # M12 from PSL(2,11) plus a residue-split cubing twist; the classical
     # outer involution is the fallback if the twist search comes up empty.
-    psl11 = projective_line_generators(11)
+    psl11 = projective_generators(11, 2)
     try:
         delta12 = cubing_twist_search(11, psl11, 95040)
         m12_gens = psl11 + [delta12]
@@ -327,8 +327,8 @@ def main() -> None:
     psl11e = restriction(stab.generators, list(range(11)))
     add("PSL(2,11)@11", 11, 660, psl11e, 2, "PSL(2,11)", "smalldeg")
 
-    psl23 = projective_line_generators(23)
-    assert PermutationGroup(psl23, 24).order() == 6072
+    psl23 = projective_generators(23, 2)
+    check(PermutationGroup(psl23, 24).order() == 6072, "PSL(2,23): order is not 6072")
     delta24 = cubing_twist_search(23, psl23, 244823040)
     m24 = add("M24", 24, 244823040, psl23 + [delta24], 5, "M24", "mathieu")
 
@@ -336,7 +336,7 @@ def main() -> None:
     m23 = add("M23", 23, 10200960, m23_gens, 4, "M23", "mathieu")
     m22_gens = restriction(m23.point_stabilizer(22).generators, list(range(22)))
     m22 = add("M22", 22, 443520, m22_gens, 3, "M22", "mathieu")
-    assert m22.point_stabilizer(21).order() == m21.order()  # = PSL(3,4)
+    check(m22.point_stabilizer(21).order() == m21.order(), "M22: a point stabilizer is not of the order of M21")
 
     order = {"smalldeg": 0, "mathieu": 1, "extra": 2}
     specs.sort(key=lambda s: (
